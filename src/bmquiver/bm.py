@@ -101,6 +101,9 @@ def crossing_count(phi: BmObject) -> int:
     return phi.beta
 
 
+_EDGE_KEYS = frozenset({"phi", "phiPrime", "map"})
+
+
 @dataclass(frozen=True)
 class BmEdge:
     """A morphism phi -> phi' of the opposite category.
@@ -154,7 +157,10 @@ class BmEdge:
             if not value:
                 raise ParseError(f"bad edge encoding {text!r}")
             fields[key.strip()] = value.strip()
-        missing = {"phi", "phiPrime", "map"} - set(fields)
+        unknown = set(fields) - _EDGE_KEYS
+        if unknown:
+            raise ParseError(f"edge encoding has unknown keys {sorted(unknown)}")
+        missing = _EDGE_KEYS - set(fields)
         if missing:
             raise ParseError(f"edge encoding missing {sorted(missing)}")
         phi = BmObject.parse(fields["phi"])
@@ -265,6 +271,20 @@ def enumerate_all_edges(k_max: int, k_prime_max: int) -> list[BmEdge]:
         for phi_prime in targets:
             out.extend(enumerate_edges(phi, phi_prime))
     return out
+
+
+def edge_pool(k_max: int) -> dict[BmObject, list[BmEdge]]:
+    """Every edge between objects on [k <= k_max], grouped by source object.
+
+    Keys follow enumerate_objects; each list runs over targets in the same
+    order, then over maps.  Sampled sweeps draw from these lists by index,
+    so the order is part of their reproducibility.
+    """
+    objs = enumerate_objects(k_max)
+    return {
+        phi: [edge for phi_prime in objs for edge in enumerate_edges(phi, phi_prime)]
+        for phi in objs
+    }
 
 
 def segment_decompose(phi: BmObject) -> list[BmObject]:

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Sequence
 
-from .bm import BmChain, BmObject, enumerate_edges, enumerate_objects
+from .bm import BmChain, BmObject, edge_pool, enumerate_edges, enumerate_objects
 from .compare import gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import f_chain, j_cardinality_audit, pairing_set
@@ -90,7 +90,10 @@ def _eval_payload(entity: str, instance: str) -> dict:
     if entity == "xi":
         chain_text, _, size_text = instance.partition("@")
         chain = _parse_chain(chain_text)
-        size = int(size_text) if size_text else 2
+        try:
+            size = int(size_text) if size_text else 2
+        except ValueError:
+            raise ParseError(f"bad target size {size_text!r}") from None
         table = xi_component(chain, size)
         return {
             "entity": "xi",
@@ -163,11 +166,7 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
             "items": [e.encode() for e in edges],
         }
     # chains: breadth bounded by --max-k, length exactly --max-len
-    objs = enumerate_objects(args.max_k)
-    pool = {phi: [] for phi in objs}
-    for phi in objs:
-        for phi_prime in objs:
-            pool[phi].extend(enumerate_edges(phi, phi_prime))
+    pool = edge_pool(args.max_k)
     chains: list[str] = []
 
     def extend(prefix, tail, remaining):
@@ -180,7 +179,7 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
         for edge in pool[tail]:
             extend(prefix + (edge,), edge.phi_prime, remaining - 1)
 
-    for phi in objs:
+    for phi in pool:
         extend((), phi, args.max_len)
     return {"kind": "chains", "count": len(chains), "items": chains}
 

@@ -1,7 +1,8 @@
 """Verification sweeps over bounded instance ranges.
 
 Every suite enumerates its instances in a fixed order (or samples them with
-a seeded generator), runs one check per instance, and aggregates a report:
+a seeded generator), runs one check per instance (per fiber signature in
+the exhaustive gluing suite), and aggregates a report:
 failures stop nothing, they are collected with witnesses so a broken case
 is localized.  Audit mismatches on crossing targets are warnings; the
 pair-count identity is binding only where the target has no crossing.
@@ -9,6 +10,7 @@ pair-count identity is binding only where the target has no crossing.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -16,6 +18,7 @@ from .bm import (
     BmChain,
     BmEdge,
     BmObject,
+    edge_pool,
     enumerate_all_edges,
     enumerate_edges,
     enumerate_objects,
@@ -29,7 +32,8 @@ from .compare import (
 )
 from .errors import ValidationError
 from .quiverf import f_object, j_cardinality_audit
-from .wfib import chain_signature, g_chain, gluing_agreement
+from .simplex import DeltaMap, count_maps, enumerate_maps
+from .wfib import FiberSignature, g_chain, gluing_agreement
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,13 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def add_pass(self) -> None:
-        self.total += 1
+    def add_pass(self, count: int = 1) -> None:
+        self.total += count
 
-    def add_fail(self, key: str, witnesses: list[str]) -> None:
-        self.total += 1
-        self.failed += 1
+    def add_fail(self, key: str, witnesses: list[str], count: int = 1) -> None:
+        """One listed instance standing for count checked instances."""
+        self.total += count
+        self.failed += count
         self.instances.append({"key": key, "status": "fail", "witnesses": witnesses})
 
     def add_warn(self, key: str, witnesses: list[str]) -> None:
@@ -188,8 +193,10 @@ def run_edge_suite(config: SweepConfig, suite: str, jobs: int = 1) -> SuiteRepor
     """Run an edge-based suite, optionally fanned out over worker processes.
 
     Chunks preserve enumeration order and results merge in chunk order, so
-    output is identical for every jobs value.
+    output is identical for every jobs value.  More workers than cores
+    would only contend, so jobs is capped at the core count.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     edges = _edges(config)
     report = SuiteReport(suite, config.bounds_dict())
     report.total = len(edges)
@@ -249,82 +256,163 @@ def decomposition_suite(config: SweepConfig) -> SuiteReport:
     return report
 
 
-def _edge_pool(k_max: int) -> dict[BmObject, list[BmEdge]]:
-    objs = enumerate_objects(k_max)
-    pool: dict[BmObject, list[BmEdge]] = {phi: [] for phi in objs}
-    for phi in objs:
-        for phi_prime in objs:
-            pool[phi].extend(enumerate_edges(phi, phi_prime))
-    return pool
+class _ChainCounts:
+    """Closed-form chain counts over fiber-level chains, objects on [k <= max_k].
+
+    An object is fixed by its 0-fiber size z and 1-fiber size o, with
+    1 <= z + o <= max_k + 1, and an edge by a monotone map on each fiber.
+    So the concrete chains over a fiber signature differ only in their
+    1-fibers and the maps between them.  A weight vector gives, for each
+    1-fiber size o of the last object, the number of those chains that end
+    there; it depends on the 0-fiber sizes alone.
+    """
+
+    def __init__(self, max_k: int) -> None:
+        self.max_k = max_k
+        width = max_k + 2
+        # maps_into[n][m]: monotone maps from n points into m points.
+        self.maps_into = [
+            [count_maps(n - 1, m - 1) if n and m else int(n == 0) for m in range(width)]
+            for n in range(width)
+        ]
+
+    def base(self, z: int) -> list[int]:
+        """One chain of length 0 per object with 0-fiber size z."""
+        return [1 if 1 <= z + o <= self.max_k + 1 else 0 for o in range(self.max_k + 2)]
+
+    def step(self, weights: list[int], z: int) -> list[int]:
+        """Weights after one more edge into an object with 0-fiber size z."""
+        top = self.max_k + 1
+        return [
+            sum(w * n for w, n in zip(weights, row)) if 1 <= z + o <= top else 0
+            for o, row in enumerate(self.maps_into)
+        ]
+
+    def representative(self, signature: FiberSignature) -> BmChain:
+        """A fixed concrete chain with this signature, which must have a chain.
+
+        Takes the smallest 1-fiber that still reaches the end at each
+        position, and sends every 1-fiber point to the first 1-fiber point
+        of the previous object.
+        """
+        sizes, maps = signature
+        weights = [self.base(sizes[0])]
+        for z in sizes[1:]:
+            weights.append(self.step(weights[-1], z))
+        ones: list[int] = []
+        for row in reversed(weights):
+            after = ones[-1] if ones else 0
+            # A nonempty 1-fiber maps only into a nonempty one.
+            ones.append(next(o for o, w in enumerate(row) if w and (o or not after)))
+        ones.reverse()
+        objs = [BmObject((0,) * z + (1,) * o) for z, o in zip(sizes, ones)]
+        edges = []
+        for t, fmap in enumerate(maps):
+            images = fmap + (sizes[t],) * ones[t + 1]
+            delta = DeltaMap(objs[t + 1].top, objs[t].top, images)
+            edges.append(BmEdge(objs[t], objs[t + 1], delta))
+        return BmChain.from_edges(edges)
 
 
-def _gluing_failure(chain: BmChain) -> list[str]:
-    sizes, _ = chain_signature(chain)
-    return [
-        f"gluing disagrees with direct components (fiber sizes {sizes})"
-    ]
+def _fiber_maps(n: int, m: int) -> list[tuple[int, ...]]:
+    """Monotone maps from n points into m points, as value tuples in map order."""
+    if n == 0:
+        return [()]
+    if m == 0:
+        return []
+    return [delta.images for delta in enumerate_maps(n - 1, m - 1)]
+
+
+def _check_vertex(report: SuiteReport, base: BmObject) -> None:
+    """A chain of length 0: its components are in bijection with the base fiber."""
+    size = len(g_chain(BmChain.vertex(base)))
+    if size == base.ell + 1:
+        report.add_pass()
+    else:
+        report.add_fail(base.encode(), [f"|G| = {size}, expected {base.ell + 1}"])
+
+
+def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
+    rng = random.Random(config.seed)
+    objs = enumerate_objects(config.max_k)
+    pool = edge_pool(config.max_k)
+    for _ in range(config.samples):
+        length = rng.randint(0, config.max_chain_len)
+        base = rng.choice(objs)
+        edges = []
+        current = base
+        for _ in range(length):
+            edge = rng.choice(pool[current])  # identity edge always present
+            edges.append(edge)
+            current = edge.phi_prime
+        if not edges:
+            _check_vertex(report, base)
+            continue
+        sizes = (base.ell + 1,) + tuple(e.phi_prime.ell + 1 for e in edges)
+        maps = tuple(e.fiber_map() for e in edges)
+        if gluing_agreement((sizes, maps)):
+            report.add_pass()
+        else:
+            report.add_fail(
+                BmChain.from_edges(edges).encode(),
+                [f"gluing disagrees with direct components (fiber sizes {sizes})"],
+            )
+
+
+def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
+    """Depth-first over fiber signatures, each extended from its prefix."""
+    counts = _ChainCounts(config.max_k)
+    width = config.max_k + 2
+    fiber_maps = [[_fiber_maps(n, m) for m in range(width)] for n in range(width)]
+
+    def visit(sizes: tuple[int, ...], maps: tuple, weights: list, depth: int) -> None:
+        last = sizes[-1]
+        for z in range(width):
+            child_weights = counts.step(weights, z)
+            chains = sum(child_weights)
+            if not chains:
+                continue
+            child_sizes = sizes + (z,)
+            for fmap in fiber_maps[z][last]:
+                signature = (child_sizes, maps + (fmap,))
+                if gluing_agreement(signature):
+                    report.add_pass(chains)
+                else:
+                    report.add_fail(
+                        counts.representative(signature).encode(),
+                        [
+                            "gluing disagrees with direct components (fiber sizes "
+                            f"{child_sizes}; {chains} chains share this signature)"
+                        ],
+                        chains,
+                    )
+                if depth < config.max_chain_len:
+                    visit(child_sizes, signature[1], child_weights, depth + 1)
+
+    for base in enumerate_objects(config.max_k):
+        _check_vertex(report, base)
+    if config.max_chain_len:
+        for z in range(width):
+            visit((z,), (), counts.base(z), 1)
 
 
 def gluing_suite(config: SweepConfig) -> SuiteReport:
     """Edgewise gluing agrees with direct components on every chain in range.
 
-    Chains of length 0 only assert the base-fiber bijection.  The check is
-    a function of the chain's fiber signature alone (the pullback graph is
-    built from nothing else), so verdicts are memoized by signature.
+    Every chain position is an object on [k <= max_k]; max_k_prime is not
+    used.  Chains of length 0 only assert the base-fiber bijection.  The
+    check on a longer chain is a function of its fiber signature alone (the
+    pullback graph is built from nothing else).  Exhaustive mode therefore
+    checks each fiber signature once, adds the number of concrete chains
+    that share it, a closed form, to the counts, and lists a failing
+    signature as one instance keyed by a concrete chain that has it.
+    Sampled mode checks each drawn chain.
     """
     report = SuiteReport("gluing", config.bounds_dict())
-    k_max = config.max_k
-    pool = _edge_pool(k_max)
-    verdicts: dict = {}
-
-    def check(chain_edges: tuple[BmEdge, ...], base: BmObject) -> None:
-        if not chain_edges:
-            size = len(g_chain(BmChain.vertex(base)))
-            if size == base.ell + 1:
-                report.add_pass()
-            else:
-                report.add_fail(
-                    base.encode(), [f"|G| = {size}, expected {base.ell + 1}"]
-                )
-            return
-        sizes = (base.ell + 1,) + tuple(e.phi_prime.ell + 1 for e in chain_edges)
-        maps = tuple(e.fiber_map() for e in chain_edges)
-        signature = (sizes, maps)
-        verdict = verdicts.get(signature)
-        if verdict is None:
-            verdict = gluing_agreement(signature)
-            verdicts[signature] = verdict
-        if verdict:
-            report.add_pass()
-        else:
-            chain = BmChain.from_edges(list(chain_edges))
-            report.add_fail(chain.encode(), _gluing_failure(chain))
-
     if config.mode == "sampled":
-        rng = random.Random(config.seed)
-        objs = enumerate_objects(k_max)
-        for _ in range(config.samples):
-            length = rng.randint(0, config.max_chain_len)
-            base = rng.choice(objs)
-            edges = []
-            current = base
-            for _ in range(length):
-                choices = pool[current]
-                edge = rng.choice(choices)  # identity edge always present
-                edges.append(edge)
-                current = edge.phi_prime
-            check(tuple(edges), base)
-        return report
-
-    def extend(prefix: tuple[BmEdge, ...], tail: BmObject, remaining: int) -> None:
-        check(prefix, prefix[0].phi if prefix else tail)
-        if remaining == 0:
-            return
-        for edge in pool[tail]:
-            extend(prefix + (edge,), edge.phi_prime, remaining - 1)
-
-    for base in enumerate_objects(k_max):
-        extend((), base, config.max_chain_len)
+        _sampled_gluing(report, config)
+    else:
+        _exhaustive_gluing(report, config)
     return report
 
 

@@ -167,6 +167,11 @@ def test_edge_encoding_round_trip():
         BmEdge.parse("phi=0011;phiPrime=11;map=0,1")
 
 
+def test_edge_parse_rejects_unknown_keys():
+    with pytest.raises(ParseError, match="bogus"):
+        BmEdge.parse("phi=01;phiPrime=01;map=0,1;bogus=7")
+
+
 def test_chain_validation_and_encoding():
     e1 = identity_edge(OBJ("00"))
     chain = BmChain.from_edges([e1, e1])

@@ -50,6 +50,11 @@ def test_eval_xi(capsys):
     assert len(payload["table"]) == 2
 
 
+def test_eval_xi_rejects_bad_target_size(capsys):
+    assert main(["eval", "xi", "01@abc"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad target size 'abc'\n"
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["eval", "F", "zz"]) == EXIT_USAGE
     assert main(["eval", "pairs", "0001"]) == EXIT_USAGE
