@@ -3,8 +3,9 @@
 An object is a monotone map phi: [k] -> [1], carrying two invariants: ell,
 the top index of the fiber over 0 (ell = -1 for an empty fiber), and beta,
 which records whether the values cross from 0 to 1.  A morphism phi -> phi'
-of the opposite category is a monotone map [k'] -> [k] over [1]; a chain is
-a composable sequence of such morphisms.
+of the opposite category is a monotone map [k'] -> [k] over [1], which is a
+monotone map of 0-fibers beside one of 1-fibers; a chain is a composable
+sequence of such morphisms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (
     UnknownNameError,
     ValidationError,
 )
-from .simplex import DeltaMap, enumerate_maps, identity
+from .simplex import DeltaMap, count_monotone, identity, monotone_tuples
 
 
 @dataclass(frozen=True)
@@ -250,16 +251,51 @@ def enumerate_objects(k_max: int) -> list[BmObject]:
     return out
 
 
+def _fiber_parts(phi: BmObject, phi_prime: BmObject) -> tuple[tuple, tuple]:
+    """The monotone 0-fiber maps [ell'] -> [ell] and the 1-fiber image tuples.
+
+    An edge phi -> phi' sends 0-fiber points to 0-fiber points and 1-fiber
+    points to 1-fiber points, monotonically, and is any such pair; its image
+    tuple is a 0-part followed by a 1-part.
+    """
+    ell, ell_prime = phi.ell, phi_prime.ell
+    return (
+        monotone_tuples(ell_prime + 1, 0, ell + 1),
+        monotone_tuples(phi_prime.top - ell_prime, ell + 1, phi.top + 1),
+    )
+
+
 def enumerate_edges(phi: BmObject, phi_prime: BmObject) -> list[BmEdge]:
-    """All edges phi -> phi', i.e. all monotone maps over [1], in map order."""
+    """All edges phi -> phi', i.e. all monotone maps over [1], in map order.
+
+    Built as pairs of fiber maps, 0-part outer: every 0-part has the same
+    length, so this is lexicographic order of the image tuples.
+    """
     kp, k = phi_prime.top, phi.top
-    out = []
-    for delta in enumerate_maps(kp, k):
-        if all(
-            phi.values[v] == phi_prime.values[i] for i, v in enumerate(delta.images)
-        ):
-            out.append(BmEdge(phi, phi_prime, delta))
-    return out
+    zeros, ones = _fiber_parts(phi, phi_prime)
+    return [
+        BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one))
+        for zero in zeros
+        for one in ones
+    ]
+
+
+def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
+    """Number of edges phi -> phi': the 0-fiber map count times the 1-fiber one."""
+    ell, ell_prime = phi.ell, phi_prime.ell
+    return count_monotone(ell_prime + 1, ell + 1) * count_monotone(
+        phi_prime.top - ell_prime, phi.top - ell
+    )
+
+
+def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
+    """enumerate_edges(phi, phi_prime)[index], built without the other edges."""
+    zeros, ones = _fiber_parts(phi, phi_prime)
+    if not 0 <= index < len(zeros) * len(ones):
+        raise IndexError(f"edge index {index} out of range for {phi} -> {phi_prime}")
+    zero, one = divmod(index, len(ones))
+    images = zeros[zero] + ones[one]
+    return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, images))
 
 
 def enumerate_all_edges(k_max: int, k_prime_max: int) -> list[BmEdge]:

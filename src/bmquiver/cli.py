@@ -166,6 +166,8 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
             "items": [e.encode() for e in edges],
         }
     # chains: breadth bounded by --max-k, length exactly --max-len
+    if args.max_len < 0:
+        raise ValidationError(f"--max-len must be >= 0, got {args.max_len}")
     pool = edge_pool(args.max_k)
     chains: list[str] = []
 
@@ -234,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-k", type=int, default=3)
     p_verify.add_argument("--max-kprime", type=int, default=None)
     p_verify.add_argument("--max-chain-len", type=int, default=2)
-    mode = p_verify.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--suites", nargs="+", choices=list(SUITE_NAMES))
     p_verify.add_argument("--jobs", type=int, default=1)

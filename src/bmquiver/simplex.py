@@ -1,12 +1,15 @@
 """Monotone maps between finite ordinals [n] = {0, ..., n}.
 
 A map is stored as the tuple of its values; composition and exhaustive
-enumeration are the only operations the rest of the package needs.
+enumeration are the only operations the rest of the package needs.  All
+enumeration goes through monotone_tuples, and all counting through
+count_monotone, which share one convention for empty fibers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -82,16 +85,34 @@ def compose(g: DeltaMap, f: DeltaMap) -> DeltaMap:
     )
 
 
+@lru_cache(maxsize=256)
+def monotone_tuples(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Monotone maps from n points into {lo, ..., hi - 1}, as value tuples.
+
+    In lexicographic order.  No points give the one empty map; points into
+    no values give none.  Cached, as edge enumeration asks for the same few
+    fiber parts over and over; the result is immutable.
+    """
+    return tuple(combinations_with_replacement(range(lo, hi), n))
+
+
+def count_monotone(n: int, m: int) -> int:
+    """Number of monotone maps from n points into m points.
+
+    C(n + m - 1, n), with the convention of monotone_tuples for empty fibers.
+    """
+    return comb(n + m - 1, n) if m else int(n == 0)
+
+
 def enumerate_maps(k_prime: int, k: int) -> list[DeltaMap]:
     """All monotone maps [k'] -> [k], in lexicographic order of image tuples."""
     if k_prime < 0 or k < 0:
         raise ValidationError("ordinal tops must be >= 0")
     return [
-        DeltaMap(k_prime, k, images)
-        for images in combinations_with_replacement(range(k + 1), k_prime + 1)
+        DeltaMap(k_prime, k, images) for images in monotone_tuples(k_prime + 1, 0, k + 1)
     ]
 
 
 def count_maps(k_prime: int, k: int) -> int:
     """Number of monotone maps [k'] -> [k]: C(k + k' + 1, k' + 1)."""
-    return comb(k + k_prime + 1, k_prime + 1)
+    return count_monotone(k_prime + 1, k + 1)

@@ -18,9 +18,10 @@ from .bm import (
     BmChain,
     BmEdge,
     BmObject,
+    count_edges,
+    edge_at,
     edge_pool,
     enumerate_all_edges,
-    enumerate_edges,
     enumerate_objects,
 )
 from .compare import (
@@ -32,7 +33,7 @@ from .compare import (
 )
 from .errors import ValidationError
 from .quiverf import f_object, j_cardinality_audit
-from .simplex import DeltaMap, count_maps, enumerate_maps
+from .simplex import DeltaMap, count_monotone, monotone_tuples
 from .wfib import FiberSignature, g_chain, gluing_agreement
 
 
@@ -119,6 +120,14 @@ def _objects(config: SweepConfig) -> list[BmObject]:
 
 
 def _edges(config: SweepConfig) -> list[BmEdge]:
+    """Every edge in range, or config.samples seeded draws.
+
+    A draw picks a source and a target object, then an index into their
+    edges in map order, and builds that one edge; a pair with no edges is
+    drawn again without an index.  Drawing an index below n takes the same
+    generator step as choosing from a list of n, so the draws match
+    choosing from enumerate_edges.
+    """
     if config.mode == "exhaustive":
         return enumerate_all_edges(config.max_k, config.max_k_prime)
     rng = random.Random(config.seed)
@@ -128,9 +137,9 @@ def _edges(config: SweepConfig) -> list[BmEdge]:
     while len(out) < config.samples:
         phi = rng.choice(sources)
         phi_prime = rng.choice(targets)
-        candidates = enumerate_edges(phi, phi_prime)
-        if candidates:
-            out.append(rng.choice(candidates))
+        count = count_edges(phi, phi_prime)
+        if count:
+            out.append(edge_at(phi, phi_prime, rng.randrange(count)))
     return out
 
 
@@ -272,8 +281,7 @@ class _ChainCounts:
         width = max_k + 2
         # maps_into[n][m]: monotone maps from n points into m points.
         self.maps_into = [
-            [count_maps(n - 1, m - 1) if n and m else int(n == 0) for m in range(width)]
-            for n in range(width)
+            [count_monotone(n, m) for m in range(width)] for n in range(width)
         ]
 
     def base(self, z: int) -> list[int]:
@@ -312,15 +320,6 @@ class _ChainCounts:
             delta = DeltaMap(objs[t + 1].top, objs[t].top, images)
             edges.append(BmEdge(objs[t], objs[t + 1], delta))
         return BmChain.from_edges(edges)
-
-
-def _fiber_maps(n: int, m: int) -> list[tuple[int, ...]]:
-    """Monotone maps from n points into m points, as value tuples in map order."""
-    if n == 0:
-        return [()]
-    if m == 0:
-        return []
-    return [delta.images for delta in enumerate_maps(n - 1, m - 1)]
 
 
 def _check_vertex(report: SuiteReport, base: BmObject) -> None:
@@ -363,7 +362,7 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     """Depth-first over fiber signatures, each extended from its prefix."""
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
-    fiber_maps = [[_fiber_maps(n, m) for m in range(width)] for n in range(width)]
+    fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
 
     def visit(sizes: tuple[int, ...], maps: tuple, weights: list, depth: int) -> None:
         last = sizes[-1]
@@ -447,6 +446,8 @@ def run_suites(
     config: SweepConfig, suites: list[str] | None = None, jobs: int = 1
 ) -> list[SuiteReport]:
     """Run the named suites (default: the full battery) in a fixed order."""
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     names = suites if suites is not None else list(SUITE_NAMES)
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:

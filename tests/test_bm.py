@@ -20,6 +20,8 @@ from bmquiver import (
     named_object,
     segment_decompose,
 )
+from bmquiver.bm import count_edges, edge_at
+from bmquiver.simplex import enumerate_maps
 
 OBJ = BmObject.parse
 
@@ -102,6 +104,35 @@ def test_enumerate_edges_examples():
     assert len(edges) == 1 and edges[0].is_identity
     edges = enumerate_edges(OBJ("001"), OBJ("01"))
     assert [e.map.images for e in edges] == [(0, 2), (1, 2)]
+
+
+def filtered_edges(phi, phi_prime):
+    """Every map [k'] -> [k] that lies over [1], in map order."""
+    return [
+        BmEdge(phi, phi_prime, delta)
+        for delta in enumerate_maps(phi_prime.top, phi.top)
+        if [phi.values[v] for v in delta.images] == list(phi_prime.values)
+    ]
+
+
+OBJECTS_5 = enumerate_objects(5)
+
+
+@pytest.mark.parametrize("phi", OBJECTS_5, ids=str)
+def test_edges_built_from_fiber_maps_match_filtered_maps(phi):
+    for phi_prime in OBJECTS_5:
+        edges = enumerate_edges(phi, phi_prime)
+        assert edges == filtered_edges(phi, phi_prime)
+        assert len(edges) == count_edges(phi, phi_prime)
+        for i, edge in enumerate(edges):
+            assert edge_at(phi, phi_prime, i) == edge
+
+
+def test_edge_at_rejects_indices_out_of_range():
+    assert count_edges(OBJ("0"), OBJ("1")) == 0
+    for phi, phi_prime, index in [("0", "1", 0), ("001", "01", 2), ("001", "01", -1)]:
+        with pytest.raises(IndexError):
+            edge_at(OBJ(phi), OBJ(phi_prime), index)
 
 
 def test_edge_must_lie_over_one():

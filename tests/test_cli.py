@@ -89,6 +89,21 @@ def test_enumerate_chains(capsys):
     assert out.startswith("chains: 19")  # one per edge between the 5 objects
 
 
+def test_enumerate_chains_rejects_negative_length(capsys):
+    assert main(["enumerate", "chains", "--max-len", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --max-len must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    assert main(["verify", "--max-k", "1", "--jobs", jobs]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+def test_verify_has_no_exhaustive_flag(capsys):
+    assert main(["verify", "--max-k", "1", "--exhaustive"]) == EXIT_USAGE
+
+
 def test_verify_passes_and_reports_warnings(capsys):
     code, out = run(
         capsys,

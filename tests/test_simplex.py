@@ -15,6 +15,7 @@ from bmquiver import (
     enumerate_maps,
     identity,
 )
+from bmquiver.simplex import count_monotone, monotone_tuples
 
 
 @st.composite
@@ -62,6 +63,17 @@ def test_enumeration_counts_and_order():
     assert [m.images for m in enumerate_maps(0, 0)] == [(0,)]
     assert [m.images for m in enumerate_maps(1, 1)] == [(0, 0), (0, 1), (1, 1)]
     assert len(enumerate_maps(1, 2)) == 6 == count_maps(1, 2)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 1), (0, 3), (2, 2), (2, 5)])
+def test_monotone_tuples_and_their_count(n, lo, hi):
+    expected = [
+        t for t in product(range(lo, hi), repeat=n)
+        if all(t[i] <= t[i + 1] for i in range(n - 1))
+    ]
+    assert list(monotone_tuples(n, lo, hi)) == expected
+    assert count_monotone(n, hi - lo) == len(expected)
 
 
 @pytest.mark.parametrize("k_prime", range(4))

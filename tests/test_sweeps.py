@@ -1,17 +1,21 @@
-"""The gluing sweep against concrete chain enumeration, and the --jobs cap."""
+"""The gluing sweep against concrete chain enumeration, sampled edge draws
+against the list-choosing loop, and the --jobs cap."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import random
 
 import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
-from bmquiver.bm import edge_pool
+from bmquiver import sweeps
+from bmquiver.bm import BmEdge, edge_pool, enumerate_objects
 from bmquiver.cli import EXIT_PASS, main
 from bmquiver.quotient import UnionFind
+from bmquiver.simplex import enumerate_maps
 from bmquiver.sweeps import SweepConfig, gluing_suite, run_edge_suite
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
@@ -80,6 +84,34 @@ def test_mutant_failures_are_counted_per_chain_and_listed_per_signature(
     witnesses = [inst["witnesses"][0] for inst in report.instances]
     assert sum(int(w.split("; ")[1].split()[0]) for w in witnesses) == failed
     assert main(["eval", "G", report.instances[0]["key"]]) == EXIT_PASS
+
+
+def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
+    """Sampled edges drawn by choosing from each pair's full list of maps over [1]."""
+    rng = random.Random(config.seed)
+    sources = enumerate_objects(config.max_k)
+    targets = enumerate_objects(config.max_k_prime)
+    out = []
+    while len(out) < config.samples:
+        phi = rng.choice(sources)
+        phi_prime = rng.choice(targets)
+        candidates = [
+            BmEdge(phi, phi_prime, delta)
+            for delta in enumerate_maps(phi_prime.top, phi.top)
+            if [phi.values[v] for v in delta.images] == list(phi_prime.values)
+        ]
+        if candidates:
+            out.append(rng.choice(candidates))
+    return out
+
+
+@pytest.mark.parametrize("max_k,max_k_prime", [(5, 5), (2, 5), (5, 2), (0, 3)])
+def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_prime):
+    for seed in range(20):
+        config = SweepConfig(
+            max_k=max_k, max_k_prime=max_k_prime, mode="sampled", samples=40, seed=seed
+        )
+        assert sweeps._edges(config) == choose_from_filtered_edges(config)
 
 
 class RecordingPool:
