@@ -11,11 +11,9 @@ from .bm import (
     BmChain,
     BmEdge,
     BmObject,
-    crossing_count,
     enumerate_all_edges,
     enumerate_edges,
     enumerate_objects,
-    fiber_zero,
     identity_edge,
     named_object,
     segment_decompose,
@@ -52,7 +50,6 @@ from .quiverf import (
     PairingList,
     QuiverLabel,
     f_chain,
-    f_edge,
     f_object,
     f_object_via_segments,
     j_cardinality_audit,
@@ -64,12 +61,10 @@ from .simplex import DeltaMap, compose, count_maps, enumerate_maps, identity
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
 from .wfib import (
     GSet,
-    PullbackGraph,
     chain_signature,
     g_chain,
     g_glued,
     gluing_agreement,
-    pullback_graph,
     w_fiber,
 )
 

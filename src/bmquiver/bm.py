@@ -92,16 +92,6 @@ def named_object(name: str) -> BmObject:
         raise UnknownNameError(f"unknown object name {name!r}") from None
 
 
-def fiber_zero(phi: BmObject) -> int:
-    """Top index ell of the fiber over 0, so the fiber is {0, ..., ell}."""
-    return phi.ell
-
-
-def crossing_count(phi: BmObject) -> int:
-    """Number of indices i with phi(i-1) < phi(i); 0 or 1 by monotonicity."""
-    return phi.beta
-
-
 _EDGE_KEYS = frozenset({"phi", "phiPrime", "map"})
 
 

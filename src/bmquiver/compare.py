@@ -24,7 +24,7 @@ from .quiverf import (
     f_object_via_segments,
     pairing_set,
 )
-from .quotient import quotient
+from .quotient import QuotientSet, quotient
 from .wfib import GSet, Vertex, g_chain, w_fiber
 
 
@@ -38,14 +38,17 @@ def gamma_index(label: QuiverLabel, ell: int) -> int:
 
 @dataclass(frozen=True)
 class GammaComponent:
-    """The comparison on one chain.
+    """The comparison on one chain, with the two values it compares.
 
+    f is the labeled-set quotient and g the component set of the chain;
     witness records, per generator, the component class of its image before
     any quotienting; assignment is the induced map on quotient classes,
     keyed by canonical representatives.
     """
 
     chain: BmChain
+    f: QuotientSet
+    g: GSet
     witness: Mapping[QuiverLabel, Vertex]
     assignment: Mapping[QuiverLabel, Vertex]
 
@@ -72,7 +75,7 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
                 f"class {block} of chain {chain.encode()} has images {sorted(images)}"
             )
         assignment[block[0]] = images.pop()
-    return GammaComponent(chain, witness, assignment)
+    return GammaComponent(chain, fq, g, witness, assignment)
 
 
 def gamma_object(phi: BmObject) -> GammaComponent:
@@ -292,15 +295,23 @@ class XiTable:
     entries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+#: Largest xi table that xi_component builds: m^|G| rows, one per map G -> [m].
+XI_MAX_ROWS = 100_000
+
+
 def xi_component(chain: BmChain, target_size: int) -> XiTable:
     """Tabulate precomposition with the comparison on all maps into a target set."""
     if target_size < 0:
         raise ValidationError("target size must be >= 0")
     gamma = gamma_chain(chain)
-    fq = f_chain(chain)
-    g = g_chain(chain)
-    g_reps = g.representatives
-    f_reps = fq.representatives
+    rows = target_size ** len(gamma.g)
+    if rows > XI_MAX_ROWS:
+        raise ValidationError(
+            f"xi table would have {target_size}^{len(gamma.g)} = {rows} rows, "
+            f"more than {XI_MAX_ROWS}"
+        )
+    g_reps = gamma.g.representatives
+    f_reps = gamma.f.representatives
     g_pos = {rep: i for i, rep in enumerate(g_reps)}
     entries = []
     for values in product(range(target_size), repeat=len(g_reps)):
@@ -317,8 +328,7 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
     along the label inclusion.
     """
     gamma = gamma_chain(chain)
-    fq = f_chain(chain)
-    g = g_chain(chain)
+    fq, g = gamma.f, gamma.g
     vertex_data = []
     for t, obj in enumerate(chain.objects):
         vertex_gamma = gamma_chain(BmChain.vertex(obj))

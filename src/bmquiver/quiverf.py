@@ -224,17 +224,6 @@ def pairing_set(edge: BmEdge, at: int = 0) -> PairingList:
     return PairingList(tuple(pairs), tuple(notes))
 
 
-def f_edge(edge: BmEdge) -> QuotientSet:
-    """The pushout of the two vertex label sets along the edge's pairing list.
-
-    The carrier tags the source object's labels with vertex 0 and the target
-    object's labels with vertex 1; the inclusion of either vertex is
-    QuotientSet.find restricted to that vertex's labels.
-    """
-    elements = f_object(edge.phi, vertex=0) + f_object(edge.phi_prime, vertex=1)
-    return quotient(elements, pairing_set(edge).pairs)
-
-
 def f_chain(chain: BmChain) -> QuotientSet:
     """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
     elements: list[QuiverLabel] = []

@@ -93,11 +93,6 @@ class SuiteReport:
         self.failed += count
         self.instances.append({"key": key, "status": "fail", "witnesses": witnesses})
 
-    def add_warn(self, key: str, witnesses: list[str]) -> None:
-        self.total += 1
-        self.warned += 1
-        self.instances.append({"key": key, "status": "warn", "witnesses": witnesses})
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -229,26 +224,6 @@ def run_edge_suite(config: SweepConfig, suite: str, jobs: int = 1) -> SuiteRepor
         else:
             report.warned += 1
     return report
-
-
-def constancy_suite(config: SweepConfig, jobs: int = 1) -> SuiteReport:
-    """Well-definedness of the comparison on every edge in range."""
-    return run_edge_suite(config, "constancy", jobs)
-
-
-def naturality_suite(config: SweepConfig, jobs: int = 1) -> SuiteReport:
-    """Vertex- and segment-inclusion squares on every edge in range."""
-    return run_edge_suite(config, "naturality", jobs)
-
-
-def identification_suite(config: SweepConfig, jobs: int = 1) -> SuiteReport:
-    """Fiber elements and their images share a component class on every edge."""
-    return run_edge_suite(config, "identification", jobs)
-
-
-def audit_suite(config: SweepConfig, jobs: int = 1) -> SuiteReport:
-    """Pair-count audit: exact without a target crossing, warnings otherwise."""
-    return run_edge_suite(config, "audit", jobs)
 
 
 def decomposition_suite(config: SweepConfig) -> SuiteReport:

@@ -5,11 +5,12 @@ yields a layered graph: one discrete fiber {0, ..., ell_t} per position t,
 and one cross edge from (t+1, j) down to (t, p_{t+1}(j)) per fiber element.
 Inverting everything collapses the graph to its connected components, so
 the functor value on a chain is pi0 of this graph together with the maps
-from each fiber into the component set.
+from each fiber into the component set.  Like the labeled-set side, it is
+computed as a quotient: the fiber vertices modulo the cross edges.
 
 The graph depends only on the fiber sizes and the fiber-restricted maps
-(the chain's fiber signature), so the heavy sweeps work on signatures and
-the object API wraps the same core.
+(the chain's fiber signature), so the gluing check works on signatures
+with integer vertices.
 """
 
 from __future__ import annotations
@@ -29,26 +30,6 @@ FiberSignature = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 def w_fiber(phi: BmObject) -> tuple[int, ...]:
     """The discrete fiber over phi: the set {0, ..., ell}, empty when ell = -1."""
     return tuple(range(phi.ell + 1))
-
-
-@dataclass(frozen=True)
-class PullbackGraph:
-    """Fibers of a chain plus the cross edges generated by its maps."""
-
-    vertices: tuple[Vertex, ...]
-    cross_edges: tuple[tuple[Vertex, Vertex], ...]
-
-
-def pullback_graph(chain: BmChain) -> PullbackGraph:
-    """Vertices (t, j) for every fiber element, cross edges along every map."""
-    vertices: list[Vertex] = []
-    for t, obj in enumerate(chain.objects):
-        vertices.extend((t, j) for j in w_fiber(obj))
-    cross: list[tuple[Vertex, Vertex]] = []
-    for t, edge in enumerate(chain.edges):
-        fmap = edge.fiber_map()
-        cross.extend(((t + 1, j), (t, fmap[j])) for j in range(len(fmap)))
-    return PullbackGraph(tuple(vertices), tuple(cross))
 
 
 def chain_signature(chain: BmChain) -> FiberSignature:
@@ -186,16 +167,13 @@ class GSet:
         return self.classes.representatives
 
 
-def _wrap_components(chain: BmChain, comp: list[int]) -> GSet:
-    sizes = tuple(obj.ell + 1 for obj in chain.objects)
-    vertices = [(t, j) for t, size in enumerate(sizes) for j in range(size)]
-    groups: dict[int, list[Vertex]] = {}
-    for v, label in zip(vertices, comp):
-        groups.setdefault(label, []).append(v)
-    pairs = []
-    for group in groups.values():
-        pairs.extend((group[0], other) for other in group[1:])
-    classes = quotient(tuple(vertices), pairs)
+def _vertices(sizes: tuple[int, ...]) -> tuple[Vertex, ...]:
+    return tuple((t, j) for t, size in enumerate(sizes) for j in range(size))
+
+
+def _gset(sizes: tuple[int, ...], pairs: Iterable[tuple[Vertex, Vertex]]) -> GSet:
+    """The fiber vertices modulo pairs; vertex maps send (t, j) to its class."""
+    classes = quotient(_vertices(sizes), pairs)
     vertex_maps = tuple(
         tuple(classes.find((t, j)) for j in range(size)) for t, size in enumerate(sizes)
     )
@@ -205,7 +183,12 @@ def _wrap_components(chain: BmChain, comp: list[int]) -> GSet:
 def g_chain(chain: BmChain) -> GSet:
     """Connected components of the chain's pullback graph, with fiber maps."""
     sizes, maps = chain_signature(chain)
-    return _wrap_components(chain, _direct_components(sizes, maps))
+    cross = (
+        ((t + 1, j), (t, image))
+        for t, fmap in enumerate(maps)
+        for j, image in enumerate(fmap)
+    )
+    return _gset(sizes, cross)
 
 
 def g_glued(chain: BmChain) -> GSet:
@@ -218,4 +201,9 @@ def g_glued(chain: BmChain) -> GSet:
     if chain.length < 1:
         raise ValidationError("gluing needs a chain with at least one edge")
     sizes, maps = chain_signature(chain)
-    return _wrap_components(chain, _glued_components(sizes, maps))
+    first: dict[int, Vertex] = {}
+    same_label = (
+        (first.setdefault(label, v), v)
+        for v, label in zip(_vertices(sizes), _glued_components(sizes, maps))
+    )
+    return _gset(sizes, same_label)

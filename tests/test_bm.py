@@ -12,10 +12,8 @@ from bmquiver import (
     ParseError,
     UnknownNameError,
     ValidationError,
-    crossing_count,
     enumerate_edges,
     enumerate_objects,
-    fiber_zero,
     identity_edge,
     named_object,
     segment_decompose,
@@ -55,12 +53,12 @@ def bm_edges(draw, max_top: int = 5):
     "text,expected", [("0011", 1), ("1", -1), ("000", 2), ("01", 0)]
 )
 def test_fiber_zero(text, expected):
-    assert fiber_zero(OBJ(text)) == expected
+    assert OBJ(text).ell == expected
 
 
 @pytest.mark.parametrize("text,expected", [("0011", 1), ("000", 0), ("01", 1)])
 def test_crossing_count(text, expected):
-    assert crossing_count(OBJ(text)) == expected
+    assert OBJ(text).beta == expected
 
 
 def test_named_objects():
@@ -68,7 +66,7 @@ def test_named_objects():
     assert named_object("b").encode() == "11"
     assert named_object("m").encode() == "01"
     assert named_object("\U0001d52a") == named_object("m")
-    assert crossing_count(named_object("m")) == 1
+    assert named_object("m").beta == 1
     with pytest.raises(UnknownNameError):
         named_object("q")
 

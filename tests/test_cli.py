@@ -55,6 +55,13 @@ def test_eval_xi_rejects_bad_target_size(capsys):
     assert capsys.readouterr().err == "error: bad target size 'abc'\n"
 
 
+def test_eval_xi_refuses_oversized_table(capsys):
+    # 10^10 rows: refused before any row is built
+    assert main(["eval", "xi", "0000000000@10"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: xi table would have 10^10 = 10000000000 rows, more than 100000\n"
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["eval", "F", "zz"]) == EXIT_USAGE
     assert main(["eval", "pairs", "0001"]) == EXIT_USAGE

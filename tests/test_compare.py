@@ -12,9 +12,11 @@ from bmquiver import (
     enumerate_objects,
     f_chain,
     f_object,
+    g_chain,
     gamma_chain,
     gamma_index,
     gamma_object,
+    ValidationError,
     identity_edge,
     verify_constancy,
     verify_decomposition,
@@ -23,6 +25,7 @@ from bmquiver import (
     xi_component,
     xi_restriction_commutes,
 )
+from bmquiver import compare
 from bmquiver.quiverf import LabelKind, mid, one, resolve_label, two
 
 OBJ = BmObject.parse
@@ -105,6 +108,16 @@ class TestGammaOnChains:
         e = identity_edge(OBJ("11"))
         gamma = gamma_chain(BmChain.from_edges([e, e]))
         assert gamma.assignment == {}
+
+    def test_carries_the_values_it_compares(self):
+        chains = [BmChain.vertex(phi) for phi in enumerate_objects(3)]
+        for edge in enumerate_all_edges(3, 3):
+            chains.append(BmChain.from_edges([edge]))
+            chains.append(BmChain.from_edges([edge, identity_edge(edge.phi_prime)]))
+        for chain in chains:
+            gamma = gamma_chain(chain)
+            assert gamma.f == f_chain(chain)
+            assert gamma.g == g_chain(chain)
 
 
 class TestConstancy:
@@ -218,6 +231,15 @@ class TestXi:
     def test_empty_domains(self):
         table = xi_component(BmChain.vertex(OBJ("1")), 3)
         assert table.entries == (((), ()),)
+
+    def test_row_bound(self, monkeypatch):
+        monkeypatch.setattr(compare, "XI_MAX_ROWS", 4)
+        assert len(xi_component(BmChain.vertex(OBJ("01")), 4).entries) == 4
+        assert len(xi_component(BmChain.vertex(OBJ("001")), 2).entries) == 4
+        with pytest.raises(ValidationError, match="2\\^3 = 8 rows"):
+            xi_component(BmChain.vertex(OBJ("0001")), 2)
+        with pytest.raises(ValidationError):
+            xi_component(BmChain.vertex(OBJ("01")), 5)
 
     def test_restriction_commutes_small(self):
         for phi in enumerate_objects(2):

@@ -14,12 +14,12 @@ from bmquiver import (
     enumerate_all_edges,
     enumerate_objects,
     f_chain,
-    f_edge,
     f_object,
     f_object_via_segments,
     identity_edge,
     j_cardinality_audit,
     pairing_set,
+    quotient,
     resolve_label,
 )
 from bmquiver.quiverf import mid, one, two
@@ -45,6 +45,12 @@ def bm_edges(draw, max_top: int = 6):
     )
     phi_prime = BmObject(tuple(phi.values[v] for v in images))
     return BmEdge(phi, phi_prime, DeltaMap(k_prime, phi.top, images))
+
+
+def edge_pushout(edge):
+    """The pushout of the two vertex label sets along the edge's pairing list."""
+    elements = f_object(edge.phi, vertex=0) + f_object(edge.phi_prime, vertex=1)
+    return quotient(elements, pairing_set(edge).pairs)
 
 
 def strs(labels) -> list[str]:
@@ -180,21 +186,21 @@ class TestPairingSet:
 
 class TestPushouts:
     def test_identity_edge_on_00(self):
-        q = f_edge(identity_edge(OBJ("00")))
+        q = f_chain(BmChain.from_edges([identity_edge(OBJ("00"))]))
         assert [strs(block) for block in q.blocks] == [
             ["v0:x1(1)", "v1:x1(1)"],
             ["v0:x2(1)", "v1:x2(1)"],
         ]
 
     def test_crossing_edge(self):
-        q = f_edge(EDGE("phi=001;phiPrime=01;map=1,2"))
+        q = f_chain(BmChain.from_edges([EDGE("phi=001;phiPrime=01;map=1,2")]))
         assert [strs(block) for block in q.blocks] == [
             ["v0:x1(1)", "v0:xm", "v1:xm"],
             ["v0:x2(1)"],
         ]
 
     def test_empty_on_both_sides(self):
-        assert len(f_edge(identity_edge(OBJ("1")))) == 0
+        assert len(f_chain(BmChain.from_edges([identity_edge(OBJ("1"))]))) == 0
 
     def test_vertex_chain_is_discrete(self):
         q = f_chain(BmChain.vertex(OBJ("0001")))
@@ -203,7 +209,7 @@ class TestPushouts:
 
     def test_length_one_chain_equals_edge_pushout(self):
         for edge in enumerate_all_edges(3, 3):
-            assert f_chain(BmChain.from_edges([edge])).blocks == f_edge(edge).blocks
+            assert f_chain(BmChain.from_edges([edge])).blocks == edge_pushout(edge).blocks
 
     def test_two_identity_edges_glue_three_copies(self):
         e = identity_edge(OBJ("00"))
@@ -212,7 +218,7 @@ class TestPushouts:
         assert all(len(block) == 3 for block in q.blocks)
 
     def test_representatives_are_least_labels(self):
-        q = f_edge(EDGE("phi=001;phiPrime=01;map=1,2"))
+        q = f_chain(BmChain.from_edges([EDGE("phi=001;phiPrime=01;map=1,2")]))
         for block in q.blocks:
             assert block[0] == min(block)
 

@@ -141,3 +141,17 @@ def test_jobs_capped_at_core_count(monkeypatch, cores, pools):
     report = run_edge_suite(config, "constancy", jobs=64)
     assert RecordingPool.sizes == pools
     assert report.to_dict() == run_edge_suite(config, "constancy", jobs=1).to_dict()
+
+
+def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
+    """A fiber map that drops its last image breaks both edge suites, per edge."""
+    monkeypatch.setattr(
+        BmEdge, "fiber_map", lambda edge: edge.map.images[: max(edge.phi_prime.ell, 0)]
+    )
+    config = SweepConfig(max_k=2, max_k_prime=2)
+    reports = sweeps.run_suites(config, ["constancy", "naturality"])
+    for report in reports:
+        assert (report.total, report.failed) == (109, 53)
+        for instance in report.instances:
+            assert instance["status"] == "fail" and instance["witnesses"]
+            BmEdge.parse(instance["key"])

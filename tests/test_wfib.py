@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
+import networkx as nx
 import pytest
 from bmquiver import (
     BmChain,
@@ -15,13 +17,34 @@ from bmquiver import (
     g_glued,
     gluing_agreement,
     identity_edge,
-    pullback_graph,
     quotient,
     w_fiber,
 )
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
+
+Vertex = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class PullbackGraph:
+    """Fibers of a chain plus the cross edges generated by its maps."""
+
+    vertices: tuple[Vertex, ...]
+    cross_edges: tuple[tuple[Vertex, Vertex], ...]
+
+
+def pullback_graph(chain: BmChain) -> PullbackGraph:
+    """Vertices (t, j) for every fiber element, cross edges along every map."""
+    vertices: list[Vertex] = []
+    for t, obj in enumerate(chain.objects):
+        vertices.extend((t, j) for j in w_fiber(obj))
+    cross: list[tuple[Vertex, Vertex]] = []
+    for t, edge in enumerate(chain.edges):
+        fmap = edge.fiber_map()
+        cross.extend(((t + 1, j), (t, fmap[j])) for j in range(len(fmap)))
+    return PullbackGraph(tuple(vertices), tuple(cross))
 
 
 def chains_up_to(max_len: int, k_max: int):
@@ -42,9 +65,12 @@ def chains_up_to(max_len: int, k_max: int):
                 )
 
 
-def pi0_oracle(graph):
-    """Independent route: union-find quotient instead of graph search."""
-    return quotient(graph.vertices, graph.cross_edges)
+def pi0_oracle(graph: PullbackGraph) -> tuple[tuple[Vertex, ...], ...]:
+    """Independent route: networkx graph search instead of union-find."""
+    nxgraph = nx.Graph()
+    nxgraph.add_nodes_from(graph.vertices)
+    nxgraph.add_edges_from(graph.cross_edges)
+    return tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(nxgraph)))
 
 
 @pytest.mark.parametrize(
@@ -123,10 +149,17 @@ def test_surjective_tower_collapses_to_a_point():
     assert g_glued(chain).classes.blocks == direct.classes.blocks
 
 
-def test_components_match_union_find_oracle():
-    for chain in chains_up_to(2, 2):
-        graph = pullback_graph(chain)
-        assert g_chain(chain).classes.blocks == pi0_oracle(graph).blocks
+@pytest.mark.parametrize("max_len,k_max", [(2, 2), (3, 2)])
+def test_components_match_networkx_oracle(max_len, k_max):
+    for chain in chains_up_to(max_len, k_max):
+        g = g_chain(chain)
+        blocks = pi0_oracle(pullback_graph(chain))
+        assert g.classes.blocks == blocks
+        least = {v: block[0] for block in blocks for v in block}
+        assert g.vertex_maps == tuple(
+            tuple(least[(t, j)] for j in w_fiber(obj))
+            for t, obj in enumerate(chain.objects)
+        )
 
 
 def test_orientation_independence():
