@@ -17,7 +17,7 @@ from .bm import BmChain, BmObject, edge_pool, enumerate_edges, enumerate_objects
 from .compare import gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import f_chain, j_cardinality_audit, pairing_set
-from .sweeps import SUITE_NAMES, SweepConfig, run_suites
+from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, run_suites
 from .wfib import g_chain
 
 EXIT_PASS = 0
@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-chain-len", type=int, default=2)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--suites", nargs="+", choices=list(SUITE_NAMES))
+    p_verify.add_argument(
+        "--suites", nargs="+", choices=list(SUITE_NAMES + EXTRA_SUITE_NAMES)
+    )
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     return parser

@@ -6,6 +6,12 @@ then the fiber map into the component set.  The checks below establish, by
 direct enumeration, that this assignment is constant on every glued pair
 (well-definedness), that it commutes with vertex and segment inclusions
 (naturality), and that it is compatible with segment decompositions.
+
+The edge checks run on numbers: labels numbered as in quiverf (F classes
+from f_classes), fiber vertices numbered position-major as in wfib (G
+classes from g_classes), and gamma on a vertex's label number L is
+L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
+named only at the API boundary and in the witness of a failure.
 """
 
 from __future__ import annotations
@@ -19,21 +25,57 @@ from .errors import IllDefinedComponentError, ValidationError
 from .quiverf import (
     LabelKind,
     QuiverLabel,
-    f_chain,
+    chain_labels,
+    edge_pairs,
+    f_classes,
     f_object,
     f_object_via_segments,
-    pairing_set,
+    label_count,
+    label_offsets,
+    render_note,
 )
 from .quotient import QuotientSet, quotient
-from .wfib import GSet, Vertex, g_chain, w_fiber
+from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes, w_fiber
+
+
+def _gamma(code: int, ell: int) -> int:
+    """The fiber element gamma assigns to label number code of a vertex with this ell."""
+    return code // 2 + 1 if code % 2 == 0 and code != 2 * ell else code // 2
 
 
 def gamma_index(label: QuiverLabel, ell: int) -> int:
     """The fiber element assigned to a generator: x1(i) -> i, x2(j) -> j - 1, xm -> ell."""
     if label.kind is LabelKind.MID:
-        return ell
+        return _gamma(2 * ell, ell)
     assert label.index is not None
-    return label.index if label.kind is LabelKind.ONE else label.index - 1
+    return _gamma(2 * label.index - (2 if label.kind is LabelKind.ONE else 1), ell)
+
+
+def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Fiber sizes, G classes by vertex number, and the witness of every label number.
+
+    The witness of a label is the G class of the fiber element gamma
+    assigns to it, before any quotienting on the labeled-set side.
+    """
+    sizes, maps = chain_signature(chain)
+    g = g_classes(sizes, maps)
+    witness: list[int] = []
+    fiber_off = 0
+    for obj, size in zip(chain.objects, sizes):
+        ell = size - 1
+        witness.extend(
+            g[fiber_off + _gamma(code, ell)] for code in range(label_count(ell, obj.beta))
+        )
+        fiber_off += size
+    return sizes, g, witness
+
+
+def _classes(reps: list[int]) -> dict[int, list[int]]:
+    """Members of each class by representative, classes in order."""
+    out: dict[int, list[int]] = {}
+    for member, rep in enumerate(reps):
+        out.setdefault(rep, []).append(member)
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,29 +95,35 @@ class GammaComponent:
     assignment: Mapping[QuiverLabel, Vertex]
 
 
-def _witnesses(chain: BmChain, g: GSet) -> dict[QuiverLabel, Vertex]:
-    out: dict[QuiverLabel, Vertex] = {}
-    for t, obj in enumerate(chain.objects):
-        vm = g.vertex_maps[t]
-        for label in f_object(obj, vertex=t):
-            out[label] = vm[gamma_index(label, obj.ell)]
-    return out
+def _check_well_defined(
+    chain: BmChain, f: list[int], sizes: tuple[int, ...], witness: list[int]
+) -> None:
+    """Raise unless every F class has one image."""
+    for block in _classes(f).values():
+        images = {witness[code] for code in block}
+        if len(images) > 1:
+            labels = chain_labels(chain)
+            vertices = fiber_vertices(sizes)
+            raise IllDefinedComponentError(
+                f"class {tuple(labels[code] for code in block)} of chain "
+                f"{chain.encode()} has images {[vertices[v] for v in sorted(images)]}"
+            )
 
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    fq = f_chain(chain)
-    g = g_chain(chain)
-    witness = _witnesses(chain, g)
-    assignment: dict[QuiverLabel, Vertex] = {}
-    for block in fq.blocks:
-        images = {witness[member] for member in block}
-        if len(images) > 1:
-            raise IllDefinedComponentError(
-                f"class {block} of chain {chain.encode()} has images {sorted(images)}"
-            )
-        assignment[block[0]] = images.pop()
-    return GammaComponent(chain, fq, g, witness, assignment)
+    f = f_classes(chain)
+    sizes, g, witness = _g_side(chain)
+    _check_well_defined(chain, f, sizes, witness)
+    labels = chain_labels(chain)
+    vertices = fiber_vertices(sizes)
+    return GammaComponent(
+        chain,
+        QuotientSet.decode(labels, f),
+        GSet.decode(sizes, g),
+        {label: vertices[image] for label, image in zip(labels, witness)},
+        {labels[rep]: vertices[witness[rep]] for rep in _classes(f)},
+    )
 
 
 def gamma_object(phi: BmObject) -> GammaComponent:
@@ -122,76 +170,88 @@ def verify_constancy(edge: BmEdge, include_trails: bool = True) -> VerificationR
     identities that the collapse follows.
     """
     chain = BmChain.from_edges([edge])
-    g = g_chain(chain)
-    witness = _witnesses(chain, g)
-    pairing = pairing_set(edge)
+    sizes, _, witness = _g_side(chain)
+    pairs, notes = edge_pairs(edge)
+    broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
+    labels = chain_labels(chain) if broken or include_trails else ()
     failures = []
-    for (a, b), note in zip(pairing.pairs, pairing.notes):
-        if witness[a] != witness[b]:
+    if broken:
+        vertices = fiber_vertices(sizes)
+        for n in broken:
+            a, b = pairs[n]
             failures.append(
-                f"pair ({a}, {b}) [{note}] has images {witness[a]} != {witness[b]}"
+                f"pair ({labels[a]}, {labels[b]}) [{render_note(notes[n])}] has images "
+                f"{vertices[witness[a]]} != {vertices[witness[b]]}"
             )
     details: dict = {}
     if include_trails:
         details["trails"] = [
-            f"({a}, {b}): {note}" for (a, b), note in zip(pairing.pairs, pairing.notes)
+            f"({labels[a]}, {labels[b]}): {render_note(note)}"
+            for (a, b), note in zip(pairs, notes)
         ]
     return VerificationReport(
-        edge.encode(), "constancy", pairing.raw_count, tuple(failures), details
+        edge.encode(), "constancy", len(pairs), tuple(failures), details
     )
 
 
 def _inclusion_square_failures(
-    chain: BmChain, fq, g: GSet, witness: dict[QuiverLabel, Vertex]
+    chain: BmChain,
+    f: list[int],
+    sizes: tuple[int, ...],
+    g: list[int],
+    witness: list[int],
 ) -> tuple[list[str], int]:
-    """Vertex- and segment-inclusion squares for one chain.
+    """Vertex- and segment-inclusion squares for one chain, on numbers.
 
     Vertex square at t: including a generator of position t into the chain
     and applying the chain comparison must agree with applying the vertex
     comparison and then the fiber map into the chain's components.  Segment
-    square at s: same statement for the single-edge subchain at s.
+    square at s: same statement for the single-edge subchain at s.  A chain
+    of one edge is its own segment, so its F, G and witnesses are reused.
     """
     failures: list[str] = []
-    checked = 0
-    for t, obj in enumerate(chain.objects):
-        vm = g.vertex_maps[t]
-        for label in f_object(obj, vertex=t):
-            checked += 1
-            via_chain = witness[fq.find(label)]
-            via_vertex = vm[gamma_index(label, obj.ell)]
-            if via_chain != via_vertex:
-                failures.append(
-                    f"vertex square t={t}: {label} gives {via_chain} != {via_vertex}"
-                )
+    # The vertex comparison on label L, through the fiber map, is witness[L].
+    broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
+    if broken:
+        labels, vertices = chain_labels(chain), fiber_vertices(sizes)
+        for code in broken:
+            label = labels[code]
+            failures.append(
+                f"vertex square t={label.vertex}: {label} gives "
+                f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
+            )
+    checked = len(f)
+    label_offs = label_offsets(chain.objects)
+    fiber_off = 0
     for s in range(1, chain.length + 1):
-        seg = chain.subchain(s - 1, s)
-        seg_fq = f_chain(seg)
-        seg_g = g_chain(seg)
-        seg_witness = _witnesses(seg, seg_g)
-        # components of the subchain map to components of the chain via (u, j) -> (s-1+u, j)
-        for block in seg_fq.blocks:
+        if chain.length == 1:
+            seg, seg_f, seg_witness = chain, f, witness
+        else:
+            seg = chain.subchain(s - 1, s)
+            seg_f = f_classes(seg)
+            seg_witness = _g_side(seg)[2]
+        # Segment numbers shift into the chain's by the offsets of position s - 1.
+        label_off = label_offs[s - 1]
+        for rep, block in _classes(seg_f).items():
             checked += 1
-            shifted = [
-                QuiverLabel(member.vertex + s - 1, member.kind, member.index)
-                for member in block
-            ]
-            via_chain = {witness[fq.find(lab)] for lab in shifted}
-            local = seg_witness[seg_fq.find(block[0])]
-            via_segment = g.classes.find((local[0] + s - 1, local[1]))
+            via_chain = {witness[f[code + label_off]] for code in block}
+            via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:
+                seg_labels, vertices = chain_labels(seg), fiber_vertices(sizes)
                 failures.append(
-                    f"segment square s={s}: class {block} gives "
-                    f"{sorted(via_chain)} != {via_segment}"
+                    f"segment square s={s}: class {tuple(seg_labels[c] for c in block)} "
+                    f"gives {[vertices[v] for v in sorted(via_chain)]} != "
+                    f"{vertices[via_segment]}"
                 )
+        fiber_off += sizes[s - 1]
     return failures, checked
 
 
 def verify_naturality(chain: BmChain) -> VerificationReport:
     """Check every vertex- and segment-inclusion square of the chain."""
-    fq = f_chain(chain)
-    g = g_chain(chain)
-    witness = _witnesses(chain, g)
-    failures, checked = _inclusion_square_failures(chain, fq, g, witness)
+    f = f_classes(chain)
+    sizes, g, witness = _g_side(chain)
+    failures, checked = _inclusion_square_failures(chain, f, sizes, g, witness)
     return VerificationReport(chain.encode(), "naturality", checked, tuple(failures))
 
 
@@ -263,15 +323,17 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
 
 def verify_edge_identification(edge: BmEdge) -> VerificationReport:
     """Check that (1, i) and (0, p(i)) share a component class for every fiber element i."""
-    chain = BmChain.from_edges([edge])
-    g = g_chain(chain)
+    sizes, maps = chain_signature(BmChain.from_edges([edge]))
+    g = g_classes(sizes, maps)
     fmap = edge.fiber_map()
     failures = []
-    for i in range(len(fmap)):
-        if g.classes.find((1, i)) != g.classes.find((0, fmap[i])):
+    for i, image in enumerate(fmap):
+        upper, lower = g[sizes[0] + i], g[image]
+        if upper != lower:
+            vertices = fiber_vertices(sizes)
             failures.append(
-                f"(1, {i}) in class {g.classes.find((1, i))} but "
-                f"(0, {fmap[i]}) in class {g.classes.find((0, fmap[i]))}"
+                f"(1, {i}) in class {vertices[upper]} but "
+                f"(0, {image}) in class {vertices[lower]}"
             )
     return VerificationReport(
         edge.encode(), "identification", len(fmap), tuple(failures)
@@ -325,30 +387,35 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
 
     Restricting a function on the chain's components to a vertex and then
     precomposing must equal precomposing over the chain and restricting
-    along the label inclusion.
+    along the label inclusion.  A function h on the components is a value
+    per component, components in order; each label compares the slot its
+    chain class reads with the slot its vertex comparison reads.
     """
-    gamma = gamma_chain(chain)
-    fq, g = gamma.f, gamma.g
-    vertex_data = []
-    for t, obj in enumerate(chain.objects):
-        vertex_gamma = gamma_chain(BmChain.vertex(obj))
-        labels = f_object(obj, vertex=t)
-        vertex_data.append((t, labels, vertex_gamma, g.vertex_maps[t]))
+    f = f_classes(chain)
+    sizes, g, witness = _g_side(chain)
+    _check_well_defined(chain, f, sizes, witness)
+    slot = {rep: i for i, rep in enumerate(sorted(set(g)))}
+    via_chain = [slot[witness[rep]] for rep in f]
+    restricted: list[int] = []
+    fiber_off = 0
+    for obj, size in zip(chain.objects, sizes):
+        vertex_witness = _g_side(BmChain.vertex(obj))[2]
+        restricted.extend(slot[g[fiber_off + v]] for v in vertex_witness)
+        fiber_off += size
+    rows = max(target_size, 0) ** len(slot)
+    broken = [code for code, s in enumerate(via_chain) if s != restricted[code]]
     failures = []
-    checked = 0
-    for values in product(range(target_size), repeat=len(g)):
-        h = dict(zip(g.representatives, values))
-        for t, labels, vertex_gamma, vm in vertex_data:
-            for label in labels:
-                checked += 1
-                via_chain = h[gamma.assignment[fq.find(label)]]
-                local = QuiverLabel(0, label.kind, label.index)
-                restricted_h = h[vm[vertex_gamma.assignment[local][1]]]
-                if via_chain != restricted_h:
+    if broken:
+        labels = chain_labels(chain)
+        for values in product(range(target_size), repeat=len(slot)):
+            for code in broken:
+                on_chain, on_vertex = values[via_chain[code]], values[restricted[code]]
+                if on_chain != on_vertex:
+                    label = labels[code]
                     failures.append(
-                        f"m={target_size} h={values} t={t} {label}: "
-                        f"{via_chain} != {restricted_h}"
+                        f"m={target_size} h={values} t={label.vertex} {label}: "
+                        f"{on_chain} != {on_vertex}"
                     )
     return VerificationReport(
-        f"{chain.encode()};m={target_size}", "xi", checked, tuple(failures)
+        f"{chain.encode()};m={target_size}", "xi", rows * len(f), tuple(failures)
     )

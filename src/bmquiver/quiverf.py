@@ -12,6 +12,15 @@ the edge's underlying map; chains glue these pushouts over shared vertices.
 Two labels fall outside the nominal ranges and are resolved before use:
 x1(0) stands for x2(1), and x2(ell + 1) stands for xm (which needs
 beta = 1).  The two rules chain: x1(0) -> x2(1) -> xm when ell = 0.
+
+The labels of a vertex are totally ordered, so the computations number
+them: on a chain, position t numbers x1(i) as off_t + 2(i-1), x2(i) as
+off_t + 2(i-1) + 1 and xm as off_t + 2*ell_t, where off_t counts the
+labels of the earlier positions.  Integer order is label order.  The
+pairing rules emit pairs of these numbers, F on a chain is union-find over
+range(n), and the least number in a class is its canonical representative.
+QuiverLabel values are built only to decode a result (f_chain,
+pairing_set, resolve_label) or to render a witness.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import total_ordering
+from typing import Sequence
 
 from .bm import BmChain, BmEdge, BmObject, segment_decompose
 from .errors import (
@@ -26,7 +36,7 @@ from .errors import (
     PairingConstructionError,
     UnresolvableLabelError,
 )
-from .quotient import QuotientSet, quotient
+from .quotient import QuotientSet, least_representatives
 
 
 class LabelKind(enum.Enum):
@@ -76,15 +86,65 @@ def mid(vertex: int = 0) -> QuiverLabel:
     return QuiverLabel(vertex, LabelKind.MID)
 
 
+def _label(code: int, ell: int, vertex: int) -> QuiverLabel:
+    """The label numbered code at a vertex whose 0-fiber tops out at ell."""
+    if code == 2 * ell:
+        return mid(vertex)
+    return QuiverLabel(vertex, LabelKind.TWO if code % 2 else LabelKind.ONE, code // 2 + 1)
+
+
+def label_count(ell: int, beta: int) -> int:
+    """The number of labels of an object with invariants (ell, beta)."""
+    return max(0, 2 * ell + beta)
+
+
 def f_object(phi: BmObject, vertex: int = 0) -> tuple[QuiverLabel, ...]:
-    """The labeled set assigned to an object: max(0, 2*ell + beta) elements."""
-    labels: list[QuiverLabel] = []
-    for i in range(1, phi.ell + 1):
-        labels.append(one(i, vertex))
-        labels.append(two(i, vertex))
-    if phi.beta == 1:
-        labels.append(mid(vertex))
-    return tuple(labels)
+    """The labeled set assigned to an object: max(0, 2*ell + beta) elements, in order."""
+    ell = phi.ell
+    return tuple(_label(code, ell, vertex) for code in range(label_count(ell, phi.beta)))
+
+
+def chain_labels(chain: BmChain) -> tuple[QuiverLabel, ...]:
+    """The labels of every position of a chain; label number L is the L-th."""
+    return tuple(
+        label for t, obj in enumerate(chain.objects) for label in f_object(obj, vertex=t)
+    )
+
+
+def label_offsets(objects: Sequence[BmObject]) -> list[int]:
+    """The number of the first label of each position, then the number of labels."""
+    offsets = [0]
+    for obj in objects:
+        offsets.append(offsets[-1] + label_count(obj.ell, obj.beta))
+    return offsets
+
+
+def _resolve(
+    phi: BmObject, ell: int, beta: int, kind: LabelKind, index: int | None
+) -> int:
+    """The number, on phi = (ell, beta), of the label that raw (kind, index) resolves to."""
+    if kind is LabelKind.MID:
+        if beta != 1:
+            raise UnresolvableLabelError(
+                f"object {phi} has no crossing generator (beta = 0)"
+            )
+        return 2 * ell
+    if index is None:
+        raise LabelRangeError(f"{kind.value} label needs an index")
+    if not 0 <= index <= ell + 1:
+        raise LabelRangeError(
+            f"index {index} outside {{0, ..., {ell + 1}}} for object {phi}"
+        )
+    if kind is LabelKind.ONE and index == 0:
+        return _resolve(phi, ell, beta, LabelKind.TWO, 1)
+    if kind is LabelKind.TWO and index == ell + 1:
+        return _resolve(phi, ell, beta, LabelKind.MID, None)
+    if not 1 <= index <= ell:
+        # x2(0) and x1(ell + 1) are produced by no pairing rule.
+        raise UnresolvableLabelError(
+            f"no resolution for {kind.value}({index}) on object {phi}"
+        )
+    return 2 * index - 2 if kind is LabelKind.ONE else 2 * index - 1
 
 
 def resolve_label(
@@ -95,29 +155,89 @@ def resolve_label(
     x1(0) resolves to the resolution of x2(1); x2(ell + 1) resolves to xm,
     which requires beta = 1.  In-range labels resolve to themselves.
     """
-    ell, beta = phi.ell, phi.beta
-    if kind is LabelKind.MID:
-        if beta != 1:
-            raise UnresolvableLabelError(
-                f"object {phi} has no crossing generator (beta = 0)"
-            )
-        return mid(vertex)
-    if index is None:
-        raise LabelRangeError(f"{kind.value} label needs an index")
-    if not 0 <= index <= ell + 1:
-        raise LabelRangeError(
-            f"index {index} outside {{0, ..., {ell + 1}}} for object {phi}"
-        )
-    if kind is LabelKind.ONE and index == 0:
-        return resolve_label(phi, LabelKind.TWO, 1, vertex)
-    if kind is LabelKind.TWO and index == ell + 1:
-        return resolve_label(phi, LabelKind.MID, None, vertex)
-    if not 1 <= index <= ell:
-        # x2(0) and x1(ell + 1) are produced by no pairing rule.
-        raise UnresolvableLabelError(
-            f"no resolution for {kind.value}({index}) on object {phi}"
-        )
-    return QuiverLabel(vertex, kind, index)
+    ell = phi.ell
+    return _label(_resolve(phi, ell, phi.beta, kind, index), ell, vertex)
+
+
+# Notes, one per pair: a template and the raw indices it names.
+_FLAT_NOTE = "y1({0}) = x1({1}) = x1({2}) = y1({3}) = y2({0})"
+_UP_NOTE = "y1({0}) = x1({1})"
+_DOWN_NOTE = "x2({0}) = x1({1}) = y1({2}) = y2({3})"
+_INNER_NOTE = "x2({0}) = x1({1})"
+_MID_NOTE = "xm = x1({0})"
+_MID_DOWN_NOTE = "x2({0}) = x1({1}) = y1({2}) = ym"
+
+Note = tuple  # (template, *indices)
+
+
+def render_note(note: Note) -> str:
+    """The identity trail of a pair, e.g. "x2(2) = x1(1) = y1(1) = y2(2)"."""
+    return note[0].format(*note[1:])
+
+
+def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
+    """The pairing rules of an edge, on label numbers, with one note per pair.
+
+    Source labels are numbered from 0 and target labels after them, as on
+    a one-edge chain.  For each 1 <= i <= ell' the rules contribute,
+    writing p for the edge's underlying map:
+
+      p(i-1) = p(i):  the pair (y1(i), y2(i));
+      p(i-1) < p(i):  (y1(i), x1(p(i))), (x2(p(i-1)+1), y2(i)), and
+                      (x2(j), x1(j-1)) for p(i-1)+2 <= j <= p(i).
+
+    When beta' = 1 (forcing beta = 1) three more rules fire:
+    (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
+    p(ell')+2 <= j <= ell.  All labels pass through the resolution of
+    resolve_label.
+
+    The degenerate case ell' = -1 yields no pairs: the formula for the
+    pair count is undefined there and emptiness is the convention under
+    which the edge value is just the source value.
+    """
+    phi, phi_prime = edge.phi, edge.phi_prime
+    ell_prime = phi_prime.ell
+    if ell_prime == -1:
+        return [], []
+    ell, beta, beta_prime = phi.ell, phi.beta, phi_prime.beta
+    shift = label_count(ell, beta)
+    p = edge.map.images
+    one, two, mid_ = LabelKind.ONE, LabelKind.TWO, LabelKind.MID
+
+    def x(kind: LabelKind, index: int | None = None) -> int:
+        return _resolve(phi, ell, beta, kind, index)
+
+    def y(kind: LabelKind, index: int | None = None) -> int:
+        return shift + _resolve(phi_prime, ell_prime, beta_prime, kind, index)
+
+    pairs: list[tuple[int, int]] = []
+    notes: list[Note] = []
+    try:
+        for i in range(1, ell_prime + 1):
+            if p[i - 1] == p[i]:
+                pairs.append((y(one, i), y(two, i)))
+                notes.append((_FLAT_NOTE, i, p[i], p[i - 1], i - 1))
+            else:
+                pairs.append((y(one, i), x(one, p[i])))
+                notes.append((_UP_NOTE, i, p[i]))
+                pairs.append((x(two, p[i - 1] + 1), y(two, i)))
+                notes.append((_DOWN_NOTE, p[i - 1] + 1, p[i - 1], i - 1, i))
+                for j in range(p[i - 1] + 2, p[i] + 1):
+                    pairs.append((x(two, j), x(one, j - 1)))
+                    notes.append((_INNER_NOTE, j, j - 1))
+        if beta_prime == 1:
+            pairs.append((x(mid_), x(one, ell)))
+            notes.append((_MID_NOTE, ell))
+            pairs.append((x(two, p[ell_prime] + 1), y(mid_)))
+            notes.append((_MID_DOWN_NOTE, p[ell_prime] + 1, p[ell_prime], ell_prime))
+            for j in range(p[ell_prime] + 2, ell + 1):
+                pairs.append((x(two, j), x(one, j - 1)))
+                notes.append((_INNER_NOTE, j, j - 1))
+    except (UnresolvableLabelError, LabelRangeError) as exc:
+        raise PairingConstructionError(
+            f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
+        ) from exc
+    return pairs, notes
 
 
 @dataclass(frozen=True)
@@ -158,81 +278,32 @@ class PairingList:
 
 
 def pairing_set(edge: BmEdge, at: int = 0) -> PairingList:
-    """The pairing list of an edge, with the source object at chain position `at`.
+    """The pairing list of edge_pairs, as labels with the source at chain position `at`."""
+    pairs, notes = edge_pairs(edge)
+    labels = f_object(edge.phi, vertex=at) + f_object(edge.phi_prime, vertex=at + 1)
+    return PairingList(
+        tuple((labels[a], labels[b]) for a, b in pairs),
+        tuple(render_note(note) for note in notes),
+    )
 
-    For each 1 <= i <= ell' the rules contribute, writing p for the edge's
-    underlying map:
 
-      p(i-1) = p(i):  the pair (y1(i), y2(i));
-      p(i-1) < p(i):  (y1(i), x1(p(i))), (x2(p(i-1)+1), y2(i)), and
-                      (x2(j), x1(j-1)) for p(i-1)+2 <= j <= p(i).
+def f_classes(chain: BmChain) -> list[int]:
+    """F on label numbers: the least label number in the class of each label.
 
-    When beta' = 1 (forcing beta = 1) three more rules fire:
-    (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
-    p(ell')+2 <= j <= ell.  All labels pass through resolve_label.
-
-    The degenerate case ell' = -1 yields the empty list: the formula for the
-    pair count is undefined there and emptiness is the convention under
-    which the edge value is just the source value.
+    The iterated pushout over a chain is all vertex labels modulo all edge
+    pairings, closed by union-find over the label numbers.
     """
-    phi, phi_prime = edge.phi, edge.phi_prime
-    ell_prime = phi_prime.ell
-    if ell_prime == -1:
-        return PairingList((), ())
-    ell = phi.ell
-    p = edge.map.images
-
-    def x(kind: LabelKind, index: int | None = None) -> QuiverLabel:
-        return resolve_label(phi, kind, index, vertex=at)
-
-    def y(kind: LabelKind, index: int | None = None) -> QuiverLabel:
-        return resolve_label(phi_prime, kind, index, vertex=at + 1)
-
-    pairs: list[tuple[QuiverLabel, QuiverLabel]] = []
-    notes: list[str] = []
-    try:
-        for i in range(1, ell_prime + 1):
-            if p[i - 1] == p[i]:
-                pairs.append((y(LabelKind.ONE, i), y(LabelKind.TWO, i)))
-                notes.append(
-                    f"y1({i}) = x1({p[i]}) = x1({p[i - 1]}) = y1({i - 1}) = y2({i})"
-                )
-            else:
-                pairs.append((y(LabelKind.ONE, i), x(LabelKind.ONE, p[i])))
-                notes.append(f"y1({i}) = x1({p[i]})")
-                pairs.append((x(LabelKind.TWO, p[i - 1] + 1), y(LabelKind.TWO, i)))
-                notes.append(
-                    f"x2({p[i - 1] + 1}) = x1({p[i - 1]}) = y1({i - 1}) = y2({i})"
-                )
-                for j in range(p[i - 1] + 2, p[i] + 1):
-                    pairs.append((x(LabelKind.TWO, j), x(LabelKind.ONE, j - 1)))
-                    notes.append(f"x2({j}) = x1({j - 1})")
-        if phi_prime.beta == 1:
-            pairs.append((x(LabelKind.MID), x(LabelKind.ONE, ell)))
-            notes.append(f"xm = x1({ell})")
-            pairs.append((x(LabelKind.TWO, p[ell_prime] + 1), y(LabelKind.MID)))
-            notes.append(
-                f"x2({p[ell_prime] + 1}) = x1({p[ell_prime]}) = y1({ell_prime}) = ym"
-            )
-            for j in range(p[ell_prime] + 2, ell + 1):
-                pairs.append((x(LabelKind.TWO, j), x(LabelKind.ONE, j - 1)))
-                notes.append(f"x2({j}) = x1({j - 1})")
-    except (UnresolvableLabelError, LabelRangeError) as exc:
-        raise PairingConstructionError(
-            f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
-        ) from exc
-    return PairingList(tuple(pairs), tuple(notes))
+    offsets = label_offsets(chain.objects)
+    pairs: list[tuple[int, int]] = []
+    for t, edge in enumerate(chain.edges):
+        off = offsets[t]
+        pairs.extend((a + off, b + off) for a, b in edge_pairs(edge)[0])
+    return least_representatives(offsets[-1], pairs)
 
 
 def f_chain(chain: BmChain) -> QuotientSet:
     """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
-    elements: list[QuiverLabel] = []
-    for t, obj in enumerate(chain.objects):
-        elements.extend(f_object(obj, vertex=t))
-    pairs: list[tuple[QuiverLabel, QuiverLabel]] = []
-    for t, edge in enumerate(chain.edges):
-        pairs.extend(pairing_set(edge, at=t).pairs)
-    return quotient(tuple(elements), pairs)
+    return QuotientSet.decode(chain_labels(chain), f_classes(chain))
 
 
 def f_object_via_segments(phi: BmObject) -> tuple[QuiverLabel, ...]:
@@ -299,7 +370,7 @@ class JCardinalityAudit:
 
 def j_cardinality_audit(edge: BmEdge) -> JCardinalityAudit:
     """Compare the enumerated pair count of an edge against the closed formula."""
-    pairing = pairing_set(edge)
+    pairs = edge_pairs(edge)[0]
     ell_prime, beta_prime = edge.phi_prime.ell, edge.phi_prime.beta
     if ell_prime == -1:
         return JCardinalityAudit(edge, 0, 0, 0, None, True, None)
@@ -308,11 +379,12 @@ def j_cardinality_audit(edge: BmEdge) -> JCardinalityAudit:
     tight = None
     if beta_prime == 1:
         tight = p[ell_prime + 1] == edge.phi.ell + 1
+    effective = {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
     return JCardinalityAudit(
         edge,
-        pairing.raw_count,
-        len(pairing.self_pairs()),
-        pairing.effective_count,
+        len(pairs),
+        sum(a == b for a, b in pairs),
+        len(effective),
         formula,
         False,
         tight,

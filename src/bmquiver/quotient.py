@@ -3,7 +3,9 @@
 A QuotientSet carries a fixed element tuple, a partition into blocks, and a
 canonical representative per block (the least element in the element order).
 It is the carrier used both for pushouts of labeled sets and for connected
-components of pullback graphs.
+components of pullback graphs.  Both are computed on integers: elements are
+numbered in their order, least_representatives closes the pairs over
+range(n), and QuotientSet.decode names the result.
 """
 
 from __future__ import annotations
@@ -78,6 +80,30 @@ class QuotientSet:
     def same_block(self, a, b) -> bool:
         return self._find[a] == self._find[b]
 
+    @classmethod
+    def decode(cls, elements: Sequence, reps: Sequence[int]) -> "QuotientSet":
+        """The partition of ordered elements with element i in the block of element reps[i].
+
+        reps[i] must be the least index in the block of i, as
+        least_representatives returns it.
+        """
+        groups: dict[int, list] = {}
+        for element, rep in zip(elements, reps):
+            groups.setdefault(rep, []).append(element)
+        # Each block opens at its least index, so the blocks come in order.
+        blocks = tuple(tuple(group) for group in groups.values())
+        find = {element: elements[rep] for element, rep in zip(elements, reps)}
+        return cls(tuple(elements), blocks, find)
+
+
+def least_representatives(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """For each i in range(n), the least member of its class under the pairs."""
+    uf = UnionFind(n)
+    for a, b in pairs:
+        uf.union(a, b)
+    least: dict[int, int] = {}
+    return [least.setdefault(uf.find(i), i) for i in range(n)]
+
 
 def quotient(elements: Sequence[T], pairs: Iterable[tuple[T, T]]) -> QuotientSet:
     """Quotient of elements by the equivalence generated by pairs.
@@ -86,21 +112,16 @@ def quotient(elements: Sequence[T], pairs: Iterable[tuple[T, T]]) -> QuotientSet
     two elements of the carrier.
     """
     elements = tuple(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
+    order = sorted(elements)
+    index = {e: i for i, e in enumerate(order)}
+    if len(index) != len(order):
         raise ValidationError("quotient carrier contains duplicates")
-    uf = UnionFind(len(elements))
-    for a, b in pairs:
-        try:
-            uf.union(index[a], index[b])
-        except KeyError as exc:
-            raise ValidationError(f"pair component {exc.args[0]!r} not in carrier") from exc
-    groups: dict[int, list[T]] = {}
-    for e, i in index.items():
-        groups.setdefault(uf.find(i), []).append(e)
-    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    find = {e: block[0] for block in blocks for e in block}
-    return QuotientSet(elements, blocks, find)
+    try:
+        numbered = [(index[a], index[b]) for a, b in pairs]
+    except KeyError as exc:
+        raise ValidationError(f"pair component {exc.args[0]!r} not in carrier") from exc
+    classes = QuotientSet.decode(order, least_representatives(len(order), numbered))
+    return QuotientSet(elements, classes.blocks, classes._find)
 
 
 def discrete(elements: Sequence[T]) -> QuotientSet:

@@ -31,7 +31,7 @@ from .compare import (
     verify_naturality,
     xi_restriction_commutes,
 )
-from .errors import ValidationError
+from .errors import PairingConstructionError, ValidationError
 from .quiverf import f_object, j_cardinality_audit
 from .simplex import DeltaMap, count_monotone, monotone_tuples
 from .wfib import FiberSignature, g_chain, gluing_agreement
@@ -184,10 +184,18 @@ def _check_edge(suite: str, edge: BmEdge) -> tuple[str, str, list[str]]:
 
 
 def _edge_chunk_worker(args: tuple[str, list[BmEdge]]) -> list[tuple[str, str, list[str]]]:
+    """Failing and warning records of a chunk of edges.
+
+    An edge on which the pairing rules build an invalid label fails, with
+    the error as its witness, instead of stopping the sweep.
+    """
     suite, edges = args
     out = []
     for edge in edges:
-        record = _check_edge(suite, edge)
+        try:
+            record = _check_edge(suite, edge)
+        except PairingConstructionError as exc:
+            record = (edge.encode(), "fail", [str(exc)])
         if record[1] != "pass":
             out.append(record)
     return out
@@ -415,16 +423,18 @@ SUITE_NAMES = (
     "identification",
     "audit",
 )
+#: Suites that run only when named; xi uses targets of size <= 3.
+EXTRA_SUITE_NAMES = ("xi",)
 
 
 def run_suites(
     config: SweepConfig, suites: list[str] | None = None, jobs: int = 1
 ) -> list[SuiteReport]:
-    """Run the named suites (default: the full battery) in a fixed order."""
+    """Run the named suites (default: the battery of SUITE_NAMES) in the order given."""
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     names = suites if suites is not None else list(SUITE_NAMES)
-    unknown = [n for n in names if n not in SUITE_NAMES]
+    unknown = [n for n in names if n not in SUITE_NAMES + EXTRA_SUITE_NAMES]
     if unknown:
         raise ValidationError(f"unknown suites {unknown}")
     reports = []
@@ -435,6 +445,8 @@ def run_suites(
             reports.append(decomposition_suite(config))
         elif name == "gluing":
             reports.append(gluing_suite(config))
+        elif name == "xi":
+            reports.append(xi_suite(config, max_target_size=3))
         else:
             reports.append(run_edge_suite(config, name, jobs))
     return reports

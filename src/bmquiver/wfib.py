@@ -6,7 +6,9 @@ and one cross edge from (t+1, j) down to (t, p_{t+1}(j)) per fiber element.
 Inverting everything collapses the graph to its connected components, so
 the functor value on a chain is pi0 of this graph together with the maps
 from each fiber into the component set.  Like the labeled-set side, it is
-computed as a quotient: the fiber vertices modulo the cross edges.
+computed as a quotient on integers: the fiber vertices, numbered
+position-major, modulo the cross edges, with the least vertex of a
+component as its representative.
 
 The graph depends only on the fiber sizes and the fiber-restricted maps
 (the chain's fiber signature), so the gluing check works on signatures
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from .bm import BmChain, BmObject
 from .errors import ValidationError
-from .quotient import QuotientSet, UnionFind, quotient
+from .quotient import QuotientSet, UnionFind, least_representatives
 
 Vertex = tuple[int, int]
 FiberSignature = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
@@ -166,29 +168,38 @@ class GSet:
     def representatives(self) -> tuple[Vertex, ...]:
         return self.classes.representatives
 
+    @classmethod
+    def decode(cls, sizes: tuple[int, ...], reps: list[int]) -> "GSet":
+        """The GSet where vertex number v (as in g_classes) has representative reps[v]."""
+        vertices = fiber_vertices(sizes)
+        offs = _offsets(sizes)
+        vertex_maps = tuple(
+            tuple(vertices[reps[offs[t] + j]] for j in range(size))
+            for t, size in enumerate(sizes)
+        )
+        return cls(QuotientSet.decode(vertices, reps), vertex_maps)
 
-def _vertices(sizes: tuple[int, ...]) -> tuple[Vertex, ...]:
+
+def fiber_vertices(sizes: tuple[int, ...]) -> tuple[Vertex, ...]:
+    """The fiber vertices (t, j), position-major; vertex number v is the v-th."""
     return tuple((t, j) for t, size in enumerate(sizes) for j in range(size))
 
 
-def _gset(sizes: tuple[int, ...], pairs: Iterable[tuple[Vertex, Vertex]]) -> GSet:
-    """The fiber vertices modulo pairs; vertex maps send (t, j) to its class."""
-    classes = quotient(_vertices(sizes), pairs)
-    vertex_maps = tuple(
-        tuple(classes.find((t, j)) for j in range(size)) for t, size in enumerate(sizes)
+def g_classes(sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
+    """G on vertex numbers: the least vertex in the component of each fiber vertex."""
+    offs = _offsets(sizes)
+    cross = (
+        (offs[t + 1] + j, offs[t] + image)
+        for t, fmap in enumerate(maps)
+        for j, image in enumerate(fmap)
     )
-    return GSet(classes, vertex_maps)
+    return least_representatives(offs[-1], cross)
 
 
 def g_chain(chain: BmChain) -> GSet:
     """Connected components of the chain's pullback graph, with fiber maps."""
     sizes, maps = chain_signature(chain)
-    cross = (
-        ((t + 1, j), (t, image))
-        for t, fmap in enumerate(maps)
-        for j, image in enumerate(fmap)
-    )
-    return _gset(sizes, cross)
+    return GSet.decode(sizes, g_classes(sizes, maps))
 
 
 def g_glued(chain: BmChain) -> GSet:
@@ -201,9 +212,7 @@ def g_glued(chain: BmChain) -> GSet:
     if chain.length < 1:
         raise ValidationError("gluing needs a chain with at least one edge")
     sizes, maps = chain_signature(chain)
-    first: dict[int, Vertex] = {}
-    same_label = (
-        (first.setdefault(label, v), v)
-        for v, label in zip(_vertices(sizes), _glued_components(sizes, maps))
-    )
-    return _gset(sizes, same_label)
+    first: dict[int, int] = {}
+    labels = _glued_components(sizes, maps)
+    reps = [first.setdefault(label, v) for v, label in enumerate(labels)]
+    return GSet.decode(sizes, reps)

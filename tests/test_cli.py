@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from bmquiver.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from bmquiver.sweeps import SUITE_NAMES, SweepConfig, xi_suite
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -183,3 +188,34 @@ def test_suite_selection(capsys):
 
 def test_sampled_mode_rejects_bad_config(capsys):
     assert main(["verify", "--max-k", "2", "--samples", "0"]) == EXIT_USAGE
+
+
+def test_verify_xi_suite(capsys):
+    code, out = run(capsys, "verify", "--max-k", "2", "--suites", "xi", "--format", "json")
+    assert code == EXIT_PASS
+    report = xi_suite(SweepConfig(max_k=2, max_k_prime=2), max_target_size=3)
+    assert out == json.dumps([report.to_dict()], indent=2, sort_keys=True) + "\n"
+    assert report.total == (9 + 109) * 4  # vertices and edges, targets of size 0..3
+
+
+def test_default_battery_leaves_out_xi(capsys):
+    _, out = run(capsys, "verify", "--max-k", "1", "--format", "json")
+    assert [r["suite"] for r in json.loads(out)] == list(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("suite", ["constancy", "naturality", "identification", "audit"])
+def test_edge_suites_match_the_benchmark_digests(capsys, suite):
+    """The exhaustive k, k' <= 5 reports, byte for byte, as the benchmark expects them."""
+    expected = json.loads(EXPECTED.read_text())["edges-exhaustive"][suite]
+    argv = ["verify", "--suites", suite, "--max-k", "5", "--max-kprime", "5"]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+
+def test_xi_suite_matches_the_benchmark_digest():
+    expected = json.loads(EXPECTED.read_text())["edges-exhaustive"]["xi"]
+    config = SweepConfig(max_k=3, max_k_prime=3, max_chain_len=1)
+    report = xi_suite(config, max_target_size=3)
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]

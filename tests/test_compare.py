@@ -26,7 +26,7 @@ from bmquiver import (
     xi_restriction_commutes,
 )
 from bmquiver import compare
-from bmquiver.quiverf import LabelKind, mid, one, resolve_label, two
+from bmquiver.quiverf import LabelKind, f_classes, mid, one, resolve_label, two
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -165,6 +165,22 @@ class TestNaturality:
         )
         report = verify_naturality(chain)
         assert report.passed
+
+    def test_one_edge_chain_is_its_own_segment(self, monkeypatch):
+        calls = []
+
+        def counted(chain):
+            calls.append(chain.length)
+            return f_classes(chain)
+
+        monkeypatch.setattr(compare, "f_classes", counted)
+        edge = EDGE("phi=00;phiPrime=000;map=0,1,1")
+        # 6 labels, 3 classes
+        assert verify_naturality(BmChain.from_edges([edge])).checked == 6 + 3
+        assert calls == [1]
+        calls.clear()
+        verify_naturality(BmChain.from_edges([edge, identity_edge(edge.phi_prime)]))
+        assert calls == [2, 1, 1]
 
     @given(bm_edges(max_top=5), st.data())
     @settings(max_examples=100)

@@ -10,6 +10,7 @@ from bmquiver import (
     DeltaMap,
     LabelKind,
     LabelRangeError,
+    QuiverLabel,
     UnresolvableLabelError,
     enumerate_all_edges,
     enumerate_objects,
@@ -22,7 +23,8 @@ from bmquiver import (
     quotient,
     resolve_label,
 )
-from bmquiver.quiverf import mid, one, two
+from bmquiver.bm import edge_pool
+from bmquiver.quiverf import f_classes, label_offsets, mid, one, two
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -277,3 +279,159 @@ class TestCardinalityAudit:
             audit = j_cardinality_audit(edge)
             if edge.phi_prime.beta == 0 and not audit.degenerate:
                 assert audit.raw_matches
+
+
+# An independent implementation on QuiverLabel values, kept as the oracle
+# for the integer kernel: labels are resolved and paired as dataclasses, and
+# F is the quotient of the labels by the pairs.
+
+
+def label_resolve(phi, kind, index=None, vertex=0):
+    ell, beta = phi.ell, phi.beta
+    if kind is LabelKind.MID:
+        if beta != 1:
+            raise UnresolvableLabelError(kind)
+        return mid(vertex)
+    if index is None or not 0 <= index <= ell + 1:
+        raise LabelRangeError(index)
+    if kind is LabelKind.ONE and index == 0:
+        return label_resolve(phi, LabelKind.TWO, 1, vertex)
+    if kind is LabelKind.TWO and index == ell + 1:
+        return label_resolve(phi, LabelKind.MID, None, vertex)
+    if not 1 <= index <= ell:
+        raise UnresolvableLabelError(index)
+    return QuiverLabel(vertex, kind, index)
+
+
+def label_pairing(edge, at=0):
+    """(pairs, notes) of the pairing rules, built on labels."""
+    phi, phi_prime = edge.phi, edge.phi_prime
+    ell_prime = phi_prime.ell
+    if ell_prime == -1:
+        return (), ()
+    ell = phi.ell
+    p = edge.map.images
+    one_, two_, mid_ = LabelKind.ONE, LabelKind.TWO, LabelKind.MID
+
+    def x(kind, index=None):
+        return label_resolve(phi, kind, index, at)
+
+    def y(kind, index=None):
+        return label_resolve(phi_prime, kind, index, at + 1)
+
+    pairs, notes = [], []
+    for i in range(1, ell_prime + 1):
+        if p[i - 1] == p[i]:
+            pairs.append((y(one_, i), y(two_, i)))
+            notes.append(f"y1({i}) = x1({p[i]}) = x1({p[i - 1]}) = y1({i - 1}) = y2({i})")
+        else:
+            pairs.append((y(one_, i), x(one_, p[i])))
+            notes.append(f"y1({i}) = x1({p[i]})")
+            pairs.append((x(two_, p[i - 1] + 1), y(two_, i)))
+            notes.append(f"x2({p[i - 1] + 1}) = x1({p[i - 1]}) = y1({i - 1}) = y2({i})")
+            for j in range(p[i - 1] + 2, p[i] + 1):
+                pairs.append((x(two_, j), x(one_, j - 1)))
+                notes.append(f"x2({j}) = x1({j - 1})")
+    if phi_prime.beta == 1:
+        pairs.append((x(mid_), x(one_, ell)))
+        notes.append(f"xm = x1({ell})")
+        pairs.append((x(two_, p[ell_prime] + 1), y(mid_)))
+        notes.append(f"x2({p[ell_prime] + 1}) = x1({p[ell_prime]}) = y1({ell_prime}) = ym")
+        for j in range(p[ell_prime] + 2, ell + 1):
+            pairs.append((x(two_, j), x(one_, j - 1)))
+            notes.append(f"x2({j}) = x1({j - 1})")
+    return tuple(pairs), tuple(notes)
+
+
+def label_object(phi, vertex):
+    labels = []
+    for i in range(1, phi.ell + 1):
+        labels += [one(i, vertex), two(i, vertex)]
+    if phi.beta == 1:
+        labels.append(mid(vertex))
+    return labels
+
+
+def label_f_chain(chain):
+    elements = [lab for t, obj in enumerate(chain.objects) for lab in label_object(obj, t)]
+    pairs = [pair for t, e in enumerate(chain.edges) for pair in label_pairing(e, t)[0]]
+    return elements, pairs
+
+
+def oracle_chains():
+    """Every edge with k, k' <= 4 and every chain of length 2 with k <= 2."""
+    for edge in enumerate_all_edges(4, 4):
+        yield BmChain.from_edges([edge])
+    pool = edge_pool(2)
+    for edges in pool.values():
+        for first in edges:
+            for second in pool[first.phi_prime]:
+                yield BmChain.from_edges([first, second])
+
+
+def closure(elements, pairs):
+    """Blocks grown by fixpoint iteration: merge until no pair spans two blocks."""
+    block_of = {e: frozenset([e]) for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            if block_of[a] != block_of[b]:
+                merged = block_of[a] | block_of[b]
+                for e in merged:
+                    block_of[e] = merged
+                changed = True
+    return sorted(tuple(sorted(block)) for block in set(block_of.values()))
+
+
+class TestLabelOracle:
+    def test_labels_and_their_numbers(self):
+        for phi in enumerate_objects(8):
+            assert list(f_object(phi, vertex=3)) == label_object(phi, 3)
+            for kind in LabelKind:
+                for index in (None, -1, 0, 1, 2, phi.ell, phi.ell + 1, phi.ell + 2):
+                    try:
+                        expected = label_resolve(phi, kind, index, 2)
+                    except (LabelRangeError, UnresolvableLabelError) as exc:
+                        with pytest.raises(type(exc)):
+                            resolve_label(phi, kind, index, 2)
+                    else:
+                        assert resolve_label(phi, kind, index, 2) == expected
+
+    def test_pairing_set_and_f_chain_match_the_label_oracle(self):
+        count = 0
+        for chain in oracle_chains():
+            for t, edge in enumerate(chain.edges):
+                pairing = pairing_set(edge, at=t)
+                assert (pairing.pairs, pairing.notes) == label_pairing(edge, t)
+            elements, pairs = label_f_chain(chain)
+            fq = f_chain(chain)
+            assert fq.elements == tuple(elements)
+            assert fq.blocks == quotient(elements, pairs).blocks
+            assert all(fq.find(e) == min(fq.block_of(e)) for e in elements)
+            count += 1
+        assert count == 2421 + 1401  # edges with k, k' <= 4; two-edge chains, k <= 2
+
+    def test_union_find_f_matches_fixpoint_closure(self):
+        for chain in oracle_chains():
+            elements, pairs = label_f_chain(chain)
+            reps = f_classes(chain)
+            assert len(reps) == label_offsets(chain.objects)[-1] == len(elements)
+            blocks = {}
+            for label, rep in zip(elements, reps):
+                blocks.setdefault(rep, []).append(label)
+            assert all(elements[rep] == block[0] for rep, block in blocks.items())
+            assert sorted(map(tuple, blocks.values())) == closure(elements, pairs)
+
+
+def test_crossing_count_closed_form():
+    """With beta' = 1 the raw count is ell' - p(0) + max(ell + 1, p(ell') + 2)."""
+    checked = 0
+    for edge in enumerate_all_edges(5, 5):
+        audit = j_cardinality_audit(edge)
+        if audit.degenerate or edge.phi_prime.beta != 1:
+            continue
+        ell, ell_prime, p = edge.phi.ell, edge.phi_prime.ell, edge.map.images
+        assert audit.raw_count == ell_prime - p[0] + max(ell + 1, p[ell_prime] + 2)
+        checked += 1
+    assert checked == 4747  # the 2,754 audit warnings are among them

@@ -1,5 +1,6 @@
 """The gluing sweep against concrete chain enumeration, sampled edge draws
-against the list-choosing loop, and the --jobs cap."""
+against the list-choosing loop, the --jobs cap, and mutants of the integer
+kernel that the edge suites must catch."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ import json
 import multiprocessing
 import os
 import random
+from pathlib import Path
 
 import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
-from bmquiver import sweeps
+from bmquiver import compare, quiverf, sweeps
 from bmquiver.bm import BmEdge, edge_pool, enumerate_objects
+from bmquiver.quiverf import LabelKind
 from bmquiver.cli import EXIT_PASS, main
 from bmquiver.quotient import UnionFind
 from bmquiver.simplex import enumerate_maps
@@ -143,15 +146,92 @@ def test_jobs_capped_at_core_count(monkeypatch, cores, pools):
     assert report.to_dict() == run_edge_suite(config, "constancy", jobs=1).to_dict()
 
 
+SMALL = SweepConfig(max_k=2, max_k_prime=2)
+
+
+def failing_reports(suites):
+    """Reports of the suites at k, k' <= 2, checked to list only replayable failures."""
+    reports = {r.suite: r for r in sweeps.run_suites(SMALL, suites)}
+    for report in reports.values():
+        for instance in report.instances:
+            assert instance["witnesses"]
+            BmEdge.parse(instance["key"])
+    return reports
+
+
+def render(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+
+
 def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
-    """A fiber map that drops its last image breaks both edge suites, per edge."""
+    """A fiber map that drops its last image breaks both edge suites, per edge.
+
+    The whole report is pinned, so the rendering of witnesses stays fixed.
+    """
     monkeypatch.setattr(
         BmEdge, "fiber_map", lambda edge: edge.map.images[: max(edge.phi_prime.ell, 0)]
     )
-    config = SweepConfig(max_k=2, max_k_prime=2)
-    reports = sweeps.run_suites(config, ["constancy", "naturality"])
-    for report in reports:
+    reports = failing_reports(["constancy", "naturality"])
+    for report in reports.values():
         assert (report.total, report.failed) == (109, 53)
-        for instance in report.instances:
-            assert instance["status"] == "fail" and instance["witnesses"]
-            BmEdge.parse(instance["key"])
+        assert all(inst["status"] == "fail" for inst in report.instances)
+    expected = Path(__file__).parent / "data" / "fiber_map_mutant.json"
+    assert render(reports.values()) == expected.read_text()
+
+
+def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
+    """x1(i) sent to fiber element i - 1 instead of i."""
+    monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+    reports = failing_reports(["constancy", "naturality"])
+    assert reports["constancy"].failed == reports["naturality"].failed == 10
+    witness = reports["naturality"].instances[0]["witnesses"][0]
+    assert witness.startswith("vertex square t=0: v0:x2(2) gives (0, 0) != (0, 1)")
+
+
+def test_redirecting_x1_zero_to_x1_one_fails_constancy_and_naturality(monkeypatch):
+    """x1(0) resolved as x1(1) instead of x2(1): x1(0) arises only with ell = 0,
+    where x1(1) does not exist, so the edge fails with the construction error."""
+    resolve = quiverf._resolve
+
+    def redirect(phi, ell, beta, kind, index):
+        if kind is LabelKind.ONE and index == 0:
+            return resolve(phi, ell, beta, LabelKind.ONE, 1)
+        return resolve(phi, ell, beta, kind, index)
+
+    monkeypatch.setattr(quiverf, "_resolve", redirect)
+    reports = failing_reports(["constancy", "naturality"])
+    for report in reports.values():
+        assert report.failed == 10
+        assert report.instances[0] == {
+            "key": "phi=01;phiPrime=01;map=0,1",
+            "status": "fail",
+            "witnesses": [
+                "pairing rules produced an invalid label on edge "
+                "phi=01;phiPrime=01;map=0,1: no resolution for x1(1) on object 01"
+            ],
+        }
+
+
+def test_dropped_pairing_rule_fails_the_audit(monkeypatch):
+    """Pairs (x2(j), x1(j-1)) dropped.
+
+    Fewer pairs only split F classes, on which gamma stays constant, so
+    constancy and naturality cannot see a dropped rule; the exact pair
+    count of the audit does.
+    """
+    edge_pairs = quiverf.edge_pairs
+
+    def dropped(edge):
+        pairs, notes = edge_pairs(edge)
+        kept = [n for n, note in enumerate(notes) if note[0] != quiverf._INNER_NOTE]
+        return [pairs[n] for n in kept], [notes[n] for n in kept]
+
+    for module in (quiverf, compare):
+        monkeypatch.setattr(module, "edge_pairs", dropped)
+    audit = failing_reports(["audit"])["audit"]
+    failing = [inst for inst in audit.instances if inst["status"] == "fail"]
+    assert audit.failed == len(failing) == 3
+    for instance in failing:
+        edge = BmEdge.parse(instance["key"])
+        assert edge.phi_prime.beta == 0
+        assert instance["witnesses"][0].startswith("raw count ")

@@ -20,6 +20,7 @@ from bmquiver import (
     quotient,
     w_fiber,
 )
+from bmquiver import wfib
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -262,3 +263,24 @@ def test_gluing_agreement_sampled_length_three_wide_fibers():
         sizes = (edges[0].phi.ell + 1,) + tuple(e.phi_prime.ell + 1 for e in edges)
         maps = tuple(e.fiber_map() for e in edges)
         assert gluing_agreement((sizes, maps))
+
+
+def test_pi0_matches_networkx_on_random_graphs():
+    import random
+
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        labels = wfib._pi0(n, edges)
+        nxgraph = nx.Graph()
+        nxgraph.add_nodes_from(range(n))
+        nxgraph.add_edges_from(edges)
+        expected = sorted(sorted(c) for c in nx.connected_components(nxgraph))
+        blocks: dict[int, list[int]] = {}
+        for v, label in enumerate(labels):
+            blocks.setdefault(label, []).append(v)
+        assert sorted(blocks.values()) == expected
+        # labels are numbered in order of discovery
+        assert list(blocks) == list(range(len(blocks)))
+        assert [block[0] for block in blocks.values()] == sorted(b[0] for b in expected)
