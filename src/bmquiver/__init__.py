@@ -56,7 +56,7 @@ from .quiverf import (
     pairing_set,
     resolve_label,
 )
-from .quotient import QuotientSet, UnionFind, discrete, quotient
+from .quotient import QuotientSet, discrete, quotient
 from .simplex import DeltaMap, compose, count_maps, enumerate_maps, identity
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
 from .wfib import (

@@ -4,8 +4,10 @@ A QuotientSet carries a fixed element tuple, a partition into blocks, and a
 canonical representative per block (the least element in the element order).
 It is the carrier used both for pushouts of labeled sets and for connected
 components of pullback graphs.  Both are computed on integers: elements are
-numbered in their order, least_representatives closes the pairs over
-range(n), and QuotientSet.decode names the result.
+numbered in their order and QuotientSet.decode names the result.
+least_representatives is the one integer union-find, for the pushouts F,
+the edgewise gluing of G and quotient(); it links the larger root under the
+smaller, so every root is the least member of its class.
 """
 
 from __future__ import annotations
@@ -16,32 +18,6 @@ from typing import Hashable, Iterable, Sequence, TypeVar
 from .errors import ValidationError
 
 T = TypeVar("T", bound=Hashable)
-
-
-class UnionFind:
-    """Union-find over range(n) with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -97,12 +73,28 @@ class QuotientSet:
 
 
 def least_representatives(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """For each i in range(n), the least member of its class under the pairs."""
-    uf = UnionFind(n)
+    """For each i in range(n), the least member of its class under the pairs.
+
+    Union-find with path halving in which a union links the larger root
+    under the smaller, so every parent is at most its child and every root
+    is the least member of its class; one ascending pass then sends each
+    member to its root.
+    """
+    parent = list(range(n))
     for a, b in pairs:
-        uf.union(a, b)
-    least: dict[int, int] = {}
-    return [least.setdefault(uf.find(i), i) for i in range(n)]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def quotient(elements: Sequence[T], pairs: Iterable[tuple[T, T]]) -> QuotientSet:

@@ -31,7 +31,7 @@ from .compare import (
     verify_naturality,
     xi_restriction_commutes,
 )
-from .errors import PairingConstructionError, ValidationError
+from .errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from .quiverf import f_object, j_cardinality_audit
 from .simplex import DeltaMap, count_monotone, monotone_tuples
 from .wfib import FiberSignature, g_chain, gluing_agreement
@@ -399,14 +399,22 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
 
 
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
-    """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound."""
+    """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound.
+
+    An instance on which gamma is not well-defined fails, with the error as
+    its witness, instead of stopping the sweep.
+    """
     report = SuiteReport("xi", config.bounds_dict())
     chains = [BmChain.vertex(phi) for phi in _objects(config)]
     if config.max_chain_len >= 1:
         chains.extend(BmChain.from_edges([e]) for e in _edges(config))
     for chain in chains:
         for m in range(max_target_size + 1):
-            result = xi_restriction_commutes(chain, m)
+            try:
+                result = xi_restriction_commutes(chain, m)
+            except IllDefinedComponentError as exc:
+                report.add_fail(f"{chain.encode()};m={m}", [str(exc)])
+                continue
             if result.passed:
                 report.add_pass()
             else:

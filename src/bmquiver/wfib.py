@@ -5,25 +5,30 @@ yields a layered graph: one discrete fiber {0, ..., ell_t} per position t,
 and one cross edge from (t+1, j) down to (t, p_{t+1}(j)) per fiber element.
 Inverting everything collapses the graph to its connected components, so
 the functor value on a chain is pi0 of this graph together with the maps
-from each fiber into the component set.  Like the labeled-set side, it is
-computed as a quotient on integers: the fiber vertices, numbered
-position-major, modulo the cross edges, with the least vertex of a
-component as its representative.
+from each fiber into the component set.
 
-The graph depends only on the fiber sizes and the fiber-restricted maps
-(the chain's fiber signature), so the gluing check works on signatures
-with integer vertices.
+Every vertex above fiber 0 has exactly one cross edge, and it goes down, so
+the graph is a forest rooted in fiber 0.  G is therefore computed by
+composition: vertex (t, j), numbered position-major, lies in the component
+of its base point p_1(...p_t(j)), whose vertex number is the least in the
+component.  The gluing check keeps an independent route: each edge's
+two-layer graph goes through a generic graph search (pi0, cached per edge),
+and those per-edge classes are glued over the shared fibers with
+least_representatives.  The check depends only on the fiber sizes and the
+fiber-restricted maps (the chain's fiber signature), so it works on
+signatures with integer vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from operator import ne
+from typing import Iterable, Sequence
 
 from .bm import BmChain, BmObject
 from .errors import ValidationError
-from .quotient import QuotientSet, UnionFind, least_representatives
+from .quotient import QuotientSet, least_representatives
 
 Vertex = tuple[int, int]
 FiberSignature = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
@@ -64,23 +69,36 @@ def _pi0(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return comp
 
 
-def _offsets(sizes: tuple[int, ...]) -> list[int]:
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    return offs
-
-
-def _direct_components(
+def _roots(
     sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]
-) -> list[int]:
-    """pi0 of the whole layered graph, vertices flattened position-major."""
-    offs = _offsets(sizes)
-    edges = []
-    for t, fmap in enumerate(maps):
-        hi, lo = offs[t + 1], offs[t]
-        edges.extend((hi + j, lo + fmap[j]) for j in range(len(fmap)))
-    return _pi0(offs[-1], edges)
+) -> list[int] | None:
+    """The root of every fiber vertex in the pullback forest, by vertex number.
+
+    Vertex (t + 1, j) has one cross edge, down to (t, p(j)), so its root is
+    the root of (t, p(j)): on a chain, the base point p_1(...p_t(j)).  A
+    vertex past the end of a shorter map has no cross edge and is its own
+    root.  A root is the least vertex of its tree.  None when the maps do
+    not fit the sizes: a wrong number of maps, a map longer than its fiber,
+    or an image outside the previous fiber.
+    """
+    if len(sizes) != len(maps) + 1:
+        return None
+    below: Sequence[int] = range(sizes[0])
+    roots = list(below)
+    for size, fmap in zip(sizes[1:], maps):
+        mapped = len(fmap)
+        if mapped > size or (fmap and min(fmap) < 0):
+            return None
+        try:
+            layer = [below[image] for image in fmap]
+        except IndexError:
+            return None
+        if mapped < size:
+            start = len(roots) + mapped
+            layer += range(start, start + size - mapped)
+        roots += layer
+        below = layer
+    return roots
 
 
 @lru_cache(maxsize=None)
@@ -92,62 +110,52 @@ def _edge_components(
     return tuple(comp[:size0]), tuple(comp[size0:]), (max(comp) + 1 if comp else 0)
 
 
-def _glued_components(
+def _glued_classes(
     sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]
 ) -> list[int]:
     """Components computed edgewise and glued over shared fibers.
 
-    Each edge contributes the components of its own two-layer graph; the
-    pushout identifies, for every shared fiber element, its class in the
-    incoming edge with its class in the outgoing edge.  The result is
-    pulled back to the chain's vertices for comparison with the direct
-    computation.
+    Each edge contributes the components of its own two-layer graph,
+    numbered after those of the edges before it; the pushout identifies,
+    for every shared fiber element, its class in the incoming edge with its
+    class in the outgoing edge.  Returns the least glued class number of
+    every fiber vertex, position-major.
     """
-    per_edge = [
-        _edge_components(sizes[t], sizes[t + 1], fmap) for t, fmap in enumerate(maps)
-    ]
-    class_offs = _offsets(tuple(count for _, _, count in per_edge))
-    uf = UnionFind(class_offs[-1])
-    for t in range(len(maps) - 1):
-        upper = per_edge[t][1]
-        lower = per_edge[t + 1][0]
-        for j in range(sizes[t + 1]):
-            uf.union(class_offs[t] + upper[j], class_offs[t + 1] + lower[j])
-    offs = _offsets(sizes)
-    comp = [-1] * offs[-1]
-    for j in range(sizes[0]):
-        comp[j] = uf.find(class_offs[0] + per_edge[0][0][j])
-    for t in range(1, len(sizes)):
-        for j in range(sizes[t]):
-            comp[offs[t] + j] = uf.find(class_offs[t - 1] + per_edge[t - 1][1][j])
-    return comp
-
-
-def _partitions_agree(a: list[int], b: list[int]) -> bool:
-    """Whether two component labelings of the same vertex set induce one partition."""
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    for x, y in zip(a, b):
-        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
-            return False
-    return True
+    # Edge class of every vertex: fiber 0 from edge 0, fiber t + 1 from edge t.
+    vertex_class: list[int] = []
+    shared: list[tuple[int, int]] = []
+    count = 0
+    for t, fmap in enumerate(maps):
+        lower, upper, classes = _edge_components(sizes[t], sizes[t + 1], fmap)
+        if t:
+            incoming = vertex_class[len(vertex_class) - sizes[t] :]
+            shared += zip(incoming, [count + c for c in lower])
+        else:
+            vertex_class += lower
+        vertex_class += [count + c for c in upper]
+        count += classes
+    reps = least_representatives(count, shared)
+    return [reps[c] for c in vertex_class]
 
 
 def gluing_agreement(signature: FiberSignature) -> bool:
     """Full gluing check on a fiber signature with at least one edge.
 
-    Verifies that the edgewise-glued components coincide with the direct
-    components (one partition of the vertices, hence a bijection commuting
-    with every fiber inclusion) and that the direct components are in
-    bijection with the base fiber {0, ..., ell_0}, empty fiber included.
+    The direct components are the base points: the pullback graph is a
+    forest rooted in fiber 0, so they are in bijection with the base fiber
+    {0, ..., ell_0}, empty fiber included.  The edgewise-glued components
+    agree with them when the glued classes of the base vertices are
+    distinct and every vertex is glued to the base vertex it composes to.
+    A signature whose maps do not compose fails.
     """
     sizes, maps = signature
-    direct = _direct_components(sizes, maps)
-    count = len(set(direct))
-    if count != sizes[0] or len(set(direct[: sizes[0]])) != sizes[0]:
+    roots = _roots(sizes, maps)
+    # A chain's maps are total, so every root is a base point.
+    if not maps or roots is None or any(map(ne, map(len, maps), sizes[1:])):
         return False
-    glued = _glued_components(sizes, maps)
-    return _partitions_agree(direct, glued)
+    glued = _glued_classes(sizes, maps)
+    base = glued[: sizes[0]]
+    return len(set(base)) == sizes[0] and [base[r] for r in roots] == glued
 
 
 @dataclass(frozen=True)
@@ -172,12 +180,13 @@ class GSet:
     def decode(cls, sizes: tuple[int, ...], reps: list[int]) -> "GSet":
         """The GSet where vertex number v (as in g_classes) has representative reps[v]."""
         vertices = fiber_vertices(sizes)
-        offs = _offsets(sizes)
-        vertex_maps = tuple(
-            tuple(vertices[reps[offs[t] + j]] for j in range(size))
-            for t, size in enumerate(sizes)
-        )
-        return cls(QuotientSet.decode(vertices, reps), vertex_maps)
+        named = [vertices[rep] for rep in reps]
+        vertex_maps = []
+        start = 0
+        for size in sizes:
+            vertex_maps.append(tuple(named[start : start + size]))
+            start += size
+        return cls(QuotientSet.decode(vertices, reps), tuple(vertex_maps))
 
 
 def fiber_vertices(sizes: tuple[int, ...]) -> tuple[Vertex, ...]:
@@ -186,14 +195,16 @@ def fiber_vertices(sizes: tuple[int, ...]) -> tuple[Vertex, ...]:
 
 
 def g_classes(sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
-    """G on vertex numbers: the least vertex in the component of each fiber vertex."""
-    offs = _offsets(sizes)
-    cross = (
-        (offs[t + 1] + j, offs[t] + image)
-        for t, fmap in enumerate(maps)
-        for j, image in enumerate(fmap)
-    )
-    return least_representatives(offs[-1], cross)
+    """G on vertex numbers: the least vertex in the component of each fiber vertex.
+
+    The pullback graph is a forest, so a component is a tree and its least
+    vertex is the root: on a chain, vertex (t, j) gets the vertex number
+    of its base point, which is that base point's index in fiber 0.
+    """
+    roots = _roots(sizes, maps)
+    if roots is None:
+        raise ValidationError(f"fiber maps {maps} do not fit fiber sizes {sizes}")
+    return roots
 
 
 def g_chain(chain: BmChain) -> GSet:
@@ -213,6 +224,6 @@ def g_glued(chain: BmChain) -> GSet:
         raise ValidationError("gluing needs a chain with at least one edge")
     sizes, maps = chain_signature(chain)
     first: dict[int, int] = {}
-    labels = _glued_components(sizes, maps)
+    labels = _glued_classes(sizes, maps)
     reps = [first.setdefault(label, v) for v, label in enumerate(labels)]
     return GSet.decode(sizes, reps)

@@ -203,14 +203,38 @@ def test_default_battery_leaves_out_xi(capsys):
     assert [r["suite"] for r in json.loads(out)] == list(SUITE_NAMES)
 
 
-@pytest.mark.parametrize("suite", ["constancy", "naturality", "identification", "audit"])
-def test_edge_suites_match_the_benchmark_digests(capsys, suite):
-    """The exhaustive k, k' <= 5 reports, byte for byte, as the benchmark expects them."""
-    expected = json.loads(EXPECTED.read_text())["edges-exhaustive"][suite]
-    argv = ["verify", "--suites", suite, "--max-k", "5", "--max-kprime", "5"]
-    code, out = run(capsys, *argv, "--format", "json")
+EDGE_BOUNDS = ("--max-k", "5", "--max-kprime", "5")
+GLUING_BOUNDS = ("--max-k", "3", "--max-chain-len", "3")
+SAMPLED_BOUNDS = (
+    "--max-k", "5", "--max-chain-len", "4", "--samples", "2500", "--seed", "1", "--jobs", "2"
+)
+
+
+@pytest.mark.parametrize(
+    "workload,suite,bounds",
+    [
+        *(
+            pytest.param("edges-exhaustive", s, EDGE_BOUNDS, id=s)
+            for s in ("constancy", "naturality", "identification", "audit")
+        ),
+        pytest.param("gluing-exhaustive", "gluing", GLUING_BOUNDS, id="gluing"),
+        pytest.param("sampled-mixed", "gluing", SAMPLED_BOUNDS, id="sampled-gluing"),
+    ],
+)
+def test_edge_suites_match_the_benchmark_digests(capsys, workload, suite, bounds):
+    """The benchmark's reports, byte for byte, as it expects them.
+
+    The exhaustive edge suites at k, k' <= 5, exhaustive gluing at k <= 3 and
+    length <= 3, and the sampled gluing call of sampled-mixed at seed 1.
+    """
+    expected = json.loads(EXPECTED.read_text())[workload]
+    if workload == "sampled-mixed":
+        digest = expected["sha256_by_seed"]["1"][suite]
+    else:
+        digest = expected[suite]["sha256"]
+    code, out = run(capsys, "verify", "--suites", suite, *bounds, "--format", "json")
     assert code == EXIT_PASS
-    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_xi_suite_matches_the_benchmark_digest():

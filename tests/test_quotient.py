@@ -3,7 +3,34 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from bmquiver import UnionFind, ValidationError, discrete, quotient
+from bmquiver import ValidationError, discrete, quotient
+from bmquiver.quotient import least_representatives
+
+
+class UnionFind:
+    """Oracle: union-find over range(n) with path halving and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
 
 
 def closure_oracle(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
@@ -67,3 +94,17 @@ def test_union_find_direct():
     uf.union(5, 2)
     assert uf.find(2) == uf.find(0)
     assert uf.find(1) != uf.find(0)
+
+
+@given(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+)
+def test_least_representatives_matches_union_find_oracle(n, raw_pairs):
+    pairs = [(a % n, b % n) for a, b in raw_pairs] if n else []
+    uf = UnionFind(n)
+    for a, b in pairs:
+        uf.union(a, b)
+    least: dict[int, int] = {}
+    expected = [least.setdefault(uf.find(i), i) for i in range(n)]
+    assert least_representatives(n, pairs) == expected

@@ -1,9 +1,10 @@
 """The gluing sweep against concrete chain enumeration, sampled edge draws
 against the list-choosing loop, the --jobs cap, and mutants of the integer
-kernel that the edge suites must catch."""
+kernel that the suites must catch."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -17,7 +18,6 @@ from bmquiver import compare, quiverf, sweeps
 from bmquiver.bm import BmEdge, edge_pool, enumerate_objects
 from bmquiver.quiverf import LabelKind
 from bmquiver.cli import EXIT_PASS, main
-from bmquiver.quotient import UnionFind
 from bmquiver.simplex import enumerate_maps
 from bmquiver.sweeps import SweepConfig, gluing_suite, run_edge_suite
 
@@ -36,20 +36,19 @@ def concrete_chains(max_k: int, max_len: int):
 
 
 def glued_skipping_last_union(sizes, maps):
-    """wfib._glued_components, skipping the union at each shared fiber's last element."""
-    per_edge = [
-        wfib._edge_components(sizes[t], sizes[t + 1], fmap) for t, fmap in enumerate(maps)
-    ]
-    class_offs = wfib._offsets(tuple(count for _, _, count in per_edge))
-    uf = UnionFind(class_offs[-1])
-    for t in range(len(maps) - 1):
-        for j in range(sizes[t + 1] - 1):
-            upper = class_offs[t] + per_edge[t][1][j]
-            uf.union(upper, class_offs[t + 1] + per_edge[t + 1][0][j])
-    comp = [uf.find(class_offs[0] + label) for label in per_edge[0][0]]
-    for t in range(1, len(sizes)):
-        comp.extend(uf.find(class_offs[t - 1] + label) for label in per_edge[t - 1][1])
-    return comp
+    """wfib._glued_classes, skipping the union at each shared fiber's last element."""
+    vertex_class, shared, count = [], [], 0
+    for t, fmap in enumerate(maps):
+        lower, upper, classes = wfib._edge_components(sizes[t], sizes[t + 1], fmap)
+        if t:
+            incoming = vertex_class[len(vertex_class) - sizes[t] :]
+            shared += list(zip(incoming, [count + c for c in lower]))[:-1]
+        else:
+            vertex_class += lower
+        vertex_class += [count + c for c in upper]
+        count += classes
+    reps = wfib.least_representatives(count, shared)
+    return [reps[c] for c in vertex_class]
 
 
 @pytest.mark.parametrize("max_k,max_len", [*BOUNDS, (3, 0)])
@@ -67,7 +66,7 @@ def test_weighted_total_matches_concrete_enumeration(capsys, max_k, max_len):
 def test_mutant_failures_are_counted_per_chain_and_listed_per_signature(
     monkeypatch, capsys, max_k, max_len
 ):
-    monkeypatch.setattr(wfib, "_glued_components", glued_skipping_last_union)
+    monkeypatch.setattr(wfib, "_glued_classes", glued_skipping_last_union)
     verdicts: dict = {}
     failed = 0
     for chain in concrete_chains(max_k, max_len):
@@ -186,6 +185,42 @@ def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
     assert reports["constancy"].failed == reports["naturality"].failed == 10
     witness = reports["naturality"].instances[0]["witnesses"][0]
     assert witness.startswith("vertex square t=0: v0:x2(2) gives (0, 0) != (0, 1)")
+
+
+def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch):
+    """Where gamma is not well-defined, each xi instance fails with the error."""
+    monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+    broken = [inst["key"] for inst in failing_reports(["constancy"])["constancy"].instances]
+    report = sweeps.xi_suite(SMALL, max_target_size=3)
+    assert (report.total, report.failed) == ((9 + 109) * 4, len(broken) * 4)
+    keys = [inst["key"] for inst in report.instances]
+    assert keys == [f"{key};m={m}" for key in broken for m in range(4)]
+    for instance in report.instances:
+        (witness,) = instance["witnesses"]
+        assert witness.startswith("class (") and " has images [(0, " in witness
+
+
+def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
+    """The union-find ignores the last pair it is given.
+
+    The glued route of gluing and the segment gluing of decomposition go
+    through it, so both fail.  Constancy cannot: it reads the pairs and G,
+    and G is composition, not a union-find.
+    """
+    quotient_module = importlib.import_module("bmquiver.quotient")
+    least = quotient_module.least_representatives
+
+    def dropping_last(n, pairs):
+        return least(n, list(pairs)[:-1])
+
+    for module in (quotient_module, wfib, quiverf):
+        monkeypatch.setattr(module, "least_representatives", dropping_last)
+    reports = {r.suite: r for r in sweeps.run_suites(SMALL, ["gluing", "decomposition"])}
+    gluing = reports["gluing"]
+    assert gluing.failed > 0
+    for instance in gluing.instances:
+        assert not gluing_agreement(chain_signature(BmChain.parse(instance["key"])))
+    assert [inst["key"] for inst in reports["decomposition"].instances] == ["000", "001"]
 
 
 def test_redirecting_x1_zero_to_x1_one_fails_constancy_and_naturality(monkeypatch):

@@ -284,3 +284,150 @@ def test_pi0_matches_networkx_on_random_graphs():
         # labels are numbered in order of discovery
         assert list(blocks) == list(range(len(blocks)))
         assert [block[0] for block in blocks.values()] == sorted(b[0] for b in expected)
+
+
+# The whole-signature route that gluing_agreement took before G became
+# composition: pi0 of the whole layered graph, the per-edge components glued
+# by a graph search over edge classes, and a comparison of partitions.
+
+
+def offsets(sizes):
+    offs = [0]
+    for size in sizes:
+        offs.append(offs[-1] + size)
+    return offs
+
+
+def direct_components(sizes, maps):
+    """pi0 of the whole layered graph, vertices flattened position-major."""
+    offs = offsets(sizes)
+    edges = [
+        (offs[t + 1] + j, offs[t] + image)
+        for t, fmap in enumerate(maps)
+        for j, image in enumerate(fmap)
+    ]
+    return wfib._pi0(offs[-1], edges)
+
+
+def glued_components(sizes, maps):
+    """Per-edge components, glued over each shared fiber element by graph search."""
+    per_edge = [
+        wfib._pi0(sizes[t] + sizes[t + 1], [(sizes[t] + j, p) for j, p in enumerate(fmap)])
+        for t, fmap in enumerate(maps)
+    ]
+    class_offs = offsets([max(comp, default=-1) + 1 for comp in per_edge])
+    glue = [
+        (class_offs[t] + per_edge[t][sizes[t] + j], class_offs[t + 1] + per_edge[t + 1][j])
+        for t in range(len(maps) - 1)
+        for j in range(sizes[t + 1])
+    ]
+    classes = wfib._pi0(class_offs[-1], glue)
+    comp = [classes[c] for c in per_edge[0][: sizes[0]]]
+    for t, edge_comp in enumerate(per_edge):
+        comp.extend(classes[class_offs[t] + c] for c in edge_comp[sizes[t] :])
+    return comp
+
+
+def partitions_agree(a, b):
+    """Whether two component labelings of the same vertex set induce one partition."""
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    for x, y in zip(a, b):
+        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
+            return False
+    return True
+
+
+def gluing_oracle(signature):
+    sizes, maps = signature
+    direct = direct_components(sizes, maps)
+    if len(set(direct)) != sizes[0] or len(set(direct[: sizes[0]])) != sizes[0]:
+        return False
+    return partitions_agree(direct, glued_components(sizes, maps))
+
+
+def signatures_up_to(max_len, k_max):
+    return {chain_signature(c) for c in chains_up_to(max_len, k_max) if c.length}
+
+
+@pytest.fixture(scope="module", params=[(2, 3), (3, 2)], ids=["k3-len2", "k2-len3"])
+def signatures(request):
+    return request.param, signatures_up_to(*request.param)
+
+
+def test_gluing_agreement_matches_whole_graph_oracle(signatures):
+    (max_len, k_max), sigs = signatures
+    assert len(sigs) == {(2, 3): 5534, (3, 2): 5544}[(max_len, k_max)]
+    for signature in sigs:
+        assert gluing_agreement(signature) == gluing_oracle(signature)
+
+
+def test_composite_g_classes_match_networkx(signatures):
+    for sizes, maps in signatures[1]:
+        offs = offsets(sizes)
+        nxgraph = nx.Graph()
+        nxgraph.add_nodes_from(range(offs[-1]))
+        nxgraph.add_edges_from(
+            (offs[t + 1] + j, offs[t] + image)
+            for t, fmap in enumerate(maps)
+            for j, image in enumerate(fmap)
+        )
+        least = {v: min(c) for c in nx.connected_components(nxgraph) for v in c}
+        assert wfib.g_classes(sizes, maps) == [least[v] for v in range(offs[-1])]
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [
+        ((2, 2), ((1,),)),  # map shorter than the next fiber
+        ((2, 1), ((0, 1),)),  # map longer than the next fiber
+        ((2, 2, 1), ((0, 1), (0, 0))),
+    ],
+    ids=["short", "long", "long-later"],
+)
+def test_map_length_off_the_fiber_size_fails(signature):
+    assert not gluing_agreement(signature)
+    sizes, maps = signature
+    if any(len(fmap) > size for fmap, size in zip(maps, sizes[1:])):
+        with pytest.raises(ValidationError):
+            wfib.g_classes(sizes, maps)
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [((2, 2), ((0, 2),)), ((1, 2, 1), ((0, 0), (2,))), ((0, 1), ((0,),))],
+    ids=["first-edge", "later-edge", "empty-base"],
+)
+def test_image_outside_the_previous_fiber_fails(signature):
+    assert not gluing_agreement(signature)
+    with pytest.raises(ValidationError):
+        wfib.g_classes(*signature)
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [((2, 2), ((0, -1),)), ((2, 2, 1), ((0, 1), (-2,)))],
+    ids=["first-edge", "later-edge"],
+)
+def test_negative_image_fails_instead_of_wrapping(signature):
+    assert not gluing_agreement(signature)
+    with pytest.raises(ValidationError):
+        wfib.g_classes(*signature)
+
+
+def test_wrong_number_of_maps_fails():
+    assert not gluing_agreement(((2,), ((0, 1),)))
+    assert not gluing_agreement(((2, 2), ()))
+
+
+def test_vertex_past_a_short_map_is_its_own_root():
+    # The graph has no cross edge at (1, 1), so it is a component of its own.
+    assert wfib.g_classes((2, 2, 1), ((1,), (1,))) == [0, 1, 1, 3, 3]
+
+
+def test_gluing_every_class_together_fails(monkeypatch, signatures):
+    """A glue that merges everything passes the vertex-to-base condition alone;
+    the distinct base classes are what catch it."""
+    monkeypatch.setattr(wfib, "least_representatives", lambda n, pairs: [0] * n)
+    for signature in signatures[1]:
+        assert gluing_agreement(signature) == (signature[0][0] < 2)
