@@ -88,10 +88,10 @@ def _eval_payload(entity: str, instance: str) -> dict:
             raise ValidationError("audit needs a single edge encoding")
         return {"entity": "audit", **j_cardinality_audit(chain.edges[0]).to_dict()}
     if entity == "xi":
-        chain_text, _, size_text = instance.partition("@")
+        chain_text, at, size_text = instance.partition("@")
         chain = _parse_chain(chain_text)
         try:
-            size = int(size_text) if size_text else 2
+            size = int(size_text) if at else 2
         except ValueError:
             raise ParseError(f"bad target size {size_text!r}") from None
         table = xi_component(chain, size)

@@ -2,17 +2,21 @@
 
 Every suite enumerates its instances in a fixed order (or samples them with
 a seeded generator), runs one check per instance (per fiber signature in
-the exhaustive gluing suite), and aggregates a report:
-failures stop nothing, they are collected with witnesses so a broken case
-is localized.  Audit mismatches on crossing targets are warnings; the
-pair-count identity is binding only where the target has no crossing.
+the exhaustive gluing suite, per distinct draw in sampled mode outside
+gluing), and aggregates a report: failures stop nothing, they are
+collected with witnesses so a broken case is localized.  Audit mismatches
+on crossing targets are warnings; the pair-count identity is binding only
+where the target has no crossing.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Iterable
 
 from .bm import (
     BmChain,
@@ -20,11 +24,11 @@ from .bm import (
     BmObject,
     count_edges,
     edge_at,
-    edge_pool,
     enumerate_all_edges,
     enumerate_objects,
 )
 from .compare import (
+    VerificationReport,
     verify_constancy,
     verify_decomposition,
     verify_edge_identification,
@@ -69,6 +73,11 @@ class SweepConfig:
         return out
 
 
+#: The outcome of one checked instance: None for a pass, else
+#: (key, "fail" or "warn", witnesses).
+Record = tuple[str, str, list[str]] | None
+
+
 @dataclass
 class SuiteReport:
     """Aggregated outcome of one suite."""
@@ -93,6 +102,19 @@ class SuiteReport:
         self.failed += count
         self.instances.append({"key": key, "status": "fail", "witnesses": witnesses})
 
+    def add_records(self, records: Iterable[Record]) -> None:
+        """One instance per record; those that did not pass are listed in order."""
+        for record in records:
+            self.total += 1
+            if record is None:
+                continue
+            key, status, witnesses = record
+            self.instances.append({"key": key, "status": status, "witnesses": witnesses})
+            if status == "fail":
+                self.failed += 1
+            else:
+                self.warned += 1
+
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -106,60 +128,87 @@ class SuiteReport:
         }
 
 
-def _objects(config: SweepConfig) -> list[BmObject]:
+def _distinct(draws: list) -> tuple[list, list[int]]:
+    """The distinct draws in order of first draw, and each draw's position among them."""
+    position: dict = {}
+    order = [position.setdefault(draw, len(position)) for draw in draws]
+    return list(position), order
+
+
+def _replay(results: list, order: list[int] | None) -> list:
+    """One result per draw from one per distinct draw; order None is every instance once."""
+    return results if order is None else [results[i] for i in order]
+
+
+def _objects(config: SweepConfig) -> tuple[list[BmObject], list[int] | None]:
+    """The objects to check, and the draw order over them (see _replay).
+
+    Exhaustive: every object in range, each checked once, and no order.
+    Sampled: config.samples seeded draws.  Each distinct object is listed
+    once, in order of first draw, so a suite checks it once and replays its
+    result at every draw.
+    """
     objs = enumerate_objects(config.max_k)
-    if config.mode == "sampled":
-        rng = random.Random(config.seed)
-        objs = [rng.choice(objs) for _ in range(config.samples)]
-    return objs
+    if config.mode == "exhaustive":
+        return objs, None
+    rng = random.Random(config.seed)
+    return _distinct([rng.choice(objs) for _ in range(config.samples)])
 
 
-def _edges(config: SweepConfig) -> list[BmEdge]:
-    """Every edge in range, or config.samples seeded draws.
+def _edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
+    """The edges to check, and the draw order over them (see _replay).
 
-    A draw picks a source and a target object, then an index into their
-    edges in map order, and builds that one edge; a pair with no edges is
-    drawn again without an index.  Drawing an index below n takes the same
-    generator step as choosing from a list of n, so the draws match
-    choosing from enumerate_edges.
+    Exhaustive: every edge in range, and no order.  Sampled: config.samples
+    seeded draws.  A draw picks a source and a target object, then an index
+    into their edges in map order; a pair with no edges is drawn again
+    without an index.  Drawing an index below n takes the same generator
+    step as choosing from a list of n, so the draws match choosing from
+    enumerate_edges.  Each distinct (source, target, index) draw is built
+    once with edge_at, in order of first draw.
     """
     if config.mode == "exhaustive":
-        return enumerate_all_edges(config.max_k, config.max_k_prime)
+        return enumerate_all_edges(config.max_k, config.max_k_prime), None
     rng = random.Random(config.seed)
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
-    out: list[BmEdge] = []
-    while len(out) < config.samples:
-        phi = rng.choice(sources)
-        phi_prime = rng.choice(targets)
-        count = count_edges(phi, phi_prime)
+    draws = []
+    while len(draws) < config.samples:
+        source = rng.randrange(len(sources))
+        target = rng.randrange(len(targets))
+        count = count_edges(sources[source], targets[target])
         if count:
-            out.append(edge_at(phi, phi_prime, rng.randrange(count)))
-    return out
+            draws.append((source, target, rng.randrange(count)))
+    distinct, order = _distinct(draws)
+    return [edge_at(sources[s], targets[t], index) for s, t, index in distinct], order
+
+
+def _record(result: VerificationReport) -> Record:
+    return None if result.passed else (result.key, "fail", list(result.failures))
+
+
+def _cardinality_record(phi: BmObject) -> Record:
+    expected_f = max(0, 2 * phi.ell + phi.beta)
+    expected_g = phi.ell + 1
+    got_f = len(f_object(phi))
+    got_g = len(g_chain(BmChain.vertex(phi)))
+    witnesses = []
+    if got_f != expected_f:
+        witnesses.append(f"|F| = {got_f}, expected {expected_f}")
+    if got_g != expected_g:
+        witnesses.append(f"|G| = {got_g}, expected {expected_g}")
+    return (phi.encode(), "fail", witnesses) if witnesses else None
 
 
 def cardinality_suite(config: SweepConfig) -> SuiteReport:
     """|F(phi)| = max(0, 2*ell + beta) and |G(phi)| = ell + 1 over all objects."""
     report = SuiteReport("cardinality", config.bounds_dict())
-    for phi in _objects(config):
-        expected_f = max(0, 2 * phi.ell + phi.beta)
-        expected_g = phi.ell + 1
-        got_f = len(f_object(phi))
-        got_g = len(g_chain(BmChain.vertex(phi)))
-        witnesses = []
-        if got_f != expected_f:
-            witnesses.append(f"|F| = {got_f}, expected {expected_f}")
-        if got_g != expected_g:
-            witnesses.append(f"|G| = {got_g}, expected {expected_g}")
-        if witnesses:
-            report.add_fail(phi.encode(), witnesses)
-        else:
-            report.add_pass()
+    objs, order = _objects(config)
+    report.add_records(_replay([_cardinality_record(phi) for phi in objs], order))
     return report
 
 
-def _check_edge(suite: str, edge: BmEdge) -> tuple[str, str, list[str]]:
-    """One edge check; returns (key, status, witnesses)."""
+def _check_edge(suite: str, edge: BmEdge) -> Record:
+    """One edge check."""
     if suite == "constancy":
         result = verify_constancy(edge, include_trails=False)
     elif suite == "naturality":
@@ -169,7 +218,7 @@ def _check_edge(suite: str, edge: BmEdge) -> tuple[str, str, list[str]]:
     elif suite == "audit":
         audit = j_cardinality_audit(edge)
         if audit.degenerate or audit.raw_matches:
-            return edge.encode(), "pass", []
+            return None
         message = (
             f"raw count {audit.raw_count} != formula {audit.formula_count} "
             f"(effective {audit.effective_count}, "
@@ -180,11 +229,11 @@ def _check_edge(suite: str, edge: BmEdge) -> tuple[str, str, list[str]]:
         return edge.encode(), status, [message]
     else:
         raise ValidationError(f"unknown edge suite {suite!r}")
-    return result.key, result.status, list(result.failures)
+    return _record(result)
 
 
-def _edge_chunk_worker(args: tuple[str, list[BmEdge]]) -> list[tuple[str, str, list[str]]]:
-    """Failing and warning records of a chunk of edges.
+def _edge_chunk_worker(args: tuple[str, list[BmEdge]]) -> list[Record]:
+    """The record of each edge of a chunk.
 
     An edge on which the pairing rules build an invalid label fails, with
     the error as its witness, instead of stopping the sweep.
@@ -193,25 +242,24 @@ def _edge_chunk_worker(args: tuple[str, list[BmEdge]]) -> list[tuple[str, str, l
     out = []
     for edge in edges:
         try:
-            record = _check_edge(suite, edge)
+            out.append(_check_edge(suite, edge))
         except PairingConstructionError as exc:
-            record = (edge.encode(), "fail", [str(exc)])
-        if record[1] != "pass":
-            out.append(record)
+            out.append((edge.encode(), "fail", [str(exc)]))
     return out
 
 
 def run_edge_suite(config: SweepConfig, suite: str, jobs: int = 1) -> SuiteReport:
     """Run an edge-based suite, optionally fanned out over worker processes.
 
-    Chunks preserve enumeration order and results merge in chunk order, so
-    output is identical for every jobs value.  More workers than cores
-    would only contend, so jobs is capped at the core count.
+    Sampled mode checks each distinct drawn edge once, and lists a failing
+    or warning edge at each of its draws, in draw order; the total counts
+    every draw.  Chunks preserve the order of the checked edges and results
+    merge in chunk order, so output is identical for every jobs value.
+    More workers than cores would only contend, so jobs is capped at the
+    core count.
     """
     jobs = min(jobs, os.cpu_count() or 1)
-    edges = _edges(config)
-    report = SuiteReport(suite, config.bounds_dict())
-    report.total = len(edges)
+    edges, order = _edges(config)
     if jobs <= 1 or len(edges) < 2 * jobs:
         records = _edge_chunk_worker((suite, edges))
     else:
@@ -223,28 +271,20 @@ def run_edge_suite(config: SweepConfig, suite: str, jobs: int = 1) -> SuiteRepor
         ]
         with multiprocessing.Pool(jobs) as pool:
             records = [r for part in pool.map(_edge_chunk_worker, chunks) for r in part]
-    for key, status, witnesses in records:
-        report.instances.append(
-            {"key": key, "status": status, "witnesses": witnesses}
-        )
-        if status == "fail":
-            report.failed += 1
-        else:
-            report.warned += 1
+    report = SuiteReport(suite, config.bounds_dict())
+    report.add_records(_replay(records, order))
     return report
 
 
 def decomposition_suite(config: SweepConfig) -> SuiteReport:
     """Segment-decomposition compatibility for every object with k >= 1."""
     report = SuiteReport("decomposition", config.bounds_dict())
-    for phi in _objects(config):
-        if phi.top == 0:
-            continue
-        result = verify_decomposition(phi)
-        if result.passed:
-            report.add_pass()
-        else:
-            report.add_fail(result.key, list(result.failures))
+    objs, order = _objects(config)
+    # Objects on [0] have no segments: they are neither checked nor counted.
+    results = [verify_decomposition(phi) if phi.top else None for phi in objs]
+    report.add_records(
+        _record(result) for result in _replay(results, order) if result is not None
+    )
     return report
 
 
@@ -315,29 +355,50 @@ def _check_vertex(report: SuiteReport, base: BmObject) -> None:
 
 
 def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
+    """config.samples seeded chains, each checked as drawn.
+
+    A draw picks a length and a base object, then each next edge by its
+    index among the edges leaving the current object: targets in
+    enumerate_objects order, then maps in edge order, the order of
+    edge_pool.  Drawing an index below n takes the same generator step as
+    choosing from a list of n, so the chains are those of choosing from
+    edge_pool.  Cumulative edge counts give an index's target, and its
+    0-part index its fiber map; only a failing chain's edges are built, for
+    its key.
+    """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
-    pool = edge_pool(config.max_k)
+    fibers = [phi.ell + 1 for phi in objs]
+    ones = [phi.top - phi.ell for phi in objs]
+    # ends[s][t]: the number of edges from objs[s] to objs[0], ..., objs[t].
+    ends = [list(accumulate(count_edges(phi, target) for target in objs)) for phi in objs]
     for _ in range(config.samples):
         length = rng.randint(0, config.max_chain_len)
-        base = rng.choice(objs)
-        edges = []
-        current = base
-        for _ in range(length):
-            edge = rng.choice(pool[current])  # identity edge always present
-            edges.append(edge)
-            current = edge.phi_prime
-        if not edges:
-            _check_vertex(report, base)
+        current = rng.randrange(len(objs))
+        if not length:
+            _check_vertex(report, objs[current])
             continue
-        sizes = (base.ell + 1,) + tuple(e.phi_prime.ell + 1 for e in edges)
-        maps = tuple(e.fiber_map() for e in edges)
-        if gluing_agreement((sizes, maps)):
+        sizes = [fibers[current]]
+        maps = []
+        steps = []
+        for _ in range(length):
+            # The identity edge is always there, so ends[current][-1] >= 1.
+            index = rng.randrange(ends[current][-1])
+            target = bisect_right(ends[current], index)
+            if target:
+                index -= ends[current][target - 1]
+            zero = index // count_monotone(ones[target], ones[current])
+            maps.append(monotone_tuples(fibers[target], 0, fibers[current])[zero])
+            sizes.append(fibers[target])
+            steps.append((current, target, index))
+            current = target
+        if gluing_agreement((tuple(sizes), tuple(maps))):
             report.add_pass()
         else:
+            edges = [edge_at(objs[s], objs[t], index) for s, t, index in steps]
             report.add_fail(
                 BmChain.from_edges(edges).encode(),
-                [f"gluing disagrees with direct components (fiber sizes {sizes})"],
+                [f"gluing disagrees with direct components (fiber sizes {tuple(sizes)})"],
             )
 
 
@@ -398,27 +459,34 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     return report
 
 
+def _xi_records(chain: BmChain, max_target_size: int) -> list[Record]:
+    """One record per target size; an ill-defined gamma fails with the error."""
+    records = []
+    for m in range(max_target_size + 1):
+        try:
+            records.append(_record(xi_restriction_commutes(chain, m)))
+        except IllDefinedComponentError as exc:
+            records.append((f"{chain.encode()};m={m}", "fail", [str(exc)]))
+    return records
+
+
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
     """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound.
 
     An instance on which gamma is not well-defined fails, with the error as
-    its witness, instead of stopping the sweep.
+    its witness, instead of stopping the sweep.  Sampled mode checks each
+    distinct drawn vertex and edge once and replays its records per draw.
     """
     report = SuiteReport("xi", config.bounds_dict())
-    chains = [BmChain.vertex(phi) for phi in _objects(config)]
+    objs, order = _objects(config)
+    batches = [([BmChain.vertex(phi) for phi in objs], order)]
     if config.max_chain_len >= 1:
-        chains.extend(BmChain.from_edges([e]) for e in _edges(config))
-    for chain in chains:
-        for m in range(max_target_size + 1):
-            try:
-                result = xi_restriction_commutes(chain, m)
-            except IllDefinedComponentError as exc:
-                report.add_fail(f"{chain.encode()};m={m}", [str(exc)])
-                continue
-            if result.passed:
-                report.add_pass()
-            else:
-                report.add_fail(result.key, list(result.failures))
+        edges, order = _edges(config)
+        batches.append(([BmChain.from_edges([e]) for e in edges], order))
+    for chains, order in batches:
+        per_chain = [_xi_records(chain, max_target_size) for chain in chains]
+        for records in _replay(per_chain, order):
+            report.add_records(records)
     return report
 
 

@@ -60,6 +60,12 @@ def test_eval_xi_rejects_bad_target_size(capsys):
     assert capsys.readouterr().err == "error: bad target size 'abc'\n"
 
 
+def test_eval_xi_rejects_empty_target_size(capsys):
+    """An "@" with no size is an error, not the default size of a bare chain."""
+    assert main(["eval", "xi", "01@"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad target size ''\n"
+
+
 def test_eval_xi_refuses_oversized_table(capsys):
     # 10^10 rows: refused before any row is built
     assert main(["eval", "xi", "0000000000@10"]) == EXIT_USAGE
@@ -218,14 +224,17 @@ SAMPLED_BOUNDS = (
             for s in ("constancy", "naturality", "identification", "audit")
         ),
         pytest.param("gluing-exhaustive", "gluing", GLUING_BOUNDS, id="gluing"),
-        pytest.param("sampled-mixed", "gluing", SAMPLED_BOUNDS, id="sampled-gluing"),
+        *(
+            pytest.param("sampled-mixed", s, SAMPLED_BOUNDS, id=f"sampled-{s}")
+            for s in json.loads(EXPECTED.read_text())["sampled-mixed"]["sha256_by_seed"]["1"]
+        ),
     ],
 )
 def test_edge_suites_match_the_benchmark_digests(capsys, workload, suite, bounds):
     """The benchmark's reports, byte for byte, as it expects them.
 
     The exhaustive edge suites at k, k' <= 5, exhaustive gluing at k <= 3 and
-    length <= 3, and the sampled gluing call of sampled-mixed at seed 1.
+    length <= 3, and every suite of sampled-mixed at seed 1.
     """
     expected = json.loads(EXPECTED.read_text())[workload]
     if workload == "sampled-mixed":

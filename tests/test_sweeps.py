@@ -1,6 +1,7 @@
-"""The gluing sweep against concrete chain enumeration, sampled edge draws
-against the list-choosing loop, the --jobs cap, and mutants of the integer
-kernel that the suites must catch."""
+"""The gluing sweep against concrete chain enumeration, sampled draws
+against the list-choosing loops, sampled suites against checking every
+draw, the --jobs cap, and mutants of the integer kernel that the suites
+must catch."""
 
 from __future__ import annotations
 
@@ -16,10 +17,17 @@ import pytest
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
 from bmquiver import compare, quiverf, sweeps
 from bmquiver.bm import BmEdge, edge_pool, enumerate_objects
+from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
 from bmquiver.cli import EXIT_PASS, main
 from bmquiver.simplex import enumerate_maps
-from bmquiver.sweeps import SweepConfig, gluing_suite, run_edge_suite
+from bmquiver.sweeps import (
+    EXTRA_SUITE_NAMES,
+    SUITE_NAMES,
+    SweepConfig,
+    gluing_suite,
+    run_edge_suite,
+)
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
 
@@ -113,7 +121,193 @@ def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_pri
         config = SweepConfig(
             max_k=max_k, max_k_prime=max_k_prime, mode="sampled", samples=40, seed=seed
         )
-        assert sweeps._edges(config) == choose_from_filtered_edges(config)
+        edges, order = sweeps._edges(config)
+        assert len(set(edges)) == len(edges)
+        assert [edges[i] for i in order] == choose_from_filtered_edges(config)
+
+
+def choose_gluing_chains(config: SweepConfig) -> list[BmChain]:
+    """Sampled gluing chains drawn by choosing each edge from the edge_pool list."""
+    rng = random.Random(config.seed)
+    objs = enumerate_objects(config.max_k)
+    pool = edge_pool(config.max_k)
+    chains = []
+    for _ in range(config.samples):
+        length = rng.randint(0, config.max_chain_len)
+        base = rng.choice(objs)
+        edges: list[BmEdge] = []
+        for _ in range(length):
+            edges.append(rng.choice(pool[edges[-1].phi_prime if edges else base]))
+        chains.append(BmChain(base, tuple(edges)))
+    return chains
+
+
+@pytest.mark.parametrize("max_k", [3, 5])
+def test_sampled_gluing_draws_by_index_match_choosing_from_edge_pools(monkeypatch, max_k):
+    """Stubs fail every draw, so the report lists every drawn chain in order,
+    and the gluing stub records each signature the suite checked."""
+    checked = []
+
+    def failing_agreement(signature):
+        checked.append(signature)
+        return False
+
+    monkeypatch.setattr(sweeps, "gluing_agreement", failing_agreement)
+    monkeypatch.setattr(sweeps, "g_chain", lambda chain: [None] * (chain.base.ell + 2))
+    for seed in range(20):
+        checked.clear()
+        config = SweepConfig(max_k=max_k, max_chain_len=4, mode="sampled", samples=40, seed=seed)
+        chains = choose_gluing_chains(config)
+        report = gluing_suite(config)
+        assert [inst["key"] for inst in report.instances] == [c.encode() for c in chains]
+        assert checked == [chain_signature(c) for c in chains if c.length]
+
+
+EDGE_SUITES = ("constancy", "naturality", "identification", "audit")
+
+
+def per_draw_records(config: SweepConfig, suite: str) -> list:
+    """The record of every draw of a sampled suite, each draw checked on its own.
+
+    Draws come from the list-choosing loops above; a record is None for a
+    pass, else (key, status, witnesses).
+    """
+    rng = random.Random(config.seed)
+    objs = enumerate_objects(config.max_k)
+    drawn = [rng.choice(objs) for _ in range(config.samples)]
+    if suite == "gluing":
+        return [gluing_record(chain) for chain in choose_gluing_chains(config)]
+    if suite == "cardinality":
+        return [cardinality_record(phi) for phi in drawn]
+    if suite == "decomposition":
+        results = [compare.verify_decomposition(phi) for phi in drawn if phi.top]
+        return [None if r.passed else (r.key, "fail", list(r.failures)) for r in results]
+    edges = choose_from_filtered_edges(config)
+    if suite in EDGE_SUITES:
+        return [edge_record(suite, edge) for edge in edges]
+    assert suite == "xi"
+    chains = [BmChain.vertex(phi) for phi in drawn]
+    if config.max_chain_len >= 1:
+        chains += [BmChain.from_edges([edge]) for edge in edges]
+    return [xi_record(chain, m) for chain in chains for m in range(4)]
+
+
+def gluing_record(chain: BmChain):
+    if not chain.length:
+        size, expected = len(wfib.g_chain(chain)), chain.base.ell + 1
+        if size == expected:
+            return None
+        return chain.encode(), "fail", [f"|G| = {size}, expected {expected}"]
+    sizes, maps = chain_signature(chain)
+    if wfib.gluing_agreement((sizes, maps)):
+        return None
+    message = f"gluing disagrees with direct components (fiber sizes {sizes})"
+    return chain.encode(), "fail", [message]
+
+
+def cardinality_record(phi):
+    got_f, got_g = len(quiverf.f_object(phi)), len(wfib.g_chain(BmChain.vertex(phi)))
+    witnesses = []
+    if got_f != max(0, 2 * phi.ell + phi.beta):
+        witnesses.append(f"|F| = {got_f}, expected {max(0, 2 * phi.ell + phi.beta)}")
+    if got_g != phi.ell + 1:
+        witnesses.append(f"|G| = {got_g}, expected {phi.ell + 1}")
+    return (phi.encode(), "fail", witnesses) if witnesses else None
+
+
+def edge_record(suite: str, edge: BmEdge):
+    try:
+        if suite == "audit":
+            audit = quiverf.j_cardinality_audit(edge)
+            if audit.degenerate or audit.raw_matches:
+                return None
+            message = (
+                f"raw count {audit.raw_count} != formula {audit.formula_count} "
+                f"(effective {audit.effective_count}, midImageTight={audit.mid_image_tight})"
+            )
+            return edge.encode(), "warn" if edge.phi_prime.beta else "fail", [message]
+        if suite == "constancy":
+            result = compare.verify_constancy(edge, include_trails=False)
+        elif suite == "naturality":
+            result = compare.verify_naturality(BmChain.from_edges([edge]))
+        else:
+            result = compare.verify_edge_identification(edge)
+    except PairingConstructionError as exc:
+        return edge.encode(), "fail", [str(exc)]
+    return None if result.passed else (result.key, "fail", list(result.failures))
+
+
+def xi_record(chain: BmChain, m: int):
+    try:
+        result = compare.xi_restriction_commutes(chain, m)
+    except IllDefinedComponentError as exc:
+        return f"{chain.encode()};m={m}", "fail", [str(exc)]
+    return None if result.passed else (result.key, "fail", list(result.failures))
+
+
+def least_dropping_last_pair(monkeypatch):
+    """The union-find ignores the last pair it is given."""
+    quotient_module = importlib.import_module("bmquiver.quotient")
+    least = quotient_module.least_representatives
+
+    def dropping_last(n, pairs):
+        return least(n, list(pairs)[:-1])
+
+    for module in (quotient_module, wfib, quiverf):
+        monkeypatch.setattr(module, "least_representatives", dropping_last)
+
+
+MUTANTS = {
+    "none": lambda monkeypatch: None,
+    # x1(i) sent to fiber element i - 1: constancy, naturality and xi fail.
+    "gamma": lambda mp: mp.setattr(compare, "_gamma", lambda code, ell: code // 2),
+    # Gluing and decomposition fail.
+    "union": least_dropping_last_pair,
+    # Every vertex its own component in the checks: identification fails.
+    "discrete G": lambda mp: mp.setattr(
+        compare, "g_classes", lambda sizes, maps: list(range(sum(sizes)))
+    ),
+    # One component in g_chain: cardinality and gluing's vertex draws fail.
+    "collapsed G": lambda mp: mp.setattr(wfib, "g_classes", lambda sizes, maps: [0] * sum(sizes)),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_sampled_suites_match_checking_every_draw(monkeypatch, mutant):
+    """Checking each distinct draw once gives the report of checking every draw.
+
+    Failing and warning draws are listed at every draw, in draw order; edge
+    suites also through a two-worker fan-out.
+    """
+    MUTANTS[mutant](monkeypatch)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    repeated_failures = 0
+    for seed in range(10):
+        config = SweepConfig(
+            max_k=2, max_k_prime=2, max_chain_len=3, mode="sampled", samples=60, seed=seed
+        )
+        for suite in SUITE_NAMES + EXTRA_SUITE_NAMES:
+            records = per_draw_records(config, suite)
+            listed = [r for r in records if r is not None]
+            expected = {
+                "suite": suite,
+                "bounds": config.bounds_dict(),
+                "instances": [{"key": k, "status": s, "witnesses": w} for k, s, w in listed],
+                "summary": {
+                    "total": len(records),
+                    "failed": sum(s == "fail" for _, s, _ in listed),
+                    "warned": sum(s == "warn" for _, s, _ in listed),
+                },
+            }
+            for jobs in (1, 2) if suite in EDGE_SUITES else (1,):
+                (report,) = sweeps.run_suites(config, [suite], jobs)
+                assert report.to_dict() == expected, (seed, suite, jobs)
+            failing = [k for k, s, _ in listed if s == "fail"]
+            repeated_failures += len(failing) - len(set(failing))
+    assert RecordingPool.sizes == [2] * 40
+    assert repeated_failures > 0 or mutant == "none"
 
 
 class RecordingPool:
