@@ -56,7 +56,7 @@ from .quiverf import (
     pairing_set,
     resolve_label,
 )
-from .quotient import QuotientSet, discrete, quotient
+from .quotient import QuotientSet
 from .simplex import DeltaMap, compose, count_maps, enumerate_maps, identity
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
 from .wfib import (
@@ -65,7 +65,6 @@ from .wfib import (
     g_chain,
     g_glued,
     gluing_agreement,
-    w_fiber,
 )
 
 __version__ = "0.1.0"

@@ -303,8 +303,8 @@ def edge_pool(k_max: int) -> dict[BmObject, list[BmEdge]]:
     """Every edge between objects on [k <= k_max], grouped by source object.
 
     Keys follow enumerate_objects; each list runs over targets in the same
-    order, then over maps.  Sampled gluing numbers the edges leaving an
-    object in this order, so the order is part of its reproducibility.
+    order, then over maps.  `bmquiver enumerate chains` lists chains in this
+    order.
     """
     objs = enumerate_objects(k_max)
     return {

@@ -241,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suites", nargs="+", choices=list(SUITE_NAMES + EXTRA_SUITE_NAMES)
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and has no effect: every suite runs in one process",
+    )
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
@@ -271,7 +276,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             samples=args.samples or 0,
             seed=args.seed,
         )
-        reports = run_suites(config, args.suites, jobs=args.jobs)
+        if args.jobs < 1:
+            raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
+        reports = run_suites(config, args.suites)
         sys.stdout.write(_render_verify(reports, args.format))
         return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
     except (ParseError, ValidationError) as exc:

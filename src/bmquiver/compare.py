@@ -7,7 +7,7 @@ direct enumeration, that this assignment is constant on every glued pair
 (well-definedness), that it commutes with vertex and segment inclusions
 (naturality), and that it is compatible with segment decompositions.
 
-The edge checks run on numbers: labels numbered as in quiverf (F classes
+The checks run on numbers: labels numbered as in quiverf (F classes
 from f_classes), fiber vertices numbered position-major as in wfib (G
 classes from g_classes), and gamma on a vertex's label number L is
 L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
 
-from .bm import BmChain, BmEdge, BmObject, segment_decompose
+from .bm import BmChain, BmEdge, BmObject
 from .errors import IllDefinedComponentError, ValidationError
 from .quiverf import (
     LabelKind,
@@ -33,9 +33,10 @@ from .quiverf import (
     label_count,
     label_offsets,
     render_note,
+    segment_labels,
 )
-from .quotient import QuotientSet, quotient
-from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes, w_fiber
+from .quotient import QuotientSet, least_representatives
+from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes
 
 
 def _gamma(code: int, ell: int) -> int:
@@ -127,7 +128,7 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
 
 
 def gamma_object(phi: BmObject) -> GammaComponent:
-    """The comparison on a vertex chain: both sides are discrete."""
+    """The comparison on a vertex chain, where nothing is glued on either side."""
     return gamma_chain(BmChain.vertex(phi))
 
 
@@ -261,62 +262,53 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
     The labeled-set side must rebuild bijectively from the segments; the
     fiber side, glued over the shared points, must rebuild {0, ..., ell}
     with one class per global fiber element; and the comparison computed
-    segment-wise must agree with the global one.
+    segment-wise must agree with the global one.  Labels are numbered as in
+    segment_labels, and fiber element j of segment i is a vertex at global
+    position i - 1 + j.
     """
     failures: list[str] = []
-    checked = 0
-    segments = segment_decompose(phi)
+    ell = phi.ell
+    segments = segment_labels(phi)
 
-    rebuilt = f_object_via_segments(phi)
-    direct = f_object(phi)
-    checked += 1
-    if sorted(rebuilt) != sorted(direct) or len(set(rebuilt)) != len(rebuilt):
+    rebuilt = [code for _, codes in segments for code in codes]
+    checked = 1
+    if sorted(rebuilt) != list(range(label_count(ell, phi.beta))):
+        rebuilt_labels = [str(l) for l in f_object_via_segments(phi)]
         failures.append(
-            f"label sets differ: segments give {[str(l) for l in rebuilt]}, "
-            f"direct gives {[str(l) for l in direct]}"
+            f"label sets differ: segments give {rebuilt_labels}, "
+            f"direct gives {[str(l) for l in f_object(phi)]}"
         )
 
-    # Glue the segment fibers over the interior points with value 0.
-    carrier: list[tuple[int, int]] = []
-    for i, segment in enumerate(segments, start=1):
-        carrier.extend((i, j) for j in w_fiber(segment))
-    pairs = []
-    for i in range(1, phi.top):
-        if phi.values[i] == 0:
-            pairs.append(((i, 1), (i + 1, 0)))
-    glued = quotient(tuple(carrier), pairs)
+    # Glue the segment fibers over the interior points with value 0.  The
+    # fiber element j of segment i is vertex starts[i - 1] + j.
+    position: list[int] = []
+    starts = []
+    for i, (segment, _) in enumerate(segments, start=1):
+        starts.append(len(position))
+        position.extend(range(i - 1, i + segment.ell))
+    pairs = [(starts[i - 1] + 1, starts[i]) for i in range(1, phi.top) if not phi.values[i]]
+    glued = _classes(least_representatives(len(position), pairs))
     checked += 1
-    if len(glued) != phi.ell + 1:
-        failures.append(
-            f"glued fiber has {len(glued)} classes, expected {phi.ell + 1}"
-        )
+    if len(glued) != ell + 1:
+        failures.append(f"glued fiber has {len(glued)} classes, expected {ell + 1}")
     else:
-        # global position of a segment fiber element
-        positions = {rep: set() for rep in glued.representatives}
-        for i, j in carrier:
-            positions[glued.find((i, j))].add(i - 1 + j)
-        position_sets = sorted(tuple(sorted(s)) for s in positions.values())
+        position_sets = sorted(
+            tuple(sorted({position[v] for v in block})) for block in glued.values()
+        )
         checked += 1
-        if position_sets != [(p,) for p in range(phi.ell + 1)]:
+        if position_sets != [(p,) for p in range(ell + 1)]:
             failures.append(f"glued classes {position_sets} do not match fiber positions")
 
     # Comparison compatibility: segment-wise then gluing equals global.
-    global_gamma = {
-        label: gamma_index(label, phi.ell) for label in direct
-    }
-    for i, segment in enumerate(segments, start=1):
-        for local in f_object(segment):
+    for i, (segment, codes) in enumerate(segments, start=1):
+        for local, code in enumerate(codes):
             checked += 1
-            local_image = gamma_index(local, segment.ell)
-            global_position = i - 1 + local_image
-            if local.kind is LabelKind.MID:
-                relabeled = QuiverLabel(0, LabelKind.MID, None)
-            else:
-                relabeled = QuiverLabel(0, local.kind, i)
-            if global_gamma[relabeled] != global_position:
+            global_position = i - 1 + _gamma(local, segment.ell)
+            image = _gamma(code, ell)
+            if image != global_position:
                 failures.append(
-                    f"segment {i}: {local} maps to position {global_position}, "
-                    f"global {relabeled} maps to {global_gamma[relabeled]}"
+                    f"segment {i}: {f_object(segment)[local]} maps to position "
+                    f"{global_position}, global {f_object(phi)[code]} maps to {image}"
                 )
     return VerificationReport(phi.encode(), "decomposition", checked, tuple(failures))
 

@@ -255,27 +255,6 @@ class PairingList:
     def raw_count(self) -> int:
         return len(self.pairs)
 
-    def self_pairs(self) -> tuple[tuple[QuiverLabel, QuiverLabel], ...]:
-        return tuple(p for p in self.pairs if p[0] == p[1])
-
-    def effective_pairs(self) -> tuple[tuple[QuiverLabel, QuiverLabel], ...]:
-        """Distinct unordered pairs with the self-pairs removed."""
-        seen = set()
-        out = []
-        for a, b in self.pairs:
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((a, b))
-        return tuple(out)
-
-    @property
-    def effective_count(self) -> int:
-        return len(self.effective_pairs())
-
 
 def pairing_set(edge: BmEdge, at: int = 0) -> PairingList:
     """The pairing list of edge_pairs, as labels with the source at chain position `at`."""
@@ -306,21 +285,33 @@ def f_chain(chain: BmChain) -> QuotientSet:
     return QuotientSet.decode(chain_labels(chain), f_classes(chain))
 
 
-def f_object_via_segments(phi: BmObject) -> tuple[QuiverLabel, ...]:
-    """The label set rebuilt from the segment decomposition of phi.
+def segment_labels(phi: BmObject) -> list[tuple[BmObject, list[int]]]:
+    """Each segment of phi with the label numbers on phi of its labels, in local order.
 
-    Segment i of kind "00" contributes x1(i), x2(i) in the global index
-    scheme; a "01" segment contributes xm; "11" segments are empty.  The
-    result must be a bijective relabeling of f_object(phi).
+    Segment i (counted from 1) of kind "00" holds x1(i) and x2(i), numbered
+    2(i-1) and 2(i-1) + 1; a "01" segment holds xm, numbered 2*ell; "11"
+    segments hold none.
     """
-    labels: list[QuiverLabel] = []
+    mid_code = 2 * phi.ell
+    out = []
     for i, segment in enumerate(segment_decompose(phi), start=1):
-        for local in f_object(segment):
-            if local.kind is LabelKind.MID:
-                labels.append(mid())
-            else:
-                labels.append(QuiverLabel(0, local.kind, i))
-    return tuple(labels)
+        local_mid = 2 * segment.ell
+        codes = [
+            mid_code if code == local_mid else 2 * (i - 1) + code
+            for code in range(label_count(segment.ell, segment.beta))
+        ]
+        out.append((segment, codes))
+    return out
+
+
+def f_object_via_segments(phi: BmObject) -> tuple[QuiverLabel, ...]:
+    """The label set rebuilt from the segment decomposition of phi (see segment_labels).
+
+    The result must be a bijective relabeling of f_object(phi).
+    """
+    return tuple(
+        _label(code, phi.ell, 0) for _, codes in segment_labels(phi) for code in codes
+    )
 
 
 @dataclass(frozen=True)

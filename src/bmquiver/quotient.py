@@ -6,18 +6,15 @@ It is the carrier used both for pushouts of labeled sets and for connected
 components of pullback graphs.  Both are computed on integers: elements are
 numbered in their order and QuotientSet.decode names the result.
 least_representatives is the one integer union-find, for the pushouts F,
-the edgewise gluing of G and quotient(); it links the larger root under the
-smaller, so every root is the least member of its class.
+the edgewise gluing of G and the segment gluing of the decomposition check;
+it links the larger root under the smaller, so every root is the least
+member of its class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence, TypeVar
-
-from .errors import ValidationError
-
-T = TypeVar("T", bound=Hashable)
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -49,9 +46,6 @@ class QuotientSet:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def __contains__(self, element) -> bool:
-        return element in self._find
 
     def same_block(self, a, b) -> bool:
         return self._find[a] == self._find[b]
@@ -95,27 +89,3 @@ def least_representatives(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]
     for i in range(n):
         parent[i] = parent[parent[i]]
     return parent
-
-
-def quotient(elements: Sequence[T], pairs: Iterable[tuple[T, T]]) -> QuotientSet:
-    """Quotient of elements by the equivalence generated by pairs.
-
-    Elements must be distinct and mutually orderable; every pair must name
-    two elements of the carrier.
-    """
-    elements = tuple(elements)
-    order = sorted(elements)
-    index = {e: i for i, e in enumerate(order)}
-    if len(index) != len(order):
-        raise ValidationError("quotient carrier contains duplicates")
-    try:
-        numbered = [(index[a], index[b]) for a, b in pairs]
-    except KeyError as exc:
-        raise ValidationError(f"pair component {exc.args[0]!r} not in carrier") from exc
-    classes = QuotientSet.decode(order, least_representatives(len(order), numbered))
-    return QuotientSet(elements, classes.blocks, classes._find)
-
-
-def discrete(elements: Sequence[T]) -> QuotientSet:
-    """The discrete partition (every element its own block)."""
-    return quotient(elements, ())

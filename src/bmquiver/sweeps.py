@@ -3,15 +3,14 @@
 Every suite enumerates its instances in a fixed order (or samples them with
 a seeded generator), runs one check per instance (per fiber signature in
 the exhaustive gluing suite, per distinct draw in sampled mode outside
-gluing), and aggregates a report: failures stop nothing, they are
-collected with witnesses so a broken case is localized.  Audit mismatches
-on crossing targets are warnings; the pair-count identity is binding only
-where the target has no crossing.
+gluing) in a single process, and aggregates a report: failures stop
+nothing, they are collected with witnesses so a broken case is localized.
+Audit mismatches on crossing targets are warnings; the pair-count identity
+is binding only where the target has no crossing.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -232,45 +231,21 @@ def _check_edge(suite: str, edge: BmEdge) -> Record:
     return _record(result)
 
 
-def _edge_chunk_worker(args: tuple[str, list[BmEdge]]) -> list[Record]:
-    """The record of each edge of a chunk.
-
-    An edge on which the pairing rules build an invalid label fails, with
-    the error as its witness, instead of stopping the sweep.
-    """
-    suite, edges = args
-    out = []
-    for edge in edges:
-        try:
-            out.append(_check_edge(suite, edge))
-        except PairingConstructionError as exc:
-            out.append((edge.encode(), "fail", [str(exc)]))
-    return out
-
-
-def run_edge_suite(config: SweepConfig, suite: str, jobs: int = 1) -> SuiteReport:
-    """Run an edge-based suite, optionally fanned out over worker processes.
+def run_edge_suite(config: SweepConfig, suite: str) -> SuiteReport:
+    """Run an edge-based suite.
 
     Sampled mode checks each distinct drawn edge once, and lists a failing
     or warning edge at each of its draws, in draw order; the total counts
-    every draw.  Chunks preserve the order of the checked edges and results
-    merge in chunk order, so output is identical for every jobs value.
-    More workers than cores would only contend, so jobs is capped at the
-    core count.
+    every draw.  An edge on which the pairing rules build an invalid label
+    fails, with the error as its witness, instead of stopping the sweep.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
     edges, order = _edges(config)
-    if jobs <= 1 or len(edges) < 2 * jobs:
-        records = _edge_chunk_worker((suite, edges))
-    else:
-        import multiprocessing
-
-        size = (len(edges) + jobs - 1) // jobs
-        chunks = [
-            (suite, edges[i : i + size]) for i in range(0, len(edges), size)
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            records = [r for part in pool.map(_edge_chunk_worker, chunks) for r in part]
+    records = []
+    for edge in edges:
+        try:
+            records.append(_check_edge(suite, edge))
+        except PairingConstructionError as exc:
+            records.append((edge.encode(), "fail", [str(exc)]))
     report = SuiteReport(suite, config.bounds_dict())
     report.add_records(_replay(records, order))
     return report
@@ -503,12 +478,8 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def run_suites(
-    config: SweepConfig, suites: list[str] | None = None, jobs: int = 1
-) -> list[SuiteReport]:
+def run_suites(config: SweepConfig, suites: list[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (default: the battery of SUITE_NAMES) in the order given."""
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     names = suites if suites is not None else list(SUITE_NAMES)
     unknown = [n for n in names if n not in SUITE_NAMES + EXTRA_SUITE_NAMES]
     if unknown:
@@ -524,5 +495,5 @@ def run_suites(
         elif name == "xi":
             reports.append(xi_suite(config, max_target_size=3))
         else:
-            reports.append(run_edge_suite(config, name, jobs))
+            reports.append(run_edge_suite(config, name))
     return reports

@@ -1,8 +1,9 @@
 """The fibration side: pullback graphs over a chain and their components.
 
 Pulling the element category of the 0-fiber functor back along a chain
-yields a layered graph: one discrete fiber {0, ..., ell_t} per position t,
-and one cross edge from (t+1, j) down to (t, p_{t+1}(j)) per fiber element.
+yields a layered graph: one fiber {0, ..., ell_t} per position t, with no
+edge inside it, and one cross edge from (t+1, j) down to (t, p_{t+1}(j)) per
+fiber element.
 Inverting everything collapses the graph to its connected components, so
 the functor value on a chain is pi0 of this graph together with the maps
 from each fiber into the component set.
@@ -26,17 +27,12 @@ from functools import lru_cache
 from operator import ne
 from typing import Iterable, Sequence
 
-from .bm import BmChain, BmObject
+from .bm import BmChain
 from .errors import ValidationError
 from .quotient import QuotientSet, least_representatives
 
 Vertex = tuple[int, int]
 FiberSignature = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-
-def w_fiber(phi: BmObject) -> tuple[int, ...]:
-    """The discrete fiber over phi: the set {0, ..., ell}, empty when ell = -1."""
-    return tuple(range(phi.ell + 1))
 
 
 def chain_signature(chain: BmChain) -> FiberSignature:

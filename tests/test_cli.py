@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,35 @@ def test_jobs_do_not_change_output(capsys):
     _, serial = run(capsys, *args)
     _, parallel = run(capsys, *args, "--jobs", "2")
     assert serial == parallel
+
+
+JOBS_SCRIPT = """
+import contextlib, io, json, sys
+from bmquiver.cli import main
+
+def verify(*extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--max-k", "2", "--samples", "200", "--seed", "3", *extra,
+                     "--suites", "constancy", "audit", "--format", "json"])
+    return code, out.getvalue()
+
+with_jobs = verify("--jobs", "2")
+print(json.dumps([with_jobs, verify(), "multiprocessing" in sys.modules]))
+"""
+
+
+def test_jobs_start_no_worker_processes():
+    """--jobs is accepted and changes nothing: every suite runs in one process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", JOBS_SCRIPT], capture_output=True, text=True, env=env, check=True
+    )
+    with_jobs, serial, imported = json.loads(done.stdout)
+    assert with_jobs == serial
+    assert serial[0] == EXIT_PASS and json.loads(serial[1])
+    assert not imported
 
 
 def test_suite_selection(capsys):

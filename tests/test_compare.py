@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,8 @@ from bmquiver import (
     BmEdge,
     BmObject,
     DeltaMap,
+    QuiverLabel,
+    QuotientSet,
     enumerate_all_edges,
     enumerate_objects,
     f_chain,
@@ -18,6 +22,7 @@ from bmquiver import (
     gamma_object,
     ValidationError,
     identity_edge,
+    segment_decompose,
     verify_constancy,
     verify_decomposition,
     verify_edge_identification,
@@ -25,7 +30,7 @@ from bmquiver import (
     xi_component,
     xi_restriction_commutes,
 )
-from bmquiver import compare
+from bmquiver import compare, quiverf
 from bmquiver.quiverf import LabelKind, f_classes, mid, one, resolve_label, two
 
 OBJ = BmObject.parse
@@ -219,6 +224,123 @@ class TestDecomposition:
         for phi in enumerate_objects(8):
             if phi.top >= 1:
                 assert verify_decomposition(phi).passed
+
+
+# The decomposition check as it ran on labels, kept as the reference for the
+# integer route: labels rebuilt from the segments, the segment fibers glued
+# as (segment, element) pairs, and gamma compared label by label.
+
+
+def label_quotient(elements, pairs) -> QuotientSet:
+    """Elements numbered in sorted order, glued by the package's union-find."""
+    order = sorted(elements)
+    index = {e: i for i, e in enumerate(order)}
+    quotient_module = importlib.import_module("bmquiver.quotient")
+    numbered = [(index[a], index[b]) for a, b in pairs]
+    return QuotientSet.decode(order, quotient_module.least_representatives(len(order), numbered))
+
+
+def label_decomposition(phi):
+    """(key, checked, failures) of the label-level decomposition check."""
+    failures = []
+    checked = 0
+    segments = segment_decompose(phi)
+    rebuilt = []
+    for i, segment in enumerate(segments, start=1):
+        for local in f_object(segment):
+            rebuilt.append(mid() if local.kind is LabelKind.MID else QuiverLabel(0, local.kind, i))
+    direct = f_object(phi)
+    checked += 1
+    if sorted(rebuilt) != sorted(direct) or len(set(rebuilt)) != len(rebuilt):
+        failures.append(
+            f"label sets differ: segments give {[str(l) for l in rebuilt]}, "
+            f"direct gives {[str(l) for l in direct]}"
+        )
+    carrier = [(i, j) for i, seg in enumerate(segments, start=1) for j in range(seg.ell + 1)]
+    pairs = [((i, 1), (i + 1, 0)) for i in range(1, phi.top) if phi.values[i] == 0]
+    glued = label_quotient(carrier, pairs)
+    checked += 1
+    if len(glued) != phi.ell + 1:
+        failures.append(f"glued fiber has {len(glued)} classes, expected {phi.ell + 1}")
+    else:
+        positions = {rep: set() for rep in glued.representatives}
+        for i, j in carrier:
+            positions[glued.find((i, j))].add(i - 1 + j)
+        position_sets = sorted(tuple(sorted(s)) for s in positions.values())
+        checked += 1
+        if position_sets != [(p,) for p in range(phi.ell + 1)]:
+            failures.append(f"glued classes {position_sets} do not match fiber positions")
+    global_gamma = {label: gamma_index(label, phi.ell) for label in direct}
+    for i, segment in enumerate(segments, start=1):
+        for local in f_object(segment):
+            checked += 1
+            global_position = i - 1 + gamma_index(local, segment.ell)
+            relabeled = mid() if local.kind is LabelKind.MID else QuiverLabel(0, local.kind, i)
+            if global_gamma[relabeled] != global_position:
+                failures.append(
+                    f"segment {i}: {local} maps to position {global_position}, "
+                    f"global {relabeled} maps to {global_gamma[relabeled]}"
+                )
+    return phi.encode(), checked, tuple(failures)
+
+
+def decomposition_routes(max_k: int) -> list[tuple]:
+    """Both routes on every object with 1 <= k <= max_k, checked to agree."""
+    results = []
+    for phi in enumerate_objects(max_k):
+        if phi.top:
+            report = verify_decomposition(phi)
+            results.append((report.key, report.checked, report.failures))
+            assert results[-1] == label_decomposition(phi)
+    return results
+
+
+def test_decomposition_matches_the_label_route():
+    results = decomposition_routes(8)
+    assert len(results) == sum(k + 2 for k in range(1, 9))
+    assert not any(failures for _, _, failures in results)
+
+
+def test_decomposition_matches_the_label_route_under_a_union_mutant(monkeypatch):
+    """The union-find ignores the last pair: only the fiber gluing can see it."""
+    quotient_module = importlib.import_module("bmquiver.quotient")
+    least = quotient_module.least_representatives
+
+    def dropping_last(n, pairs):
+        return least(n, list(pairs)[:-1])
+
+    for module in (quotient_module, compare):
+        monkeypatch.setattr(module, "least_representatives", dropping_last)
+    failing = [key for key, _, failures in decomposition_routes(8) if failures]
+    assert [key for key in failing if len(key) <= 3] == ["000", "001"]
+    assert all(key.startswith("00") for key in failing)
+
+
+def test_decomposition_rebuild_and_position_checks_can_fail(monkeypatch):
+    """The two checks that the union mutant never reaches each fail on a mutant of their own."""
+    least = compare.least_representatives
+
+    def gluing_the_wrong_end(n, pairs):
+        # Segment i's fiber element 0, not 1, glued to element 0 of segment i + 1.
+        return least(n, [(a - 1, b) for a, b in pairs])
+
+    monkeypatch.setattr(compare, "least_representatives", gluing_the_wrong_end)
+    assert verify_decomposition(OBJ("000")).failures == (
+        "glued classes [(0, 1), (1,), (2,)] do not match fiber positions",
+    )
+    monkeypatch.undo()
+
+    labels = quiverf.segment_labels
+
+    def dropping_xm(phi):
+        return [(segment, codes if segment.beta == 0 else []) for segment, codes in labels(phi)]
+
+    for module in (compare, quiverf):
+        monkeypatch.setattr(module, "segment_labels", dropping_xm)
+    assert verify_decomposition(OBJ("001")).failures == (
+        "label sets differ: segments give ['v0:x1(1)', 'v0:x2(1)'], "
+        "direct gives ['v0:x1(1)', 'v0:x2(1)', 'v0:xm']",
+    )
 
 
 class TestEdgeIdentification:

@@ -20,11 +20,11 @@ from bmquiver import (
     identity_edge,
     j_cardinality_audit,
     pairing_set,
-    quotient,
     resolve_label,
 )
 from bmquiver.bm import edge_pool
 from bmquiver.quiverf import f_classes, label_offsets, mid, one, two
+from test_quotient import union_find_blocks
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -50,9 +50,9 @@ def bm_edges(draw, max_top: int = 6):
 
 
 def edge_pushout(edge):
-    """The pushout of the two vertex label sets along the edge's pairing list."""
+    """The blocks of the pushout of the two vertex label sets along the edge's pairing list."""
     elements = f_object(edge.phi, vertex=0) + f_object(edge.phi_prime, vertex=1)
-    return quotient(elements, pairing_set(edge).pairs)
+    return union_find_blocks(elements, pairing_set(edge).pairs)
 
 
 def strs(labels) -> list[str]:
@@ -211,7 +211,7 @@ class TestPushouts:
 
     def test_length_one_chain_equals_edge_pushout(self):
         for edge in enumerate_all_edges(3, 3):
-            assert f_chain(BmChain.from_edges([edge])).blocks == edge_pushout(edge).blocks
+            assert f_chain(BmChain.from_edges([edge])).blocks == edge_pushout(edge)
 
     def test_two_identity_edges_glue_three_copies(self):
         e = identity_edge(OBJ("00"))
@@ -407,7 +407,7 @@ class TestLabelOracle:
             elements, pairs = label_f_chain(chain)
             fq = f_chain(chain)
             assert fq.elements == tuple(elements)
-            assert fq.blocks == quotient(elements, pairs).blocks
+            assert fq.blocks == union_find_blocks(elements, pairs)
             assert all(fq.find(e) == min(fq.block_of(e)) for e in elements)
             count += 1
         assert count == 2421 + 1401  # edges with k, k' <= 4; two-edge chains, k <= 2

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from bmquiver import ValidationError, discrete, quotient
+from bmquiver import QuotientSet
 from bmquiver.quotient import least_representatives
 
 
@@ -49,8 +48,25 @@ def closure_oracle(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
     return blocks
 
 
+def union_find_blocks(elements, pairs) -> tuple[tuple, ...]:
+    """Oracle: the blocks of orderable elements under the pairs, by UnionFind.
+
+    Each block is sorted and the blocks come in order of their least member,
+    as in a QuotientSet.
+    """
+    order = sorted(elements)
+    index = {e: i for i, e in enumerate(order)}
+    uf = UnionFind(len(order))
+    for a, b in pairs:
+        uf.union(index[a], index[b])
+    blocks: dict[int, list] = {}
+    for i, element in enumerate(order):
+        blocks.setdefault(uf.find(i), []).append(element)
+    return tuple(tuple(block) for block in blocks.values())
+
+
 def test_basic_quotient():
-    q = quotient(range(5), [(0, 3), (3, 4)])
+    q = QuotientSet.decode(range(5), least_representatives(5, [(0, 3), (3, 4)]))
     assert q.blocks == ((0, 3, 4), (1,), (2,))
     assert q.find(4) == 0 and q.find(1) == 1
     assert q.same_block(0, 4) and not q.same_block(0, 2)
@@ -60,21 +76,9 @@ def test_basic_quotient():
 
 
 def test_find_is_idempotent():
-    q = quotient("abcd", [("a", "c")])
+    q = QuotientSet.decode("abcd", least_representatives(4, [(0, 2)]))
     for element in "abcd":
         assert q.find(q.find(element)) == q.find(element)
-
-
-def test_discrete():
-    q = discrete((2, 0, 1))
-    assert q.blocks == ((0,), (1,), (2,))
-
-
-def test_duplicates_and_unknown_pairs_rejected():
-    with pytest.raises(ValidationError):
-        quotient([1, 1], [])
-    with pytest.raises(ValidationError):
-        quotient([1, 2], [(1, 3)])
 
 
 @given(
@@ -83,9 +87,10 @@ def test_duplicates_and_unknown_pairs_rejected():
 )
 def test_quotient_matches_closure_oracle(n, raw_pairs):
     pairs = [(a % n, b % n) for a, b in raw_pairs]
-    q = quotient(range(n), pairs)
+    q = QuotientSet.decode(range(n), least_representatives(n, pairs))
     expected = sorted(tuple(sorted(block)) for block in closure_oracle(n, pairs))
     assert list(q.blocks) == expected
+    assert union_find_blocks(range(n), pairs) == q.blocks
 
 
 def test_union_find_direct():

@@ -1,14 +1,11 @@
 """The gluing sweep against concrete chain enumeration, sampled draws
 against the list-choosing loops, sampled suites against checking every
-draw, the --jobs cap, and mutants of the integer kernel that the suites
-must catch."""
+draw, and mutants of the integer kernel that the suites must catch."""
 
 from __future__ import annotations
 
 import importlib
 import json
-import multiprocessing
-import os
 import random
 from pathlib import Path
 
@@ -26,7 +23,6 @@ from bmquiver.sweeps import (
     SUITE_NAMES,
     SweepConfig,
     gluing_suite,
-    run_edge_suite,
 )
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
@@ -253,7 +249,7 @@ def least_dropping_last_pair(monkeypatch):
     def dropping_last(n, pairs):
         return least(n, list(pairs)[:-1])
 
-    for module in (quotient_module, wfib, quiverf):
+    for module in (quotient_module, wfib, quiverf, compare):
         monkeypatch.setattr(module, "least_representatives", dropping_last)
 
 
@@ -276,13 +272,9 @@ MUTANTS = {
 def test_sampled_suites_match_checking_every_draw(monkeypatch, mutant):
     """Checking each distinct draw once gives the report of checking every draw.
 
-    Failing and warning draws are listed at every draw, in draw order; edge
-    suites also through a two-worker fan-out.
+    Failing and warning draws are listed at every draw, in draw order.
     """
     MUTANTS[mutant](monkeypatch)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     repeated_failures = 0
     for seed in range(10):
         config = SweepConfig(
@@ -301,42 +293,11 @@ def test_sampled_suites_match_checking_every_draw(monkeypatch, mutant):
                     "warned": sum(s == "warn" for _, s, _ in listed),
                 },
             }
-            for jobs in (1, 2) if suite in EDGE_SUITES else (1,):
-                (report,) = sweeps.run_suites(config, [suite], jobs)
-                assert report.to_dict() == expected, (seed, suite, jobs)
+            (report,) = sweeps.run_suites(config, [suite])
+            assert report.to_dict() == expected, (seed, suite)
             failing = [k for k, s, _ in listed if s == "fail"]
             repeated_failures += len(failing) - len(set(failing))
-    assert RecordingPool.sizes == [2] * 40
     assert repeated_failures > 0 or mutant == "none"
-
-
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, runs in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes: int) -> None:
-        self.sizes.append(processes)
-
-    def __enter__(self) -> "RecordingPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-@pytest.mark.parametrize("cores,pools", [(2, [2]), (None, [])])
-def test_jobs_capped_at_core_count(monkeypatch, cores, pools):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    config = SweepConfig(max_k=1, max_k_prime=1)
-    report = run_edge_suite(config, "constancy", jobs=64)
-    assert RecordingPool.sizes == pools
-    assert report.to_dict() == run_edge_suite(config, "constancy", jobs=1).to_dict()
 
 
 SMALL = SweepConfig(max_k=2, max_k_prime=2)
@@ -407,7 +368,7 @@ def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
     def dropping_last(n, pairs):
         return least(n, list(pairs)[:-1])
 
-    for module in (quotient_module, wfib, quiverf):
+    for module in (quotient_module, wfib, quiverf, compare):
         monkeypatch.setattr(module, "least_representatives", dropping_last)
     reports = {r.suite: r for r in sweeps.run_suites(SMALL, ["gluing", "decomposition"])}
     gluing = reports["gluing"]

@@ -17,10 +17,9 @@ from bmquiver import (
     g_glued,
     gluing_agreement,
     identity_edge,
-    quotient,
-    w_fiber,
 )
 from bmquiver import wfib
+from test_quotient import union_find_blocks
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -40,7 +39,7 @@ def pullback_graph(chain: BmChain) -> PullbackGraph:
     """Vertices (t, j) for every fiber element, cross edges along every map."""
     vertices: list[Vertex] = []
     for t, obj in enumerate(chain.objects):
-        vertices.extend((t, j) for j in w_fiber(obj))
+        vertices.extend((t, j) for j in range(obj.ell + 1))
     cross: list[tuple[Vertex, Vertex]] = []
     for t, edge in enumerate(chain.edges):
         fmap = edge.fiber_map()
@@ -79,7 +78,10 @@ def pi0_oracle(graph: PullbackGraph) -> tuple[tuple[Vertex, ...], ...]:
     [("001", (0, 1)), ("1", ()), ("0000", (0, 1, 2, 3))],
 )
 def test_w_fiber(text, expected):
-    assert w_fiber(OBJ(text)) == expected
+    """The fiber over phi is {0, ..., ell}, empty when ell = -1."""
+    chain = BmChain.vertex(OBJ(text))
+    assert chain_signature(chain) == ((len(expected),), ())
+    assert g_chain(chain).vertex_maps == (tuple((0, j) for j in expected),)
 
 
 def test_pullback_graph_vertex_case():
@@ -158,7 +160,7 @@ def test_components_match_networkx_oracle(max_len, k_max):
         assert g.classes.blocks == blocks
         least = {v: block[0] for block in blocks for v in block}
         assert g.vertex_maps == tuple(
-            tuple(least[(t, j)] for j in w_fiber(obj))
+            tuple(least[(t, j)] for j in range(obj.ell + 1))
             for t, obj in enumerate(chain.objects)
         )
 
@@ -166,9 +168,9 @@ def test_components_match_networkx_oracle(max_len, k_max):
 def test_orientation_independence():
     for chain in chains_up_to(2, 2):
         graph = pullback_graph(chain)
-        reversed_blocks = quotient(
+        reversed_blocks = union_find_blocks(
             graph.vertices, [(b, a) for a, b in graph.cross_edges]
-        ).blocks
+        )
         assert g_chain(chain).classes.blocks == reversed_blocks
 
 
