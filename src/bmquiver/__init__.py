@@ -23,8 +23,6 @@ from .compare import (
     VerificationReport,
     XiTable,
     gamma_chain,
-    gamma_index,
-    gamma_object,
     verify_constancy,
     verify_decomposition,
     verify_edge_identification,
@@ -59,12 +57,6 @@ from .quiverf import (
 from .quotient import QuotientSet
 from .simplex import DeltaMap, compose, count_maps, enumerate_maps, identity
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
-from .wfib import (
-    GSet,
-    chain_signature,
-    g_chain,
-    g_glued,
-    gluing_agreement,
-)
+from .wfib import GSet, chain_signature, g_chain, gluing_agreement
 
 __version__ = "0.1.0"

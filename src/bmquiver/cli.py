@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import mul
 from typing import Sequence
 
-from .bm import BmChain, BmObject, edge_pool, enumerate_edges, enumerate_objects
+from .bm import BmChain, BmObject, count_edges, edge_pool, enumerate_edges, enumerate_objects
 from .compare import gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import f_chain, j_cardinality_audit, pairing_set
@@ -24,18 +25,17 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: Most chains that `enumerate chains` lists.
+CHAINS_MAX_ITEMS = 100_000
+
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_chain(text: str) -> BmChain:
-    return BmChain.parse(text)
-
-
 def _eval_payload(entity: str, instance: str) -> dict:
     if entity == "F":
-        chain = _parse_chain(instance)
+        chain = BmChain.parse(instance)
         fq = f_chain(chain)
         return {
             "entity": "F",
@@ -44,7 +44,7 @@ def _eval_payload(entity: str, instance: str) -> dict:
             "blocks": [[str(label) for label in block] for block in fq.blocks],
         }
     if entity == "G":
-        chain = _parse_chain(instance)
+        chain = BmChain.parse(instance)
         g = g_chain(chain)
         return {
             "entity": "G",
@@ -58,7 +58,7 @@ def _eval_payload(entity: str, instance: str) -> dict:
             ],
         }
     if entity == "gamma":
-        chain = _parse_chain(instance)
+        chain = BmChain.parse(instance)
         gamma = gamma_chain(chain)
         return {
             "entity": "gamma",
@@ -69,7 +69,7 @@ def _eval_payload(entity: str, instance: str) -> dict:
             },
         }
     if entity == "pairs":
-        chain = _parse_chain(instance)
+        chain = BmChain.parse(instance)
         if chain.length != 1:
             raise ValidationError("pairs needs a single edge encoding")
         pairing = pairing_set(chain.edges[0])
@@ -83,13 +83,13 @@ def _eval_payload(entity: str, instance: str) -> dict:
             ],
         }
     if entity == "audit":
-        chain = _parse_chain(instance)
+        chain = BmChain.parse(instance)
         if chain.length != 1:
             raise ValidationError("audit needs a single edge encoding")
         return {"entity": "audit", **j_cardinality_audit(chain.edges[0]).to_dict()}
     if entity == "xi":
         chain_text, at, size_text = instance.partition("@")
-        chain = _parse_chain(chain_text)
+        chain = BmChain.parse(chain_text)
         try:
             size = int(size_text) if at else 2
         except ValueError:
@@ -168,6 +168,21 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     # chains: breadth bounded by --max-k, length exactly --max-len
     if args.max_len < 0:
         raise ValidationError(f"--max-len must be >= 0, got {args.max_len}")
+    objs = enumerate_objects(args.max_k)
+    counts = [[count_edges(phi, target) for target in objs] for phi in objs]
+    # ends[s]: the chains of this length from objs[s]; A^length . 1 for A = counts.
+    ends, length = [1] * len(objs), 0
+    # Every object has its identity edge, so longer chains are never fewer: far
+    # past the bound, a lower bound will do and keeps the numbers small.
+    while length < args.max_len and sum(ends) <= CHAINS_MAX_ITEMS**2:
+        ends = [sum(map(mul, row, ends)) for row in counts]
+        length += 1
+    if sum(ends) > CHAINS_MAX_ITEMS:
+        least = "" if length == args.max_len else "at least "
+        raise ValidationError(
+            f"enumerate chains would list {least}{sum(ends)} chains, "
+            f"more than {CHAINS_MAX_ITEMS}"
+        )
     pool = edge_pool(args.max_k)
     chains: list[str] = []
 
@@ -272,8 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_k=args.max_k,
             max_k_prime=args.max_kprime if args.max_kprime is not None else args.max_k,
             max_chain_len=args.max_chain_len,
-            mode="sampled" if args.samples is not None else "exhaustive",
-            samples=args.samples or 0,
+            samples=args.samples,
             seed=args.seed,
         )
         if args.jobs < 1:

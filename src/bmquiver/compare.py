@@ -16,14 +16,13 @@ named only at the API boundary and in the witness of a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
 from .bm import BmChain, BmEdge, BmObject
 from .errors import IllDefinedComponentError, ValidationError
 from .quiverf import (
-    LabelKind,
     QuiverLabel,
     chain_labels,
     edge_pairs,
@@ -42,14 +41,6 @@ from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes
 def _gamma(code: int, ell: int) -> int:
     """The fiber element gamma assigns to label number code of a vertex with this ell."""
     return code // 2 + 1 if code % 2 == 0 and code != 2 * ell else code // 2
-
-
-def gamma_index(label: QuiverLabel, ell: int) -> int:
-    """The fiber element assigned to a generator: x1(i) -> i, x2(j) -> j - 1, xm -> ell."""
-    if label.kind is LabelKind.MID:
-        return _gamma(2 * ell, ell)
-    assert label.index is not None
-    return _gamma(2 * label.index - (2 if label.kind is LabelKind.ONE else 1), ell)
 
 
 def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -84,15 +75,13 @@ class GammaComponent:
     """The comparison on one chain, with the two values it compares.
 
     f is the labeled-set quotient and g the component set of the chain;
-    witness records, per generator, the component class of its image before
-    any quotienting; assignment is the induced map on quotient classes,
-    keyed by canonical representatives.
+    assignment is the induced map on quotient classes, keyed by canonical
+    representatives.
     """
 
     chain: BmChain
     f: QuotientSet
     g: GSet
-    witness: Mapping[QuiverLabel, Vertex]
     assignment: Mapping[QuiverLabel, Vertex]
 
 
@@ -122,77 +111,46 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
         chain,
         QuotientSet.decode(labels, f),
         GSet.decode(sizes, g),
-        {label: vertices[image] for label, image in zip(labels, witness)},
         {labels[rep]: vertices[witness[rep]] for rep in _classes(f)},
     )
-
-
-def gamma_object(phi: BmObject) -> GammaComponent:
-    """The comparison on a vertex chain, where nothing is glued on either side."""
-    return gamma_chain(BmChain.vertex(phi))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one verification instance.
 
-    failures carry one human-readable witness string per broken equation;
-    details holds audit attachments such as the identity trail of every
-    checked pair.
+    failures carry one human-readable witness string per broken equation.
     """
 
     key: str
-    suite: str
     checked: int
     failures: tuple[str, ...] = ()
-    details: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def status(self) -> str:
-        return "fail" if self.failures else "pass"
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "status": self.status,
-            "witnesses": list(self.failures),
-        }
 
-
-def verify_constancy(edge: BmEdge, include_trails: bool = True) -> VerificationReport:
+def verify_constancy(edge: BmEdge) -> VerificationReport:
     """Check that both members of every glued pair land in one component class.
 
-    This is the well-definedness of the comparison on the edge.  With
-    include_trails the report's details carry, for every pair, the chain of
-    identities that the collapse follows.
+    This is the well-definedness of the comparison on the edge.  A failure
+    names the pair with the chain of identities its pairing rule follows.
     """
     chain = BmChain.from_edges([edge])
     sizes, _, witness = _g_side(chain)
     pairs, notes = edge_pairs(edge)
     broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
-    labels = chain_labels(chain) if broken or include_trails else ()
     failures = []
     if broken:
-        vertices = fiber_vertices(sizes)
+        labels, vertices = chain_labels(chain), fiber_vertices(sizes)
         for n in broken:
             a, b = pairs[n]
             failures.append(
                 f"pair ({labels[a]}, {labels[b]}) [{render_note(notes[n])}] has images "
                 f"{vertices[witness[a]]} != {vertices[witness[b]]}"
             )
-    details: dict = {}
-    if include_trails:
-        details["trails"] = [
-            f"({labels[a]}, {labels[b]}): {render_note(note)}"
-            for (a, b), note in zip(pairs, notes)
-        ]
-    return VerificationReport(
-        edge.encode(), "constancy", len(pairs), tuple(failures), details
-    )
+    return VerificationReport(edge.encode(), len(pairs), tuple(failures))
 
 
 def _inclusion_square_failures(
@@ -253,7 +211,7 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
     f = f_classes(chain)
     sizes, g, witness = _g_side(chain)
     failures, checked = _inclusion_square_failures(chain, f, sizes, g, witness)
-    return VerificationReport(chain.encode(), "naturality", checked, tuple(failures))
+    return VerificationReport(chain.encode(), checked, tuple(failures))
 
 
 def verify_decomposition(phi: BmObject) -> VerificationReport:
@@ -310,7 +268,7 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
                     f"segment {i}: {f_object(segment)[local]} maps to position "
                     f"{global_position}, global {f_object(phi)[code]} maps to {image}"
                 )
-    return VerificationReport(phi.encode(), "decomposition", checked, tuple(failures))
+    return VerificationReport(phi.encode(), checked, tuple(failures))
 
 
 def verify_edge_identification(edge: BmEdge) -> VerificationReport:
@@ -327,9 +285,7 @@ def verify_edge_identification(edge: BmEdge) -> VerificationReport:
                 f"(1, {i}) in class {vertices[upper]} but "
                 f"(0, {image}) in class {vertices[lower]}"
             )
-    return VerificationReport(
-        edge.encode(), "identification", len(fmap), tuple(failures)
-    )
+    return VerificationReport(edge.encode(), len(fmap), tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -409,5 +365,5 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
                         f"{on_chain} != {on_vertex}"
                     )
     return VerificationReport(
-        f"{chain.encode()};m={target_size}", "xi", rows * len(f), tuple(failures)
+        f"{chain.encode()};m={target_size}", rows * len(f), tuple(failures)
     )

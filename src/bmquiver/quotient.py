@@ -13,7 +13,7 @@ member of its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -27,18 +27,6 @@ class QuotientSet:
 
     elements: tuple
     blocks: tuple[tuple, ...]
-    _find: dict = field(repr=False, compare=False)
-
-    def find(self, element) -> object:
-        """Canonical representative of the block containing element."""
-        return self._find[element]
-
-    def block_of(self, element) -> tuple:
-        rep = self._find[element]
-        for block in self.blocks:
-            if block[0] == rep:
-                return block
-        raise KeyError(element)
 
     @property
     def representatives(self) -> tuple:
@@ -46,9 +34,6 @@ class QuotientSet:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def same_block(self, a, b) -> bool:
-        return self._find[a] == self._find[b]
 
     @classmethod
     def decode(cls, elements: Sequence, reps: Sequence[int]) -> "QuotientSet":
@@ -61,9 +46,7 @@ class QuotientSet:
         for element, rep in zip(elements, reps):
             groups.setdefault(rep, []).append(element)
         # Each block opens at its least index, so the blocks come in order.
-        blocks = tuple(tuple(group) for group in groups.values())
-        find = {element: elements[rep] for element, rep in zip(elements, reps)}
-        return cls(tuple(elements), blocks, find)
+        return cls(tuple(elements), tuple(tuple(group) for group in groups.values()))
 
 
 def least_representatives(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:

@@ -5,6 +5,7 @@ a seeded generator), runs one check per instance (per fiber signature in
 the exhaustive gluing suite, per distinct draw in sampled mode outside
 gluing) in a single process, and aggregates a report: failures stop
 nothing, they are collected with witnesses so a broken case is localized.
+Every suite but gluing runs from one table of instance sources and checks.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
-from typing import Iterable
+from typing import Callable
 
 from .bm import (
     BmChain,
@@ -42,19 +44,16 @@ from .wfib import FiberSignature, g_chain, gluing_agreement
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Bounds and mode for a verification run."""
+    """Bounds for a verification run; it samples exactly when samples is set."""
 
     max_k: int = 3
     max_k_prime: int = 3
     max_chain_len: int = 2
-    mode: str = "exhaustive"  # or "sampled"
-    samples: int = 0
+    samples: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.samples < 1:
+        if self.samples is not None and self.samples < 1:
             raise ValidationError("sampled mode needs samples >= 1")
         if min(self.max_k, self.max_k_prime) < 0 or self.max_chain_len < 0:
             raise ValidationError("bounds must be >= 0")
@@ -64,9 +63,9 @@ class SweepConfig:
             "maxK": self.max_k,
             "maxKPrime": self.max_k_prime,
             "maxChainLen": self.max_chain_len,
-            "mode": self.mode,
+            "mode": "exhaustive" if self.samples is None else "sampled",
         }
-        if self.mode == "sampled":
+        if self.samples is not None:
             out["samples"] = self.samples
             out["seed"] = self.seed
         return out
@@ -92,27 +91,17 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def add_pass(self, count: int = 1) -> None:
+    def add(self, record: Record, count: int = 1) -> None:
+        """count checked instances with one record; one that did not pass is listed once."""
         self.total += count
-
-    def add_fail(self, key: str, witnesses: list[str], count: int = 1) -> None:
-        """One listed instance standing for count checked instances."""
-        self.total += count
-        self.failed += count
-        self.instances.append({"key": key, "status": "fail", "witnesses": witnesses})
-
-    def add_records(self, records: Iterable[Record]) -> None:
-        """One instance per record; those that did not pass are listed in order."""
-        for record in records:
-            self.total += 1
-            if record is None:
-                continue
-            key, status, witnesses = record
-            self.instances.append({"key": key, "status": status, "witnesses": witnesses})
-            if status == "fail":
-                self.failed += 1
-            else:
-                self.warned += 1
+        if record is None:
+            return
+        key, status, witnesses = record
+        self.instances.append({"key": key, "status": status, "witnesses": witnesses})
+        if status == "fail":
+            self.failed += count
+        else:
+            self.warned += count
 
     def to_dict(self) -> dict:
         return {
@@ -148,7 +137,7 @@ def _objects(config: SweepConfig) -> tuple[list[BmObject], list[int] | None]:
     result at every draw.
     """
     objs = enumerate_objects(config.max_k)
-    if config.mode == "exhaustive":
+    if config.samples is None:
         return objs, None
     rng = random.Random(config.seed)
     return _distinct([rng.choice(objs) for _ in range(config.samples)])
@@ -165,7 +154,7 @@ def _edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
     enumerate_edges.  Each distinct (source, target, index) draw is built
     once with edge_at, in order of first draw.
     """
-    if config.mode == "exhaustive":
+    if config.samples is None:
         return enumerate_all_edges(config.max_k, config.max_k_prime), None
     rng = random.Random(config.seed)
     sources = enumerate_objects(config.max_k)
@@ -181,86 +170,97 @@ def _edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
     return [edge_at(sources[s], targets[t], index) for s, t, index in distinct], order
 
 
-def _record(result: VerificationReport) -> Record:
-    return None if result.passed else (result.key, "fail", list(result.failures))
+def _vertex_chain_failures(phi: BmObject) -> list[str]:
+    """|G| = ell + 1 on the chain of length 0 at phi, whose components are its fiber."""
+    size = len(g_chain(BmChain.vertex(phi)))
+    return [] if size == phi.ell + 1 else [f"|G| = {size}, expected {phi.ell + 1}"]
 
 
-def _cardinality_record(phi: BmObject) -> Record:
+#: The records of one instance that passed.
+_PASS: tuple[Record, ...] = (None,)
+
+
+def _records(result: VerificationReport) -> tuple[Record, ...]:
+    """The records of one verified instance: its one record, None when it passed."""
+    return _PASS if result.passed else ((result.key, "fail", list(result.failures)),)
+
+
+def _cardinality(phi: BmObject) -> tuple[Record, ...]:
+    """|F(phi)| = max(0, 2*ell + beta) and |G(phi)| = ell + 1."""
     expected_f = max(0, 2 * phi.ell + phi.beta)
-    expected_g = phi.ell + 1
     got_f = len(f_object(phi))
-    got_g = len(g_chain(BmChain.vertex(phi)))
-    witnesses = []
-    if got_f != expected_f:
-        witnesses.append(f"|F| = {got_f}, expected {expected_f}")
-    if got_g != expected_g:
-        witnesses.append(f"|G| = {got_g}, expected {expected_g}")
-    return (phi.encode(), "fail", witnesses) if witnesses else None
+    witnesses = [] if got_f == expected_f else [f"|F| = {got_f}, expected {expected_f}"]
+    witnesses += _vertex_chain_failures(phi)
+    return ((phi.encode(), "fail", witnesses),) if witnesses else _PASS
 
 
-def cardinality_suite(config: SweepConfig) -> SuiteReport:
-    """|F(phi)| = max(0, 2*ell + beta) and |G(phi)| = ell + 1 over all objects."""
-    report = SuiteReport("cardinality", config.bounds_dict())
-    objs, order = _objects(config)
-    report.add_records(_replay([_cardinality_record(phi) for phi in objs], order))
-    return report
+def _decomposition(phi: BmObject) -> tuple[Record, ...]:
+    """Segment-decomposition compatibility; objects on [0] have no segments and no record."""
+    return _records(verify_decomposition(phi)) if phi.top else ()
 
 
-def _check_edge(suite: str, edge: BmEdge) -> Record:
-    """One edge check."""
-    if suite == "constancy":
-        result = verify_constancy(edge, include_trails=False)
-    elif suite == "naturality":
-        result = verify_naturality(BmChain.from_edges([edge]))
-    elif suite == "identification":
-        result = verify_edge_identification(edge)
-    elif suite == "audit":
-        audit = j_cardinality_audit(edge)
-        if audit.degenerate or audit.raw_matches:
-            return None
-        message = (
-            f"raw count {audit.raw_count} != formula {audit.formula_count} "
-            f"(effective {audit.effective_count}, "
-            f"midImageTight={audit.mid_image_tight})"
-        )
-        # The closed formula is only binding without a crossing on the target.
-        status = "fail" if edge.phi_prime.beta == 0 else "warn"
-        return edge.encode(), status, [message]
-    else:
-        raise ValidationError(f"unknown edge suite {suite!r}")
-    return _record(result)
+def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
+    """The check, failing an edge on which the pairing rules build an invalid label."""
 
-
-def run_edge_suite(config: SweepConfig, suite: str) -> SuiteReport:
-    """Run an edge-based suite.
-
-    Sampled mode checks each distinct drawn edge once, and lists a failing
-    or warning edge at each of its draws, in draw order; the total counts
-    every draw.  An edge on which the pairing rules build an invalid label
-    fails, with the error as its witness, instead of stopping the sweep.
-    """
-    edges, order = _edges(config)
-    records = []
-    for edge in edges:
+    def checked(edge: BmEdge) -> tuple[Record, ...]:
         try:
-            records.append(_check_edge(suite, edge))
+            return check(edge)
         except PairingConstructionError as exc:
-            records.append((edge.encode(), "fail", [str(exc)]))
-    report = SuiteReport(suite, config.bounds_dict())
-    report.add_records(_replay(records, order))
-    return report
+            return ((edge.encode(), "fail", [str(exc)]),)
+
+    return checked
 
 
-def decomposition_suite(config: SweepConfig) -> SuiteReport:
-    """Segment-decomposition compatibility for every object with k >= 1."""
-    report = SuiteReport("decomposition", config.bounds_dict())
-    objs, order = _objects(config)
-    # Objects on [0] have no segments: they are neither checked nor counted.
-    results = [verify_decomposition(phi) if phi.top else None for phi in objs]
-    report.add_records(
-        _record(result) for result in _replay(results, order) if result is not None
+@_on_edge
+def _constancy(edge: BmEdge) -> tuple[Record, ...]:
+    return _records(verify_constancy(edge))
+
+
+@_on_edge
+def _naturality(edge: BmEdge) -> tuple[Record, ...]:
+    return _records(verify_naturality(BmChain.from_edges([edge])))
+
+
+@_on_edge
+def _identification(edge: BmEdge) -> tuple[Record, ...]:
+    return _records(verify_edge_identification(edge))
+
+
+@_on_edge
+def _audit(edge: BmEdge) -> tuple[Record, ...]:
+    audit = j_cardinality_audit(edge)
+    if audit.degenerate or audit.raw_matches:
+        return _PASS
+    message = (
+        f"raw count {audit.raw_count} != formula {audit.formula_count} "
+        f"(effective {audit.effective_count}, midImageTight={audit.mid_image_tight})"
     )
-    return report
+    # The closed formula is only binding without a crossing on the target.
+    status = "fail" if edge.phi_prime.beta == 0 else "warn"
+    return ((edge.encode(), status, [message]),)
+
+
+def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
+    """On the chain of one object or edge, one record per target size.
+
+    An ill-defined gamma fails with the error.
+    """
+    if isinstance(instance, BmObject):
+        chain = BmChain.vertex(instance)
+    else:
+        chain = BmChain.from_edges([instance])
+    records: list[Record] = []
+    for m in range(max_target_size + 1):
+        try:
+            records += _records(xi_restriction_commutes(chain, m))
+        except IllDefinedComponentError as exc:
+            records.append((f"{chain.encode()};m={m}", "fail", [str(exc)]))
+    return records
+
+
+def _xi_edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
+    """The edges of the xi suite: none unless chains of length 1 are in range."""
+    return _edges(config) if config.max_chain_len else ([], None)
 
 
 class _ChainCounts:
@@ -322,11 +322,8 @@ class _ChainCounts:
 
 def _check_vertex(report: SuiteReport, base: BmObject) -> None:
     """A chain of length 0: its components are in bijection with the base fiber."""
-    size = len(g_chain(BmChain.vertex(base)))
-    if size == base.ell + 1:
-        report.add_pass()
-    else:
-        report.add_fail(base.encode(), [f"|G| = {size}, expected {base.ell + 1}"])
+    witnesses = _vertex_chain_failures(base)
+    report.add((base.encode(), "fail", witnesses) if witnesses else None)
 
 
 def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
@@ -368,13 +365,11 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
             steps.append((current, target, index))
             current = target
         if gluing_agreement((tuple(sizes), tuple(maps))):
-            report.add_pass()
+            report.add(None)
         else:
             edges = [edge_at(objs[s], objs[t], index) for s, t, index in steps]
-            report.add_fail(
-                BmChain.from_edges(edges).encode(),
-                [f"gluing disagrees with direct components (fiber sizes {tuple(sizes)})"],
-            )
+            message = f"gluing disagrees with direct components (fiber sizes {tuple(sizes)})"
+            report.add((BmChain.from_edges(edges).encode(), "fail", [message]))
 
 
 def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
@@ -394,16 +389,14 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
             for fmap in fiber_maps[z][last]:
                 signature = (child_sizes, maps + (fmap,))
                 if gluing_agreement(signature):
-                    report.add_pass(chains)
+                    report.add(None, chains)
                 else:
-                    report.add_fail(
-                        counts.representative(signature).encode(),
-                        [
-                            "gluing disagrees with direct components (fiber sizes "
-                            f"{child_sizes}; {chains} chains share this signature)"
-                        ],
-                        chains,
+                    message = (
+                        "gluing disagrees with direct components (fiber sizes "
+                        f"{child_sizes}; {chains} chains share this signature)"
                     )
+                    key = counts.representative(signature).encode()
+                    report.add((key, "fail", [message]), chains)
                 if depth < config.max_chain_len:
                     visit(child_sizes, signature[1], child_weights, depth + 1)
 
@@ -427,44 +420,26 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     Sampled mode checks each drawn chain.
     """
     report = SuiteReport("gluing", config.bounds_dict())
-    if config.mode == "sampled":
-        _sampled_gluing(report, config)
-    else:
+    if config.samples is None:
         _exhaustive_gluing(report, config)
+    else:
+        _sampled_gluing(report, config)
     return report
 
 
-def _xi_records(chain: BmChain, max_target_size: int) -> list[Record]:
-    """One record per target size; an ill-defined gamma fails with the error."""
-    records = []
-    for m in range(max_target_size + 1):
-        try:
-            records.append(_record(xi_restriction_commutes(chain, m)))
-        except IllDefinedComponentError as exc:
-            records.append((f"{chain.encode()};m={m}", "fail", [str(exc)]))
-    return records
-
-
-def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
-    """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound.
-
-    An instance on which gamma is not well-defined fails, with the error as
-    its witness, instead of stopping the sweep.  Sampled mode checks each
-    distinct drawn vertex and edge once and replays its records per draw.
-    """
-    report = SuiteReport("xi", config.bounds_dict())
-    objs, order = _objects(config)
-    batches = [([BmChain.vertex(phi) for phi in objs], order)]
-    if config.max_chain_len >= 1:
-        edges, order = _edges(config)
-        batches.append(([BmChain.from_edges([e]) for e in edges], order))
-    for chains, order in batches:
-        per_chain = [_xi_records(chain, max_target_size) for chain in chains]
-        for records in _replay(per_chain, order):
-            report.add_records(records)
-    return report
-
-
+#: Per suite: the sources of its instances, each giving them with their draw
+#: order (see _replay), and the check of one instance, which gives its
+#: records.  The checks call the verifiers by their module names, so a
+#: verifier rebound on this module is the one that runs.
+_SUITES: dict[str, tuple[tuple[Callable, ...], Callable]] = {
+    "cardinality": ((_objects,), _cardinality),
+    "constancy": ((_edges,), _constancy),
+    "naturality": ((_edges,), _naturality),
+    "decomposition": ((_objects,), _decomposition),
+    "identification": ((_edges,), _identification),
+    "audit": ((_edges,), _audit),
+    "xi": ((_objects, _xi_edges), _xi),
+}
 SUITE_NAMES = (
     "cardinality",
     "constancy",
@@ -478,22 +453,42 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
+def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> SuiteReport:
+    """Check every instance of every source once, and replay the records per draw."""
+    report = SuiteReport(name, config.bounds_dict())
+    for source in sources:
+        instances, order = source(config)
+        results = [check(instance) for instance in instances]
+        for records in _replay(results, order):
+            for record in records:
+                report.add(record)
+    return report
+
+
+def run_suite(config: SweepConfig, name: str) -> SuiteReport:
+    """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES.
+
+    Sampled mode checks each distinct drawn object or edge once, and lists
+    a failing or warning instance at each of its draws, in draw order; the
+    total counts every draw.  An edge on which the pairing rules build an
+    invalid label, or an xi instance on which gamma is not well-defined,
+    fails with the error as its witness instead of stopping the sweep.
+    """
+    if name == "gluing":
+        return gluing_suite(config)
+    return _sweep(config, name, *_SUITES[name])
+
+
+def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
+    """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound."""
+    sources, _ = _SUITES["xi"]
+    return _sweep(config, "xi", sources, partial(_xi, max_target_size=max_target_size))
+
+
 def run_suites(config: SweepConfig, suites: list[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (default: the battery of SUITE_NAMES) in the order given."""
     names = suites if suites is not None else list(SUITE_NAMES)
     unknown = [n for n in names if n not in SUITE_NAMES + EXTRA_SUITE_NAMES]
     if unknown:
         raise ValidationError(f"unknown suites {unknown}")
-    reports = []
-    for name in names:
-        if name == "cardinality":
-            reports.append(cardinality_suite(config))
-        elif name == "decomposition":
-            reports.append(decomposition_suite(config))
-        elif name == "gluing":
-            reports.append(gluing_suite(config))
-        elif name == "xi":
-            reports.append(xi_suite(config, max_target_size=3))
-        else:
-            reports.append(run_edge_suite(config, name))
-    return reports
+    return [run_suite(config, name) for name in names]

@@ -208,18 +208,3 @@ def g_chain(chain: BmChain) -> GSet:
     sizes, maps = chain_signature(chain)
     return GSet.decode(sizes, g_classes(sizes, maps))
 
-
-def g_glued(chain: BmChain) -> GSet:
-    """The same value computed edgewise and glued over shared fibers.
-
-    Defined for chains with at least one edge.  The result is presented as
-    a partition of the same vertex set as g_chain, so agreement of the two
-    routes is equality of classes and vertex maps.
-    """
-    if chain.length < 1:
-        raise ValidationError("gluing needs a chain with at least one edge")
-    sizes, maps = chain_signature(chain)
-    first: dict[int, int] = {}
-    labels = _glued_classes(sizes, maps)
-    reps = [first.setdefault(label, v) for v, label in enumerate(labels)]
-    return GSet.decode(sizes, reps)

@@ -20,7 +20,7 @@ from bmquiver import (
     j_cardinality_audit,
 )
 from bmquiver.cli import main
-from bmquiver.sweeps import SweepConfig, gluing_suite, run_edge_suite, xi_suite
+from bmquiver.sweeps import SweepConfig, gluing_suite, run_suite, xi_suite
 
 OBJ = BmObject.parse
 
@@ -51,7 +51,7 @@ def test_criterion_01_cardinality_laws():
 def test_criterion_02_constancy_exhaustive():
     start = time.perf_counter()
     config = SweepConfig(max_k=5, max_k_prime=5)
-    report = run_edge_suite(config, "constancy")
+    report = run_suite(config, "constancy")
     elapsed = time.perf_counter() - start
     ok = report.failed == 0 and report.total == 10697 and elapsed < 10.0
     record(
@@ -64,7 +64,7 @@ def test_criterion_02_constancy_exhaustive():
 
 def test_criterion_03_naturality_exhaustive():
     config = SweepConfig(max_k=5, max_k_prime=5)
-    report = run_edge_suite(config, "naturality")
+    report = run_suite(config, "naturality")
     ok = report.failed == 0 and report.total == 10697
     record(
         3,
@@ -111,7 +111,7 @@ def test_criterion_06_regression_pins():
 
 def test_criterion_07_pair_count_audit():
     config = SweepConfig(max_k=5, max_k_prime=5)
-    report = run_edge_suite(config, "audit")
+    report = run_suite(config, "audit")
     # pass gate: the count identity holds without exception when beta' = 0
     ok = report.failed == 0 and report.total == 10697
     # every mismatch is logged as a warning carrying its instance encoding
@@ -133,7 +133,7 @@ def test_criterion_07_pair_count_audit():
 
 def test_criterion_08_edge_identification():
     config = SweepConfig(max_k=5, max_k_prime=5)
-    report = run_edge_suite(config, "identification")
+    report = run_suite(config, "identification")
     ok = report.failed == 0 and report.total == 10697
     record(
         8,

@@ -110,6 +110,20 @@ def test_enumerate_chains(capsys):
     assert out.startswith("chains: 19")  # one per edge between the 5 objects
 
 
+def test_enumerate_chains_counts_before_listing(capsys):
+    code, out = run(
+        capsys, "enumerate", "chains", "--max-k", "2", "--max-len", "3", "--format", "json"
+    )
+    assert code == EXIT_PASS and json.loads(out)["count"] == 18097
+    assert main(["enumerate", "chains", "--max-k", "3", "--max-len", "4"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: enumerate chains would list 50122194 chains, more than 100000\n"
+    )
+    # Past 100,000 ** 2 chains the count stops at a lower bound, whatever the length.
+    assert main(["enumerate", "chains", "--max-k", "3", "--max-len", "10000000"]) == EXIT_USAGE
+    assert "would list at least " in capsys.readouterr().err
+
+
 def test_enumerate_chains_rejects_negative_length(capsys):
     assert main(["enumerate", "chains", "--max-len", "-1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --max-len must be >= 0, got -1\n"

@@ -408,7 +408,7 @@ class TestLabelOracle:
             fq = f_chain(chain)
             assert fq.elements == tuple(elements)
             assert fq.blocks == union_find_blocks(elements, pairs)
-            assert all(fq.find(e) == min(fq.block_of(e)) for e in elements)
+            assert all(block[0] == min(block) for block in fq.blocks)
             count += 1
         assert count == 2421 + 1401  # edges with k, k' <= 4; two-edge chains, k <= 2
 

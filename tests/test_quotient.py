@@ -68,17 +68,8 @@ def union_find_blocks(elements, pairs) -> tuple[tuple, ...]:
 def test_basic_quotient():
     q = QuotientSet.decode(range(5), least_representatives(5, [(0, 3), (3, 4)]))
     assert q.blocks == ((0, 3, 4), (1,), (2,))
-    assert q.find(4) == 0 and q.find(1) == 1
-    assert q.same_block(0, 4) and not q.same_block(0, 2)
     assert q.representatives == (0, 1, 2)
     assert len(q) == 3
-    assert q.block_of(3) == (0, 3, 4)
-
-
-def test_find_is_idempotent():
-    q = QuotientSet.decode("abcd", least_representatives(4, [(0, 2)]))
-    for element in "abcd":
-        assert q.find(q.find(element)) == q.find(element)
 
 
 @given(

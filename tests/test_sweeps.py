@@ -115,7 +115,7 @@ def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
 def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_prime):
     for seed in range(20):
         config = SweepConfig(
-            max_k=max_k, max_k_prime=max_k_prime, mode="sampled", samples=40, seed=seed
+            max_k=max_k, max_k_prime=max_k_prime, samples=40, seed=seed
         )
         edges, order = sweeps._edges(config)
         assert len(set(edges)) == len(edges)
@@ -152,7 +152,7 @@ def test_sampled_gluing_draws_by_index_match_choosing_from_edge_pools(monkeypatc
     monkeypatch.setattr(sweeps, "g_chain", lambda chain: [None] * (chain.base.ell + 2))
     for seed in range(20):
         checked.clear()
-        config = SweepConfig(max_k=max_k, max_chain_len=4, mode="sampled", samples=40, seed=seed)
+        config = SweepConfig(max_k=max_k, max_chain_len=4, samples=40, seed=seed)
         chains = choose_gluing_chains(config)
         report = gluing_suite(config)
         assert [inst["key"] for inst in report.instances] == [c.encode() for c in chains]
@@ -223,7 +223,7 @@ def edge_record(suite: str, edge: BmEdge):
             )
             return edge.encode(), "warn" if edge.phi_prime.beta else "fail", [message]
         if suite == "constancy":
-            result = compare.verify_constancy(edge, include_trails=False)
+            result = compare.verify_constancy(edge)
         elif suite == "naturality":
             result = compare.verify_naturality(BmChain.from_edges([edge]))
         else:
@@ -278,7 +278,7 @@ def test_sampled_suites_match_checking_every_draw(monkeypatch, mutant):
     repeated_failures = 0
     for seed in range(10):
         config = SweepConfig(
-            max_k=2, max_k_prime=2, max_chain_len=3, mode="sampled", samples=60, seed=seed
+            max_k=2, max_k_prime=2, max_chain_len=3, samples=60, seed=seed
         )
         for suite in SUITE_NAMES + EXTRA_SUITE_NAMES:
             records = per_draw_records(config, suite)
@@ -425,3 +425,36 @@ def test_dropped_pairing_rule_fails_the_audit(monkeypatch):
         edge = BmEdge.parse(instance["key"])
         assert edge.phi_prime.beta == 0
         assert instance["witnesses"][0].startswith("raw count ")
+
+
+CHECKS = (
+    "verify_constancy",
+    "verify_naturality",
+    "verify_edge_identification",
+    "j_cardinality_audit",
+    "xi_restriction_commutes",
+    "verify_decomposition",
+)
+
+
+def test_suites_call_the_checks_by_their_module_names(monkeypatch):
+    """A check rebound on sweeps is the one every suite runs.
+
+    A tracer that rebinds module attributes sees every call only if no
+    suite holds the function object itself.
+    """
+    calls = dict.fromkeys(CHECKS, 0)
+    for name in CHECKS:
+
+        def counted(*args, name=name, check=getattr(sweeps, name)):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(sweeps, name, counted)
+    sweeps.run_suites(SMALL, list(SUITE_NAMES + EXTRA_SUITE_NAMES))
+    sweeps.xi_suite(SMALL, max_target_size=3)
+    assert calls == {
+        **dict.fromkeys(CHECKS[:4], 109),
+        "xi_restriction_commutes": 2 * (9 + 109) * 4,
+        "verify_decomposition": 7,  # the 9 objects on [k <= 2] but the 2 on [0]
+    }
