@@ -15,7 +15,6 @@ from .bm import (
     enumerate_edges,
     enumerate_objects,
     identity_edge,
-    named_object,
     segment_decompose,
 )
 from .compare import (
@@ -38,7 +37,6 @@ from .errors import (
     LabelRangeError,
     PairingConstructionError,
     ParseError,
-    UnknownNameError,
     UnresolvableLabelError,
     ValidationError,
 )
@@ -55,7 +53,7 @@ from .quiverf import (
     resolve_label,
 )
 from .quotient import QuotientSet
-from .simplex import DeltaMap, compose, count_maps, enumerate_maps, identity
+from .simplex import DeltaMap, compose, identity
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
 from .wfib import GSet, chain_signature, g_chain, gluing_agreement
 

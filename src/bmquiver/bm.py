@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateDecompositionError,
     ParseError,
-    UnknownNameError,
     ValidationError,
 )
 from .simplex import DeltaMap, count_monotone, identity, monotone_tuples
@@ -53,9 +52,6 @@ class BmObject:
         """1 when the values cross from 0 to 1, else 0."""
         return 1 if (0 in self.values and 1 in self.values) else 0
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def encode(self) -> str:
         return "".join(str(v) for v in self.values)
 
@@ -71,25 +67,6 @@ class BmObject:
 
     def __str__(self) -> str:
         return self.encode()
-
-
-#: Distinguished objects: the two constant maps on [1] and the identity.
-_NAMED = {
-    "a": (0, 0),
-    "b": (1, 1),
-    "m": (0, 1),
-    "\U0001d51e": (0, 0),  # 𝔞
-    "\U0001d51f": (1, 1),  # 𝔟
-    "\U0001d52a": (0, 1),  # 𝔪
-}
-
-
-def named_object(name: str) -> BmObject:
-    """The distinguished object a ("00"), b ("11"), or m ("01")."""
-    try:
-        return BmObject(_NAMED[name])
-    except KeyError:
-        raise UnknownNameError(f"unknown object name {name!r}") from None
 
 
 _EDGE_KEYS = frozenset({"phi", "phiPrime", "map"})
@@ -297,20 +274,6 @@ def enumerate_all_edges(k_max: int, k_prime_max: int) -> list[BmEdge]:
         for phi_prime in targets:
             out.extend(enumerate_edges(phi, phi_prime))
     return out
-
-
-def edge_pool(k_max: int) -> dict[BmObject, list[BmEdge]]:
-    """Every edge between objects on [k <= k_max], grouped by source object.
-
-    Keys follow enumerate_objects; each list runs over targets in the same
-    order, then over maps.  `bmquiver enumerate chains` lists chains in this
-    order.
-    """
-    objs = enumerate_objects(k_max)
-    return {
-        phi: [edge for phi_prime in objs for edge in enumerate_edges(phi, phi_prime)]
-        for phi in objs
-    }
 
 
 def segment_decompose(phi: BmObject) -> list[BmObject]:

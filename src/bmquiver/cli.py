@@ -14,7 +14,7 @@ import sys
 from operator import mul
 from typing import Sequence
 
-from .bm import BmChain, BmObject, count_edges, edge_pool, enumerate_edges, enumerate_objects
+from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objects
 from .compare import gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import f_chain, j_cardinality_audit, pairing_set
@@ -168,37 +168,45 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     # chains: breadth bounded by --max-k, length exactly --max-len
     if args.max_len < 0:
         raise ValidationError(f"--max-len must be >= 0, got {args.max_len}")
+    # Every object has its identity edge, so each chain extends to a distinct
+    # longer one: the objects, in closed form, and then the edges, one source
+    # at a time, bound the count from below before anything larger is built.
+    _check_chain_count(max(args.max_k + 1, 0) * (args.max_k + 4) // 2, not args.max_len)
     objs = enumerate_objects(args.max_k)
-    counts = [[count_edges(phi, target) for target in objs] for phi in objs]
+    if not args.max_len:
+        return {"kind": "chains", "count": len(objs), "items": [phi.encode() for phi in objs]}
+    counts, edges = [], 0
+    for phi in objs:
+        counts.append([count_edges(phi, target) for target in objs])
+        edges += sum(counts[-1])
+        _check_chain_count(edges, args.max_len == 1 and len(counts) == len(objs))
     # ends[s]: the chains of this length from objs[s]; A^length . 1 for A = counts.
     ends, length = [1] * len(objs), 0
-    # Every object has its identity edge, so longer chains are never fewer: far
-    # past the bound, a lower bound will do and keeps the numbers small.
+    # Far past the bound, a lower bound will do and keeps the numbers small.
     while length < args.max_len and sum(ends) <= CHAINS_MAX_ITEMS**2:
         ends = [sum(map(mul, row, ends)) for row in counts]
         length += 1
-    if sum(ends) > CHAINS_MAX_ITEMS:
-        least = "" if length == args.max_len else "at least "
+    _check_chain_count(sum(ends), length == args.max_len)
+    # leaving[s]: (target index, key) of each edge from objs[s], in edge order.
+    leaving = [
+        [(t, e.encode()) for t, target in enumerate(objs) for e in enumerate_edges(phi, target)]
+        for phi in objs
+    ]
+    chains = [(s, ()) for s in range(len(objs))]
+    for _ in range(args.max_len):
+        chains = [(t, keys + (key,)) for s, keys in chains for t, key in leaving[s]]
+    items = ["|".join(keys) for _, keys in chains]
+    return {"kind": "chains", "count": len(items), "items": items}
+
+
+def _check_chain_count(count: int, exact: bool) -> None:
+    """Exit 2, naming the count, when enumerate chains would list too many."""
+    if count > CHAINS_MAX_ITEMS:
+        least = "" if exact else "at least "
         raise ValidationError(
-            f"enumerate chains would list {least}{sum(ends)} chains, "
+            f"enumerate chains would list {least}{count} chains, "
             f"more than {CHAINS_MAX_ITEMS}"
         )
-    pool = edge_pool(args.max_k)
-    chains: list[str] = []
-
-    def extend(prefix, tail, remaining):
-        if remaining == 0:
-            chain = (
-                BmChain.from_edges(list(prefix)) if prefix else BmChain.vertex(tail)
-            )
-            chains.append(chain.encode())
-            return
-        for edge in pool[tail]:
-            extend(prefix + (edge,), edge.phi_prime, remaining - 1)
-
-    for phi in pool:
-        extend((), phi, args.max_len)
-    return {"kind": "chains", "count": len(chains), "items": chains}
 
 
 def _render_listing(payload: dict, fmt: str) -> str:

@@ -79,7 +79,6 @@ class GammaComponent:
     representatives.
     """
 
-    chain: BmChain
     f: QuotientSet
     g: GSet
     assignment: Mapping[QuiverLabel, Vertex]
@@ -108,7 +107,6 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
     labels = chain_labels(chain)
     vertices = fiber_vertices(sizes)
     return GammaComponent(
-        chain,
         QuotientSet.decode(labels, f),
         GSet.decode(sizes, g),
         {labels[rep]: vertices[witness[rep]] for rep in _classes(f)},
@@ -298,8 +296,6 @@ class XiTable:
     f_representatives).
     """
 
-    chain: BmChain
-    target_size: int
     g_representatives: tuple[Vertex, ...]
     f_representatives: tuple[QuiverLabel, ...]
     entries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -327,7 +323,7 @@ def xi_component(chain: BmChain, target_size: int) -> XiTable:
     for values in product(range(target_size), repeat=len(g_reps)):
         induced = tuple(values[g_pos[gamma.assignment[rep]]] for rep in f_reps)
         entries.append((values, induced))
-    return XiTable(chain, target_size, g_reps, f_reps, tuple(entries))
+    return XiTable(g_reps, f_reps, tuple(entries))
 
 
 def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationReport:

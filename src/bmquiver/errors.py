@@ -17,10 +17,6 @@ class CompositionError(BmQuiverError):
     """Composition of maps whose endpoints do not match."""
 
 
-class UnknownNameError(BmQuiverError):
-    """Unknown distinguished-object name."""
-
-
 class DegenerateDecompositionError(BmQuiverError):
     """Segment decomposition requested for a one-point object."""
 

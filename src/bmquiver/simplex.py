@@ -39,9 +39,6 @@ class DeltaMap:
                 raise ValidationError(f"images {self.images} not monotone")
             prev = v
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     @property
     def is_identity(self) -> bool:
         return self.source_top == self.target_top and all(
@@ -103,16 +100,3 @@ def count_monotone(n: int, m: int) -> int:
     """
     return comb(n + m - 1, n) if m else int(n == 0)
 
-
-def enumerate_maps(k_prime: int, k: int) -> list[DeltaMap]:
-    """All monotone maps [k'] -> [k], in lexicographic order of image tuples."""
-    if k_prime < 0 or k < 0:
-        raise ValidationError("ordinal tops must be >= 0")
-    return [
-        DeltaMap(k_prime, k, images) for images in monotone_tuples(k_prime + 1, 0, k + 1)
-    ]
-
-
-def count_maps(k_prime: int, k: int) -> int:
-    """Number of monotone maps [k'] -> [k]: C(k + k' + 1, k' + 1)."""
-    return count_monotone(k_prime + 1, k + 1)

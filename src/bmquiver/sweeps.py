@@ -331,12 +331,12 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
 
     A draw picks a length and a base object, then each next edge by its
     index among the edges leaving the current object: targets in
-    enumerate_objects order, then maps in edge order, the order of
-    edge_pool.  Drawing an index below n takes the same generator step as
-    choosing from a list of n, so the chains are those of choosing from
-    edge_pool.  Cumulative edge counts give an index's target, and its
-    0-part index its fiber map; only a failing chain's edges are built, for
-    its key.
+    enumerate_objects order, then maps in edge order, the order in which
+    `bmquiver enumerate chains` lists them.  Drawing an index below n takes
+    the same generator step as choosing from a list of n, so the chains are
+    those of choosing from that list.  Cumulative edge counts give an
+    index's target, and its 0-part index its fiber map; only a failing
+    chain's edges are built, for its key.
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)

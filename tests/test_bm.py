@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,16 +12,13 @@ from bmquiver import (
     DegenerateDecompositionError,
     DeltaMap,
     ParseError,
-    UnknownNameError,
     ValidationError,
     enumerate_edges,
     enumerate_objects,
     identity_edge,
-    named_object,
     segment_decompose,
 )
 from bmquiver.bm import count_edges, edge_at
-from bmquiver.simplex import enumerate_maps
 
 OBJ = BmObject.parse
 
@@ -61,16 +60,6 @@ def test_crossing_count(text, expected):
     assert OBJ(text).beta == expected
 
 
-def test_named_objects():
-    assert named_object("a").encode() == "00"
-    assert named_object("b").encode() == "11"
-    assert named_object("m").encode() == "01"
-    assert named_object("\U0001d52a") == named_object("m")
-    assert named_object("m").beta == 1
-    with pytest.raises(UnknownNameError):
-        named_object("q")
-
-
 def test_enumerate_objects_small():
     assert [o.encode() for o in enumerate_objects(0)] == ["0", "1"]
     assert [o.encode() for o in enumerate_objects(1)] == [
@@ -107,9 +96,9 @@ def test_enumerate_edges_examples():
 def filtered_edges(phi, phi_prime):
     """Every map [k'] -> [k] that lies over [1], in map order."""
     return [
-        BmEdge(phi, phi_prime, delta)
-        for delta in enumerate_maps(phi_prime.top, phi.top)
-        if [phi.values[v] for v in delta.images] == list(phi_prime.values)
+        BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, images))
+        for images in combinations_with_replacement(range(phi.top + 1), phi_prime.top + 1)
+        if [phi.values[v] for v in images] == list(phi_prime.values)
     ]
 
 

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bmquiver.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
-from bmquiver.sweeps import SUITE_NAMES, SweepConfig, xi_suite
+from bmquiver.sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, xi_suite
+from test_sweeps import concrete_chains
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -115,6 +120,9 @@ def test_enumerate_chains_counts_before_listing(capsys):
         capsys, "enumerate", "chains", "--max-k", "2", "--max-len", "3", "--format", "json"
     )
     assert code == EXIT_PASS and json.loads(out)["count"] == 18097
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b73c5bbb95ebd3026209e4ab5e1d0d34d38680a100dc3ca820682bc2a2b1fe15"
+    )
     assert main(["enumerate", "chains", "--max-k", "3", "--max-len", "4"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: enumerate chains would list 50122194 chains, more than 100000\n"
@@ -127,6 +135,88 @@ def test_enumerate_chains_counts_before_listing(capsys):
 def test_enumerate_chains_rejects_negative_length(capsys):
     assert main(["enumerate", "chains", "--max-len", "-1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --max-len must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("max_k,max_len", [(2, 2), (1, 4)])
+def test_enumerate_chains_lists_in_edge_order(capsys, max_k, max_len):
+    """Every chain of the length, first edges outermost, each edge in the
+    order of the edges leaving its source."""
+    code, out = run(
+        capsys, "enumerate", "chains", "--max-k", str(max_k), "--max-len", str(max_len),
+        "--format", "json",
+    )
+    expected = [c.encode() for c in concrete_chains(max_k, max_len) if c.length == max_len]
+    assert code == EXIT_PASS and json.loads(out)["items"] == expected
+
+
+@pytest.mark.parametrize(
+    "max_k,max_len,code,count",
+    [("0", "2000", EXIT_PASS, 2), ("12", "0", EXIT_PASS, 104), ("100", "1", EXIT_USAGE, None)],
+)
+def test_enumerate_chains_bounds_before_building(capsys, max_k, max_len, code, count):
+    """Long chains list without recursion; objects and edges are counted,
+    not built, before the bound."""
+    start = perf_counter()
+    assert main(["enumerate", "chains", "--max-k", max_k, "--max-len", max_len]) == code
+    assert perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    if count is None:
+        assert err.startswith("error: enumerate chains would list at least ")
+    else:
+        assert out.startswith(f"chains: {count}\n")
+        assert len(out.splitlines()) == count + 1
+
+
+ENCODINGS = st.one_of(
+    st.sampled_from(
+        [
+            "0", "01", "0011", "01@2", "01@x", "0001@", "01@-1", "phi=001;phiPrime=01;map=1,2",
+            "phi=01;phiPrime=01;map=0,1", "phi=0;phiPrime=0;map=0|phi=0;phiPrime=0;map=0",
+            "phi=01;phiPrime=0;map=9", "phi=0;phiPrime=0;map=0|", "phi=0;map=0",
+        ]
+    ),
+    st.text(alphabet="01,;=|@-xphiPrmap", max_size=40),
+)
+SMALL = st.integers(-2, 3).map(str) | st.sampled_from(["x", "", "1.5"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for eval, enumerate and verify: garbage encodings, small bounds."""
+    command = draw(st.sampled_from(["eval", "enumerate", "verify"]))
+    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+    if command == "eval":
+        entity = draw(st.sampled_from(["F", "G", "gamma", "pairs", "audit", "xi", "H"]))
+        return ["eval", entity, draw(ENCODINGS), *fmt]
+    if command == "enumerate":
+        kind = draw(st.sampled_from(["objects", "edges", "chains", "chains", "maps"]))
+        max_k = draw(st.just("0") | SMALL)
+        # Only the two objects on [0] have one edge each, so long chains stay
+        # few; half of these lengths are long.
+        long = st.integers(0, 3000) | st.integers(1000, 3000)
+        length = draw(long if max_k == "0" else SMALL)
+        extra = draw(st.sampled_from([[], ["--phi"], ["--phi-prime"], ["--phi", "--phi-prime"]]))
+        options = [item for flag in extra for item in (flag, draw(ENCODINGS))]
+        return ["enumerate", kind, "--max-k", max_k, "--max-len", str(length), *options, *fmt]
+    argv = ["verify", "--max-k", draw(st.integers(-1, 2).map(str) | st.just("x"))]
+    argv += ["--max-chain-len", draw(st.integers(-1, 3).map(str))]
+    if draw(st.booleans()):
+        argv += ["--max-kprime", draw(SMALL)]
+    if draw(st.booleans()):
+        argv += ["--samples", draw(st.integers(-1, 30).map(str)), "--seed", draw(SMALL)]
+    if draw(st.booleans()):
+        names = list(SUITE_NAMES + EXTRA_SUITE_NAMES) + ["bogus"]
+        argv += ["--suites", *draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))]
+    return [*argv, *fmt]
+
+
+@settings(max_examples=60, deadline=None)
+@example(["enumerate", "chains", "--max-k", "0", "--max-len", "2000"])
+@given(cli_argvs())
+def test_fuzzed_argv_exits_without_raising(argv):
+    """Whatever the argv, main returns an exit code: it never raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

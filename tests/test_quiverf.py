@@ -22,9 +22,9 @@ from bmquiver import (
     pairing_set,
     resolve_label,
 )
-from bmquiver.bm import edge_pool
 from bmquiver.quiverf import f_classes, label_offsets, mid, one, two
 from test_quotient import union_find_blocks
+from test_sweeps import edge_pool
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse

@@ -11,8 +11,6 @@ from bmquiver import (
     ParseError,
     ValidationError,
     compose,
-    count_maps,
-    enumerate_maps,
     identity,
 )
 from bmquiver.simplex import count_monotone, monotone_tuples
@@ -60,9 +58,9 @@ def test_compose_size_mismatch():
 
 
 def test_enumeration_counts_and_order():
-    assert [m.images for m in enumerate_maps(0, 0)] == [(0,)]
-    assert [m.images for m in enumerate_maps(1, 1)] == [(0, 0), (0, 1), (1, 1)]
-    assert len(enumerate_maps(1, 2)) == 6 == count_maps(1, 2)
+    assert monotone_tuples(1, 0, 1) == ((0,),)
+    assert monotone_tuples(2, 0, 2) == ((0, 0), (0, 1), (1, 1))
+    assert len(monotone_tuples(2, 0, 3)) == 6 == count_monotone(2, 3)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -79,15 +77,20 @@ def test_monotone_tuples_and_their_count(n, lo, hi):
 @pytest.mark.parametrize("k_prime", range(4))
 @pytest.mark.parametrize("k", range(4))
 def test_enumeration_matches_brute_force(k_prime, k):
-    maps = enumerate_maps(k_prime, k)
-    assert [m.images for m in maps] == brute_force_maps(k_prime, k)
-    assert len(maps) == count_maps(k_prime, k)
+    """The maps [k'] -> [k], as monotone_tuples builds them for fiber parts."""
+    maps = monotone_tuples(k_prime + 1, 0, k + 1)
+    assert list(maps) == brute_force_maps(k_prime, k)
+    assert len(maps) == count_monotone(k_prime + 1, k + 1)
     assert len(set(maps)) == len(maps)
 
 
 def test_compose_associative_and_unital_exhaustively():
     tops = range(4)
-    pool = {(a, b): enumerate_maps(a, b) for a in tops for b in tops}
+    pool = {
+        (a, b): [DeltaMap(a, b, images) for images in brute_force_maps(a, b)]
+        for a in tops
+        for b in tops
+    }
     for a, b in product(tops, repeat=2):
         for f in pool[(a, b)]:
             assert compose(identity(b), f) == f
@@ -108,8 +111,8 @@ def test_compose_is_pointwise_and_monotone(f, data):
             compose(g, f)
         return
     h = compose(g, f)
-    assert h.images == tuple(g(f(i)) for i in range(f.source_top + 1))
-    assert all(h(i) <= h(i + 1) for i in range(h.source_top))
+    assert h.images == tuple(g.images[v] for v in f.images)
+    assert list(h.images) == sorted(h.images)
 
 
 def test_validation_rejects_bad_maps():

@@ -13,19 +13,26 @@ import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
 from bmquiver import compare, quiverf, sweeps
-from bmquiver.bm import BmEdge, edge_pool, enumerate_objects
+from bmquiver.bm import BmEdge, enumerate_edges, enumerate_objects
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
 from bmquiver.cli import EXIT_PASS, main
-from bmquiver.simplex import enumerate_maps
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
     SUITE_NAMES,
     SweepConfig,
     gluing_suite,
 )
+from test_bm import filtered_edges
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
+
+
+def edge_pool(max_k: int) -> dict:
+    """Every edge between objects on [k <= max_k], by source object: targets
+    in enumerate_objects order, then maps in edge order."""
+    objs = enumerate_objects(max_k)
+    return {phi: [e for target in objs for e in enumerate_edges(phi, target)] for phi in objs}
 
 
 def concrete_chains(max_k: int, max_len: int):
@@ -101,11 +108,7 @@ def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
     while len(out) < config.samples:
         phi = rng.choice(sources)
         phi_prime = rng.choice(targets)
-        candidates = [
-            BmEdge(phi, phi_prime, delta)
-            for delta in enumerate_maps(phi_prime.top, phi.top)
-            if [phi.values[v] for v in delta.images] == list(phi_prime.values)
-        ]
+        candidates = filtered_edges(phi, phi_prime)
         if candidates:
             out.append(rng.choice(candidates))
     return out
