@@ -14,7 +14,6 @@ from .bm import (
     enumerate_all_edges,
     enumerate_edges,
     enumerate_objects,
-    identity_edge,
     segment_decompose,
 )
 from .compare import (

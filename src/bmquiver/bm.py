@@ -17,7 +17,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .simplex import DeltaMap, count_monotone, identity, monotone_tuples
+from .simplex import DeltaMap, count_monotone, monotone_tuples
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,6 @@ class BmEdge:
 
     def __str__(self) -> str:
         return self.encode()
-
-
-def identity_edge(phi: BmObject) -> BmEdge:
-    return BmEdge(phi, phi, identity(phi.top))
 
 
 @dataclass(frozen=True)

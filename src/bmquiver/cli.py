@@ -184,18 +184,29 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     ends, length = [1] * len(objs), 0
     # Far past the bound, a lower bound will do and keeps the numbers small.
     while length < args.max_len and sum(ends) <= CHAINS_MAX_ITEMS**2:
-        ends = [sum(map(mul, row, ends)) for row in counts]
-        length += 1
+        ends, previous = [sum(map(mul, row, ends)) for row in counts], ends
+        # At a fixed point every longer length has the same counts.
+        length = args.max_len if ends == previous else length + 1
     _check_chain_count(sum(ends), length == args.max_len)
     # leaving[s]: (target index, key) of each edge from objs[s], in edge order.
     leaving = [
         [(t, e.encode()) for t, target in enumerate(objs) for e in enumerate_edges(phi, target)]
         for phi in objs
     ]
-    chains = [(s, ()) for s in range(len(objs))]
+    # levels[n]: (object index, position of the prefix in levels[n - 1], key of
+    # the last edge) of each chain of length n, so no prefix is copied.
+    levels = [[(s, 0, "") for s in range(len(objs))]]
     for _ in range(args.max_len):
-        chains = [(t, keys + (key,)) for s, keys in chains for t, key in leaving[s]]
-    items = ["|".join(keys) for _, keys in chains]
+        levels.append(
+            [(t, i, key) for i, (s, _, _) in enumerate(levels[-1]) for t, key in leaving[s]]
+        )
+    items = []
+    for _, parent, key in levels[-1]:
+        keys = [key]
+        for level in reversed(levels[1:-1]):
+            _, parent, key = level[parent]
+            keys.append(key)
+        items.append("|".join(reversed(keys)))
     return {"kind": "chains", "count": len(items), "items": items}
 
 

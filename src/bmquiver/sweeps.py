@@ -3,9 +3,11 @@
 Every suite enumerates its instances in a fixed order (or samples them with
 a seeded generator), runs one check per instance (per fiber signature in
 the exhaustive gluing suite, per distinct draw in sampled mode outside
-gluing) in a single process, and aggregates a report: failures stop
+gluing, and per passing edge signature in constancy, identification,
+audit and xi) in a single process, and aggregates a report: failures stop
 nothing, they are collected with witnesses so a broken case is localized.
-Every suite but gluing runs from one table of instance sources and checks.
+Every suite but gluing runs from one table of instance sources, checks and
+signatures.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -243,7 +245,8 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
 def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     """On the chain of one object or edge, one record per target size.
 
-    An ill-defined gamma fails with the error.
+    An ill-defined gamma, or pairing rules that build an invalid label,
+    fail with the error.
     """
     if isinstance(instance, BmObject):
         chain = BmChain.vertex(instance)
@@ -253,9 +256,27 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     for m in range(max_target_size + 1):
         try:
             records += _records(xi_restriction_commutes(chain, m))
-        except IllDefinedComponentError as exc:
+        except (IllDefinedComponentError, PairingConstructionError) as exc:
             records.append((f"{chain.encode()};m={m}", "fail", [str(exc)]))
     return records
+
+
+def _signature(instance: BmObject | BmEdge) -> object:
+    """What the constancy, identification, audit and xi checks read of an instance.
+
+    An object is its own signature.  An edge's is (ell, beta, ell', beta')
+    and its images on the 0-fiber of phi', plus p(ell' + 1) when beta' = 1,
+    which the audit reads: the pairing rules, G, gamma and the audit
+    formula are functions of these.  It is built from the map's images, not
+    through BmEdge.fiber_map, so edges that the pairing rules tell apart are
+    never merged.
+    """
+    if isinstance(instance, BmObject):
+        return instance
+    phi, phi_prime = instance.phi, instance.phi_prime
+    ell_prime, beta_prime = phi_prime.ell, phi_prime.beta
+    images = instance.map.images[: ell_prime + 1 + beta_prime]
+    return phi.ell, phi.beta, ell_prime, beta_prime, images
 
 
 def _xi_edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
@@ -428,17 +449,20 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
 
 
 #: Per suite: the sources of its instances, each giving them with their draw
-#: order (see _replay), and the check of one instance, which gives its
-#: records.  The checks call the verifiers by their module names, so a
-#: verifier rebound on this module is the one that runs.
-_SUITES: dict[str, tuple[tuple[Callable, ...], Callable]] = {
-    "cardinality": ((_objects,), _cardinality),
-    "constancy": ((_edges,), _constancy),
-    "naturality": ((_edges,), _naturality),
-    "decomposition": ((_objects,), _decomposition),
-    "identification": ((_edges,), _identification),
-    "audit": ((_edges,), _audit),
-    "xi": ((_objects, _xi_edges), _xi),
+#: order (see _replay), the check of one instance, which gives its records,
+#: and the signature on which the check's verdict depends (None: checked
+#: per instance).  The checks call the verifiers by their module names, so
+#: a verifier rebound on this module is the one that runs.  Naturality has
+#: no signature: the benchmark's traced self-check counts one
+#: verify_naturality call per edge.
+_SUITES: dict[str, tuple[tuple[Callable, ...], Callable, Callable | None]] = {
+    "cardinality": ((_objects,), _cardinality, None),
+    "constancy": ((_edges,), _constancy, _signature),
+    "naturality": ((_edges,), _naturality, None),
+    "decomposition": ((_objects,), _decomposition, None),
+    "identification": ((_edges,), _identification, _signature),
+    "audit": ((_edges,), _audit, _signature),
+    "xi": ((_objects, _xi_edges), _xi, _signature),
 }
 SUITE_NAMES = (
     "cardinality",
@@ -453,9 +477,41 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> SuiteReport:
-    """Check every instance of every source once, and replay the records per draw."""
+def _reusing_passes(check: Callable, signature: Callable) -> Callable:
+    """The check, reusing a passing verdict for every later instance with its signature.
+
+    A signature whose check failed or warned is not kept, so each of its
+    instances is checked on its own and listed with its own key and
+    witnesses.
+    """
+    passes: dict = {}
+
+    def checked(instance):
+        key = signature(instance)
+        records = passes.get(key)
+        if records is None:
+            records = check(instance)
+            if not any(records):
+                passes[key] = records
+        return records
+
+    return checked
+
+
+def _sweep(
+    config: SweepConfig, name: str, sources: tuple, check: Callable, signature: Callable | None
+) -> SuiteReport:
+    """Check every instance of every source once, and replay the records per draw.
+
+    With a signature, an instance whose signature has passed before takes
+    that passing verdict unchecked.  This is exact only if the check reads
+    nothing beyond the signature; a check that read more would be
+    under-checked, which the signature test in tests/test_sweeps.py guards.
+    The reused verdicts live for this call only.
+    """
     report = SuiteReport(name, config.bounds_dict())
+    if signature is not None:
+        check = _reusing_passes(check, signature)
     for source in sources:
         instances, order = source(config)
         results = [check(instance) for instance in instances]
@@ -470,9 +526,14 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
     Sampled mode checks each distinct drawn object or edge once, and lists
     a failing or warning instance at each of its draws, in draw order; the
-    total counts every draw.  An edge on which the pairing rules build an
-    invalid label, or an xi instance on which gamma is not well-defined,
-    fails with the error as its witness instead of stopping the sweep.
+    total counts every draw.  Constancy, identification, audit and xi check
+    each edge signature (see _signature) once, in exhaustive and sampled
+    mode, and give every later edge with a passing signature its passing
+    verdict; the edges of a failing or warning signature are each checked
+    and listed with their own keys.  Naturality stays one check per edge.
+    An edge on which the pairing rules build an invalid label, or an xi
+    instance on which gamma is not well-defined, fails with the error as
+    its witness instead of stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)
@@ -481,8 +542,9 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
     """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound."""
-    sources, _ = _SUITES["xi"]
-    return _sweep(config, "xi", sources, partial(_xi, max_target_size=max_target_size))
+    sources, _, signature = _SUITES["xi"]
+    check = partial(_xi, max_target_size=max_target_size)
+    return _sweep(config, "xi", sources, check, signature)
 
 
 def run_suites(config: SweepConfig, suites: list[str] | None = None) -> list[SuiteReport]:

@@ -15,12 +15,17 @@ from bmquiver import (
     ValidationError,
     enumerate_edges,
     enumerate_objects,
-    identity_edge,
     segment_decompose,
 )
 from bmquiver.bm import count_edges, edge_at
+from bmquiver.simplex import identity
 
 OBJ = BmObject.parse
+
+
+def identity_edge(phi: BmObject) -> BmEdge:
+    """The identity edge phi -> phi."""
+    return BmEdge(phi, phi, identity(phi.top))
 
 
 @st.composite

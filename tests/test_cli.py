@@ -151,11 +151,16 @@ def test_enumerate_chains_lists_in_edge_order(capsys, max_k, max_len):
 
 @pytest.mark.parametrize(
     "max_k,max_len,code,count",
-    [("0", "2000", EXIT_PASS, 2), ("12", "0", EXIT_PASS, 104), ("100", "1", EXIT_USAGE, None)],
+    [
+        ("0", "2000", EXIT_PASS, 2),
+        ("0", "40000", EXIT_PASS, 2),
+        ("12", "0", EXIT_PASS, 104),
+        ("100", "1", EXIT_USAGE, None),
+    ],
 )
 def test_enumerate_chains_bounds_before_building(capsys, max_k, max_len, code, count):
-    """Long chains list without recursion; objects and edges are counted,
-    not built, before the bound."""
+    """Long chains list without recursion or copied prefixes; objects and
+    edges are counted, not built, before the bound."""
     start = perf_counter()
     assert main(["enumerate", "chains", "--max-k", max_k, "--max-len", max_len]) == code
     assert perf_counter() - start < 2

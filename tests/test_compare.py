@@ -19,7 +19,6 @@ from bmquiver import (
     g_chain,
     gamma_chain,
     ValidationError,
-    identity_edge,
     segment_decompose,
     verify_constancy,
     verify_decomposition,
@@ -30,6 +29,7 @@ from bmquiver import (
 )
 from bmquiver import compare, quiverf
 from bmquiver.quiverf import LabelKind, f_classes, mid, one, resolve_label, two
+from test_bm import identity_edge
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse

@@ -17,12 +17,12 @@ from bmquiver import (
     f_chain,
     f_object,
     f_object_via_segments,
-    identity_edge,
     j_cardinality_audit,
     pairing_set,
     resolve_label,
 )
 from bmquiver.quiverf import f_classes, label_offsets, mid, one, two
+from test_bm import identity_edge
 from test_quotient import union_find_blocks
 from test_sweeps import edge_pool
 

@@ -320,14 +320,49 @@ def render(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
 
 
+def short_fiber_map(monkeypatch):
+    """BmEdge.fiber_map drops its last image."""
+    monkeypatch.setattr(
+        BmEdge, "fiber_map", lambda edge: edge.map.images[: max(edge.phi_prime.ell, 0)]
+    )
+
+
+def gamma_off_by_one(monkeypatch):
+    """x1(i) sent to fiber element i - 1 instead of i."""
+    monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+
+
+def x1_zero_as_x1_one(monkeypatch):
+    """x1(0) resolved as x1(1) instead of x2(1)."""
+    resolve = quiverf._resolve
+
+    def redirect(phi, ell, beta, kind, index):
+        if kind is LabelKind.ONE and index == 0:
+            return resolve(phi, ell, beta, LabelKind.ONE, 1)
+        return resolve(phi, ell, beta, kind, index)
+
+    monkeypatch.setattr(quiverf, "_resolve", redirect)
+
+
+def dropped_inner_rule(monkeypatch):
+    """The pairs (x2(j), x1(j-1)) dropped from the pairing rules."""
+    edge_pairs = quiverf.edge_pairs
+
+    def dropped(edge):
+        pairs, notes = edge_pairs(edge)
+        kept = [n for n, note in enumerate(notes) if note[0] != quiverf._INNER_NOTE]
+        return [pairs[n] for n in kept], [notes[n] for n in kept]
+
+    for module in (quiverf, compare):
+        monkeypatch.setattr(module, "edge_pairs", dropped)
+
+
 def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
     """A fiber map that drops its last image breaks both edge suites, per edge.
 
     The whole report is pinned, so the rendering of witnesses stays fixed.
     """
-    monkeypatch.setattr(
-        BmEdge, "fiber_map", lambda edge: edge.map.images[: max(edge.phi_prime.ell, 0)]
-    )
+    short_fiber_map(monkeypatch)
     reports = failing_reports(["constancy", "naturality"])
     for report in reports.values():
         assert (report.total, report.failed) == (109, 53)
@@ -338,7 +373,7 @@ def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
 
 def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
     """x1(i) sent to fiber element i - 1 instead of i."""
-    monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+    gamma_off_by_one(monkeypatch)
     reports = failing_reports(["constancy", "naturality"])
     assert reports["constancy"].failed == reports["naturality"].failed == 10
     witness = reports["naturality"].instances[0]["witnesses"][0]
@@ -347,7 +382,7 @@ def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
 
 def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch):
     """Where gamma is not well-defined, each xi instance fails with the error."""
-    monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+    gamma_off_by_one(monkeypatch)
     broken = [inst["key"] for inst in failing_reports(["constancy"])["constancy"].instances]
     report = sweeps.xi_suite(SMALL, max_target_size=3)
     assert (report.total, report.failed) == ((9 + 109) * 4, len(broken) * 4)
@@ -384,14 +419,7 @@ def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
 def test_redirecting_x1_zero_to_x1_one_fails_constancy_and_naturality(monkeypatch):
     """x1(0) resolved as x1(1) instead of x2(1): x1(0) arises only with ell = 0,
     where x1(1) does not exist, so the edge fails with the construction error."""
-    resolve = quiverf._resolve
-
-    def redirect(phi, ell, beta, kind, index):
-        if kind is LabelKind.ONE and index == 0:
-            return resolve(phi, ell, beta, LabelKind.ONE, 1)
-        return resolve(phi, ell, beta, kind, index)
-
-    monkeypatch.setattr(quiverf, "_resolve", redirect)
+    x1_zero_as_x1_one(monkeypatch)
     reports = failing_reports(["constancy", "naturality"])
     for report in reports.values():
         assert report.failed == 10
@@ -412,15 +440,7 @@ def test_dropped_pairing_rule_fails_the_audit(monkeypatch):
     constancy and naturality cannot see a dropped rule; the exact pair
     count of the audit does.
     """
-    edge_pairs = quiverf.edge_pairs
-
-    def dropped(edge):
-        pairs, notes = edge_pairs(edge)
-        kept = [n for n, note in enumerate(notes) if note[0] != quiverf._INNER_NOTE]
-        return [pairs[n] for n in kept], [notes[n] for n in kept]
-
-    for module in (quiverf, compare):
-        monkeypatch.setattr(module, "edge_pairs", dropped)
+    dropped_inner_rule(monkeypatch)
     audit = failing_reports(["audit"])["audit"]
     failing = [inst for inst in audit.instances if inst["status"] == "fail"]
     assert audit.failed == len(failing) == 3
@@ -444,7 +464,10 @@ def test_suites_call_the_checks_by_their_module_names(monkeypatch):
     """A check rebound on sweeps is the one every suite runs.
 
     A tracer that rebinds module attributes sees every call only if no
-    suite holds the function object itself.
+    suite holds the function object itself.  Constancy, identification,
+    audit and xi check each of the 55 edge signatures at k, k' <= 2 once,
+    and the audit also checks every edge of a warning signature; naturality
+    checks every edge.
     """
     calls = dict.fromkeys(CHECKS, 0)
     for name in CHECKS:
@@ -457,7 +480,101 @@ def test_suites_call_the_checks_by_their_module_names(monkeypatch):
     sweeps.run_suites(SMALL, list(SUITE_NAMES + EXTRA_SUITE_NAMES))
     sweeps.xi_suite(SMALL, max_target_size=3)
     assert calls == {
-        **dict.fromkeys(CHECKS[:4], 109),
-        "xi_restriction_commutes": 2 * (9 + 109) * 4,
+        "verify_constancy": 55,
+        "verify_naturality": 109,
+        "verify_edge_identification": 55,
+        "j_cardinality_audit": 61,  # the passing signatures and each warning edge
+        "xi_restriction_commutes": 2 * (9 + 55) * 4,
         "verify_decomposition": 7,  # the 9 objects on [k <= 2] but the 2 on [0]
     }
+
+
+def test_invalid_label_fails_xi_instead_of_raising(monkeypatch):
+    """Where the pairing rules build an invalid label, each xi instance of the
+    edge fails with the construction error."""
+    x1_zero_as_x1_one(monkeypatch)
+    broken = [inst["key"] for inst in failing_reports(["constancy"])["constancy"].instances]
+    report = sweeps.xi_suite(SMALL, max_target_size=3)
+    assert (report.total, report.failed) == ((9 + 109) * 4, len(broken) * 4)
+    assert [inst["key"] for inst in report.instances] == [
+        f"{key};m={m}" for key in broken for m in range(4)
+    ]
+    for instance in report.instances:
+        (witness,) = instance["witnesses"]
+        assert witness.startswith("pairing rules produced an invalid label on edge ")
+
+
+#: The suites that check each edge signature once.
+SIGNED_SUITES = ("constancy", "identification", "audit", "xi")
+
+
+def rekeyed(records, old: str, new: str) -> list:
+    """The records with the edge encoding old at the head of each key replaced by new."""
+    out = []
+    for record in records:
+        if record is not None:
+            key, status, witnesses = record
+            assert key.startswith(old)
+            record = (new + key[len(old) :], status, witnesses)
+        out.append(record)
+    return out
+
+
+def test_edge_checks_are_functions_of_the_signature():
+    """Every edge with k, k' <= 4 gets the records of the first edge in
+    enumeration order with its signature, keys aside: the check reads
+    nothing of an edge beyond its signature, so reusing a verdict is exact.
+    """
+    signed = [name for name, (_, _, signature) in sweeps._SUITES.items() if signature]
+    assert tuple(signed) == SIGNED_SUITES
+    edges = sweeps._edges(SweepConfig(max_k=4, max_k_prime=4))[0]
+    for name in SIGNED_SUITES:
+        _, check, signature = sweeps._SUITES[name]
+        first: dict = {}
+        for edge in edges:
+            records = list(check(edge))
+            seen = first.setdefault(signature(edge), (edge, records))
+            assert records == rekeyed(seen[1], seen[0].encode(), edge.encode()), (name, edge)
+        assert len(first) < len(edges)
+
+
+def per_instance_sweep(config: SweepConfig, name: str) -> dict:
+    """The report of checking every distinct instance of a suite on its own."""
+    sources, check, _ = sweeps._SUITES[name]
+    report = sweeps.SuiteReport(name, config.bounds_dict())
+    for source in sources:
+        instances, order = source(config)
+        results = [check(instance) for instance in instances]
+        for records in sweeps._replay(results, order):
+            for record in records:
+                report.add(record)
+    return report.to_dict()
+
+
+EDGE_MUTANTS = {
+    "none": lambda monkeypatch: None,
+    "fiber_map": short_fiber_map,
+    "_gamma": gamma_off_by_one,
+    "_resolve": x1_zero_as_x1_one,
+    "dropped pairing rule": dropped_inner_rule,
+}
+
+
+@pytest.mark.parametrize("mutant", list(EDGE_MUTANTS))
+def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
+    """Reusing passing verdicts by signature gives the per-edge report,
+    exhaustive at k, k' <= 3 and sampled at k, k' <= 5, plain and under
+    mutants whose failing signatures must be listed edge by edge."""
+    EDGE_MUTANTS[mutant](monkeypatch)
+    configs = [SweepConfig(max_k=3, max_k_prime=3)] + [
+        SweepConfig(max_k=5, max_k_prime=5, samples=200, seed=seed) for seed in range(5)
+    ]
+    failed = 0
+    for config in configs:
+        edges = sweeps._edges(config)[0]
+        assert len({sweeps._signature(edge) for edge in edges}) < len(edges)
+        for name in SIGNED_SUITES:
+            report = sweeps.run_suite(config, name).to_dict()
+            assert report == per_instance_sweep(config, name), (config, name)
+            failed += report["summary"]["failed"]
+    assert failed > 0 or mutant == "none"

@@ -15,9 +15,9 @@ from bmquiver import (
     enumerate_objects,
     g_chain,
     gluing_agreement,
-    identity_edge,
 )
 from bmquiver import wfib
+from test_bm import identity_edge
 from test_quotient import union_find_blocks
 
 OBJ = BmObject.parse
