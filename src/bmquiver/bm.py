@@ -118,13 +118,16 @@ class BmEdge:
 
     @classmethod
     def parse(cls, text: str) -> "BmEdge":
-        """Parse an encoding like "phi=0011;phiPrime=01;map=1,3"."""
+        """Parse an encoding like "phi=0011;phiPrime=01;map=1,3", each key given once."""
         fields: dict[str, str] = {}
         for part in text.split(";"):
             key, _, value = part.partition("=")
+            key = key.strip()
             if not value:
                 raise ParseError(f"bad edge encoding {text!r}")
-            fields[key.strip()] = value.strip()
+            if key in fields:
+                raise ParseError(f"edge encoding repeats key {key!r}")
+            fields[key] = value.strip()
         unknown = set(fields) - _EDGE_KEYS
         if unknown:
             raise ParseError(f"edge encoding has unknown keys {sorted(unknown)}")

@@ -115,13 +115,8 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification instance.
+    """Outcome of one verification instance: one human-readable witness per broken equation."""
 
-    failures carry one human-readable witness string per broken equation.
-    """
-
-    key: str
-    checked: int
     failures: tuple[str, ...] = ()
 
     @property
@@ -148,17 +143,11 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
                 f"pair ({labels[a]}, {labels[b]}) [{render_note(notes[n])}] has images "
                 f"{vertices[witness[a]]} != {vertices[witness[b]]}"
             )
-    return VerificationReport(edge.encode(), len(pairs), tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
-def _inclusion_square_failures(
-    chain: BmChain,
-    f: list[int],
-    sizes: tuple[int, ...],
-    g: list[int],
-    witness: list[int],
-) -> tuple[list[str], int]:
-    """Vertex- and segment-inclusion squares for one chain, on numbers.
+def verify_naturality(chain: BmChain) -> VerificationReport:
+    """Check every vertex- and segment-inclusion square of the chain, on numbers.
 
     Vertex square at t: including a generator of position t into the chain
     and applying the chain comparison must agree with applying the vertex
@@ -166,6 +155,8 @@ def _inclusion_square_failures(
     square at s: same statement for the single-edge subchain at s.  A chain
     of one edge is its own segment, so its F, G and witnesses are reused.
     """
+    f = f_classes(chain)
+    sizes, g, witness = _g_side(chain)
     failures: list[str] = []
     # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
@@ -177,7 +168,6 @@ def _inclusion_square_failures(
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    checked = len(f)
     label_offs = label_offsets(chain.objects)
     fiber_off = 0
     for s in range(1, chain.length + 1):
@@ -190,7 +180,6 @@ def _inclusion_square_failures(
         # Segment numbers shift into the chain's by the offsets of position s - 1.
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
-            checked += 1
             via_chain = {witness[f[code + label_off]] for code in block}
             via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:
@@ -201,15 +190,7 @@ def _inclusion_square_failures(
                     f"{vertices[via_segment]}"
                 )
         fiber_off += sizes[s - 1]
-    return failures, checked
-
-
-def verify_naturality(chain: BmChain) -> VerificationReport:
-    """Check every vertex- and segment-inclusion square of the chain."""
-    f = f_classes(chain)
-    sizes, g, witness = _g_side(chain)
-    failures, checked = _inclusion_square_failures(chain, f, sizes, g, witness)
-    return VerificationReport(chain.encode(), checked, tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 def verify_decomposition(phi: BmObject) -> VerificationReport:
@@ -227,7 +208,6 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
     segments = segment_labels(phi)
 
     rebuilt = [code for _, codes in segments for code in codes]
-    checked = 1
     if sorted(rebuilt) != list(range(label_count(ell, phi.beta))):
         rebuilt_labels = [str(l) for l in f_object_via_segments(phi)]
         failures.append(
@@ -244,21 +224,18 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
         position.extend(range(i - 1, i + segment.ell))
     pairs = [(starts[i - 1] + 1, starts[i]) for i in range(1, phi.top) if not phi.values[i]]
     glued = _classes(least_representatives(len(position), pairs))
-    checked += 1
     if len(glued) != ell + 1:
         failures.append(f"glued fiber has {len(glued)} classes, expected {ell + 1}")
     else:
         position_sets = sorted(
             tuple(sorted({position[v] for v in block})) for block in glued.values()
         )
-        checked += 1
         if position_sets != [(p,) for p in range(ell + 1)]:
             failures.append(f"glued classes {position_sets} do not match fiber positions")
 
     # Comparison compatibility: segment-wise then gluing equals global.
     for i, (segment, codes) in enumerate(segments, start=1):
         for local, code in enumerate(codes):
-            checked += 1
             global_position = i - 1 + _gamma(local, segment.ell)
             image = _gamma(code, ell)
             if image != global_position:
@@ -266,16 +243,15 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
                     f"segment {i}: {f_object(segment)[local]} maps to position "
                     f"{global_position}, global {f_object(phi)[code]} maps to {image}"
                 )
-    return VerificationReport(phi.encode(), checked, tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 def verify_edge_identification(edge: BmEdge) -> VerificationReport:
     """Check that (1, i) and (0, p(i)) share a component class for every fiber element i."""
     sizes, maps = chain_signature(BmChain.from_edges([edge]))
     g = g_classes(sizes, maps)
-    fmap = edge.fiber_map()
     failures = []
-    for i, image in enumerate(fmap):
+    for i, image in enumerate(edge.fiber_map()):
         upper, lower = g[sizes[0] + i], g[image]
         if upper != lower:
             vertices = fiber_vertices(sizes)
@@ -283,7 +259,7 @@ def verify_edge_identification(edge: BmEdge) -> VerificationReport:
                 f"(1, {i}) in class {vertices[upper]} but "
                 f"(0, {image}) in class {vertices[lower]}"
             )
-    return VerificationReport(edge.encode(), len(fmap), tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -346,7 +322,6 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
         vertex_witness = _g_side(BmChain.vertex(obj))[2]
         restricted.extend(slot[g[fiber_off + v]] for v in vertex_witness)
         fiber_off += size
-    rows = max(target_size, 0) ** len(slot)
     broken = [code for code, s in enumerate(via_chain) if s != restricted[code]]
     failures = []
     if broken:
@@ -360,6 +335,4 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
                         f"m={target_size} h={values} t={label.vertex} {label}: "
                         f"{on_chain} != {on_vertex}"
                     )
-    return VerificationReport(
-        f"{chain.encode()};m={target_size}", rows * len(f), tuple(failures)
-    )
+    return VerificationReport(tuple(failures))

@@ -50,13 +50,14 @@ class DeltaMap:
 
     @classmethod
     def parse(cls, text: str, target_top: int) -> "DeltaMap":
-        """Parse a comma-separated image list, e.g. "0,2,2" for a map into [target_top]."""
-        try:
-            images = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad map encoding {text!r}") from exc
-        if not images:
-            raise ParseError("empty map encoding")
+        """Parse a comma-separated image list, e.g. "0,2,2" for a map into [target_top].
+
+        Each image is ASCII digits, with surrounding whitespace allowed.
+        """
+        parts = [part.strip() for part in text.split(",")]
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ParseError(f"bad map encoding {text!r}")
+        images = tuple(int(part) for part in parts)
         try:
             return cls(len(images) - 1, target_top, images)
         except ValidationError as exc:

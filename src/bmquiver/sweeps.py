@@ -3,9 +3,10 @@
 Every suite enumerates its instances in a fixed order (or samples them with
 a seeded generator), runs one check per instance (per fiber signature in
 the exhaustive gluing suite, per distinct draw in sampled mode outside
-gluing, and per passing edge signature in constancy, identification,
-audit and xi) in a single process, and aggregates a report: failures stop
-nothing, they are collected with witnesses so a broken case is localized.
+gluing, and per passing or warning edge signature in constancy,
+identification, audit and xi) in a single process, and aggregates a
+report: failures stop nothing, they are collected with witnesses so a
+broken case is localized.
 Every suite but gluing runs from one table of instance sources, checks and
 signatures.
 Audit mismatches on crossing targets are warnings; the pair-count identity
@@ -182,9 +183,9 @@ def _vertex_chain_failures(phi: BmObject) -> list[str]:
 _PASS: tuple[Record, ...] = (None,)
 
 
-def _records(result: VerificationReport) -> tuple[Record, ...]:
+def _records(instance: BmObject | BmEdge, result: VerificationReport) -> tuple[Record, ...]:
     """The records of one verified instance: its one record, None when it passed."""
-    return _PASS if result.passed else ((result.key, "fail", list(result.failures)),)
+    return _PASS if result.passed else ((instance.encode(), "fail", list(result.failures)),)
 
 
 def _cardinality(phi: BmObject) -> tuple[Record, ...]:
@@ -198,7 +199,7 @@ def _cardinality(phi: BmObject) -> tuple[Record, ...]:
 
 def _decomposition(phi: BmObject) -> tuple[Record, ...]:
     """Segment-decomposition compatibility; objects on [0] have no segments and no record."""
-    return _records(verify_decomposition(phi)) if phi.top else ()
+    return _records(phi, verify_decomposition(phi)) if phi.top else ()
 
 
 def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
@@ -215,17 +216,17 @@ def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
 
 @_on_edge
 def _constancy(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(verify_constancy(edge))
+    return _records(edge, verify_constancy(edge))
 
 
 @_on_edge
 def _naturality(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(verify_naturality(BmChain.from_edges([edge])))
+    return _records(edge, verify_naturality(BmChain.from_edges([edge])))
 
 
 @_on_edge
 def _identification(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(verify_edge_identification(edge))
+    return _records(edge, verify_edge_identification(edge))
 
 
 @_on_edge
@@ -255,9 +256,10 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     records: list[Record] = []
     for m in range(max_target_size + 1):
         try:
-            records += _records(xi_restriction_commutes(chain, m))
+            failures = list(xi_restriction_commutes(chain, m).failures)
         except (IllDefinedComponentError, PairingConstructionError) as exc:
-            records.append((f"{chain.encode()};m={m}", "fail", [str(exc)]))
+            failures = [str(exc)]
+        records.append((f"{chain.encode()};m={m}", "fail", failures) if failures else None)
     return records
 
 
@@ -315,30 +317,30 @@ class _ChainCounts:
             for o, row in enumerate(self.maps_into)
         ]
 
-    def representative(self, signature: FiberSignature) -> BmChain:
-        """A fixed concrete chain with this signature, which must have a chain.
 
-        Takes the smallest 1-fiber that still reaches the end at each
-        position, and sends every 1-fiber point to the first 1-fiber point
-        of the previous object.
-        """
-        sizes, maps = signature
-        weights = [self.base(sizes[0])]
-        for z in sizes[1:]:
-            weights.append(self.step(weights[-1], z))
-        ones: list[int] = []
-        for row in reversed(weights):
-            after = ones[-1] if ones else 0
-            # A nonempty 1-fiber maps only into a nonempty one.
-            ones.append(next(o for o, w in enumerate(row) if w and (o or not after)))
-        ones.reverse()
-        objs = [BmObject((0,) * z + (1,) * o) for z, o in zip(sizes, ones)]
-        edges = []
-        for t, fmap in enumerate(maps):
-            images = fmap + (sizes[t],) * ones[t + 1]
-            delta = DeltaMap(objs[t + 1].top, objs[t].top, images)
-            edges.append(BmEdge(objs[t], objs[t + 1], delta))
-        return BmChain.from_edges(edges)
+def _representative(signature: FiberSignature) -> BmChain:
+    """A fixed concrete chain with this signature, which must have a chain.
+
+    Each position takes the smallest 1-fiber it can: one point when its
+    0-fiber is empty (an object has a point) or the next position's 1-fiber
+    is nonempty (a nonempty 1-fiber maps only into a nonempty one), else
+    none.  Every 1-fiber point goes to the first 1-fiber point of the
+    previous object.
+    """
+    sizes, maps = signature
+    ones: list[int] = []
+    after = 0
+    for z in reversed(sizes):
+        after = int(not z or after)
+        ones.append(after)
+    ones.reverse()
+    objs = [BmObject((0,) * z + (1,) * o) for z, o in zip(sizes, ones)]
+    edges = []
+    for t, fmap in enumerate(maps):
+        images = fmap + (sizes[t],) * ones[t + 1]
+        delta = DeltaMap(objs[t + 1].top, objs[t].top, images)
+        edges.append(BmEdge(objs[t], objs[t + 1], delta))
+    return BmChain.from_edges(edges)
 
 
 def _check_vertex(report: SuiteReport, base: BmObject) -> None:
@@ -416,7 +418,7 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
                         "gluing disagrees with direct components (fiber sizes "
                         f"{child_sizes}; {chains} chains share this signature)"
                     )
-                    key = counts.representative(signature).encode()
+                    key = _representative(signature).encode()
                     report.add((key, "fail", [message]), chains)
                 if depth < config.max_chain_len:
                     visit(child_sizes, signature[1], child_weights, depth + 1)
@@ -477,22 +479,29 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _reusing_passes(check: Callable, signature: Callable) -> Callable:
-    """The check, reusing a passing verdict for every later instance with its signature.
+def _reusing_verdicts(check: Callable, signature: Callable) -> Callable:
+    """The check, reusing a passing or warning verdict for later instances with its signature.
 
-    A signature whose check failed or warned is not kept, so each of its
+    A reused warning is listed under the later instance's own key: a
+    warning is keyed by its instance's encoding and names nothing else of
+    it.  A signature whose check failed is not kept, so each of its
     instances is checked on its own and listed with its own key and
-    witnesses.
+    witnesses, which may name the instance.
     """
-    passes: dict = {}
+    verdicts: dict = {}
 
     def checked(instance):
         key = signature(instance)
-        records = passes.get(key)
+        records = verdicts.get(key)
         if records is None:
             records = check(instance)
-            if not any(records):
-                passes[key] = records
+            if all(record is None or record[1] == "warn" for record in records):
+                verdicts[key] = records
+        elif any(records):
+            records = [
+                None if record is None else (instance.encode(), record[1], record[2])
+                for record in records
+            ]
         return records
 
     return checked
@@ -503,15 +512,15 @@ def _sweep(
 ) -> SuiteReport:
     """Check every instance of every source once, and replay the records per draw.
 
-    With a signature, an instance whose signature has passed before takes
-    that passing verdict unchecked.  This is exact only if the check reads
+    With a signature, an instance whose signature has passed or only warned
+    before takes that verdict unchecked.  This is exact only if the check reads
     nothing beyond the signature; a check that read more would be
     under-checked, which the signature test in tests/test_sweeps.py guards.
     The reused verdicts live for this call only.
     """
     report = SuiteReport(name, config.bounds_dict())
     if signature is not None:
-        check = _reusing_passes(check, signature)
+        check = _reusing_verdicts(check, signature)
     for source in sources:
         instances, order = source(config)
         results = [check(instance) for instance in instances]
@@ -528,12 +537,13 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     a failing or warning instance at each of its draws, in draw order; the
     total counts every draw.  Constancy, identification, audit and xi check
     each edge signature (see _signature) once, in exhaustive and sampled
-    mode, and give every later edge with a passing signature its passing
-    verdict; the edges of a failing or warning signature are each checked
-    and listed with their own keys.  Naturality stays one check per edge.
-    An edge on which the pairing rules build an invalid label, or an xi
-    instance on which gamma is not well-defined, fails with the error as
-    its witness instead of stopping the sweep.
+    mode, and give every later edge with a passing or warning signature
+    that verdict, a warning under the edge's own key; the edges of a
+    failing signature are each checked and listed with their own keys.
+    Naturality stays one check per edge.  An edge on which the pairing
+    rules build an invalid label, or an xi instance on which gamma is not
+    well-defined, fails with the error as its witness instead of stopping
+    the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)

@@ -195,6 +195,13 @@ def test_edge_parse_rejects_unknown_keys():
         BmEdge.parse("phi=01;phiPrime=01;map=0,1;bogus=7")
 
 
+def test_edge_parse_rejects_a_repeated_key():
+    with pytest.raises(ParseError, match="repeats key 'phi'"):
+        BmEdge.parse("phi=00;phi=0;phiPrime=0;map=0")
+    with pytest.raises(ParseError, match="repeats key 'map'"):
+        BmEdge.parse("phi=0;phiPrime=0;map=0; map =0")
+
+
 def test_chain_validation_and_encoding():
     e1 = identity_edge(OBJ("00"))
     chain = BmChain.from_edges([e1, e1])

@@ -172,12 +172,29 @@ def test_enumerate_chains_bounds_before_building(capsys, max_k, max_len, code, c
         assert len(out.splitlines()) == count + 1
 
 
+#: Edge encodings with a repeated key, or with an image that int() takes but
+#: that is not ASCII digits.
+STRICT_ENCODINGS = [
+    "phi=00;phi=0;phiPrime=0;map=0",
+    "phi=0;phiPrime=0;map=0_0",
+    "phi=0;phiPrime=0;map=+0",
+    "phi=0;phiPrime=0;map=\u0660",
+]
+
+
+@pytest.mark.parametrize("encoding", STRICT_ENCODINGS)
+def test_eval_rejects_a_repeated_key_and_non_digit_images(capsys, encoding):
+    assert main(["eval", "F", encoding]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 ENCODINGS = st.one_of(
     st.sampled_from(
         [
             "0", "01", "0011", "01@2", "01@x", "0001@", "01@-1", "phi=001;phiPrime=01;map=1,2",
             "phi=01;phiPrime=01;map=0,1", "phi=0;phiPrime=0;map=0|phi=0;phiPrime=0;map=0",
             "phi=01;phiPrime=0;map=9", "phi=0;phiPrime=0;map=0|", "phi=0;map=0",
+            *STRICT_ENCODINGS,
         ]
     ),
     st.text(alphabet="01,;=|@-xphiPrmap", max_size=40),

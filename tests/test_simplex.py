@@ -128,7 +128,16 @@ def test_encoding_round_trip():
     m = DeltaMap(2, 3, (0, 2, 2))
     assert m.encode() == "0,2,2"
     assert DeltaMap.parse("0,2,2", 3) == m
+    assert DeltaMap.parse(" 0 ,2, 2", 3) == m
     with pytest.raises(ParseError):
         DeltaMap.parse("0,x", 3)
     with pytest.raises(ParseError):
         DeltaMap.parse("2,1", 3)
+
+
+@pytest.mark.parametrize("text", ["0_0", "+0", "-1", "\u0660", "\u00b2", "0,", ""])
+def test_map_parse_takes_only_ascii_digits(text):
+    """Images are ASCII digits: int() alone would take "0_0", "+0" and an
+    Arabic-Indic zero."""
+    with pytest.raises(ParseError, match="bad map encoding"):
+        DeltaMap.parse(text, 3)

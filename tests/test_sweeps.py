@@ -13,7 +13,7 @@ import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
 from bmquiver import compare, quiverf, sweeps
-from bmquiver.bm import BmEdge, enumerate_edges, enumerate_objects
+from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
 from bmquiver.cli import EXIT_PASS, main
@@ -179,8 +179,8 @@ def per_draw_records(config: SweepConfig, suite: str) -> list:
     if suite == "cardinality":
         return [cardinality_record(phi) for phi in drawn]
     if suite == "decomposition":
-        results = [compare.verify_decomposition(phi) for phi in drawn if phi.top]
-        return [None if r.passed else (r.key, "fail", list(r.failures)) for r in results]
+        failures = [(phi, compare.verify_decomposition(phi).failures) for phi in drawn if phi.top]
+        return [(phi.encode(), "fail", list(f)) if f else None for phi, f in failures]
     edges = choose_from_filtered_edges(config)
     if suite in EDGE_SUITES:
         return [edge_record(suite, edge) for edge in edges]
@@ -233,7 +233,7 @@ def edge_record(suite: str, edge: BmEdge):
             result = compare.verify_edge_identification(edge)
     except PairingConstructionError as exc:
         return edge.encode(), "fail", [str(exc)]
-    return None if result.passed else (result.key, "fail", list(result.failures))
+    return None if result.passed else (edge.encode(), "fail", list(result.failures))
 
 
 def xi_record(chain: BmChain, m: int):
@@ -241,7 +241,7 @@ def xi_record(chain: BmChain, m: int):
         result = compare.xi_restriction_commutes(chain, m)
     except IllDefinedComponentError as exc:
         return f"{chain.encode()};m={m}", "fail", [str(exc)]
-    return None if result.passed else (result.key, "fail", list(result.failures))
+    return None if result.passed else (f"{chain.encode()};m={m}", "fail", list(result.failures))
 
 
 def least_dropping_last_pair(monkeypatch):
@@ -466,8 +466,7 @@ def test_suites_call_the_checks_by_their_module_names(monkeypatch):
     A tracer that rebinds module attributes sees every call only if no
     suite holds the function object itself.  Constancy, identification,
     audit and xi check each of the 55 edge signatures at k, k' <= 2 once,
-    and the audit also checks every edge of a warning signature; naturality
-    checks every edge.
+    a warning one included; naturality checks every edge.
     """
     calls = dict.fromkeys(CHECKS, 0)
     for name in CHECKS:
@@ -483,7 +482,7 @@ def test_suites_call_the_checks_by_their_module_names(monkeypatch):
         "verify_constancy": 55,
         "verify_naturality": 109,
         "verify_edge_identification": 55,
-        "j_cardinality_audit": 61,  # the passing signatures and each warning edge
+        "j_cardinality_audit": 55,
         "xi_restriction_commutes": 2 * (9 + 55) * 4,
         "verify_decomposition": 7,  # the 9 objects on [k <= 2] but the 2 on [0]
     }
@@ -578,3 +577,37 @@ def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
             assert report == per_instance_sweep(config, name), (config, name)
             failed += report["summary"]["failed"]
     assert failed > 0 or mutant == "none"
+
+
+def test_suites_encode_only_the_instances_they_list(monkeypatch):
+    """A passing instance is never encoded: every suite makes one outermost
+    encode call per instance it lists, exhaustive at k, k' <= 3 and sampled
+    at seeds 0-2.  A sampled instance listed at several draws is encoded
+    once, and its key replayed."""
+    calls = depth = 0
+
+    def counting(encode):
+        def counted(self):
+            nonlocal calls, depth
+            calls += not depth
+            depth += 1
+            try:
+                return encode(self)
+            finally:
+                depth -= 1
+
+        return counted
+
+    for cls in (BmObject, BmEdge, BmChain):
+        monkeypatch.setattr(cls, "encode", counting(cls.encode))
+    configs = [SweepConfig(max_k=3, max_k_prime=3)] + [
+        SweepConfig(max_k=3, max_k_prime=3, samples=200, seed=seed) for seed in range(3)
+    ]
+    listed = 0
+    for config in configs:
+        for name in SUITE_NAMES + EXTRA_SUITE_NAMES:
+            calls = 0
+            keys = {inst["key"] for inst in sweeps.run_suite(config, name).instances}
+            assert calls == len(keys), (config, name)
+            listed += len(keys)
+    assert listed > 0  # the audit warnings
