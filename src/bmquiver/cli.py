@@ -90,10 +90,11 @@ def _eval_payload(entity: str, instance: str) -> dict:
     if entity == "xi":
         chain_text, at, size_text = instance.partition("@")
         chain = BmChain.parse(chain_text)
-        try:
-            size = int(size_text) if at else 2
-        except ValueError:
-            raise ParseError(f"bad target size {size_text!r}") from None
+        # ASCII digits only, as in DeltaMap.parse: int() would also take "+2" or "٢".
+        digits = size_text.strip()
+        if at and not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"bad target size {size_text!r}")
+        size = int(digits) if at else 2
         table = xi_component(chain, size)
         return {
             "entity": "xi",

@@ -17,14 +17,16 @@ two-layer graph goes through a generic graph search (pi0, cached per edge),
 and those per-edge classes are glued over the shared fibers with
 least_representatives.  The check depends only on the fiber sizes and the
 fiber-restricted maps (the chain's fiber signature), so it works on
-signatures with integer vertices.
+signatures with integer vertices.  It walks a signature edge by edge: the
+frontier fiber's glued classes and roots are all a later edge can see, so
+they form a state, and each move from a state along a fiber map is computed
+once per process and reused by every signature that makes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ne
 from typing import Iterable, Sequence
 
 from .bm import BmChain
@@ -100,38 +102,111 @@ def _roots(
 @lru_cache(maxsize=None)
 def _edge_components(
     size0: int, size1: int, fmap: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """pi0 of a single edge's two-layer graph: (labels over fiber 0, labels over fiber 1, count)."""
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """pi0 of a single edge's two-layer graph: (labels over fiber 0, labels over fiber 1, count).
+
+    None when fmap is not a total map from size1 points into size0 points.
+    """
+    if size0 < 0 or len(fmap) != size1 or not all(0 <= image < size0 for image in fmap):
+        return None
     comp = _pi0(size0 + size1, ((size0 + j, fmap[j]) for j in range(size1)))
     return tuple(comp[:size0]), tuple(comp[size0:]), (max(comp) + 1 if comp else 0)
 
 
-def _glued_classes(
-    sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]
-) -> list[int]:
-    """Components computed edgewise and glued over shared fibers.
+def _canonical(values: list[int]) -> tuple[int, ...]:
+    """values renumbered 0, 1, ... in order of first appearance."""
+    first: dict[int, int] = {}
+    return tuple([first.setdefault(v, len(first)) for v in values])
 
-    Each edge contributes the components of its own two-layer graph,
-    numbered after those of the edges before it; the pushout identifies,
-    for every shared fiber element, its class in the incoming edge with its
-    class in the outgoing edge.  Returns the least glued class number of
-    every fiber vertex, position-major.
+
+def _step(
+    classes: tuple[int, ...] | None,
+    roots: tuple[int, ...],
+    fmap: tuple[int, ...],
+    edge: tuple[tuple[int, ...], tuple[int, ...], int],
+) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
+    """The frontier state one edge on, or None when no chain through it agrees.
+
+    classes and roots give, per vertex of the frontier fiber, its glued
+    class and its root, each numbered canonically; classes is None on the
+    base fiber, whose classes the first edge supplies.  The glued route
+    joins the frontier's classes to the edge's pi0 classes with
+    least_representatives; the direct route gives a new vertex the root of
+    its image.  The step fails when a glued class holds two roots, or when
+    a class that stops at the old frontier (it can never grow again) is not
+    a whole root class.  The flag says whether the chain agrees if it ends
+    here: no two classes on the new frontier share a root.
     """
-    # Edge class of every vertex: fiber 0 from edge 0, fiber t + 1 from edge t.
-    vertex_class: list[int] = []
-    shared: list[tuple[int, int]] = []
-    count = 0
-    for t, fmap in enumerate(maps):
-        lower, upper, classes = _edge_components(sizes[t], sizes[t + 1], fmap)
-        if t:
-            incoming = vertex_class[len(vertex_class) - sizes[t] :]
-            shared += zip(incoming, [count + c for c in lower])
-        else:
-            vertex_class += lower
-        vertex_class += [count + c for c in upper]
-        count += classes
-    reps = least_representatives(count, shared)
-    return [reps[c] for c in vertex_class]
+    lower, upper, count = edge
+    if classes is None:
+        live, old, pairs = 0, lower, ()
+    else:
+        live = max(classes, default=-1) + 1
+        old, pairs = classes, zip(classes, [live + c for c in lower])
+    reps = least_representatives(live + count, pairs)
+    old_classes = [reps[c] for c in old]
+    new_classes = [reps[live + c] for c in upper]
+    new_roots = [roots[image] for image in fmap]
+    touched = len(set(old_classes).union(new_classes))
+    held = len(set(zip(old_classes, roots)).union(zip(new_classes, new_roots)))
+    reaching = len(set(new_classes))
+    reached = len(set(new_roots))
+    # The touched classes hold every old root.  The classes left behind
+    # hold one root each that no other class holds exactly when each is
+    # its root's whole class.
+    if held != touched or len(set(roots)) != touched - reaching + reached:
+        return None
+    return _canonical(new_classes), _canonical(new_roots), reaching == reached
+
+
+class _Walk:
+    """The frontier-state automaton of gluing_agreement, grown as it is walked.
+
+    State 0 is dead: no chain through it agrees.  Every other state is
+    (classes, roots) as _step takes them, numbered once; agrees[s] says
+    whether a chain ending in state s agrees, and moves[s] maps a fiber map
+    to the state one edge on (the state fixes the size of the fiber it maps
+    into).
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.numbers: dict = {}
+        self.states: list = [None]
+        self.agrees: list[bool] = [False]
+        self.moves: list[dict] = [{}]
+        self.bases: dict[int, int] = {}
+
+    def base(self, size: int) -> int:
+        """The state of a base fiber of this size, before any edge."""
+        number = self.bases.get(size)
+        if number is None:
+            number = self.bases[size] = self._number((None, tuple(range(size))), False)
+        return number
+
+    def move(self, number: int, fmap: tuple[int, ...], edge) -> int:
+        """Take an edge from state number and memoize where it leads."""
+        after = 0
+        if number:
+            stepped = _step(*self.states[number], fmap, edge)
+            if stepped is not None:
+                after = self._number(stepped[:2], stepped[2])
+        self.moves[number][fmap] = after
+        return after
+
+    def _number(self, state: tuple, agrees: bool) -> int:
+        number = self.numbers.get(state)
+        if number is None:
+            number = self.numbers[state] = len(self.states)
+            self.states.append(state)
+            self.agrees.append(agrees)
+            self.moves.append({})
+        return number
+
+
+_WALK = _Walk()
 
 
 def gluing_agreement(signature: FiberSignature) -> bool:
@@ -140,18 +215,25 @@ def gluing_agreement(signature: FiberSignature) -> bool:
     The direct components are the base points: the pullback graph is a
     forest rooted in fiber 0, so they are in bijection with the base fiber
     {0, ..., ell_0}, empty fiber included.  The edgewise-glued components
-    agree with them when the glued classes of the base vertices are
-    distinct and every vertex is glued to the base vertex it composes to.
+    agree with them when the glued classes are exactly the root classes
+    (the vertices over one base point).  The check walks the signature edge by edge through the
+    frontier states of _Walk: each edge's pi0 comes from the cached
+    _edge_components, and each (state, fiber map) move is computed once.
     A signature whose maps do not compose fails.
     """
     sizes, maps = signature
-    roots = _roots(sizes, maps)
-    # A chain's maps are total, so every root is a base point.
-    if not maps or roots is None or any(map(ne, map(len, maps), sizes[1:])):
+    if not maps or len(sizes) != len(maps) + 1:
         return False
-    glued = _glued_classes(sizes, maps)
-    base = glued[: sizes[0]]
-    return len(set(base)) == sizes[0] and [base[r] for r in roots] == glued
+    walk = _WALK
+    moves = walk.moves
+    state = walk.base(sizes[0])
+    for size0, size1, fmap in zip(sizes, sizes[1:], maps):
+        edge = _edge_components(size0, size1, fmap)
+        if edge is None:
+            return False
+        after = moves[state].get(fmap)
+        state = walk.move(state, fmap, edge) if after is None else after
+    return walk.agrees[state]
 
 
 @dataclass(frozen=True)

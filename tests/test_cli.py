@@ -68,6 +68,13 @@ def test_eval_xi_rejects_bad_target_size(capsys):
     assert capsys.readouterr().err == "error: bad target size 'abc'\n"
 
 
+@pytest.mark.parametrize("size", ["٢", "+2"], ids=["arabic-indic-two", "plus-two"])
+def test_eval_xi_target_size_is_ascii_digits(capsys, size):
+    """int() takes "+2" and non-ASCII digits; the size, like a map image, does not."""
+    assert main(["eval", "xi", f"01@{size}"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: bad target size {size!r}\n"
+
+
 def test_eval_xi_rejects_empty_target_size(capsys):
     """An "@" with no size is an error, not the default size of a bare chain."""
     assert main(["eval", "xi", "01@"]) == EXIT_USAGE

@@ -16,6 +16,7 @@ from bmquiver import compare, quiverf, sweeps
 from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
+from bmquiver.quotient import least_representatives
 from bmquiver.cli import EXIT_PASS, main
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
@@ -46,20 +47,13 @@ def concrete_chains(max_k: int, max_len: int):
         ]
 
 
-def glued_skipping_last_union(sizes, maps):
-    """wfib._glued_classes, skipping the union at each shared fiber's last element."""
-    vertex_class, shared, count = [], [], 0
-    for t, fmap in enumerate(maps):
-        lower, upper, classes = wfib._edge_components(sizes[t], sizes[t + 1], fmap)
-        if t:
-            incoming = vertex_class[len(vertex_class) - sizes[t] :]
-            shared += list(zip(incoming, [count + c for c in lower]))[:-1]
-        else:
-            vertex_class += lower
-        vertex_class += [count + c for c in upper]
-        count += classes
-    reps = wfib.least_representatives(count, shared)
-    return [reps[c] for c in vertex_class]
+def union_skipping_last_pair(n, pairs):
+    """The gluing step's union without its last pair, the shared fiber's last element.
+
+    On the base fiber the step has no pairs to union, so nothing is skipped
+    there.
+    """
+    return least_representatives(n, list(pairs)[:-1])
 
 
 @pytest.mark.parametrize("max_k,max_len", [*BOUNDS, (3, 0)])
@@ -77,7 +71,7 @@ def test_weighted_total_matches_concrete_enumeration(capsys, max_k, max_len):
 def test_mutant_failures_are_counted_per_chain_and_listed_per_signature(
     monkeypatch, capsys, max_k, max_len
 ):
-    monkeypatch.setattr(wfib, "_glued_classes", glued_skipping_last_union)
+    monkeypatch.setattr(wfib, "least_representatives", union_skipping_last_pair)
     verdicts: dict = {}
     failed = 0
     for chain in concrete_chains(max_k, max_len):
@@ -97,6 +91,25 @@ def test_mutant_failures_are_counted_per_chain_and_listed_per_signature(
     witnesses = [inst["witnesses"][0] for inst in report.instances]
     assert sum(int(w.split("; ")[1].split()[0]) for w in witnesses) == failed
     assert main(["eval", "G", report.instances[0]["key"]]) == EXIT_PASS
+
+
+def test_exhaustive_gluing_keeps_the_benchmark_self_check_counts(monkeypatch):
+    """perfbench's traced gluing-exhaustive run pins these counts: one
+    gluing_agreement call per signature, one _edge_components lookup per
+    edge of each, and one miss per distinct edge."""
+    calls = 0
+
+    def counted(signature):
+        nonlocal calls
+        calls += 1
+        return gluing_agreement(signature)
+
+    monkeypatch.setattr(sweeps, "gluing_agreement", counted)
+    wfib._edge_components.cache_clear()
+    report = gluing_suite(SweepConfig(max_k=3, max_chain_len=3))
+    info = wfib._edge_components.cache_info()
+    assert (calls, info.hits + info.misses, info.misses) == (251333, 748340, 125)
+    assert (report.total, report.failed) == (1120280, 0)
 
 
 def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:

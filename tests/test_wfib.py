@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import ne
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from bmquiver import (
     BmChain,
     BmEdge,
@@ -16,7 +19,9 @@ from bmquiver import (
     g_chain,
     gluing_agreement,
 )
-from bmquiver import wfib
+from bmquiver import sweeps, wfib
+from bmquiver.quotient import least_representatives
+from bmquiver.sweeps import SweepConfig
 from test_bm import identity_edge
 from test_quotient import union_find_blocks
 
@@ -123,9 +128,9 @@ def same_partition(a: list[int], b: list[int]) -> bool:
 
 
 def glued_is_direct(chain: BmChain) -> bool:
-    """G glued edgewise (wfib._glued_classes) partitions the fibers as G does."""
+    """G glued edgewise (glued_classes) partitions the fibers as G does."""
     sizes, maps = chain_signature(chain)
-    return same_partition(wfib._glued_classes(sizes, maps), wfib.g_classes(sizes, maps))
+    return same_partition(glued_classes(sizes, maps), wfib.g_classes(sizes, maps))
 
 
 def test_same_partition():
@@ -287,7 +292,134 @@ def test_pi0_matches_networkx_on_random_graphs():
         assert [block[0] for block in blocks.values()] == sorted(b[0] for b in expected)
 
 
-# The whole-signature route that gluing_agreement took before G became
+# The whole-signature route that gluing_agreement took before it became a
+# walk over frontier states: the roots by composition (wfib._roots), every
+# edge's pi0 classes glued over the shared fibers at once, and a comparison
+# of the two partitions.
+
+
+@functools.lru_cache(maxsize=None)
+def edge_pi0(size0: int, fmap: tuple[int, ...]):
+    """pi0 of one edge's two-layer graph, by graph search: labels below, above, count."""
+    comp = wfib._pi0(size0 + len(fmap), [(size0 + j, p) for j, p in enumerate(fmap)])
+    return comp[:size0], comp[size0:], max(comp, default=-1) + 1
+
+
+def glued_classes(sizes, maps, twist=None):
+    """Components computed edgewise and glued over shared fibers.
+
+    Each edge contributes the components of its own two-layer graph,
+    numbered after those of the edges before it; the pushout identifies,
+    for every shared fiber element, its class in the incoming edge with its
+    class in the outgoing edge.  Returns the least glued class number of
+    every fiber vertex, position-major.  A mutant twist rewrites the
+    identifications of every shared fiber, a list of pairs.
+    """
+    # Edge class of every vertex: fiber 0 from edge 0, fiber t + 1 from edge t.
+    vertex_class: list[int] = []
+    shared: list[tuple[int, int]] = []
+    count = 0
+    for t, fmap in enumerate(maps):
+        lower, upper, classes = edge_pi0(sizes[t], fmap)
+        if t:
+            incoming = vertex_class[len(vertex_class) - sizes[t] :]
+            pairs = list(zip(incoming, [count + c for c in lower]))
+            shared += twist(pairs) if twist else pairs
+        else:
+            vertex_class += lower
+        vertex_class += [count + c for c in upper]
+        count += classes
+    reps = least_representatives(count, shared)
+    return [reps[c] for c in vertex_class]
+
+
+def whole_signature_agreement(signature, twist=None) -> bool:
+    """The base classes are distinct and every vertex is glued to its root."""
+    sizes, maps = signature
+    roots = wfib._roots(sizes, maps)
+    # A chain's maps are total, so every root is a base point.
+    if not maps or roots is None or any(map(ne, map(len, maps), sizes[1:])):
+        return False
+    glued = glued_classes(sizes, maps, twist)
+    base = glued[: sizes[0]]
+    return len(set(base)) == sizes[0] and [base[r] for r in roots] == glued
+
+
+def sweep_signatures(monkeypatch, max_k: int, max_len: int) -> list:
+    """Every signature the exhaustive gluing sweep checks, in its order."""
+    seen: list = []
+    monkeypatch.setattr(sweeps, "gluing_agreement", lambda sig: seen.append(sig) or True)
+    sweeps.gluing_suite(SweepConfig(max_k=max_k, max_chain_len=max_len))
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize(
+    "max_k,max_len,count", [(3, 3, 251333), (4, 2, 73672)], ids=["k3-len3", "k4-len2"]
+)
+def test_walk_matches_whole_signature_oracle(monkeypatch, max_k, max_len, count):
+    signatures = sweep_signatures(monkeypatch, max_k, max_len)
+    assert len(signatures) == len(set(signatures)) == count
+    assert [s for s in signatures if gluing_agreement(s) != whole_signature_agreement(s)] == []
+
+
+# Mutants of the identifications over one shared fiber, a list of pairs
+# (class of element j in the incoming edge, class in the outgoing edge).
+UNION_TWISTS = {
+    "skip-first": lambda pairs: pairs[1:],
+    "skip-last": lambda pairs: pairs[:-1],
+    "first-to-last": lambda pairs: pairs + [(pairs[0][0], pairs[-1][1])] if pairs else pairs,
+    # Each element glued to its successor's outgoing class: merges and splits.
+    "rotate": lambda pairs: [(c, e) for (c, _), (_, e) in zip(pairs, pairs[1:] + pairs[:1])],
+}
+
+
+@pytest.mark.parametrize("twist", UNION_TWISTS)
+def test_walk_matches_the_oracle_under_a_twisted_union(monkeypatch, signatures, twist):
+    """The step's union takes the pairs of one shared fiber, element by
+    element, so a twist of its pairs is the same twist of the oracle's
+    (on the base fiber the step has no pairs).  The glued route then
+    disagrees on many signatures, and the step's checks must find exactly
+    those."""
+    twisted = UNION_TWISTS[twist]
+    monkeypatch.setattr(
+        wfib, "least_representatives", lambda n, pairs: least_representatives(n, twisted(list(pairs)))
+    )
+    sigs = sorted(signatures[1])
+    verdicts = [gluing_agreement(signature) for signature in sigs]
+    assert verdicts == [whole_signature_agreement(signature, twisted) for signature in sigs]
+    assert 0 < sum(verdicts) < len(sigs)
+
+
+@st.composite
+def malformed_signatures(draw):
+    """Signatures over fibers of at most 4 points, some maps broken.
+
+    A map may be short or long, an image negative or at or past the size
+    of the previous fiber, and a map may be missing or extra.
+    """
+    sizes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4))
+    maps = []
+    for below, size in zip(sizes, sizes[1:]):
+        length = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+        in_range = below > 0 and draw(st.booleans())
+        image = st.integers(0, below - 1) if in_range else st.integers(-2, below + 1)
+        maps.append(tuple(draw(st.lists(image, min_size=length, max_size=length))))
+    extra = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if extra < 0:
+        maps = maps[:-1]
+    elif extra:
+        maps.append(tuple(draw(st.lists(st.integers(-1, 4), max_size=3))))
+    return tuple(sizes), tuple(maps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_signatures())
+def test_walk_fails_exactly_where_the_oracle_does(signature):
+    assert gluing_agreement(signature) == whole_signature_agreement(signature)
+
+
+# The whole-graph route that gluing_agreement took before G became
 # composition: pi0 of the whole layered graph, the per-edge components glued
 # by a graph search over edge classes, and a comparison of partitions.
 
@@ -427,8 +559,8 @@ def test_vertex_past_a_short_map_is_its_own_root():
 
 
 def test_gluing_every_class_together_fails(monkeypatch, signatures):
-    """A glue that merges everything passes the vertex-to-base condition alone;
-    the distinct base classes are what catch it."""
+    """The step's union merges everything, even on the base fiber: a class
+    then holds two roots unless the base fiber has at most one point."""
     monkeypatch.setattr(wfib, "least_representatives", lambda n, pairs: [0] * n)
     for signature in signatures[1]:
         assert gluing_agreement(signature) == (signature[0][0] < 2)
