@@ -11,7 +11,9 @@ The checks run on numbers: labels numbered as in quiverf (F classes
 from f_classes), fiber vertices numbered position-major as in wfib (G
 classes from g_classes), and gamma on a vertex's label number L is
 L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
-named only at the API boundary and in the witness of a failure.
+named only at the API boundary and in the witness of a failure.  The
+witnesses read gamma from one row per (ell, beta), built once per process
+from _gamma.
 """
 
 from __future__ import annotations
@@ -43,6 +45,20 @@ def _gamma(code: int, ell: int) -> int:
     return code // 2 + 1 if code % 2 == 0 and code != 2 * ell else code // 2
 
 
+#: gamma on every label number of a vertex, by (ell, beta), for the shapes met so far.
+_GAMMA_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
+    """The fiber element gamma assigns to each label number of a vertex (ell, beta)."""
+    row = _GAMMA_ROWS.get((ell, beta))
+    if row is None:
+        row = _GAMMA_ROWS[ell, beta] = tuple(
+            _gamma(code, ell) for code in range(label_count(ell, beta))
+        )
+    return row
+
+
 def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Fiber sizes, G classes by vertex number, and the witness of every label number.
 
@@ -54,10 +70,7 @@ def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
     witness: list[int] = []
     fiber_off = 0
     for obj, size in zip(chain.objects, sizes):
-        ell = size - 1
-        witness.extend(
-            g[fiber_off + _gamma(code, ell)] for code in range(label_count(ell, obj.beta))
-        )
+        witness += [g[fiber_off + v] for v in _gamma_row(size - 1, obj.beta)]
         fiber_off += size
     return sizes, g, witness
 
@@ -168,7 +181,9 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    label_offs = label_offsets(chain.objects)
+    # Segment numbers shift into the chain's by the label offset of position
+    # s - 1, which is 0 on a one-edge chain.
+    label_offs = label_offsets(chain.objects) if chain.length > 1 else [0]
     fiber_off = 0
     for s in range(1, chain.length + 1):
         if chain.length == 1:
@@ -177,7 +192,6 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
             seg = chain.subchain(s - 1, s)
             seg_f = f_classes(seg)
             seg_witness = _g_side(seg)[2]
-        # Segment numbers shift into the chain's by the offsets of position s - 1.
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}

@@ -21,6 +21,11 @@ pairing rules emit pairs of these numbers, F on a chain is union-find over
 range(n), and the least number in a class is its canonical representative.
 QuiverLabel values are built only to decode a result (f_chain,
 pairing_set, resolve_label) or to render a witness.
+
+The pairing rules read each object's resolutions from tables kept for the
+whole process: each (kind, index) a rule requests of an object goes to
+_resolve once, and its number is kept.  A request that _resolve cannot
+answer is not kept, so it goes to _resolve, and raises its error, each time.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bm import BmChain, BmEdge, BmObject, segment_decompose
 from .errors import (
@@ -115,7 +120,7 @@ def label_offsets(objects: Sequence[BmObject]) -> list[int]:
     """The number of the first label of each position, then the number of labels."""
     offsets = [0]
     for obj in objects:
-        offsets.append(offsets[-1] + label_count(obj.ell, obj.beta))
+        offsets.append(offsets[-1] + _shape(obj).count)
     return offsets
 
 
@@ -145,6 +150,57 @@ def _resolve(
             f"no resolution for {kind.value}({index}) on object {phi}"
         )
     return 2 * index - 2 if kind is LabelKind.ONE else 2 * index - 1
+
+
+class _Codes(dict):
+    """The label numbers on one object of the raw labels of one kind, by index.
+
+    xm has the one index None.  An index is looked up in _resolve on its
+    first request and kept when it resolves, so a request that raises goes
+    to _resolve, and raises, every time.
+    """
+
+    __slots__ = ("phi", "kind")
+
+    def __init__(self, phi: BmObject, kind: LabelKind) -> None:
+        super().__init__()
+        self.phi, self.kind = phi, kind
+
+    def __missing__(self, index: int | None) -> int:
+        phi = self.phi
+        code = self[index] = _resolve(phi, phi.ell, phi.beta, self.kind, index)
+        return code
+
+
+class _Shape(NamedTuple):
+    """What the pairing rules read of one object: its invariants, label count and tables."""
+
+    ell: int
+    beta: int
+    count: int
+    one: _Codes
+    two: _Codes
+    mid: _Codes
+
+
+#: The shape of every object met so far, by its values.
+_SHAPES: dict[tuple[int, ...], _Shape] = {}
+
+
+def _shape(phi: BmObject) -> _Shape:
+    """The shape of phi, built on first use."""
+    shape = _SHAPES.get(phi.values)
+    if shape is None:
+        ell, beta = phi.ell, phi.beta
+        shape = _SHAPES[phi.values] = _Shape(
+            ell,
+            beta,
+            label_count(ell, beta),
+            _Codes(phi, LabelKind.ONE),
+            _Codes(phi, LabelKind.TWO),
+            _Codes(phi, LabelKind.MID),
+        )
+    return shape
 
 
 def resolve_label(
@@ -189,49 +245,39 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     When beta' = 1 (forcing beta = 1) three more rules fire:
     (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
     p(ell')+2 <= j <= ell.  All labels pass through the resolution of
-    resolve_label.
+    resolve_label, read from each object's table.
 
     The degenerate case ell' = -1 yields no pairs: the formula for the
     pair count is undefined there and emptiness is the convention under
     which the edge value is just the source value.
     """
-    phi, phi_prime = edge.phi, edge.phi_prime
-    ell_prime = phi_prime.ell
+    ell_prime, beta_prime, _, y1, y2, ym = _shape(edge.phi_prime)
     if ell_prime == -1:
         return [], []
-    ell, beta, beta_prime = phi.ell, phi.beta, phi_prime.beta
-    shift = label_count(ell, beta)
+    ell, _, shift, x1, x2, xm = _shape(edge.phi)
     p = edge.map.images
-    one, two, mid_ = LabelKind.ONE, LabelKind.TWO, LabelKind.MID
-
-    def x(kind: LabelKind, index: int | None = None) -> int:
-        return _resolve(phi, ell, beta, kind, index)
-
-    def y(kind: LabelKind, index: int | None = None) -> int:
-        return shift + _resolve(phi_prime, ell_prime, beta_prime, kind, index)
-
     pairs: list[tuple[int, int]] = []
     notes: list[Note] = []
     try:
         for i in range(1, ell_prime + 1):
             if p[i - 1] == p[i]:
-                pairs.append((y(one, i), y(two, i)))
+                pairs.append((shift + y1[i], shift + y2[i]))
                 notes.append((_FLAT_NOTE, i, p[i], p[i - 1], i - 1))
             else:
-                pairs.append((y(one, i), x(one, p[i])))
+                pairs.append((shift + y1[i], x1[p[i]]))
                 notes.append((_UP_NOTE, i, p[i]))
-                pairs.append((x(two, p[i - 1] + 1), y(two, i)))
+                pairs.append((x2[p[i - 1] + 1], shift + y2[i]))
                 notes.append((_DOWN_NOTE, p[i - 1] + 1, p[i - 1], i - 1, i))
                 for j in range(p[i - 1] + 2, p[i] + 1):
-                    pairs.append((x(two, j), x(one, j - 1)))
+                    pairs.append((x2[j], x1[j - 1]))
                     notes.append((_INNER_NOTE, j, j - 1))
         if beta_prime == 1:
-            pairs.append((x(mid_), x(one, ell)))
+            pairs.append((xm[None], x1[ell]))
             notes.append((_MID_NOTE, ell))
-            pairs.append((x(two, p[ell_prime] + 1), y(mid_)))
+            pairs.append((x2[p[ell_prime] + 1], shift + ym[None]))
             notes.append((_MID_DOWN_NOTE, p[ell_prime] + 1, p[ell_prime], ell_prime))
             for j in range(p[ell_prime] + 2, ell + 1):
-                pairs.append((x(two, j), x(one, j - 1)))
+                pairs.append((x2[j], x1[j - 1]))
                 notes.append((_INNER_NOTE, j, j - 1))
     except (UnresolvableLabelError, LabelRangeError) as exc:
         raise PairingConstructionError(

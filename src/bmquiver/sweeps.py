@@ -305,17 +305,17 @@ class _ChainCounts:
             [count_monotone(n, m) for m in range(width)] for n in range(width)
         ]
 
-    def base(self, z: int) -> list[int]:
+    def base(self, z: int) -> tuple[int, ...]:
         """One chain of length 0 per object with 0-fiber size z."""
-        return [1 if 1 <= z + o <= self.max_k + 1 else 0 for o in range(self.max_k + 2)]
+        return tuple(1 if 1 <= z + o <= self.max_k + 1 else 0 for o in range(self.max_k + 2))
 
-    def step(self, weights: list[int], z: int) -> list[int]:
+    def step(self, weights: tuple[int, ...], z: int) -> tuple[int, ...]:
         """Weights after one more edge into an object with 0-fiber size z."""
         top = self.max_k + 1
-        return [
+        return tuple(
             sum(w * n for w, n in zip(weights, row)) if 1 <= z + o <= top else 0
             for o, row in enumerate(self.maps_into)
-        ]
+        )
 
 
 def _representative(signature: FiberSignature) -> BmChain:
@@ -396,15 +396,22 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
 
 
 def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
-    """Depth-first over fiber signatures, each extended from its prefix."""
+    """Depth-first over fiber signatures, each extended from its prefix.
+
+    The weights after a step are a function of the weights before it and z,
+    and many prefixes share their weights, so each step is computed once.
+    """
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
+    steps: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
-    def visit(sizes: tuple[int, ...], maps: tuple, weights: list, depth: int) -> None:
+    def visit(sizes: tuple[int, ...], maps: tuple, weights: tuple, depth: int) -> None:
         last = sizes[-1]
         for z in range(width):
-            child_weights = counts.step(weights, z)
+            child_weights = steps.get((weights, z))
+            if child_weights is None:
+                child_weights = steps[weights, z] = counts.step(weights, z)
             chains = sum(child_weights)
             if not chains:
                 continue

@@ -28,7 +28,7 @@ from bmquiver import (
     xi_restriction_commutes,
 )
 from bmquiver import compare, quiverf
-from bmquiver.quiverf import LabelKind, f_classes, mid, one, resolve_label, two
+from bmquiver.quiverf import LabelKind, f_classes, label_count, mid, one, resolve_label, two
 from test_bm import identity_edge
 
 OBJ = BmObject.parse
@@ -382,3 +382,13 @@ class TestXi:
         for edge in enumerate_all_edges(2, 2):
             for m in range(4):
                 assert xi_restriction_commutes(BmChain.from_edges([edge]), m).passed
+
+
+def test_gamma_rows_equal_gamma_per_code():
+    """The row of each (ell, beta) with k <= 8 is _gamma on every label number,
+    which is the vertex rule x1(i) -> i, x2(j) -> j - 1, xm -> ell."""
+    for phi in enumerate_objects(8):
+        ell, beta = phi.ell, phi.beta
+        row = compare._gamma_row(ell, beta)
+        assert row == tuple(compare._gamma(code, ell) for code in range(label_count(ell, beta)))
+        assert row == tuple(gamma_index(label, ell) for label in f_object(phi))

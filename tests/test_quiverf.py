@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,8 @@ from bmquiver import (
     pairing_set,
     resolve_label,
 )
-from bmquiver.quiverf import f_classes, label_offsets, mid, one, two
+from bmquiver import quiverf
+from bmquiver.quiverf import f_classes, label_count, label_offsets, mid, one, two
 from test_bm import identity_edge
 from test_quotient import union_find_blocks
 from test_sweeps import edge_pool
@@ -422,6 +425,43 @@ class TestLabelOracle:
                 blocks.setdefault(rep, []).append(label)
             assert all(elements[rep] == block[0] for rep, block in blocks.items())
             assert sorted(map(tuple, blocks.values())) == closure(elements, pairs)
+
+
+class TestResolutionTables:
+    """The tables the pairing rules read against the rules they keep."""
+
+    def test_tables_equal_the_resolution_rule(self):
+        """On every object with k <= 8 each (kind, index) a rule can request,
+        and one index past each end, reads what _resolve gives; where
+        _resolve raises, the table raises the same error and keeps no entry."""
+        for phi in enumerate_objects(8):
+            ell, beta = phi.ell, phi.beta
+            shape = quiverf._shape(phi)
+            assert (shape.ell, shape.beta, shape.count) == (ell, beta, label_count(ell, beta))
+            tables = {LabelKind.ONE: shape.one, LabelKind.TWO: shape.two, LabelKind.MID: shape.mid}
+            requests = [(LabelKind.MID, None)] + [
+                (kind, index)
+                for kind in (LabelKind.ONE, LabelKind.TWO)
+                for index in range(-1, ell + 3)
+            ]
+            expected: dict = {kind: {} for kind in LabelKind}
+            for kind, index in requests:
+                try:
+                    code = quiverf._resolve(phi, ell, beta, kind, index)
+                except (LabelRangeError, UnresolvableLabelError) as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        tables[kind][index]
+                else:
+                    assert tables[kind][index] == code
+                    expected[kind][index] = code
+            assert {kind: dict(table) for kind, table in tables.items()} == expected
+
+    @given(bm_edges(max_top=8), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_random_edges_match_the_label_oracle(self, edge, at):
+        """Edges up to k, k' <= 8, their pairing lists read from the tables."""
+        pairing = pairing_set(edge, at=at)
+        assert (pairing.pairs, pairing.notes) == label_pairing(edge, at)
 
 
 def test_crossing_count_closed_form():

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from bmquiver.sweeps import (
     SweepConfig,
     gluing_suite,
 )
+from conftest import clear_memos
 from test_bm import filtered_edges
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
@@ -109,6 +111,23 @@ def test_exhaustive_gluing_keeps_the_benchmark_self_check_counts(monkeypatch):
     report = gluing_suite(SweepConfig(max_k=3, max_chain_len=3))
     info = wfib._edge_components.cache_info()
     assert (calls, info.hits + info.misses, info.misses) == (251333, 748340, 125)
+    assert (report.total, report.failed) == (1120280, 0)
+
+
+def test_exhaustive_gluing_steps_each_weight_vector_once(monkeypatch):
+    """The (3, 3) sweep computes the chain weights of 310 distinct
+    (weights, z) steps, one call each, for its 251,333 signatures."""
+    calls = 0
+    step = sweeps._ChainCounts.step
+
+    def counted(self, weights, z):
+        nonlocal calls
+        calls += 1
+        return step(self, weights, z)
+
+    monkeypatch.setattr(sweeps._ChainCounts, "step", counted)
+    report = gluing_suite(SweepConfig(max_k=3, max_chain_len=3))
+    assert calls == 310
     assert (report.total, report.failed) == (1120280, 0)
 
 
@@ -404,6 +423,45 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch):
     for instance in report.instances:
         (witness,) = instance["witnesses"]
         assert witness.startswith("class (") and " has images [(0, " in witness
+
+
+def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
+    """The resolution tables and gamma rows live for the whole process.
+
+    Filled by a passing sweep, they hide a gamma patched in later until
+    clear_memos forgets them; then the off-by-one gamma fails its 10
+    constancy edges at k, k' <= 2 again.
+    """
+    assert failing_reports(["constancy", "naturality"])["constancy"].failed == 0
+    gamma_off_by_one(monkeypatch)
+    assert failing_reports(["constancy"])["constancy"].failed == 0
+    clear_memos()
+    assert failing_reports(["constancy"])["constancy"].failed == 10
+
+
+def test_each_resolution_is_computed_once_per_object(monkeypatch):
+    """With the memos cleared, constancy and naturality sweeps at k, k' <= 3
+    call _resolve (from outside itself) at most once per (object, kind,
+    index): the pairing rules read every later request from the tables."""
+    resolve = quiverf._resolve
+    calls: Counter = Counter()
+    depth = 0
+
+    def counted(phi, ell, beta, kind, index):
+        nonlocal depth
+        if not depth:
+            calls[phi, kind, index] += 1
+        depth += 1
+        try:
+            return resolve(phi, ell, beta, kind, index)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(quiverf, "_resolve", counted)
+    config = SweepConfig(max_k=3, max_k_prime=3)
+    for name in ("constancy", "naturality"):
+        assert sweeps.run_suite(config, name).passed
+    assert (len(calls), max(calls.values())) == (35, 1)
 
 
 def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
