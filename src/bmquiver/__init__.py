@@ -49,10 +49,9 @@ from .quiverf import (
     f_object_via_segments,
     j_cardinality_audit,
     pairing_set,
-    resolve_label,
 )
 from .quotient import QuotientSet
-from .simplex import DeltaMap, compose, identity
+from .simplex import DeltaMap, compose
 from .sweeps import SUITE_NAMES, SuiteReport, SweepConfig, run_suites
 from .wfib import GSet, chain_signature, g_chain, gluing_agreement
 

@@ -10,7 +10,7 @@ sequence of such morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateDecompositionError,
@@ -22,9 +22,19 @@ from .simplex import DeltaMap, count_monotone, monotone_tuples
 
 @dataclass(frozen=True)
 class BmObject:
-    """A monotone map [k] -> [1], stored as its value tuple."""
+    """A monotone map [k] -> [1], stored as its value tuple.
+
+    top, ell and beta are derived from the values once, when the object is
+    built, and take no part in comparison or hashing.
+    """
 
     values: tuple[int, ...]
+    #: The index k of the source ordinal [k].
+    top: int = field(init=False, repr=False, compare=False)
+    #: Top index of the fiber over 0; -1 when the fiber is empty.
+    ell: int = field(init=False, repr=False, compare=False)
+    #: 1 when the values cross from 0 to 1, else 0.
+    beta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -36,21 +46,11 @@ class BmObject:
             if v < prev:
                 raise ValidationError(f"values {self.values} not monotone")
             prev = v
-
-    @property
-    def top(self) -> int:
-        """The index k of the source ordinal [k]."""
-        return len(self.values) - 1
-
-    @property
-    def ell(self) -> int:
-        """Top index of the fiber over 0; -1 when the fiber is empty."""
-        return self.values.count(0) - 1
-
-    @property
-    def beta(self) -> int:
-        """1 when the values cross from 0 to 1, else 0."""
-        return 1 if (0 in self.values and 1 in self.values) else 0
+        # Derived here once: caching them on first read would materialize the
+        # instance __dict__ and slow every later attribute read of the object.
+        object.__setattr__(self, "top", len(self.values) - 1)
+        object.__setattr__(self, "ell", self.values.count(0) - 1)
+        object.__setattr__(self, "beta", int(0 in self.values and 1 in self.values))
 
     def encode(self) -> str:
         return "".join(str(v) for v in self.values)
@@ -106,10 +106,6 @@ class BmEdge:
         """The restriction of the map to fibers over 0, as a value tuple."""
         return self.map.images[: self.phi_prime.ell + 1]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.phi == self.phi_prime and self.map.is_identity
-
     def encode(self) -> str:
         return (
             f"phi={self.phi.encode()};phiPrime={self.phi_prime.encode()};"
@@ -152,15 +148,18 @@ class BmChain:
 
     base: BmObject
     edges: tuple[BmEdge, ...]
+    #: The object at each position, base first; built with the chain.
+    objects: tuple[BmObject, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        prev = self.base
+        objects = [self.base]
         for edge in self.edges:
-            if edge.phi != prev:
+            if edge.phi != objects[-1]:
                 raise ValidationError(
-                    f"edge source {edge.phi} does not match chain at {prev}"
+                    f"edge source {edge.phi} does not match chain at {objects[-1]}"
                 )
-            prev = edge.phi_prime
+            objects.append(edge.phi_prime)
+        object.__setattr__(self, "objects", tuple(objects))
 
     @classmethod
     def vertex(cls, phi: BmObject) -> "BmChain":
@@ -175,10 +174,6 @@ class BmChain:
     @property
     def length(self) -> int:
         return len(self.edges)
-
-    @property
-    def objects(self) -> tuple[BmObject, ...]:
-        return (self.base,) + tuple(e.phi_prime for e in self.edges)
 
     def subchain(self, start: int, stop: int) -> "BmChain":
         """The chain restricted to positions start..stop (inclusive)."""
@@ -217,8 +212,8 @@ def enumerate_objects(k_max: int) -> list[BmObject]:
     return out
 
 
-def _fiber_parts(phi: BmObject, phi_prime: BmObject) -> tuple[tuple, tuple]:
-    """The monotone 0-fiber maps [ell'] -> [ell] and the 1-fiber image tuples.
+def fiber_parts(phi: BmObject, phi_prime: BmObject) -> tuple[tuple, tuple]:
+    """The monotone 0-fiber maps [ell'] -> [ell] and the 1-fiber image tuples, in order.
 
     An edge phi -> phi' sends 0-fiber points to 0-fiber points and 1-fiber
     points to 1-fiber points, monotonically, and is any such pair; its image
@@ -238,7 +233,7 @@ def enumerate_edges(phi: BmObject, phi_prime: BmObject) -> list[BmEdge]:
     length, so this is lexicographic order of the image tuples.
     """
     kp, k = phi_prime.top, phi.top
-    zeros, ones = _fiber_parts(phi, phi_prime)
+    zeros, ones = fiber_parts(phi, phi_prime)
     return [
         BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one))
         for zero in zeros
@@ -256,7 +251,7 @@ def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
 
 def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
     """enumerate_edges(phi, phi_prime)[index], built without the other edges."""
-    zeros, ones = _fiber_parts(phi, phi_prime)
+    zeros, ones = fiber_parts(phi, phi_prime)
     if not 0 <= index < len(zeros) * len(ones):
         raise IndexError(f"edge index {index} out of range for {phi} -> {phi_prime}")
     zero, one = divmod(index, len(ones))

@@ -20,7 +20,7 @@ labels of the earlier positions.  Integer order is label order.  The
 pairing rules emit pairs of these numbers, F on a chain is union-find over
 range(n), and the least number in a class is its canonical representative.
 QuiverLabel values are built only to decode a result (f_chain,
-pairing_set, resolve_label) or to render a witness.
+pairing_set) or to render a witness.
 
 The pairing rules read each object's resolutions from tables kept for the
 whole process: each (kind, index) a rule requests of an object goes to
@@ -203,18 +203,6 @@ def _shape(phi: BmObject) -> _Shape:
     return shape
 
 
-def resolve_label(
-    phi: BmObject, kind: LabelKind, index: int | None = None, vertex: int = 0
-) -> QuiverLabel:
-    """Resolve a raw (kind, index) to an actual element of f_object(phi).
-
-    x1(0) resolves to the resolution of x2(1); x2(ell + 1) resolves to xm,
-    which requires beta = 1.  In-range labels resolve to themselves.
-    """
-    ell = phi.ell
-    return _label(_resolve(phi, ell, phi.beta, kind, index), ell, vertex)
-
-
 # Notes, one per pair: a template and the raw indices it names.
 _FLAT_NOTE = "y1({0}) = x1({1}) = x1({2}) = y1({3}) = y2({0})"
 _UP_NOTE = "y1({0}) = x1({1})"
@@ -245,7 +233,7 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     When beta' = 1 (forcing beta = 1) three more rules fire:
     (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
     p(ell')+2 <= j <= ell.  All labels pass through the resolution of
-    resolve_label, read from each object's table.
+    _resolve, read from each object's table.
 
     The degenerate case ell' = -1 yields no pairs: the formula for the
     pair count is undefined there and emptiness is the convention under

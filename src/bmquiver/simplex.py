@@ -39,12 +39,6 @@ class DeltaMap:
                 raise ValidationError(f"images {self.images} not monotone")
             prev = v
 
-    @property
-    def is_identity(self) -> bool:
-        return self.source_top == self.target_top and all(
-            v == i for i, v in enumerate(self.images)
-        )
-
     def encode(self) -> str:
         return ",".join(str(v) for v in self.images)
 
@@ -65,10 +59,6 @@ class DeltaMap:
 
     def __str__(self) -> str:
         return f"({self.encode()}):[{self.source_top}]->[{self.target_top}]"
-
-
-def identity(n: int) -> DeltaMap:
-    return DeltaMap(n, n, tuple(range(n + 1)))
 
 
 def compose(g: DeltaMap, f: DeltaMap) -> DeltaMap:

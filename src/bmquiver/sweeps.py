@@ -7,8 +7,10 @@ gluing, and per passing or warning edge signature in constancy,
 identification, audit and xi) in a single process, and aggregates a
 report: failures stop nothing, they are collected with witnesses so a
 broken case is localized.
-Every suite but gluing runs from one table of instance sources, checks and
-signatures.
+Every suite but gluing runs from one table of instance sources and checks.
+A source gives runs: consecutive instances, in enumeration order, that
+share one signature.  A suite that reuses verdicts by signature counts a
+run whose signature passed without building its instances.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -19,8 +21,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, groupby
+from typing import Callable, Iterable, Iterator
 
 from .bm import (
     BmChain,
@@ -28,8 +30,8 @@ from .bm import (
     BmObject,
     count_edges,
     edge_at,
-    enumerate_all_edges,
     enumerate_objects,
+    fiber_parts,
 )
 from .compare import (
     VerificationReport,
@@ -126,51 +128,95 @@ def _distinct(draws: list) -> tuple[list, list[int]]:
     return list(position), order
 
 
-def _replay(results: list, order: list[int] | None) -> list:
+def _replay(results: Iterable, order: list[int] | None) -> Iterable:
     """One result per draw from one per distinct draw; order None is every instance once."""
-    return results if order is None else [results[i] for i in order]
+    if order is None:
+        return results
+    results = list(results)
+    return [results[i] for i in order]
 
 
-def _objects(config: SweepConfig) -> tuple[list[BmObject], list[int] | None]:
-    """The objects to check, and the draw order over them (see _replay).
+#: A run: consecutive instances of a source, in enumeration order, that share
+#: one signature, as (signature, count, instances); an instance is built as
+#: it is read, so a run that is only counted is never built.
+Run = tuple[object, int, Iterable]
+
+
+def _objects(config: SweepConfig) -> tuple[list[Run], list[int] | None]:
+    """The objects to check, each a run of one, and the draw order over them (see _replay).
 
     Exhaustive: every object in range, each checked once, and no order.
     Sampled: config.samples seeded draws.  Each distinct object is listed
     once, in order of first draw, so a suite checks it once and replays its
-    result at every draw.
+    result at every draw.  An object is its own signature.
     """
     objs = enumerate_objects(config.max_k)
-    if config.samples is None:
-        return objs, None
-    rng = random.Random(config.seed)
-    return _distinct([rng.choice(objs) for _ in range(config.samples)])
+    order = None
+    if config.samples is not None:
+        rng = random.Random(config.seed)
+        objs, order = _distinct([rng.choice(objs) for _ in range(config.samples)])
+    return [(phi, 1, (phi,)) for phi in objs], order
 
 
-def _edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
-    """The edges to check, and the draw order over them (see _replay).
+def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> Run:
+    """The run of edges phi -> phi' with this 0-part and these 1-parts, in map order.
+
+    The signature is what the constancy, identification, audit and xi checks
+    read of an edge: (ell, beta, ell', beta'), the images of the 0-fiber of
+    phi', and p(ell' + 1) when beta' = 1 (the audit reads it).  It is read
+    from the images, not through BmEdge.fiber_map, so edges that the
+    pairing rules tell apart are never merged.  When beta' = 1 the 1-parts
+    must share their first image.
+    """
+    beta_prime, kp, k = phi_prime.beta, phi_prime.top, phi.top
+    signature = (phi.ell, phi.beta, phi_prime.ell, beta_prime, zero + ones[0][:beta_prime])
+    edges = (BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one)) for one in ones)
+    return signature, len(ones), edges
+
+
+def _edge_runs(config: SweepConfig) -> Iterator[Run]:
+    """Every edge in range, in enumerate_all_edges order, as runs.
+
+    For an object pair, a 0-part and, when beta' = 1, the first image of the
+    1-part fix the signature.  The 1-parts are in lexicographic order, so
+    those that share a first image are consecutive and make one run.
+    """
+    targets = enumerate_objects(config.max_k_prime)
+    for phi in enumerate_objects(config.max_k):
+        for phi_prime in targets:
+            zeros, ones = fiber_parts(phi, phi_prime)
+            head = phi_prime.beta
+            stretches = [tuple(group) for _, group in groupby(ones, lambda one: one[:head])]
+            for zero in zeros:
+                for stretch in stretches:
+                    yield _edge_run(phi, phi_prime, zero, stretch)
+
+
+def _edges(config: SweepConfig) -> tuple[Iterable[Run], list[int] | None]:
+    """The edges to check, as runs, and the draw order over them (see _replay).
 
     Exhaustive: every edge in range, and no order.  Sampled: config.samples
     seeded draws.  A draw picks a source and a target object, then an index
     into their edges in map order; a pair with no edges is drawn again
     without an index.  Drawing an index below n takes the same generator
     step as choosing from a list of n, so the draws match choosing from
-    enumerate_edges.  Each distinct (source, target, index) draw is built
-    once with edge_at, in order of first draw.
+    enumerate_edges.  Each distinct draw is a run of one, in order of first draw.
     """
     if config.samples is None:
-        return enumerate_all_edges(config.max_k, config.max_k_prime), None
+        return _edge_runs(config), None
     rng = random.Random(config.seed)
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
     draws = []
     while len(draws) < config.samples:
-        source = rng.randrange(len(sources))
-        target = rng.randrange(len(targets))
-        count = count_edges(sources[source], targets[target])
-        if count:
-            draws.append((source, target, rng.randrange(count)))
+        phi = sources[rng.randrange(len(sources))]
+        phi_prime = targets[rng.randrange(len(targets))]
+        zeros, ones = fiber_parts(phi, phi_prime)
+        if zeros and ones:
+            zero, one = divmod(rng.randrange(len(zeros) * len(ones)), len(ones))
+            draws.append((phi, phi_prime, zeros[zero], ones[one : one + 1]))
     distinct, order = _distinct(draws)
-    return [edge_at(sources[s], targets[t], index) for s, t, index in distinct], order
+    return (_edge_run(*draw) for draw in distinct), order
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -249,10 +295,8 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     An ill-defined gamma, or pairing rules that build an invalid label,
     fail with the error.
     """
-    if isinstance(instance, BmObject):
-        chain = BmChain.vertex(instance)
-    else:
-        chain = BmChain.from_edges([instance])
+    is_object = isinstance(instance, BmObject)
+    chain = BmChain.vertex(instance) if is_object else BmChain.from_edges([instance])
     records: list[Record] = []
     for m in range(max_target_size + 1):
         try:
@@ -263,25 +307,7 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     return records
 
 
-def _signature(instance: BmObject | BmEdge) -> object:
-    """What the constancy, identification, audit and xi checks read of an instance.
-
-    An object is its own signature.  An edge's is (ell, beta, ell', beta')
-    and its images on the 0-fiber of phi', plus p(ell' + 1) when beta' = 1,
-    which the audit reads: the pairing rules, G, gamma and the audit
-    formula are functions of these.  It is built from the map's images, not
-    through BmEdge.fiber_map, so edges that the pairing rules tell apart are
-    never merged.
-    """
-    if isinstance(instance, BmObject):
-        return instance
-    phi, phi_prime = instance.phi, instance.phi_prime
-    ell_prime, beta_prime = phi_prime.ell, phi_prime.beta
-    images = instance.map.images[: ell_prime + 1 + beta_prime]
-    return phi.ell, phi.beta, ell_prime, beta_prime, images
-
-
-def _xi_edges(config: SweepConfig) -> tuple[list[BmEdge], list[int] | None]:
+def _xi_edges(config: SweepConfig) -> tuple[Iterable[Run], list[int] | None]:
     """The edges of the xi suite: none unless chains of length 1 are in range."""
     return _edges(config) if config.max_chain_len else ([], None)
 
@@ -457,21 +483,21 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     return report
 
 
-#: Per suite: the sources of its instances, each giving them with their draw
-#: order (see _replay), the check of one instance, which gives its records,
-#: and the signature on which the check's verdict depends (None: checked
-#: per instance).  The checks call the verifiers by their module names, so
-#: a verifier rebound on this module is the one that runs.  Naturality has
-#: no signature: the benchmark's traced self-check counts one
-#: verify_naturality call per edge.
-_SUITES: dict[str, tuple[tuple[Callable, ...], Callable, Callable | None]] = {
-    "cardinality": ((_objects,), _cardinality, None),
-    "constancy": ((_edges,), _constancy, _signature),
-    "naturality": ((_edges,), _naturality, None),
-    "decomposition": ((_objects,), _decomposition, None),
-    "identification": ((_edges,), _identification, _signature),
-    "audit": ((_edges,), _audit, _signature),
-    "xi": ((_objects, _xi_edges), _xi, _signature),
+#: Per suite: the sources of its instances, each giving runs (see Run) with
+#: their draw order (see _replay); the check of one instance, which gives
+#: its records; and whether the verdict is a function of the run signature,
+#: so that a run whose signature passed is counted unbuilt (else every
+#: instance is built and checked).  The checks call the verifiers by their
+#: module names, so a verifier rebound here is the one that runs.  Naturality
+#: checks every edge: the benchmark's traced self-check counts its calls.
+_SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
+    "cardinality": ((_objects,), _cardinality, False),
+    "constancy": ((_edges,), _constancy, True),
+    "naturality": ((_edges,), _naturality, False),
+    "decomposition": ((_objects,), _decomposition, False),
+    "identification": ((_edges,), _identification, True),
+    "audit": ((_edges,), _audit, True),
+    "xi": ((_objects, _xi_edges), _xi, True),
 }
 SUITE_NAMES = (
     "cardinality",
@@ -486,54 +512,58 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _reusing_verdicts(check: Callable, signature: Callable) -> Callable:
-    """The check, reusing a passing or warning verdict for later instances with its signature.
+def _run_records(run: Run, check: Callable, verdicts: dict | None) -> list:
+    """The records of a run, each with the number of instances it counts, in order.
 
-    A reused warning is listed under the later instance's own key: a
-    warning is keyed by its instance's encoding and names nothing else of
-    it.  A signature whose check failed is not kept, so each of its
-    instances is checked on its own and listed with its own key and
-    witnesses, which may name the instance.
+    verdicts keeps passing and warning verdicts by signature (None: check
+    every instance).  A run whose signature passed is counted unbuilt.
+    Else its instances are built and checked in order until one passes,
+    which counts the rest, or warns: a warning names nothing else of its
+    instance, so each later one is listed under its own key.  Each instance
+    of a failing signature is checked and listed with its own witnesses.
     """
-    verdicts: dict = {}
-
-    def checked(instance):
-        key = signature(instance)
-        records = verdicts.get(key)
-        if records is None:
-            records = check(instance)
-            if all(record is None or record[1] == "warn" for record in records):
-                verdicts[key] = records
-        elif any(records):
-            records = [
-                None if record is None else (instance.encode(), record[1], record[2])
-                for record in records
-            ]
-        return records
-
-    return checked
+    signature, count, instances = run
+    if verdicts is None:
+        return [(check(instance), 1) for instance in instances]
+    kept = verdicts.get(signature)
+    if kept is not None and not any(kept):
+        return [(kept, count)]
+    out = []
+    for done, instance in enumerate(instances):
+        if kept is not None:
+            key = instance.encode()
+            out.append((tuple(None if r is None else (key, r[1], r[2]) for r in kept), 1))
+            continue
+        records = check(instance)
+        if all(r is None or r[1] == "warn" for r in records):
+            kept = verdicts[signature] = records
+            if not any(records):
+                out.append((records, count - done))
+                break
+        out.append((records, 1))
+    return out
 
 
 def _sweep(
-    config: SweepConfig, name: str, sources: tuple, check: Callable, signature: Callable | None
+    config: SweepConfig, name: str, sources: tuple, check: Callable, by_signature: bool
 ) -> SuiteReport:
-    """Check every instance of every source once, and replay the records per draw.
+    """Check the runs of every source, and replay the records per draw.
 
-    With a signature, an instance whose signature has passed or only warned
-    before takes that verdict unchecked.  This is exact only if the check reads
+    By signature, a run whose signature has passed or only warned before
+    takes that verdict unchecked.  This is exact only if the check reads
     nothing beyond the signature; a check that read more would be
     under-checked, which the signature test in tests/test_sweeps.py guards.
-    The reused verdicts live for this call only.
+    The kept verdicts live for this call only.
     """
     report = SuiteReport(name, config.bounds_dict())
-    if signature is not None:
-        check = _reusing_verdicts(check, signature)
+    verdicts: dict | None = {} if by_signature else None
     for source in sources:
-        instances, order = source(config)
-        results = [check(instance) for instance in instances]
-        for records in _replay(results, order):
-            for record in records:
-                report.add(record)
+        runs, order = source(config)
+        results = (_run_records(run, check, verdicts) for run in runs)
+        for counted in _replay(results, order):
+            for records, count in counted:
+                for record in records:
+                    report.add(record, count)
     return report
 
 
@@ -542,15 +572,13 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
     Sampled mode checks each distinct drawn object or edge once, and lists
     a failing or warning instance at each of its draws, in draw order; the
-    total counts every draw.  Constancy, identification, audit and xi check
-    each edge signature (see _signature) once, in exhaustive and sampled
-    mode, and give every later edge with a passing or warning signature
-    that verdict, a warning under the edge's own key; the edges of a
-    failing signature are each checked and listed with their own keys.
-    Naturality stays one check per edge.  An edge on which the pairing
-    rules build an invalid label, or an xi instance on which gamma is not
-    well-defined, fails with the error as its witness instead of stopping
-    the sweep.
+    total counts every draw.  Edges come in runs that share a signature
+    (see _edge_runs and _run_records): constancy, identification, audit and
+    xi check each signature once and count a later run whose signature
+    passed without building its edges, while naturality builds and checks
+    every edge.  An edge on which the pairing rules build an invalid label,
+    or an xi instance on which gamma is not well-defined, fails with the
+    error as its witness instead of stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)
@@ -559,9 +587,9 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
     """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound."""
-    sources, _, signature = _SUITES["xi"]
+    sources, _, by_signature = _SUITES["xi"]
     check = partial(_xi, max_target_size=max_target_size)
-    return _sweep(config, "xi", sources, check, signature)
+    return _sweep(config, "xi", sources, check, by_signature)
 
 
 def run_suites(config: SweepConfig, suites: list[str] | None = None) -> list[SuiteReport]:

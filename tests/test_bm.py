@@ -18,7 +18,7 @@ from bmquiver import (
     segment_decompose,
 )
 from bmquiver.bm import count_edges, edge_at
-from bmquiver.simplex import identity
+from test_simplex import identity
 
 OBJ = BmObject.parse
 
@@ -93,7 +93,7 @@ def test_beta_iff_ell_strictly_interior():
 def test_enumerate_edges_examples():
     assert enumerate_edges(OBJ("0"), OBJ("1")) == []
     edges = enumerate_edges(OBJ("01"), OBJ("01"))
-    assert len(edges) == 1 and edges[0].is_identity
+    assert edges == [identity_edge(OBJ("01"))]
     edges = enumerate_edges(OBJ("001"), OBJ("01"))
     assert [e.map.images for e in edges] == [(0, 2), (1, 2)]
 
@@ -224,3 +224,26 @@ def test_subchain():
     assert chain.subchain(1, 1).length == 0
     with pytest.raises(ValidationError):
         chain.subchain(2, 1)
+
+
+def test_derived_attributes_are_computed_once_and_leave_equality_alone():
+    """chain.objects is built once, with the chain, and so are an object's
+    top, ell and beta; they change no comparison, hash, repr or encoding."""
+    chain = BmChain.parse("phi=0011;phiPrime=001;map=0,1,3|phi=001;phiPrime=01;map=1,2")
+    assert chain.objects is chain.objects
+    assert [o.encode() for o in chain.objects] == ["0011", "001", "01"]
+    counts = 0
+    count = tuple.count
+
+    class CountingValues(tuple):
+        def count(self, value):
+            nonlocal counts
+            counts += 1
+            return count(self, value)
+
+    phi = BmObject(CountingValues((0, 0, 1)))
+    assert [phi.ell, phi.ell, phi.beta, phi.top, phi.ell] == [1, 1, 1, 2, 1]
+    assert counts == 1
+    fresh = OBJ("001")
+    assert (phi == fresh, hash(phi) == hash(fresh), repr(phi) == repr(fresh)) == (True,) * 3
+    assert BmChain.parse(chain.encode()) == chain

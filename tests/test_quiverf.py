@@ -21,7 +21,6 @@ from bmquiver import (
     f_object_via_segments,
     j_cardinality_audit,
     pairing_set,
-    resolve_label,
 )
 from bmquiver import quiverf
 from bmquiver.quiverf import f_classes, label_count, label_offsets, mid, one, two
@@ -31,6 +30,16 @@ from test_sweeps import edge_pool
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
+
+
+def resolve_label(phi: BmObject, kind: LabelKind, index=None, vertex: int = 0) -> QuiverLabel:
+    """The element of f_object(phi) that a raw (kind, index) resolves to.
+
+    x1(0) resolves to the resolution of x2(1); x2(ell + 1) resolves to xm,
+    which requires beta = 1.  In-range labels resolve to themselves.
+    """
+    code = quiverf._resolve(phi, phi.ell, phi.beta, kind, index)
+    return quiverf._label(code, phi.ell, vertex)
 
 
 @st.composite

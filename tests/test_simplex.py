@@ -11,9 +11,13 @@ from bmquiver import (
     ParseError,
     ValidationError,
     compose,
-    identity,
 )
 from bmquiver.simplex import count_monotone, monotone_tuples
+
+
+def identity(n: int) -> DeltaMap:
+    """The identity map [n] -> [n]."""
+    return DeltaMap(n, n, tuple(range(n + 1)))
 
 
 @st.composite

@@ -8,13 +8,14 @@ import importlib
 import json
 import random
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
 from bmquiver import compare, quiverf, sweeps
-from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects
+from bmquiver.bm import BmEdge, BmObject, enumerate_all_edges, enumerate_edges, enumerate_objects
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
@@ -152,7 +153,10 @@ def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_pri
         config = SweepConfig(
             max_k=max_k, max_k_prime=max_k_prime, samples=40, seed=seed
         )
-        edges, order = sweeps._edges(config)
+        runs, order = sweeps._edges(config)
+        runs = list(runs)
+        assert all(count == 1 for _, count, _ in runs)
+        edges = [edge for _, _, instances in runs for edge in instances]
         assert len(set(edges)) == len(edges)
         assert [edges[i] for i in order] == choose_from_filtered_edges(config)
 
@@ -213,14 +217,37 @@ def per_draw_records(config: SweepConfig, suite: str) -> list:
     if suite == "decomposition":
         failures = [(phi, compare.verify_decomposition(phi).failures) for phi in drawn if phi.top]
         return [(phi.encode(), "fail", list(f)) if f else None for phi, f in failures]
-    edges = choose_from_filtered_edges(config)
+    return edge_suite_records(config, suite, drawn, choose_from_filtered_edges(config))
+
+
+def edge_suite_records(config: SweepConfig, suite: str, objects: list, edges: list) -> list:
+    """The record of every instance of an edge suite or xi, each checked on its own.
+
+    xi checks the objects, then the edges when chains of length 1 are in
+    range, each at the target sizes 0-3.
+    """
     if suite in EDGE_SUITES:
         return [edge_record(suite, edge) for edge in edges]
     assert suite == "xi"
-    chains = [BmChain.vertex(phi) for phi in drawn]
+    chains = [BmChain.vertex(phi) for phi in objects]
     if config.max_chain_len >= 1:
         chains += [BmChain.from_edges([edge]) for edge in edges]
     return [xi_record(chain, m) for chain in chains for m in range(4)]
+
+
+def expected_report(config: SweepConfig, suite: str, records: list) -> dict:
+    """The report that lists every record that did not pass, in order, and counts them all."""
+    listed = [r for r in records if r is not None]
+    return {
+        "suite": suite,
+        "bounds": config.bounds_dict(),
+        "instances": [{"key": k, "status": s, "witnesses": w} for k, s, w in listed],
+        "summary": {
+            "total": len(records),
+            "failed": sum(s == "fail" for _, s, _ in listed),
+            "warned": sum(s == "warn" for _, s, _ in listed),
+        },
+    }
 
 
 def gluing_record(chain: BmChain):
@@ -271,7 +298,7 @@ def edge_record(suite: str, edge: BmEdge):
 def xi_record(chain: BmChain, m: int):
     try:
         result = compare.xi_restriction_commutes(chain, m)
-    except IllDefinedComponentError as exc:
+    except (IllDefinedComponentError, PairingConstructionError) as exc:
         return f"{chain.encode()};m={m}", "fail", [str(exc)]
     return None if result.passed else (f"{chain.encode()};m={m}", "fail", list(result.failures))
 
@@ -317,20 +344,9 @@ def test_sampled_suites_match_checking_every_draw(monkeypatch, mutant):
         )
         for suite in SUITE_NAMES + EXTRA_SUITE_NAMES:
             records = per_draw_records(config, suite)
-            listed = [r for r in records if r is not None]
-            expected = {
-                "suite": suite,
-                "bounds": config.bounds_dict(),
-                "instances": [{"key": k, "status": s, "witnesses": w} for k, s, w in listed],
-                "summary": {
-                    "total": len(records),
-                    "failed": sum(s == "fail" for _, s, _ in listed),
-                    "warned": sum(s == "warn" for _, s, _ in listed),
-                },
-            }
             (report,) = sweeps.run_suites(config, [suite])
-            assert report.to_dict() == expected, (seed, suite)
-            failing = [k for k, s, _ in listed if s == "fail"]
+            assert report.to_dict() == expected_report(config, suite, records), (seed, suite)
+            failing = [r[0] for r in records if r is not None and r[1] == "fail"]
             repeated_failures += len(failing) - len(set(failing))
     assert repeated_failures > 0 or mutant == "none"
 
@@ -578,6 +594,14 @@ def test_invalid_label_fails_xi_instead_of_raising(monkeypatch):
 SIGNED_SUITES = ("constancy", "identification", "audit", "xi")
 
 
+def edge_signature(edge: BmEdge) -> tuple:
+    """What the signed checks read of an edge: (ell, beta, ell', beta'), the
+    images of the 0-fiber of phi', and p(ell' + 1) when beta' = 1."""
+    phi, phi_prime = edge.phi, edge.phi_prime
+    images = edge.map.images[: phi_prime.ell + 1 + phi_prime.beta]
+    return phi.ell, phi.beta, phi_prime.ell, phi_prime.beta, images
+
+
 def rekeyed(records, old: str, new: str) -> list:
     """The records with the edge encoding old at the head of each key replaced by new."""
     out = []
@@ -595,30 +619,92 @@ def test_edge_checks_are_functions_of_the_signature():
     enumeration order with its signature, keys aside: the check reads
     nothing of an edge beyond its signature, so reusing a verdict is exact.
     """
-    signed = [name for name, (_, _, signature) in sweeps._SUITES.items() if signature]
+    signed = [name for name, (_, _, by_signature) in sweeps._SUITES.items() if by_signature]
     assert tuple(signed) == SIGNED_SUITES
-    edges = sweeps._edges(SweepConfig(max_k=4, max_k_prime=4))[0]
+    edges = enumerate_all_edges(4, 4)
     for name in SIGNED_SUITES:
-        _, check, signature = sweeps._SUITES[name]
+        check = sweeps._SUITES[name][1]
         first: dict = {}
         for edge in edges:
             records = list(check(edge))
-            seen = first.setdefault(signature(edge), (edge, records))
+            seen = first.setdefault(edge_signature(edge), (edge, records))
             assert records == rekeyed(seen[1], seen[0].encode(), edge.encode()), (name, edge)
         assert len(first) < len(edges)
 
 
-def per_instance_sweep(config: SweepConfig, name: str) -> dict:
-    """The report of checking every distinct instance of a suite on its own."""
-    sources, check, _ = sweeps._SUITES[name]
-    report = sweeps.SuiteReport(name, config.bounds_dict())
-    for source in sources:
-        instances, order = source(config)
-        results = [check(instance) for instance in instances]
-        for records in sweeps._replay(results, order):
-            for record in records:
-                report.add(record)
-    return report.to_dict()
+@pytest.mark.parametrize("max_k,max_k_prime", [(5, 5), (3, 5), (5, 0), (0, 4)])
+def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, max_k_prime):
+    """The exhaustive runs give every edge in enumerate_all_edges order,
+    each under its own signature, and a run ends exactly where the next
+    edge has another source, target or signature."""
+    edges = enumerate_all_edges(max_k, max_k_prime)
+    runs, order = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
+    assert order is None
+    walked = []
+    for signature, count, instances in runs:
+        run = list(instances)
+        assert len(run) == count >= 1
+        assert {edge_signature(edge) for edge in run} == {signature}
+        walked.append(run)
+    assert [edge for run in walked for edge in run] == edges
+    stretches = groupby(edges, lambda e: (e.phi, e.phi_prime, edge_signature(e)))
+    assert [len(run) for run in walked] == [len(list(group)) for _, group in stretches]
+    if (max_k, max_k_prime) == (5, 5):
+        assert (len(walked), len({edge_signature(e) for e in edges})) == (5740, 3272)
+
+
+def test_signature_suites_check_each_signature_once_and_build_only_what_they_list(
+    monkeypatch,
+):
+    """At k, k' <= 4, with everything passing, each signed suite calls its
+    verifier once per signature and builds one edge per signature, plus one
+    per listed warning that its signature's check did not build: every
+    passing run after the first of its signature is counted unbuilt.
+    Naturality builds and checks every edge."""
+    config = SweepConfig(max_k=4, max_k_prime=4)
+    edges = enumerate_all_edges(4, 4)
+    signatures = len({edge_signature(edge) for edge in edges})
+    objects = len(enumerate_objects(4))
+    calls = builds = 0
+
+    def counted(check):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        return call
+
+    post_init = BmEdge.__post_init__
+
+    def built(edge):
+        nonlocal builds
+        builds += 1
+        post_init(edge)
+
+    monkeypatch.setattr(BmEdge, "__post_init__", built)
+    expected = {
+        "constancy": ("verify_constancy", signatures, signatures),
+        "identification": ("verify_edge_identification", signatures, signatures),
+        "audit": ("j_cardinality_audit", signatures, signatures),
+        "xi": ("xi_restriction_commutes", 4 * (objects + signatures), signatures),
+        "naturality": ("verify_naturality", len(edges), len(edges)),
+    }
+    warnings = {}
+    for name, (verifier, want_calls, want_builds) in expected.items():
+        monkeypatch.setattr(sweeps, verifier, counted(getattr(sweeps, verifier)))
+        calls = builds = 0
+        report = sweeps.run_suite(config, name)
+        counts = calls, builds
+        assert report.passed
+        assert report.total == (4 * (objects + len(edges)) if name == "xi" else len(edges))
+        # The first listed edge of each warning signature is the one its check built.
+        listed = {edge_signature(BmEdge.parse(inst["key"])) for inst in report.instances}
+        want_builds += report.warned - len(listed)
+        assert counts == (want_calls, want_builds), name
+        warnings[name] = (report.warned, len(listed))
+    assert warnings.pop("audit") == (509, 109)
+    assert set(warnings.values()) == {(0, 0)}
 
 
 EDGE_MUTANTS = {
@@ -632,22 +718,42 @@ EDGE_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", list(EDGE_MUTANTS))
 def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
-    """Reusing passing verdicts by signature gives the per-edge report,
-    exhaustive at k, k' <= 3 and sampled at k, k' <= 5, plain and under
-    mutants whose failing signatures must be listed edge by edge."""
+    """Walking runs and reusing verdicts by signature gives the report of
+    checking every edge of bm.enumerate_all_edges (or every list-chosen
+    draw) on its own, record by record in listing order: exhaustive at
+    k, k' <= 4 and sampled at k, k' <= 5, plain and under mutants whose
+    failing signatures must be listed edge by edge."""
     EDGE_MUTANTS[mutant](monkeypatch)
-    configs = [SweepConfig(max_k=3, max_k_prime=3)] + [
+    exhaustive = SweepConfig(max_k=4, max_k_prime=4)
+    configs = [exhaustive] + [
         SweepConfig(max_k=5, max_k_prime=5, samples=200, seed=seed) for seed in range(5)
     ]
+    edges = enumerate_all_edges(4, 4)
+    objects = enumerate_objects(4)
     failed = 0
+    repeated: Counter = Counter()
     for config in configs:
-        edges = sweeps._edges(config)[0]
-        assert len({sweeps._signature(edge) for edge in edges}) < len(edges)
+        drawn = edges if config is exhaustive else choose_from_filtered_edges(config)
+        assert len({edge_signature(edge) for edge in drawn}) < len(drawn)
         for name in SIGNED_SUITES:
+            if config is exhaustive:
+                records = edge_suite_records(config, name, objects, edges)
+            else:
+                records = per_draw_records(config, name)
             report = sweeps.run_suite(config, name).to_dict()
-            assert report == per_instance_sweep(config, name), (config, name)
+            assert report == expected_report(config, name, records), (config, name)
             failed += report["summary"]["failed"]
+            if config is exhaustive and name != "xi":
+                # Listed edges whose status and signature another listed edge shares.
+                listed = Counter(
+                    (i["status"], edge_signature(BmEdge.parse(i["key"])))
+                    for i in report["instances"]
+                )
+                for (status, _), n in listed.items():
+                    repeated[status] += n if n > 1 else 0
     assert failed > 0 or mutant == "none"
+    assert repeated["warn"] > 0
+    assert repeated["fail"] > 0 or mutant == "none"
 
 
 def test_suites_encode_only_the_instances_they_list(monkeypatch):
