@@ -79,14 +79,6 @@ class QuiverLabel:
         return f"v{self.vertex}:{self.kind.value}({self.index})"
 
 
-def one(index: int, vertex: int = 0) -> QuiverLabel:
-    return QuiverLabel(vertex, LabelKind.ONE, index)
-
-
-def two(index: int, vertex: int = 0) -> QuiverLabel:
-    return QuiverLabel(vertex, LabelKind.TWO, index)
-
-
 def mid(vertex: int = 0) -> QuiverLabel:
     return QuiverLabel(vertex, LabelKind.MID)
 

@@ -9,7 +9,7 @@ count_monotone, which share one convention for empty fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -73,13 +73,13 @@ def compose(g: DeltaMap, f: DeltaMap) -> DeltaMap:
     )
 
 
-@lru_cache(maxsize=256)
+@cache
 def monotone_tuples(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     """Monotone maps from n points into {lo, ..., hi - 1}, as value tuples.
 
     In lexicographic order.  No points give the one empty map; points into
-    no values give none.  Cached, as edge enumeration asks for the same few
-    fiber parts over and over; the result is immutable.
+    no values give none.  Cached without bound, as edge enumeration asks for
+    the same few fiber parts over and over; the result is immutable.
     """
     return tuple(combinations_with_replacement(range(lo, hi), n))
 

@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, product
 from typing import Callable, Iterable, Iterator
 
 from .bm import (
@@ -292,7 +292,8 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
 def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     """On the chain of one object or edge, one record per target size.
 
-    An ill-defined gamma, or pairing rules that build an invalid label,
+    A failure is keyed <chain>@<m>, as `bmquiver eval xi` replays it.  An
+    ill-defined gamma, or pairing rules that build an invalid label,
     fail with the error.
     """
     is_object = isinstance(instance, BmObject)
@@ -303,7 +304,7 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
             failures = list(xi_restriction_commutes(chain, m).failures)
         except (IllDefinedComponentError, PairingConstructionError) as exc:
             failures = [str(exc)]
-        records.append((f"{chain.encode()};m={m}", "fail", failures) if failures else None)
+        records.append((f"{chain.encode()}@{m}", "fail", failures) if failures else None)
     return records
 
 
@@ -384,13 +385,11 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
     `bmquiver enumerate chains` lists them.  Drawing an index below n takes
     the same generator step as choosing from a list of n, so the chains are
     those of choosing from that list.  Cumulative edge counts give an
-    index's target, and its 0-part index its fiber map; only a failing
-    chain's edges are built, for its key.
+    index's target, and its 0-part in fiber_parts its fiber map, as in
+    edge_at; only a failing chain's edges are built, for its key.
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
-    fibers = [phi.ell + 1 for phi in objs]
-    ones = [phi.top - phi.ell for phi in objs]
     # ends[s][t]: the number of edges from objs[s] to objs[0], ..., objs[t].
     ends = [list(accumulate(count_edges(phi, target) for target in objs)) for phi in objs]
     for _ in range(config.samples):
@@ -399,7 +398,7 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
         if not length:
             _check_vertex(report, objs[current])
             continue
-        sizes = [fibers[current]]
+        sizes = [objs[current].ell + 1]
         maps = []
         steps = []
         for _ in range(length):
@@ -408,9 +407,9 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
             target = bisect_right(ends[current], index)
             if target:
                 index -= ends[current][target - 1]
-            zero = index // count_monotone(ones[target], ones[current])
-            maps.append(monotone_tuples(fibers[target], 0, fibers[current])[zero])
-            sizes.append(fibers[target])
+            zeros, ones = fiber_parts(objs[current], objs[target])
+            maps.append(zeros[index // len(ones)])
+            sizes.append(objs[target].ell + 1)
             steps.append((current, target, index))
             current = target
         if gluing_agreement((tuple(sizes), tuple(maps))):
@@ -422,45 +421,42 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
 
 
 def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
-    """Depth-first over fiber signatures, each extended from its prefix.
+    """Depth-first over 0-fiber size sequences, z ascending, then every fiber-map sequence.
 
-    The weights after a step are a function of the weights before it and z,
-    and many prefixes share their weights, so each step is computed once.
+    Chain weights depend on the sizes alone, so each size prefix takes one
+    step.  Each signature of the sizes (a product of per-edge fiber maps) is
+    checked once for all their chains; failures list in (sizes, maps) order.
     """
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
-    steps: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
-    def visit(sizes: tuple[int, ...], maps: tuple, weights: tuple, depth: int) -> None:
-        last = sizes[-1]
-        for z in range(width):
-            child_weights = steps.get((weights, z))
-            if child_weights is None:
-                child_weights = steps[weights, z] = counts.step(weights, z)
+    def visit(sizes: tuple[int, ...], weights: tuple[int, ...]) -> None:
+        # A nonempty 0-fiber has no map into an empty one.
+        for z in range(width if sizes[-1] else 1):
+            child_weights = counts.step(weights, z)
             chains = sum(child_weights)
             if not chains:
                 continue
-            child_sizes = sizes + (z,)
-            for fmap in fiber_maps[z][last]:
-                signature = (child_sizes, maps + (fmap,))
-                if gluing_agreement(signature):
+            child = sizes + (z,)
+            for maps in product(*(fiber_maps[b][a] for a, b in zip(child, child[1:]))):
+                if gluing_agreement((child, maps)):
                     report.add(None, chains)
                 else:
                     message = (
                         "gluing disagrees with direct components (fiber sizes "
-                        f"{child_sizes}; {chains} chains share this signature)"
+                        f"{child}; {chains} chains share this signature)"
                     )
-                    key = _representative(signature).encode()
+                    key = _representative((child, maps)).encode()
                     report.add((key, "fail", [message]), chains)
-                if depth < config.max_chain_len:
-                    visit(child_sizes, signature[1], child_weights, depth + 1)
+            if len(child) <= config.max_chain_len:
+                visit(child, child_weights)
 
     for base in enumerate_objects(config.max_k):
         _check_vertex(report, base)
     if config.max_chain_len:
         for z in range(width):
-            visit((z,), (), counts.base(z), 1)
+            visit((z,), counts.base(z))
 
 
 def gluing_suite(config: SweepConfig) -> SuiteReport:
@@ -470,9 +466,9 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     used.  Chains of length 0 only assert the base-fiber bijection.  The
     check on a longer chain is a function of its fiber signature alone (the
     pullback graph is built from nothing else).  Exhaustive mode therefore
-    checks each fiber signature once, adds the number of concrete chains
-    that share it, a closed form, to the counts, and lists a failing
-    signature as one instance keyed by a concrete chain that has it.
+    checks each fiber signature once, in ascending order, adds the number of
+    concrete chains that share it, a closed form, to the counts, and lists a
+    failing signature as one instance keyed by a concrete chain that has it.
     Sampled mode checks each drawn chain.
     """
     report = SuiteReport("gluing", config.bounds_dict())

@@ -74,28 +74,24 @@ def _roots(
 
     Vertex (t + 1, j) has one cross edge, down to (t, p(j)), so its root is
     the root of (t, p(j)): on a chain, the base point p_1(...p_t(j)).  A
-    vertex past the end of a shorter map has no cross edge and is its own
-    root.  A root is the least vertex of its tree.  None when the maps do
-    not fit the sizes: a wrong number of maps, a map longer than its fiber,
-    or an image outside the previous fiber.
+    vertex past the end of a short map (a broken BmEdge.fiber_map gives
+    one) has no cross edge and is its own root.  A root is the least vertex
+    of its tree.  None when the maps do not fit the sizes: a wrong number of
+    maps, a map longer than its fiber, or an image outside the previous fiber.
     """
     if len(sizes) != len(maps) + 1:
         return None
     below: Sequence[int] = range(sizes[0])
     roots = list(below)
     for size, fmap in zip(sizes[1:], maps):
-        mapped = len(fmap)
-        if mapped > size or (fmap and min(fmap) < 0):
+        if len(fmap) > size or (fmap and min(fmap) < 0):
             return None
         try:
-            layer = [below[image] for image in fmap]
+            below = [below[image] for image in fmap]
         except IndexError:
             return None
-        if mapped < size:
-            start = len(roots) + mapped
-            layer += range(start, start + size - mapped)
-        roots += layer
-        below = layer
+        below += range(len(roots) + len(fmap), len(roots) + size)
+        roots += below
     return roots
 
 

@@ -28,9 +28,9 @@ from bmquiver import (
     xi_restriction_commutes,
 )
 from bmquiver import compare, quiverf
-from bmquiver.quiverf import LabelKind, f_classes, label_count, mid, one, two
+from bmquiver.quiverf import LabelKind, f_classes, label_count, mid
 from test_bm import identity_edge
-from test_quiverf import resolve_label
+from test_quiverf import one, resolve_label, two
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse

@@ -23,13 +23,23 @@ from bmquiver import (
     pairing_set,
 )
 from bmquiver import quiverf
-from bmquiver.quiverf import f_classes, label_count, label_offsets, mid, one, two
+from bmquiver.quiverf import f_classes, label_count, label_offsets, mid
 from test_bm import identity_edge
 from test_quotient import union_find_blocks
 from test_sweeps import edge_pool
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
+
+
+def one(index: int, vertex: int = 0) -> QuiverLabel:
+    """The label x1(index) at a vertex."""
+    return QuiverLabel(vertex, LabelKind.ONE, index)
+
+
+def two(index: int, vertex: int = 0) -> QuiverLabel:
+    """The label x2(index) at a vertex."""
+    return QuiverLabel(vertex, LabelKind.TWO, index)
 
 
 def resolve_label(phi: BmObject, kind: LabelKind, index=None, vertex: int = 0) -> QuiverLabel:

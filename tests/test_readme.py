@@ -1,8 +1,12 @@
-"""The README's library example runs and gives the results it shows."""
+"""The README's library example runs and gives the results it shows, and
+every command of its CLI block runs and passes."""
 
 from __future__ import annotations
 
+import shlex
 from pathlib import Path
+
+from bmquiver.cli import EXIT_PASS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,14 @@ def test_library_example_results():
         else:
             exec(line, namespace)
     assert checked == 4
+
+
+def test_cli_examples_pass(capsys):
+    """Each `bmquiver ...` line of the CLI block exits 0."""
+    block = README.read_text().split("## CLI\n\n```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+    assert len(commands) == 13
+    for argv in commands:
+        assert argv[0] == "bmquiver"
+        assert main(argv[1:]) == EXIT_PASS, argv
+    capsys.readouterr()

@@ -19,7 +19,8 @@ from bmquiver.bm import BmEdge, BmObject, enumerate_all_edges, enumerate_edges, 
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
-from bmquiver.cli import EXIT_PASS, main
+from bmquiver.simplex import monotone_tuples
+from bmquiver.cli import EXIT_FAIL, EXIT_PASS, main
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
     SUITE_NAMES,
@@ -88,7 +89,7 @@ def test_mutant_failures_are_counted_per_chain_and_listed_per_signature(
     report = gluing_suite(SweepConfig(max_k=max_k, max_chain_len=max_len))
     assert report.failed == failed
     keyed = [chain_signature(BmChain.parse(inst["key"])) for inst in report.instances]
-    assert sorted(keyed) == sorted(failing)
+    assert keyed == sorted(failing)
     assert not any(gluing_agreement(signature) for signature in keyed)
     # Each witness counts the chains of its signature; together they are all failures.
     witnesses = [inst["witnesses"][0] for inst in report.instances]
@@ -115,21 +116,44 @@ def test_exhaustive_gluing_keeps_the_benchmark_self_check_counts(monkeypatch):
     assert (report.total, report.failed) == (1120280, 0)
 
 
-def test_exhaustive_gluing_steps_each_weight_vector_once(monkeypatch):
-    """The (3, 3) sweep computes the chain weights of 310 distinct
-    (weights, z) steps, one call each, for its 251,333 signatures."""
+def test_exhaustive_gluing_steps_once_per_size_prefix_and_next_size(monkeypatch):
+    """The (3, 3) sweep computes chain weights once per size prefix it
+    descends into and next 0-fiber size: every base size, and the sizes of
+    each checked signature with fewer than 3 edges, take one step per next
+    size a map can reach (any size after a nonempty fiber, else only 0).
+    The count does not grow with the 251,333 signatures."""
+    max_k, max_len = 3, 3
+    width = max_k + 2
     calls = 0
     step = sweeps._ChainCounts.step
+    prefixes = {(z,) for z in range(width)}
 
-    def counted(self, weights, z):
+    def counted_step(self, weights, z):
         nonlocal calls
         calls += 1
         return step(self, weights, z)
 
-    monkeypatch.setattr(sweeps._ChainCounts, "step", counted)
-    report = gluing_suite(SweepConfig(max_k=3, max_chain_len=3))
-    assert calls == 310
+    def recorded(signature):
+        sizes = signature[0]
+        if len(sizes) <= max_len:
+            prefixes.add(sizes)
+        return gluing_agreement(signature)
+
+    monkeypatch.setattr(sweeps._ChainCounts, "step", counted_step)
+    monkeypatch.setattr(sweeps, "gluing_agreement", recorded)
+    report = gluing_suite(SweepConfig(max_k=max_k, max_chain_len=max_len))
+    assert calls == sum(width if sizes[-1] else 1 for sizes in prefixes) == 438
     assert (report.total, report.failed) == (1120280, 0)
+
+
+def test_fiber_parts_are_built_once_per_process():
+    """Two walks of the edge runs at k, k' <= 7 build each fiber part once:
+    the second walk misses the monotone_tuples cache nowhere."""
+    config = SweepConfig(max_k=7, max_k_prime=7)
+    monotone_tuples.cache_clear()
+    for _ in range(2):
+        assert sum(1 for _ in sweeps._edge_runs(config)) == 86754
+        assert monotone_tuples.cache_info().misses == 405
 
 
 def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
@@ -299,8 +323,8 @@ def xi_record(chain: BmChain, m: int):
     try:
         result = compare.xi_restriction_commutes(chain, m)
     except (IllDefinedComponentError, PairingConstructionError) as exc:
-        return f"{chain.encode()};m={m}", "fail", [str(exc)]
-    return None if result.passed else (f"{chain.encode()};m={m}", "fail", list(result.failures))
+        return f"{chain.encode()}@{m}", "fail", [str(exc)]
+    return None if result.passed else (f"{chain.encode()}@{m}", "fail", list(result.failures))
 
 
 def least_dropping_last_pair(monkeypatch):
@@ -428,17 +452,27 @@ def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
     assert witness.startswith("vertex square t=0: v0:x2(2) gives (0, 0) != (0, 1)")
 
 
-def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch):
-    """Where gamma is not well-defined, each xi instance fails with the error."""
+def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
+    """Where gamma is not well-defined, each xi instance fails with the error,
+    keyed as `bmquiver eval xi` replays it: failing under the mutant, passing
+    and echoing the same key without it."""
     gamma_off_by_one(monkeypatch)
     broken = [inst["key"] for inst in failing_reports(["constancy"])["constancy"].instances]
     report = sweeps.xi_suite(SMALL, max_target_size=3)
     assert (report.total, report.failed) == ((9 + 109) * 4, len(broken) * 4)
     keys = [inst["key"] for inst in report.instances]
-    assert keys == [f"{key};m={m}" for key in broken for m in range(4)]
+    assert keys == [f"{key}@{m}" for key in broken for m in range(4)]
     for instance in report.instances:
         (witness,) = instance["witnesses"]
         assert witness.startswith("class (") and " has images [(0, " in witness
+    for key in keys:
+        assert main(["eval", "xi", key, "--format", "json"]) == EXIT_FAIL
+    capsys.readouterr()
+    monkeypatch.undo()
+    clear_memos()
+    for key in keys:
+        assert main(["eval", "xi", key, "--format", "json"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["key"] == key
 
 
 def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
@@ -583,7 +617,7 @@ def test_invalid_label_fails_xi_instead_of_raising(monkeypatch):
     report = sweeps.xi_suite(SMALL, max_target_size=3)
     assert (report.total, report.failed) == ((9 + 109) * 4, len(broken) * 4)
     assert [inst["key"] for inst in report.instances] == [
-        f"{key};m={m}" for key in broken for m in range(4)
+        f"{key}@{m}" for key in broken for m in range(4)
     ]
     for instance in report.instances:
         (witness,) = instance["witnesses"]
