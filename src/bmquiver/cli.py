@@ -25,8 +25,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-#: Most chains that `enumerate chains` lists.
-CHAINS_MAX_ITEMS = 100_000
+#: Most items that an `enumerate` listing lists.
+LISTING_MAX_ITEMS = 100_000
 
 
 def _dump_json(payload) -> str:
@@ -148,7 +148,10 @@ def _render_eval(payload: dict, fmt: str) -> str:
 
 
 def _enumerate_payload(args: argparse.Namespace) -> dict:
+    # The objects on [k <= max_k], in closed form, before any is built.
+    objects = max(args.max_k + 1, 0) * (args.max_k + 4) // 2
     if args.kind == "objects":
+        _check_count("objects", objects)
         objs = enumerate_objects(args.max_k)
         return {
             "kind": "objects",
@@ -160,6 +163,7 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
             raise ValidationError("enumerate edges needs --phi and --phi-prime")
         phi = BmObject.parse(args.phi)
         phi_prime = BmObject.parse(args.phi_prime)
+        _check_count("edges", count_edges(phi, phi_prime))
         edges = enumerate_edges(phi, phi_prime)
         return {
             "kind": "edges",
@@ -170,9 +174,9 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     if args.max_len < 0:
         raise ValidationError(f"--max-len must be >= 0, got {args.max_len}")
     # Every object has its identity edge, so each chain extends to a distinct
-    # longer one: the objects, in closed form, and then the edges, one source
-    # at a time, bound the count from below before anything larger is built.
-    _check_chain_count(max(args.max_k + 1, 0) * (args.max_k + 4) // 2, not args.max_len)
+    # longer one: the objects and then the edges, one source at a time, bound
+    # the count from below before anything larger is built.
+    _check_count("chains", objects, not args.max_len)
     objs = enumerate_objects(args.max_k)
     if not args.max_len:
         return {"kind": "chains", "count": len(objs), "items": [phi.encode() for phi in objs]}
@@ -180,15 +184,15 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     for phi in objs:
         counts.append([count_edges(phi, target) for target in objs])
         edges += sum(counts[-1])
-        _check_chain_count(edges, args.max_len == 1 and len(counts) == len(objs))
+        _check_count("chains", edges, args.max_len == 1 and len(counts) == len(objs))
     # ends[s]: the chains of this length from objs[s]; A^length . 1 for A = counts.
     ends, length = [1] * len(objs), 0
     # Far past the bound, a lower bound will do and keeps the numbers small.
-    while length < args.max_len and sum(ends) <= CHAINS_MAX_ITEMS**2:
+    while length < args.max_len and sum(ends) <= LISTING_MAX_ITEMS**2:
         ends, previous = [sum(map(mul, row, ends)) for row in counts], ends
         # At a fixed point every longer length has the same counts.
         length = args.max_len if ends == previous else length + 1
-    _check_chain_count(sum(ends), length == args.max_len)
+    _check_count("chains", sum(ends), length == args.max_len)
     # leaving[s]: (target index, key) of each edge from objs[s], in edge order.
     leaving = [
         [(t, e.encode()) for t, target in enumerate(objs) for e in enumerate_edges(phi, target)]
@@ -211,13 +215,13 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     return {"kind": "chains", "count": len(items), "items": items}
 
 
-def _check_chain_count(count: int, exact: bool) -> None:
-    """Exit 2, naming the count, when enumerate chains would list too many."""
-    if count > CHAINS_MAX_ITEMS:
+def _check_count(kind: str, count: int, exact: bool = True) -> None:
+    """Exit 2, naming the count, when enumerate <kind> would list too many."""
+    if count > LISTING_MAX_ITEMS:
         least = "" if exact else "at least "
         raise ValidationError(
-            f"enumerate chains would list {least}{count} chains, "
-            f"more than {CHAINS_MAX_ITEMS}"
+            f"enumerate {kind} would list {least}{count} {kind}, "
+            f"more than {LISTING_MAX_ITEMS}"
         )
 
 

@@ -19,6 +19,7 @@ from _gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Mapping
 
@@ -45,18 +46,10 @@ def _gamma(code: int, ell: int) -> int:
     return code // 2 + 1 if code % 2 == 0 and code != 2 * ell else code // 2
 
 
-#: gamma on every label number of a vertex, by (ell, beta), for the shapes met so far.
-_GAMMA_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@cache
 def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     """The fiber element gamma assigns to each label number of a vertex (ell, beta)."""
-    row = _GAMMA_ROWS.get((ell, beta))
-    if row is None:
-        row = _GAMMA_ROWS[ell, beta] = tuple(
-            _gamma(code, ell) for code in range(label_count(ell, beta))
-        )
-    return row
+    return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
 def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache, total_ordering
 from typing import NamedTuple, Sequence
 
 from .bm import BmChain, BmEdge, BmObject, segment_decompose
@@ -112,7 +112,7 @@ def label_offsets(objects: Sequence[BmObject]) -> list[int]:
     """The number of the first label of each position, then the number of labels."""
     offsets = [0]
     for obj in objects:
-        offsets.append(offsets[-1] + _shape(obj).count)
+        offsets.append(offsets[-1] + _shape(obj.values).count)
     return offsets
 
 
@@ -175,24 +175,19 @@ class _Shape(NamedTuple):
     mid: _Codes
 
 
-#: The shape of every object met so far, by its values.
-_SHAPES: dict[tuple[int, ...], _Shape] = {}
-
-
-def _shape(phi: BmObject) -> _Shape:
-    """The shape of phi, built on first use."""
-    shape = _SHAPES.get(phi.values)
-    if shape is None:
-        ell, beta = phi.ell, phi.beta
-        shape = _SHAPES[phi.values] = _Shape(
-            ell,
-            beta,
-            label_count(ell, beta),
-            _Codes(phi, LabelKind.ONE),
-            _Codes(phi, LabelKind.TWO),
-            _Codes(phi, LabelKind.MID),
-        )
-    return shape
+@cache
+def _shape(values: tuple[int, ...]) -> _Shape:
+    """The shape of the object with these values; its tables live for the process."""
+    phi = BmObject(values)
+    ell, beta = phi.ell, phi.beta
+    return _Shape(
+        ell,
+        beta,
+        label_count(ell, beta),
+        _Codes(phi, LabelKind.ONE),
+        _Codes(phi, LabelKind.TWO),
+        _Codes(phi, LabelKind.MID),
+    )
 
 
 # Notes, one per pair: a template and the raw indices it names.
@@ -231,10 +226,10 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     pair count is undefined there and emptiness is the convention under
     which the edge value is just the source value.
     """
-    ell_prime, beta_prime, _, y1, y2, ym = _shape(edge.phi_prime)
+    ell_prime, beta_prime, _, y1, y2, ym = _shape(edge.phi_prime.values)
     if ell_prime == -1:
         return [], []
-    ell, _, shift, x1, x2, xm = _shape(edge.phi)
+    ell, _, shift, x1, x2, xm = _shape(edge.phi.values)
     p = edge.map.images
     pairs: list[tuple[int, int]] = []
     notes: list[Note] = []

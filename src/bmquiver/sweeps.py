@@ -426,37 +426,39 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     Chain weights depend on the sizes alone, so each size prefix takes one
     step.  Each signature of the sizes (a product of per-edge fiber maps) is
     checked once for all their chains; failures list in (sizes, maps) order.
+    The walk keeps its own stack, so no chain length meets the recursion limit.
     """
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
 
-    def visit(sizes: tuple[int, ...], weights: tuple[int, ...]) -> None:
-        # A nonempty 0-fiber has no map into an empty one.
-        for z in range(width if sizes[-1] else 1):
-            child_weights = counts.step(weights, z)
-            chains = sum(child_weights)
-            if not chains:
-                continue
-            child = sizes + (z,)
-            for maps in product(*(fiber_maps[b][a] for a, b in zip(child, child[1:]))):
-                if gluing_agreement((child, maps)):
-                    report.add(None, chains)
-                else:
-                    message = (
-                        "gluing disagrees with direct components (fiber sizes "
-                        f"{child}; {chains} chains share this signature)"
-                    )
-                    key = _representative((child, maps)).encode()
-                    report.add((key, "fail", [message]), chains)
-            if len(child) <= config.max_chain_len:
-                visit(child, child_weights)
-
     for base in enumerate_objects(config.max_k):
         _check_vertex(report, base)
-    if config.max_chain_len:
-        for z in range(width):
-            visit((z,), counts.base(z))
+    if not config.max_chain_len:
+        return
+    # Size prefixes with their weights, the next to visit on top.
+    stack = [((z,), counts.base(z)) for z in reversed(range(width))]
+    while stack:
+        sizes, weights = stack.pop()
+        chains = sum(weights)
+        # A base prefix is a chain of length 0, checked above.
+        signatures = product(*(fiber_maps[b][a] for a, b in zip(sizes, sizes[1:])))
+        for maps in signatures if len(sizes) > 1 else ():
+            if gluing_agreement((sizes, maps)):
+                report.add(None, chains)
+            else:
+                message = (
+                    "gluing disagrees with direct components (fiber sizes "
+                    f"{sizes}; {chains} chains share this signature)"
+                )
+                key = _representative((sizes, maps)).encode()
+                report.add((key, "fail", [message]), chains)
+        if len(sizes) <= config.max_chain_len:
+            # A nonempty 0-fiber has no map into an empty one.
+            for z in reversed(range(width if sizes[-1] else 1)):
+                child_weights = counts.step(weights, z)
+                if any(child_weights):
+                    stack.append((sizes + (z,), child_weights))
 
 
 def gluing_suite(config: SweepConfig) -> SuiteReport:

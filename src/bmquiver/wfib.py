@@ -26,7 +26,7 @@ once per process and reused by every signature that makes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Sequence
 
 from .bm import BmChain
@@ -95,7 +95,7 @@ def _roots(
     return roots
 
 
-@lru_cache(maxsize=None)
+@cache
 def _edge_components(
     size0: int, size1: int, fmap: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
@@ -162,13 +162,10 @@ class _Walk:
     (classes, roots) as _step takes them, numbered once; agrees[s] says
     whether a chain ending in state s agrees, and moves[s] maps a fiber map
     to the state one edge on (the state fixes the size of the fiber it maps
-    into).
+    into).  One walk, _WALK, serves the whole process.
     """
 
     def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
         self.numbers: dict = {}
         self.states: list = [None]
         self.agrees: list[bool] = [False]

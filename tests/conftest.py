@@ -2,31 +2,46 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
-from bmquiver import compare, quiverf, wfib
+import bmquiver
+from bmquiver import wfib
+
+
+def cached_functions() -> list:
+    """Every functools cache defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(bmquiver.__path__):
+        module = importlib.import_module(f"bmquiver.{info.name}")
+        found += [
+            value
+            for value in vars(module).values()
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+        ]
+    return found
 
 
 def clear_memos() -> None:
-    """Forget every process-wide memo: the per-edge pi0 and the frontier states
-    and moves of the gluing walk, the resolution table of every object and the
-    gamma row of every (ell, beta)."""
-    wfib._edge_components.cache_clear()
-    wfib._WALK.clear()
-    quiverf._SHAPES.clear()
-    compare._GAMMA_ROWS.clear()
+    """Forget every process-wide memo: each cached function of the package is
+    cleared, and the gluing walk starts again from a fresh automaton."""
+    for function in cached_functions():
+        function.cache_clear()
+    wfib._WALK = wfib._Walk()
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos(request):
     """Clear the process-wide memos before and after every test that monkeypatches.
 
-    The memos live in wfib, quiverf and compare for the whole process.  A
-    test that patches a rule they were filled from (least_representatives,
-    _resolve or _gamma, say) must not read entries from before the patch,
-    and must leave none behind, whatever order the tests run in.  Being
-    autouse, this fixture is torn down after monkeypatch has undone its
-    patches.
+    The memos are functools caches and the gluing walk, kept for the whole
+    process.  A test that patches a rule they were filled from
+    (least_representatives, _resolve or _gamma, say) must not read entries
+    from before the patch, and must leave none behind, whatever order the
+    tests run in.  Being autouse, this fixture is torn down after
+    monkeypatch has undone its patches.
     """
     if "monkeypatch" not in request.fixturenames:
         yield

@@ -139,6 +139,25 @@ def test_enumerate_chains_counts_before_listing(capsys):
     assert "would list at least " in capsys.readouterr().err
 
 
+#: Two copies of this object have 1,828,114,918,084 edges between them.
+WIDE = "0" * 12 + "1" * 12
+
+
+@pytest.mark.parametrize(
+    "argv,kind,count",
+    [
+        (["objects", "--max-k", "500"], "objects", 126252),
+        (["edges", "--phi", WIDE, "--phi-prime", WIDE], "edges", 1828114918084),
+    ],
+)
+def test_enumerate_counts_objects_and_edges_before_listing(capsys, argv, kind, count):
+    """Like chains, objects and edges are counted first and refused past 100,000."""
+    assert main(["enumerate", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: enumerate {kind} would list {count} {kind}, more than 100000\n"
+    )
+
+
 def test_enumerate_chains_rejects_negative_length(capsys):
     assert main(["enumerate", "chains", "--max-len", "-1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --max-len must be >= 0, got -1\n"
@@ -241,6 +260,8 @@ def cli_argvs(draw):
 
 @settings(max_examples=60, deadline=None)
 @example(["enumerate", "chains", "--max-k", "0", "--max-len", "2000"])
+@example(["enumerate", "edges", "--phi", WIDE, "--phi-prime", WIDE])
+@example(["verify", "--suites", "gluing", "--max-k", "0", "--max-chain-len", "1200"])
 @given(cli_argvs())
 def test_fuzzed_argv_exits_without_raising(argv):
     """Whatever the argv, main returns an exit code: it never raises."""
@@ -252,6 +273,17 @@ def test_fuzzed_argv_exits_without_raising(argv):
 def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert main(["verify", "--max-k", "1", "--jobs", jobs]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+def test_exhaustive_gluing_runs_past_the_recursion_limit(capsys):
+    """Chains of 1,200 edges, more than Python's default 1,000 frames: the
+    walk keeps its own stack.  On [0] each length has two chains."""
+    code, out = run(
+        capsys, "verify", "--suites", "gluing", "--max-k", "0", "--max-chain-len", "1200",
+        "--format", "json",
+    )
+    assert code == EXIT_PASS
+    assert json.loads(out)[0]["summary"] == {"failed": 0, "total": 2402, "warned": 0}
 
 
 def test_verify_has_no_exhaustive_flag(capsys):

@@ -455,7 +455,7 @@ class TestResolutionTables:
         _resolve raises, the table raises the same error and keeps no entry."""
         for phi in enumerate_objects(8):
             ell, beta = phi.ell, phi.beta
-            shape = quiverf._shape(phi)
+            shape = quiverf._shape(phi.values)
             assert (shape.ell, shape.beta, shape.count) == (ell, beta, label_count(ell, beta))
             tables = {LabelKind.ONE: shape.one, LabelKind.TWO: shape.two, LabelKind.MID: shape.mid}
             requests = [(LabelKind.MID, None)] + [

@@ -27,7 +27,7 @@ from bmquiver.sweeps import (
     SweepConfig,
     gluing_suite,
 )
-from conftest import clear_memos
+from conftest import cached_functions, clear_memos
 from test_bm import filtered_edges
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
@@ -473,6 +473,23 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
     for key in keys:
         assert main(["eval", "xi", key, "--format", "json"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["key"] == key
+
+
+KERNEL_MEMOS = {"_shape", "_gamma_row", "_edge_components", "monotone_tuples"}
+
+
+def test_clearing_the_memos_empties_every_cache_and_the_walk():
+    """After small constancy and gluing sweeps fill them, clear_memos leaves
+    every cached function of the package empty, the four kernel memos among
+    them, and the gluing walk with only its dead state."""
+    assert not any(r.failed for r in failing_reports(["constancy", "gluing"]).values())
+    functions = cached_functions()
+    kernel = [f for f in functions if f.__name__ in KERNEL_MEMOS]
+    assert len(kernel) == len(KERNEL_MEMOS)
+    assert all(f.cache_info().currsize for f in kernel) and len(wfib._WALK.states) > 1
+    clear_memos()
+    assert all(f.cache_info().currsize == 0 for f in functions)
+    assert wfib._WALK.states == [None]
 
 
 def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
