@@ -11,7 +11,6 @@ from .bm import (
     BmChain,
     BmEdge,
     BmObject,
-    enumerate_all_edges,
     enumerate_edges,
     enumerate_objects,
     segment_decompose,

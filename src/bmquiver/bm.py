@@ -259,17 +259,6 @@ def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
     return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, images))
 
 
-def enumerate_all_edges(k_max: int, k_prime_max: int) -> list[BmEdge]:
-    """All edges with source on [k <= k_max] and target on [k' <= k_prime_max]."""
-    sources = enumerate_objects(k_max)
-    targets = enumerate_objects(k_prime_max)
-    out = []
-    for phi in sources:
-        for phi_prime in targets:
-            out.extend(enumerate_edges(phi, phi_prime))
-    return out
-
-
 def segment_decompose(phi: BmObject) -> list[BmObject]:
     """The k restrictions of phi to {i-1 < i}, each an object on [1]."""
     if phi.top == 0:

@@ -34,8 +34,13 @@ def _dump_json(payload) -> str:
 
 
 def _eval_payload(entity: str, instance: str) -> dict:
+    at, size_text = "", ""
+    if entity == "xi":
+        instance, at, size_text = instance.partition("@")
+    chain = BmChain.parse(instance)
+    if entity in ("pairs", "audit") and chain.length != 1:
+        raise ValidationError(f"{entity} needs a single edge encoding")
     if entity == "F":
-        chain = BmChain.parse(instance)
         fq = f_chain(chain)
         return {
             "entity": "F",
@@ -44,7 +49,6 @@ def _eval_payload(entity: str, instance: str) -> dict:
             "blocks": [[str(label) for label in block] for block in fq.blocks],
         }
     if entity == "G":
-        chain = BmChain.parse(instance)
         g = g_chain(chain)
         return {
             "entity": "G",
@@ -58,7 +62,6 @@ def _eval_payload(entity: str, instance: str) -> dict:
             ],
         }
     if entity == "gamma":
-        chain = BmChain.parse(instance)
         gamma = gamma_chain(chain)
         return {
             "entity": "gamma",
@@ -69,9 +72,6 @@ def _eval_payload(entity: str, instance: str) -> dict:
             },
         }
     if entity == "pairs":
-        chain = BmChain.parse(instance)
-        if chain.length != 1:
-            raise ValidationError("pairs needs a single edge encoding")
         pairing = pairing_set(chain.edges[0])
         return {
             "entity": "pairs",
@@ -83,13 +83,8 @@ def _eval_payload(entity: str, instance: str) -> dict:
             ],
         }
     if entity == "audit":
-        chain = BmChain.parse(instance)
-        if chain.length != 1:
-            raise ValidationError("audit needs a single edge encoding")
         return {"entity": "audit", **j_cardinality_audit(chain.edges[0]).to_dict()}
     if entity == "xi":
-        chain_text, at, size_text = instance.partition("@")
-        chain = BmChain.parse(chain_text)
         # ASCII digits only, as in DeltaMap.parse: int() would also take "+2" or "٢".
         digits = size_text.strip()
         if at and not (digits.isascii() and digits.isdigit()):

@@ -277,10 +277,10 @@ class PairingList:
         return len(self.pairs)
 
 
-def pairing_set(edge: BmEdge, at: int = 0) -> PairingList:
-    """The pairing list of edge_pairs, as labels with the source at chain position `at`."""
+def pairing_set(edge: BmEdge) -> PairingList:
+    """The pairing list of edge_pairs, as labels with the source at vertex 0."""
     pairs, notes = edge_pairs(edge)
-    labels = f_object(edge.phi, vertex=at) + f_object(edge.phi_prime, vertex=at + 1)
+    labels = f_object(edge.phi) + f_object(edge.phi_prime, vertex=1)
     return PairingList(
         tuple((labels[a], labels[b]) for a, b in pairs),
         tuple(render_note(note) for note in notes),

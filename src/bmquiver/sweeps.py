@@ -175,7 +175,8 @@ def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> R
 
 
 def _edge_runs(config: SweepConfig) -> Iterator[Run]:
-    """Every edge in range, in enumerate_all_edges order, as runs.
+    """Every edge in range as runs: sources, then targets, in enumerate_objects
+    order, then maps in edge order (see enumerate_edges).
 
     For an object pair, a 0-part and, when beta' = 1, the first image of the
     1-part fix the signature.  The 1-parts are in lexicographic order, so
@@ -248,13 +249,19 @@ def _decomposition(phi: BmObject) -> tuple[Record, ...]:
     return _records(phi, verify_decomposition(phi)) if phi.top else ()
 
 
+#: The errors that fail one instance with the error as its witness: pairing
+#: rules that build an invalid label, an ill-defined gamma, or fiber maps
+#: that G rejects.
+_INSTANCE_ERRORS = (PairingConstructionError, IllDefinedComponentError, ValidationError)
+
+
 def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
-    """The check, failing an edge on which the pairing rules build an invalid label."""
+    """The check, failing an edge on which it raises one of _INSTANCE_ERRORS."""
 
     def checked(edge: BmEdge) -> tuple[Record, ...]:
         try:
             return check(edge)
-        except PairingConstructionError as exc:
+        except _INSTANCE_ERRORS as exc:
             return ((edge.encode(), "fail", [str(exc)]),)
 
     return checked
@@ -292,9 +299,8 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
 def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     """On the chain of one object or edge, one record per target size.
 
-    A failure is keyed <chain>@<m>, as `bmquiver eval xi` replays it.  An
-    ill-defined gamma, or pairing rules that build an invalid label,
-    fail with the error.
+    A failure is keyed <chain>@<m>, as `bmquiver eval xi` replays it.  One
+    of _INSTANCE_ERRORS fails the instance with the error.
     """
     is_object = isinstance(instance, BmObject)
     chain = BmChain.vertex(instance) if is_object else BmChain.from_edges([instance])
@@ -302,7 +308,7 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     for m in range(max_target_size + 1):
         try:
             failures = list(xi_restriction_commutes(chain, m).failures)
-        except (IllDefinedComponentError, PairingConstructionError) as exc:
+        except _INSTANCE_ERRORS as exc:
             failures = [str(exc)]
         records.append((f"{chain.encode()}@{m}", "fail", failures) if failures else None)
     return records
@@ -574,9 +580,9 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     (see _edge_runs and _run_records): constancy, identification, audit and
     xi check each signature once and count a later run whose signature
     passed without building its edges, while naturality builds and checks
-    every edge.  An edge on which the pairing rules build an invalid label,
-    or an xi instance on which gamma is not well-defined, fails with the
-    error as its witness instead of stopping the sweep.
+    every edge.  An instance on which the pairing rules build an invalid
+    label, gamma is not well-defined, or G rejects the fiber maps fails with
+    the error as its witness instead of stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)

@@ -19,13 +19,13 @@ least_representatives.  The check depends only on the fiber sizes and the
 fiber-restricted maps (the chain's fiber signature), so it works on
 signatures with integer vertices.  It walks a signature edge by edge: the
 frontier fiber's glued classes and roots are all a later edge can see, so
-they form a state, and each move from a state along a fiber map is computed
-once per process and reused by every signature that makes it.
+they form a state, interned once per process, and each move from a state
+along a fiber map is computed once and reused by every signature that makes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -74,23 +74,21 @@ def _roots(
 
     Vertex (t + 1, j) has one cross edge, down to (t, p(j)), so its root is
     the root of (t, p(j)): on a chain, the base point p_1(...p_t(j)).  A
-    vertex past the end of a short map (a broken BmEdge.fiber_map gives
-    one) has no cross edge and is its own root.  A root is the least vertex
-    of its tree.  None when the maps do not fit the sizes: a wrong number of
-    maps, a map longer than its fiber, or an image outside the previous fiber.
+    root is the least vertex of its tree.  None when the maps do not fit the
+    sizes, as in _edge_components: a wrong number of maps, a map whose
+    length is not its fiber size, or an image outside the previous fiber.
     """
     if len(sizes) != len(maps) + 1:
         return None
     below: Sequence[int] = range(sizes[0])
     roots = list(below)
     for size, fmap in zip(sizes[1:], maps):
-        if len(fmap) > size or (fmap and min(fmap) < 0):
+        if len(fmap) != size or (fmap and min(fmap) < 0):
             return None
         try:
             below = [below[image] for image in fmap]
         except IndexError:
             return None
-        below += range(len(roots) + len(fmap), len(roots) + size)
         roots += below
     return roots
 
@@ -115,24 +113,53 @@ def _canonical(values: list[int]) -> tuple[int, ...]:
     return tuple([first.setdefault(v, len(first)) for v in values])
 
 
-def _step(
-    classes: tuple[int, ...] | None,
-    roots: tuple[int, ...],
-    fmap: tuple[int, ...],
-    edge: tuple[tuple[int, ...], tuple[int, ...], int],
-) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
-    """The frontier state one edge on, or None when no chain through it agrees.
+@dataclass(frozen=True, eq=False, slots=True)
+class _State:
+    """A frontier state of the gluing walk, made only by _interned.
 
     classes and roots give, per vertex of the frontier fiber, its glued
-    class and its root, each numbered canonically; classes is None on the
-    base fiber, whose classes the first edge supplies.  The glued route
-    joins the frontier's classes to the edge's pi0 classes with
-    least_representatives; the direct route gives a new vertex the root of
-    its image.  The step fails when a glued class holds two roots, or when
-    a class that stops at the old frontier (it can never grow again) is not
-    a whole root class.  The flag says whether the chain agrees if it ends
-    here: no two classes on the new frontier share a root.
+    class and its root, each numbered canonically; classes is None on a
+    base fiber, whose classes the first edge supplies, and roots is None on
+    the dead state, through which no chain agrees.  agrees says whether a
+    chain ending here agrees, and moves maps a fiber map to the state one
+    edge on (the state fixes the size of the fiber it maps into).
     """
+
+    classes: tuple[int, ...] | None
+    roots: tuple[int, ...] | None
+    agrees: bool
+    moves: dict = field(default_factory=dict)
+
+
+@cache
+def _interned(
+    classes: tuple[int, ...] | None, roots: tuple[int, ...] | None, agrees: bool
+) -> _State:
+    """The one state of the process with these values."""
+    return _State(classes, roots, agrees)
+
+
+@cache
+def _base(size: int) -> _State:
+    """The state of a base fiber of this size, before any edge."""
+    return _interned(None, tuple(range(size)), False)
+
+
+def _step(
+    state: _State, fmap: tuple[int, ...], edge: tuple[tuple[int, ...], tuple[int, ...], int]
+) -> _State:
+    """The frontier state one edge on; dead when no chain through it agrees.
+
+    The glued route joins the frontier's classes to the edge's pi0 classes
+    with least_representatives; the direct route gives a new vertex the
+    root of its image.  The step fails when a glued class holds two roots,
+    or when a class that stops at the old frontier (it can never grow
+    again) is not a whole root class.  The new state agrees if no two
+    classes on the new frontier share a root.
+    """
+    classes, roots = state.classes, state.roots
+    if roots is None:
+        return state
     lower, upper, count = edge
     if classes is None:
         live, old, pairs = 0, lower, ()
@@ -151,55 +178,8 @@ def _step(
     # hold one root each that no other class holds exactly when each is
     # its root's whole class.
     if held != touched or len(set(roots)) != touched - reaching + reached:
-        return None
-    return _canonical(new_classes), _canonical(new_roots), reaching == reached
-
-
-class _Walk:
-    """The frontier-state automaton of gluing_agreement, grown as it is walked.
-
-    State 0 is dead: no chain through it agrees.  Every other state is
-    (classes, roots) as _step takes them, numbered once; agrees[s] says
-    whether a chain ending in state s agrees, and moves[s] maps a fiber map
-    to the state one edge on (the state fixes the size of the fiber it maps
-    into).  One walk, _WALK, serves the whole process.
-    """
-
-    def __init__(self) -> None:
-        self.numbers: dict = {}
-        self.states: list = [None]
-        self.agrees: list[bool] = [False]
-        self.moves: list[dict] = [{}]
-        self.bases: dict[int, int] = {}
-
-    def base(self, size: int) -> int:
-        """The state of a base fiber of this size, before any edge."""
-        number = self.bases.get(size)
-        if number is None:
-            number = self.bases[size] = self._number((None, tuple(range(size))), False)
-        return number
-
-    def move(self, number: int, fmap: tuple[int, ...], edge) -> int:
-        """Take an edge from state number and memoize where it leads."""
-        after = 0
-        if number:
-            stepped = _step(*self.states[number], fmap, edge)
-            if stepped is not None:
-                after = self._number(stepped[:2], stepped[2])
-        self.moves[number][fmap] = after
-        return after
-
-    def _number(self, state: tuple, agrees: bool) -> int:
-        number = self.numbers.get(state)
-        if number is None:
-            number = self.numbers[state] = len(self.states)
-            self.states.append(state)
-            self.agrees.append(agrees)
-            self.moves.append({})
-        return number
-
-
-_WALK = _Walk()
+        return _interned(None, None, False)
+    return _interned(_canonical(new_classes), _canonical(new_roots), reaching == reached)
 
 
 def gluing_agreement(signature: FiberSignature) -> bool:
@@ -209,24 +189,24 @@ def gluing_agreement(signature: FiberSignature) -> bool:
     forest rooted in fiber 0, so they are in bijection with the base fiber
     {0, ..., ell_0}, empty fiber included.  The edgewise-glued components
     agree with them when the glued classes are exactly the root classes
-    (the vertices over one base point).  The check walks the signature edge by edge through the
-    frontier states of _Walk: each edge's pi0 comes from the cached
-    _edge_components, and each (state, fiber map) move is computed once.
-    A signature whose maps do not compose fails.
+    (the vertices over one base point).  The check walks the signature edge
+    by edge through interned frontier states: each edge's pi0 comes from the
+    cached _edge_components, and each (state, fiber map) move is computed
+    once.  A signature whose maps do not compose fails.
     """
     sizes, maps = signature
     if not maps or len(sizes) != len(maps) + 1:
         return False
-    walk = _WALK
-    moves = walk.moves
-    state = walk.base(sizes[0])
+    state = _base(sizes[0])
     for size0, size1, fmap in zip(sizes, sizes[1:], maps):
         edge = _edge_components(size0, size1, fmap)
         if edge is None:
             return False
-        after = moves[state].get(fmap)
-        state = walk.move(state, fmap, edge) if after is None else after
-    return walk.agrees[state]
+        after = state.moves.get(fmap)
+        if after is None:
+            after = state.moves[fmap] = _step(state, fmap, edge)
+        state = after
+    return state.agrees
 
 
 @dataclass(frozen=True)

@@ -8,40 +8,42 @@ import pkgutil
 import pytest
 
 import bmquiver
-from bmquiver import wfib
+
+
+def package_modules() -> list:
+    """The package and every module in it."""
+    return [bmquiver] + [
+        importlib.import_module(f"bmquiver.{info.name}")
+        for info in pkgutil.iter_modules(bmquiver.__path__)
+    ]
 
 
 def cached_functions() -> list:
     """Every functools cache defined in a module of the package."""
-    found = []
-    for info in pkgutil.iter_modules(bmquiver.__path__):
-        module = importlib.import_module(f"bmquiver.{info.name}")
-        found += [
-            value
-            for value in vars(module).values()
-            if hasattr(value, "cache_clear") and value.__module__ == module.__name__
-        ]
-    return found
+    return [
+        value
+        for module in package_modules()
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    ]
 
 
 def clear_memos() -> None:
-    """Forget every process-wide memo: each cached function of the package is
-    cleared, and the gluing walk starts again from a fresh automaton."""
+    """Forget every process-wide memo: each cached function of the package is cleared."""
     for function in cached_functions():
         function.cache_clear()
-    wfib._WALK = wfib._Walk()
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos(request):
     """Clear the process-wide memos before and after every test that monkeypatches.
 
-    The memos are functools caches and the gluing walk, kept for the whole
-    process.  A test that patches a rule they were filled from
-    (least_representatives, _resolve or _gamma, say) must not read entries
-    from before the patch, and must leave none behind, whatever order the
-    tests run in.  Being autouse, this fixture is torn down after
-    monkeypatch has undone its patches.
+    The memos are functools caches, kept for the whole process.  A test
+    that patches a rule they were filled from (least_representatives,
+    _resolve or _gamma, say) must not read entries from before the patch,
+    and must leave none behind, whatever order the tests run in.  Being
+    autouse, this fixture is torn down after monkeypatch has undone its
+    patches.
     """
     if "monkeypatch" not in request.fixturenames:
         yield

@@ -12,7 +12,6 @@ import time
 from bmquiver import (
     BmChain,
     BmObject,
-    enumerate_all_edges,
     enumerate_objects,
     f_object,
     f_object_via_segments,
@@ -21,6 +20,7 @@ from bmquiver import (
 )
 from bmquiver.cli import main
 from bmquiver.sweeps import SweepConfig, gluing_suite, run_suite, xi_suite
+from test_bm import enumerate_all_edges
 
 OBJ = BmObject.parse
 

@@ -28,6 +28,18 @@ def identity_edge(phi: BmObject) -> BmEdge:
     return BmEdge(phi, phi, identity(phi.top))
 
 
+def enumerate_all_edges(k_max: int, k_prime_max: int) -> list[BmEdge]:
+    """All edges with source on [k <= k_max] and target on [k' <= k_prime_max]:
+    sources, then targets, in enumerate_objects order, then maps in edge order."""
+    targets = enumerate_objects(k_prime_max)
+    return [
+        edge
+        for phi in enumerate_objects(k_max)
+        for phi_prime in targets
+        for edge in enumerate_edges(phi, phi_prime)
+    ]
+
+
 @st.composite
 def bm_objects(draw, max_top: int = 6):
     k = draw(st.integers(0, max_top))

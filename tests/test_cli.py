@@ -94,6 +94,17 @@ def test_parse_error_exit_code(capsys):
     assert main(["enumerate", "edges"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("entity", ["pairs", "audit"])
+@pytest.mark.parametrize(
+    "instance",
+    ["0001", "phi=01;phiPrime=01;map=0,1|phi=01;phiPrime=01;map=0,1"],
+    ids=["object", "two-edge chain"],
+)
+def test_pairs_and_audit_need_a_single_edge(capsys, entity, instance):
+    assert main(["eval", entity, instance]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {entity} needs a single edge encoding\n")
+
+
 def test_enumerate_objects(capsys):
     code, out = run(capsys, "enumerate", "objects", "--max-k", "1")
     assert code == EXIT_PASS

@@ -12,7 +12,6 @@ from bmquiver import (
     DeltaMap,
     QuiverLabel,
     QuotientSet,
-    enumerate_all_edges,
     enumerate_objects,
     f_chain,
     f_object,
@@ -29,7 +28,7 @@ from bmquiver import (
 )
 from bmquiver import compare, quiverf
 from bmquiver.quiverf import LabelKind, f_classes, label_count, mid
-from test_bm import identity_edge
+from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
 
 OBJ = BmObject.parse

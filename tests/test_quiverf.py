@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from bmquiver import (
     LabelRangeError,
     QuiverLabel,
     UnresolvableLabelError,
-    enumerate_all_edges,
     enumerate_objects,
     f_chain,
     f_object,
@@ -24,7 +24,7 @@ from bmquiver import (
 )
 from bmquiver import quiverf
 from bmquiver.quiverf import f_classes, label_count, label_offsets, mid
-from test_bm import identity_edge
+from test_bm import enumerate_all_edges, identity_edge
 from test_quotient import union_find_blocks
 from test_sweeps import edge_pool
 
@@ -75,6 +75,14 @@ def edge_pushout(edge):
     """The blocks of the pushout of the two vertex label sets along the edge's pairing list."""
     elements = f_object(edge.phi, vertex=0) + f_object(edge.phi_prime, vertex=1)
     return union_find_blocks(elements, pairing_set(edge).pairs)
+
+
+def at_vertex(pairing, t: int) -> tuple:
+    """(pairs, notes) of a pairing list with the source moved from vertex 0 to vertex t."""
+    pairs = tuple(
+        tuple(replace(label, vertex=label.vertex + t) for label in pair) for pair in pairing.pairs
+    )
+    return pairs, pairing.notes
 
 
 def strs(labels) -> list[str]:
@@ -424,8 +432,7 @@ class TestLabelOracle:
         count = 0
         for chain in oracle_chains():
             for t, edge in enumerate(chain.edges):
-                pairing = pairing_set(edge, at=t)
-                assert (pairing.pairs, pairing.notes) == label_pairing(edge, t)
+                assert at_vertex(pairing_set(edge), t) == label_pairing(edge, t)
             elements, pairs = label_f_chain(chain)
             fq = f_chain(chain)
             assert fq.elements == tuple(elements)
@@ -479,8 +486,7 @@ class TestResolutionTables:
     @settings(max_examples=300)
     def test_random_edges_match_the_label_oracle(self, edge, at):
         """Edges up to k, k' <= 8, their pairing lists read from the tables."""
-        pairing = pairing_set(edge, at=at)
-        assert (pairing.pairs, pairing.notes) == label_pairing(edge, at)
+        assert at_vertex(pairing_set(edge), at) == label_pairing(edge, at)
 
 
 def test_crossing_count_closed_form():

@@ -15,8 +15,8 @@ import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
 from bmquiver import compare, quiverf, sweeps
-from bmquiver.bm import BmEdge, BmObject, enumerate_all_edges, enumerate_edges, enumerate_objects
-from bmquiver.errors import IllDefinedComponentError, PairingConstructionError
+from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects
+from bmquiver.errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
 from bmquiver.simplex import monotone_tuples
@@ -27,8 +27,8 @@ from bmquiver.sweeps import (
     SweepConfig,
     gluing_suite,
 )
-from conftest import cached_functions, clear_memos
-from test_bm import filtered_edges
+from conftest import cached_functions, clear_memos, package_modules
+from test_bm import enumerate_all_edges, filtered_edges
 
 BOUNDS = [(2, 3), (3, 2)]  # (max_k, max_chain_len)
 
@@ -224,6 +224,10 @@ def test_sampled_gluing_draws_by_index_match_choosing_from_edge_pools(monkeypatc
 
 EDGE_SUITES = ("constancy", "naturality", "identification", "audit")
 
+#: The errors that fail an instance with the error as its witness: invalid
+#: labels from the pairing rules, an ill-defined gamma, and fiber maps G rejects.
+INSTANCE_ERRORS = (PairingConstructionError, IllDefinedComponentError, ValidationError)
+
 
 def per_draw_records(config: SweepConfig, suite: str) -> list:
     """The record of every draw of a sampled suite, each draw checked on its own.
@@ -314,7 +318,7 @@ def edge_record(suite: str, edge: BmEdge):
             result = compare.verify_naturality(BmChain.from_edges([edge]))
         else:
             result = compare.verify_edge_identification(edge)
-    except PairingConstructionError as exc:
+    except INSTANCE_ERRORS as exc:
         return edge.encode(), "fail", [str(exc)]
     return None if result.passed else (edge.encode(), "fail", list(result.failures))
 
@@ -322,7 +326,7 @@ def edge_record(suite: str, edge: BmEdge):
 def xi_record(chain: BmChain, m: int):
     try:
         result = compare.xi_restriction_commutes(chain, m)
-    except (IllDefinedComponentError, PairingConstructionError) as exc:
+    except INSTANCE_ERRORS as exc:
         return f"{chain.encode()}@{m}", "fail", [str(exc)]
     return None if result.passed else (f"{chain.encode()}@{m}", "fail", list(result.failures))
 
@@ -432,24 +436,42 @@ def dropped_inner_rule(monkeypatch):
 def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
     """A fiber map that drops its last image breaks both edge suites, per edge.
 
-    The whole report is pinned, so the rendering of witnesses stays fixed.
+    Every edge with a nonempty 0-fiber in phi' gets a map one short of its
+    fiber, which G rejects as the gluing check does: the edge fails with
+    the misfit as its witness, and no suite raises.
     """
     short_fiber_map(monkeypatch)
     reports = failing_reports(["constancy", "naturality"])
     for report in reports.values():
-        assert (report.total, report.failed) == (109, 53)
-        assert all(inst["status"] == "fail" for inst in report.instances)
-    expected = Path(__file__).parent / "data" / "fiber_map_mutant.json"
-    assert render(reports.values()) == expected.read_text()
+        assert (report.total, report.failed) == (109, 63)
+        for instance in report.instances:
+            edge = BmEdge.parse(instance["key"])
+            maps, sizes = (edge.fiber_map(),), (edge.phi.ell + 1, edge.phi_prime.ell + 1)
+            assert instance["status"] == "fail"
+            assert instance["witnesses"] == [f"fiber maps {maps} do not fit fiber sizes {sizes}"]
+    assert [inst["key"] for inst in reports["constancy"].instances] == [
+        inst["key"] for inst in reports["naturality"].instances
+    ]
 
 
 def test_gamma_off_by_one_fails_constancy_and_naturality(monkeypatch):
-    """x1(i) sent to fiber element i - 1 instead of i."""
+    """x1(i) sent to fiber element i - 1 instead of i.
+
+    The whole report is pinned, so the rendering of pair and vertex-square
+    witnesses stays fixed.
+    """
     gamma_off_by_one(monkeypatch)
     reports = failing_reports(["constancy", "naturality"])
+    witnesses = {
+        name: sum(len(inst["witnesses"]) for inst in report.instances)
+        for name, report in reports.items()
+    }
     assert reports["constancy"].failed == reports["naturality"].failed == 10
+    assert witnesses == {"constancy": 13, "naturality": 17}
     witness = reports["naturality"].instances[0]["witnesses"][0]
     assert witness.startswith("vertex square t=0: v0:x2(2) gives (0, 0) != (0, 1)")
+    expected = Path(__file__).parent / "data" / "gamma_mutant.json"
+    assert render(reports.values()) == expected.read_text()
 
 
 def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
@@ -475,21 +497,49 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["key"] == key
 
 
-KERNEL_MEMOS = {"_shape", "_gamma_row", "_edge_components", "monotone_tuples"}
+KERNEL_MEMOS = {
+    "_shape", "_gamma_row", "_edge_components", "_interned", "_base", "monotone_tuples"
+}
 
 
 def test_clearing_the_memos_empties_every_cache_and_the_walk():
     """After small constancy and gluing sweeps fill them, clear_memos leaves
-    every cached function of the package empty, the four kernel memos among
-    them, and the gluing walk with only its dead state."""
+    every cached function of the package empty, the kernel memos among them.
+    The gluing walk lives in its interned states, so it starts again from a
+    new base state with no moves."""
     assert not any(r.failed for r in failing_reports(["constancy", "gluing"]).values())
     functions = cached_functions()
     kernel = [f for f in functions if f.__name__ in KERNEL_MEMOS]
     assert len(kernel) == len(KERNEL_MEMOS)
-    assert all(f.cache_info().currsize for f in kernel) and len(wfib._WALK.states) > 1
+    assert all(f.cache_info().currsize for f in kernel)
+    walked = wfib._base(2)
+    assert walked.moves
     clear_memos()
     assert all(f.cache_info().currsize == 0 for f in functions)
-    assert wfib._WALK.states == [None]
+    assert wfib._base(2) is not walked and not wfib._base(2).moves
+
+
+#: Module globals that may hold a table: constants, never written.
+CONSTANT_TABLES = {("bmquiver.sweeps", "_SUITES")}
+
+
+def test_no_module_global_holds_a_memo():
+    """Every process-wide memo is a functools cache, which clear_memos finds:
+    no module of the package keeps a dict, list or set, or an object of a
+    package class, in a global, besides the constant suite table."""
+    modules = package_modules()
+    held = [
+        (module.__name__, name)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+        and (
+            isinstance(value, (dict, list, set))
+            or type(value).__module__.startswith("bmquiver.")
+        )
+    ]
+    assert len(modules) == 10
+    assert set(held) == CONSTANT_TABLES
 
 
 def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):

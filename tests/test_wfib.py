@@ -513,17 +513,19 @@ def test_composite_g_classes_match_networkx(signatures):
     "signature",
     [
         ((2, 2), ((1,),)),  # map shorter than the next fiber
+        # A short map, then one that fits: G gave the unmapped vertex (1, 1)
+        # its own root, [0, 1, 1, 3, 3], where the gluing check failed.
+        ((2, 2, 1), ((1,), (1,))),
         ((2, 1), ((0, 1),)),  # map longer than the next fiber
         ((2, 2, 1), ((0, 1), (0, 0))),
     ],
-    ids=["short", "long", "long-later"],
+    ids=["short", "short-before-valid", "long", "long-later"],
 )
 def test_map_length_off_the_fiber_size_fails(signature):
+    """G rejects a map whose length is not its fiber size, as gluing does."""
     assert not gluing_agreement(signature)
-    sizes, maps = signature
-    if any(len(fmap) > size for fmap, size in zip(maps, sizes[1:])):
-        with pytest.raises(ValidationError):
-            wfib.g_classes(sizes, maps)
+    with pytest.raises(ValidationError):
+        wfib.g_classes(*signature)
 
 
 @pytest.mark.parametrize(
@@ -551,11 +553,6 @@ def test_negative_image_fails_instead_of_wrapping(signature):
 def test_wrong_number_of_maps_fails():
     assert not gluing_agreement(((2,), ((0, 1),)))
     assert not gluing_agreement(((2, 2), ()))
-
-
-def test_vertex_past_a_short_map_is_its_own_root():
-    # The graph has no cross edge at (1, 1), so it is a component of its own.
-    assert wfib.g_classes((2, 2, 1), ((1,), (1,))) == [0, 1, 1, 3, 3]
 
 
 def test_gluing_every_class_together_fails(monkeypatch, signatures):
