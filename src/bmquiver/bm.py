@@ -107,10 +107,7 @@ class BmEdge:
         return self.map.images[: self.phi_prime.ell + 1]
 
     def encode(self) -> str:
-        return (
-            f"phi={self.phi.encode()};phiPrime={self.phi_prime.encode()};"
-            f"map={self.map.encode()}"
-        )
+        return encode_edge(self.phi, self.phi_prime, self.map.images)
 
     @classmethod
     def parse(cls, text: str) -> "BmEdge":
@@ -140,6 +137,14 @@ class BmEdge:
 
     def __str__(self) -> str:
         return self.encode()
+
+
+def encode_edge(phi: BmObject, phi_prime: BmObject, images: tuple[int, ...]) -> str:
+    """The encoding of the edge phi -> phi' whose map has these images, built or not."""
+    return (
+        f"phi={phi.encode()};phiPrime={phi_prime.encode()};"
+        f"map={','.join(str(v) for v in images)}"
+    )
 
 
 @dataclass(frozen=True)

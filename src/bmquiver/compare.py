@@ -13,27 +13,38 @@ classes from g_classes), and gamma on a vertex's label number L is
 L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
 named only at the API boundary and in the witness of a failure.  The
 witnesses read gamma from one row per (ell, beta), built once per process
-from _gamma.
+from _gamma.  Naturality and xi read a one-edge chain's F, G and witnesses
+from one kernel keyed by the objects' values, the images of the target's
+0-fiber and the fiber map, which is all F and G read of the edge.  Edges
+that share these come one after another, so the kernel keeps one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .bm import BmChain, BmEdge, BmObject
-from .errors import IllDefinedComponentError, ValidationError
+from .errors import (
+    IllDefinedComponentError,
+    LabelRangeError,
+    UnresolvableLabelError,
+    ValidationError,
+)
 from .quiverf import (
     QuiverLabel,
+    _shape,
     chain_labels,
     edge_pairs,
     f_classes,
+    f_edge_classes,
     f_object,
     f_object_via_segments,
     label_count,
     label_offsets,
+    pairing_error,
     render_note,
     segment_labels,
 )
@@ -52,23 +63,57 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
-def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Fiber sizes, G classes by vertex number, and the witness of every label number.
-
-    The witness of a label is the G class of the fiber element gamma
-    assigns to it, before any quotienting on the labeled-set side.
-    """
-    sizes, maps = chain_signature(chain)
-    g = g_classes(sizes, maps)
+def _witness(betas: Iterable[int], sizes: tuple[int, ...], g: Sequence[int]) -> list[int]:
+    """The witness of every label number: the G class of the fiber element gamma
+    assigns to it, before any quotienting on the labeled-set side."""
     witness: list[int] = []
     fiber_off = 0
-    for obj, size in zip(chain.objects, sizes):
-        witness += [g[fiber_off + v] for v in _gamma_row(size - 1, obj.beta)]
+    for beta, size in zip(betas, sizes):
+        witness += [g[fiber_off + v] for v in _gamma_row(size - 1, beta)]
         fiber_off += size
-    return sizes, g, witness
+    return witness
 
 
-def _classes(reps: list[int]) -> dict[int, list[int]]:
+def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Fiber sizes, G classes by vertex number, and the witness of every label number."""
+    sizes, maps = chain_signature(chain)
+    g = g_classes(sizes, maps)
+    return sizes, g, _witness((obj.beta for obj in chain.objects), sizes, g)
+
+
+@lru_cache(maxsize=1)
+def _one_edge(
+    source: tuple[int, ...], target: tuple[int, ...], p: tuple[int, ...], fmap: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """F classes, fiber sizes, G classes and witnesses of the one-edge chain source -> target.
+
+    source and target are object values, p the images of the target's
+    0-fiber (all the pairing rules read of the map) and fmap the fiber map
+    (all G reads).  Edges are enumerated with their 1-part innermost, so
+    the edges that share these values follow one another: one entry serves
+    them all, where a memo of every edge would grow with the sweep.
+    """
+    f = f_edge_classes(source, target, p)
+    ends = _shape(source), _shape(target)
+    sizes = tuple(end.ell + 1 for end in ends)
+    g = g_classes(sizes, (fmap,))
+    witness = _witness((end.beta for end in ends), sizes, g)
+    return tuple(f), sizes, tuple(g), tuple(witness)
+
+
+def _sides(chain: BmChain) -> tuple[Sequence[int], tuple[int, ...], Sequence[int], Sequence[int]]:
+    """F classes, fiber sizes, G classes and witnesses of a chain; one edge reads _one_edge."""
+    if chain.length != 1:
+        return (f_classes(chain), *_g_side(chain))
+    (edge,) = chain.edges
+    p = edge.map.images[: edge.phi_prime.ell + 1]
+    try:
+        return _one_edge(edge.phi.values, edge.phi_prime.values, p, edge.fiber_map())
+    except (UnresolvableLabelError, LabelRangeError) as exc:
+        raise pairing_error(edge, exc) from exc
+
+
+def _classes(reps: Sequence[int]) -> dict[int, list[int]]:
     """Members of each class by representative, classes in order."""
     out: dict[int, list[int]] = {}
     for member, rep in enumerate(reps):
@@ -91,7 +136,7 @@ class GammaComponent:
 
 
 def _check_well_defined(
-    chain: BmChain, f: list[int], sizes: tuple[int, ...], witness: list[int]
+    chain: BmChain, f: Sequence[int], sizes: tuple[int, ...], witness: Sequence[int]
 ) -> None:
     """Raise unless every F class has one image."""
     for block in _classes(f).values():
@@ -107,8 +152,7 @@ def _check_well_defined(
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    f = f_classes(chain)
-    sizes, g, witness = _g_side(chain)
+    f, sizes, g, witness = _sides(chain)
     _check_well_defined(chain, f, sizes, witness)
     labels = chain_labels(chain)
     vertices = fiber_vertices(sizes)
@@ -161,8 +205,7 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
     square at s: same statement for the single-edge subchain at s.  A chain
     of one edge is its own segment, so its F, G and witnesses are reused.
     """
-    f = f_classes(chain)
-    sizes, g, witness = _g_side(chain)
+    f, sizes, g, witness = _sides(chain)
     failures: list[str] = []
     # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
@@ -174,17 +217,22 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    # Segment numbers shift into the chain's by the label offset of position
-    # s - 1, which is 0 on a one-edge chain.
-    label_offs = label_offsets(chain.objects) if chain.length > 1 else [0]
+    if chain.length == 1:
+        # Every code of a class reads witness[rep] through the chain, so the
+        # square of the class holds when G fixes witness[rep].  The blocks
+        # below are built only to name a failure.
+        if all(g[witness[code]] == witness[code] for code, rep in enumerate(f) if code == rep):
+            return VerificationReport(tuple(failures))
+        segments: Iterable = [(chain, f, witness)]
+    else:
+        segments = (
+            (seg, f_classes(seg), _g_side(seg)[2])
+            for seg in (chain.subchain(s - 1, s) for s in range(1, chain.length + 1))
+        )
+    # Segment numbers shift into the chain's by the label offset of position s - 1.
+    label_offs = label_offsets(chain.objects)
     fiber_off = 0
-    for s in range(1, chain.length + 1):
-        if chain.length == 1:
-            seg, seg_f, seg_witness = chain, f, witness
-        else:
-            seg = chain.subchain(s - 1, s)
-            seg_f = f_classes(seg)
-            seg_witness = _g_side(seg)[2]
+    for s, (seg, seg_f, seg_witness) in enumerate(segments, start=1):
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}
@@ -318,8 +366,7 @@ def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationRep
     per component, components in order; each label compares the slot its
     chain class reads with the slot its vertex comparison reads.
     """
-    f = f_classes(chain)
-    sizes, g, witness = _g_side(chain)
+    f, sizes, g, witness = _sides(chain)
     _check_well_defined(chain, f, sizes, witness)
     slot = {rep: i for i, rep in enumerate(sorted(set(g)))}
     via_chain = [slot[witness[rep]] for rep in f]

@@ -22,10 +22,14 @@ range(n), and the least number in a class is its canonical representative.
 QuiverLabel values are built only to decode a result (f_chain,
 pairing_set) or to render a witness.
 
-The pairing rules read each object's resolutions from tables kept for the
-whole process: each (kind, index) a rule requests of an object goes to
-_resolve once, and its number is kept.  A request that _resolve cannot
-answer is not kept, so it goes to _resolve, and raises its error, each time.
+The pairing rules are one integer core on the two objects' values and the
+map's images (_rule_pairs): edge_pairs applies it to an edge and names the
+edge in the error of a label it cannot build, and f_edge_classes gives F on
+a one-edge chain from the values alone.  The rules read each object's
+resolutions from tables kept for the whole process: each (kind, index) a
+rule requests of an object goes to _resolve once, and its number is kept.
+A request that _resolve cannot answer is not kept, so it goes to _resolve,
+and raises its error, each time.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import NamedTuple, Sequence
 
 from .bm import BmChain, BmEdge, BmObject, segment_decompose
 from .errors import (
+    BmQuiverError,
     LabelRangeError,
     PairingConstructionError,
     UnresolvableLabelError,
@@ -206,12 +211,15 @@ def render_note(note: Note) -> str:
     return note[0].format(*note[1:])
 
 
-def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
-    """The pairing rules of an edge, on label numbers, with one note per pair.
+def _rule_pairs(
+    source: tuple[int, ...], target: tuple[int, ...], p: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[Note]]:
+    """The pairing rules between the objects with these values, with one note per pair.
 
-    Source labels are numbered from 0 and target labels after them, as on
-    a one-edge chain.  For each 1 <= i <= ell' the rules contribute,
-    writing p for the edge's underlying map:
+    Pairs are of label numbers: source labels are numbered from 0 and
+    target labels after them, as on a one-edge chain.  For each
+    1 <= i <= ell' the rules contribute, writing p for the images of the
+    map (the rules read p(0..ell') only):
 
       p(i-1) = p(i):  the pair (y1(i), y2(i));
       p(i-1) < p(i):  (y1(i), x1(p(i))), (x2(p(i-1)+1), y2(i)), and
@@ -220,45 +228,70 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     When beta' = 1 (forcing beta = 1) three more rules fire:
     (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
     p(ell')+2 <= j <= ell.  All labels pass through the resolution of
-    _resolve, read from each object's table.
+    _resolve, read from each object's table; a label that does not
+    resolve raises its LabelRangeError or UnresolvableLabelError.
 
     The degenerate case ell' = -1 yields no pairs: the formula for the
     pair count is undefined there and emptiness is the convention under
     which the edge value is just the source value.
     """
-    ell_prime, beta_prime, _, y1, y2, ym = _shape(edge.phi_prime.values)
+    ell_prime, beta_prime, _, y1, y2, ym = _shape(target)
     if ell_prime == -1:
         return [], []
-    ell, _, shift, x1, x2, xm = _shape(edge.phi.values)
-    p = edge.map.images
+    ell, _, shift, x1, x2, xm = _shape(source)
     pairs: list[tuple[int, int]] = []
     notes: list[Note] = []
-    try:
-        for i in range(1, ell_prime + 1):
-            if p[i - 1] == p[i]:
-                pairs.append((shift + y1[i], shift + y2[i]))
-                notes.append((_FLAT_NOTE, i, p[i], p[i - 1], i - 1))
-            else:
-                pairs.append((shift + y1[i], x1[p[i]]))
-                notes.append((_UP_NOTE, i, p[i]))
-                pairs.append((x2[p[i - 1] + 1], shift + y2[i]))
-                notes.append((_DOWN_NOTE, p[i - 1] + 1, p[i - 1], i - 1, i))
-                for j in range(p[i - 1] + 2, p[i] + 1):
-                    pairs.append((x2[j], x1[j - 1]))
-                    notes.append((_INNER_NOTE, j, j - 1))
-        if beta_prime == 1:
-            pairs.append((xm[None], x1[ell]))
-            notes.append((_MID_NOTE, ell))
-            pairs.append((x2[p[ell_prime] + 1], shift + ym[None]))
-            notes.append((_MID_DOWN_NOTE, p[ell_prime] + 1, p[ell_prime], ell_prime))
-            for j in range(p[ell_prime] + 2, ell + 1):
+    for i in range(1, ell_prime + 1):
+        if p[i - 1] == p[i]:
+            pairs.append((shift + y1[i], shift + y2[i]))
+            notes.append((_FLAT_NOTE, i, p[i], p[i - 1], i - 1))
+        else:
+            pairs.append((shift + y1[i], x1[p[i]]))
+            notes.append((_UP_NOTE, i, p[i]))
+            pairs.append((x2[p[i - 1] + 1], shift + y2[i]))
+            notes.append((_DOWN_NOTE, p[i - 1] + 1, p[i - 1], i - 1, i))
+            for j in range(p[i - 1] + 2, p[i] + 1):
                 pairs.append((x2[j], x1[j - 1]))
                 notes.append((_INNER_NOTE, j, j - 1))
-    except (UnresolvableLabelError, LabelRangeError) as exc:
-        raise PairingConstructionError(
-            f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
-        ) from exc
+    if beta_prime == 1:
+        pairs.append((xm[None], x1[ell]))
+        notes.append((_MID_NOTE, ell))
+        pairs.append((x2[p[ell_prime] + 1], shift + ym[None]))
+        notes.append((_MID_DOWN_NOTE, p[ell_prime] + 1, p[ell_prime], ell_prime))
+        for j in range(p[ell_prime] + 2, ell + 1):
+            pairs.append((x2[j], x1[j - 1]))
+            notes.append((_INNER_NOTE, j, j - 1))
     return pairs, notes
+
+
+def pairing_error(edge: BmEdge, exc: BmQuiverError) -> PairingConstructionError:
+    """The error that names the edge on which the pairing rules built an invalid label."""
+    return PairingConstructionError(
+        f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
+    )
+
+
+def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
+    """The pairing rules of an edge (see _rule_pairs), on label numbers, with one note per pair.
+
+    A label the rules cannot build raises PairingConstructionError naming the edge.
+    """
+    try:
+        return _rule_pairs(edge.phi.values, edge.phi_prime.values, edge.map.images)
+    except (UnresolvableLabelError, LabelRangeError) as exc:
+        raise pairing_error(edge, exc) from exc
+
+
+def f_edge_classes(
+    source: tuple[int, ...], target: tuple[int, ...], p: Sequence[int]
+) -> list[int]:
+    """F on the one-edge chain between the objects with these values (see f_classes).
+
+    p holds the images of the map; a label the rules cannot build raises
+    as in _rule_pairs.
+    """
+    count = _shape(source).count + _shape(target).count
+    return least_representatives(count, _rule_pairs(source, target, p)[0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ broken case is localized.
 Every suite but gluing runs from one table of instance sources and checks.
 A source gives runs: consecutive instances, in enumeration order, that
 share one signature.  A suite that reuses verdicts by signature counts a
-run whose signature passed without building its instances.
+run whose signature passed without building its instances, and lists a
+run whose signature warned under its instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -30,6 +31,7 @@ from .bm import (
     BmObject,
     count_edges,
     edge_at,
+    encode_edge,
     enumerate_objects,
     fiber_parts,
 )
@@ -137,9 +139,10 @@ def _replay(results: Iterable, order: list[int] | None) -> Iterable:
 
 
 #: A run: consecutive instances of a source, in enumeration order, that share
-#: one signature, as (signature, count, instances); an instance is built as
-#: it is read, so a run that is only counted is never built.
-Run = tuple[object, int, Iterable]
+#: one signature, as (signature, count, instance, key): instance(n) builds the
+#: n-th instance of the run and key(n) gives its encoding without building it,
+#: so a run that is only counted, or only listed, is never built.
+Run = tuple[object, int, Callable[[int], object], Callable[[int], str]]
 
 
 def _objects(config: SweepConfig) -> tuple[list[Run], list[int] | None]:
@@ -155,7 +158,12 @@ def _objects(config: SweepConfig) -> tuple[list[Run], list[int] | None]:
     if config.samples is not None:
         rng = random.Random(config.seed)
         objs, order = _distinct([rng.choice(objs) for _ in range(config.samples)])
-    return [(phi, 1, (phi,)) for phi in objs], order
+    return [_object_run(phi) for phi in objs], order
+
+
+def _object_run(phi: BmObject) -> Run:
+    """The run of one object, built already; an object is its own signature."""
+    return phi, 1, lambda n: phi, lambda n: phi.encode()
 
 
 def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> Run:
@@ -170,8 +178,14 @@ def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> R
     """
     beta_prime, kp, k = phi_prime.beta, phi_prime.top, phi.top
     signature = (phi.ell, phi.beta, phi_prime.ell, beta_prime, zero + ones[0][:beta_prime])
-    edges = (BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one)) for one in ones)
-    return signature, len(ones), edges
+
+    def edge(n: int) -> BmEdge:
+        return BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + ones[n]))
+
+    def key(n: int) -> str:
+        return encode_edge(phi, phi_prime, zero + ones[n])
+
+    return signature, len(ones), edge, key
 
 
 def _edge_runs(config: SweepConfig) -> Iterator[Run]:
@@ -180,7 +194,9 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
 
     For an object pair, a 0-part and, when beta' = 1, the first image of the
     1-part fix the signature.  The 1-parts are in lexicographic order, so
-    those that share a first image are consecutive and make one run.
+    those that share a first image are consecutive and make one run.  The
+    1-part is innermost, so the edges with one 0-part follow one another,
+    which the one-entry memo of compare._one_edge relies on.
     """
     targets = enumerate_objects(config.max_k_prime)
     for phi in enumerate_objects(config.max_k):
@@ -523,26 +539,27 @@ def _run_records(run: Run, check: Callable, verdicts: dict | None) -> list:
     every instance).  A run whose signature passed is counted unbuilt.
     Else its instances are built and checked in order until one passes,
     which counts the rest, or warns: a warning names nothing else of its
-    instance, so each later one is listed under its own key.  Each instance
-    of a failing signature is checked and listed with its own witnesses.
+    instance, so each later one is listed, unbuilt, under its own key.  Each
+    instance of a failing signature is checked and listed with its own
+    witnesses.
     """
-    signature, count, instances = run
+    signature, count, instance, key = run
     if verdicts is None:
-        return [(check(instance), 1) for instance in instances]
+        return [(check(instance(n)), 1) for n in range(count)]
     kept = verdicts.get(signature)
     if kept is not None and not any(kept):
         return [(kept, count)]
     out = []
-    for done, instance in enumerate(instances):
+    for n in range(count):
         if kept is not None:
-            key = instance.encode()
-            out.append((tuple(None if r is None else (key, r[1], r[2]) for r in kept), 1))
+            name = key(n)
+            out.append((tuple(None if r is None else (name, r[1], r[2]) for r in kept), 1))
             continue
-        records = check(instance)
+        records = check(instance(n))
         if all(r is None or r[1] == "warn" for r in records):
             kept = verdicts[signature] = records
             if not any(records):
-                out.append((records, count - done))
+                out.append((records, count - n))
                 break
         out.append((records, 1))
     return out

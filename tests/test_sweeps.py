@@ -179,8 +179,8 @@ def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_pri
         )
         runs, order = sweeps._edges(config)
         runs = list(runs)
-        assert all(count == 1 for _, count, _ in runs)
-        edges = [edge for _, _, instances in runs for edge in instances]
+        assert all(count == 1 for _, count, _, _ in runs)
+        edges = [instance(0) for _, _, instance, _ in runs]
         assert len(set(edges)) == len(edges)
         assert [edges[i] for i in order] == choose_from_filtered_edges(config)
 
@@ -421,16 +421,16 @@ def x1_zero_as_x1_one(monkeypatch):
 
 
 def dropped_inner_rule(monkeypatch):
-    """The pairs (x2(j), x1(j-1)) dropped from the pairing rules."""
-    edge_pairs = quiverf.edge_pairs
+    """The pairs (x2(j), x1(j-1)) dropped from the pairing rules, which every
+    F reads, the one-edge kernel of compare included."""
+    rule_pairs = quiverf._rule_pairs
 
-    def dropped(edge):
-        pairs, notes = edge_pairs(edge)
+    def dropped(source, target, p):
+        pairs, notes = rule_pairs(source, target, p)
         kept = [n for n, note in enumerate(notes) if note[0] != quiverf._INNER_NOTE]
         return [pairs[n] for n in kept], [notes[n] for n in kept]
 
-    for module in (quiverf, compare):
-        monkeypatch.setattr(module, "edge_pairs", dropped)
+    monkeypatch.setattr(quiverf, "_rule_pairs", dropped)
 
 
 def test_short_fiber_map_fails_constancy_and_naturality(monkeypatch):
@@ -498,16 +498,23 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
 
 
 KERNEL_MEMOS = {
-    "_shape", "_gamma_row", "_edge_components", "_interned", "_base", "monotone_tuples"
+    "_shape",
+    "_gamma_row",
+    "_one_edge",
+    "_edge_components",
+    "_interned",
+    "_base",
+    "monotone_tuples",
 }
 
 
 def test_clearing_the_memos_empties_every_cache_and_the_walk():
-    """After small constancy and gluing sweeps fill them, clear_memos leaves
-    every cached function of the package empty, the kernel memos among them.
-    The gluing walk lives in its interned states, so it starts again from a
-    new base state with no moves."""
-    assert not any(r.failed for r in failing_reports(["constancy", "gluing"]).values())
+    """After small constancy, naturality and gluing sweeps fill them,
+    clear_memos leaves every cached function of the package empty, the
+    kernel memos among them.  The gluing walk lives in its interned states,
+    so it starts again from a new base state with no moves."""
+    suites = ["constancy", "naturality", "gluing"]
+    assert not any(r.failed for r in failing_reports(suites).values())
     functions = cached_functions()
     kernel = [f for f in functions if f.__name__ in KERNEL_MEMOS]
     assert len(kernel) == len(KERNEL_MEMOS)
@@ -736,16 +743,18 @@ def test_edge_checks_are_functions_of_the_signature():
 @pytest.mark.parametrize("max_k,max_k_prime", [(5, 5), (3, 5), (5, 0), (0, 4)])
 def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, max_k_prime):
     """The exhaustive runs give every edge in enumerate_all_edges order,
-    each under its own signature, and a run ends exactly where the next
-    edge has another source, target or signature."""
+    each under its own signature and with its key formatted unbuilt as
+    BmEdge.encode gives it, and a run ends exactly where the next edge has
+    another source, target or signature."""
     edges = enumerate_all_edges(max_k, max_k_prime)
     runs, order = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
     assert order is None
     walked = []
-    for signature, count, instances in runs:
-        run = list(instances)
-        assert len(run) == count >= 1
+    for signature, count, instance, key in runs:
+        run = [instance(n) for n in range(count)]
+        assert count >= 1
         assert {edge_signature(edge) for edge in run} == {signature}
+        assert [key(n) for n in range(count)] == [edge.encode() for edge in run]
         walked.append(run)
     assert [edge for run in walked for edge in run] == edges
     stretches = groupby(edges, lambda e: (e.phi, e.phi_prime, edge_signature(e)))
@@ -758,9 +767,9 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
     monkeypatch,
 ):
     """At k, k' <= 4, with everything passing, each signed suite calls its
-    verifier once per signature and builds one edge per signature, plus one
-    per listed warning that its signature's check did not build: every
-    passing run after the first of its signature is counted unbuilt.
+    verifier once per signature and builds one edge per signature: every
+    passing run after the first of its signature is counted unbuilt, and
+    every warning its signature's check did not build is listed unbuilt.
     Naturality builds and checks every edge."""
     config = SweepConfig(max_k=4, max_k_prime=4)
     edges = enumerate_all_edges(4, 4)
@@ -799,9 +808,7 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
         counts = calls, builds
         assert report.passed
         assert report.total == (4 * (objects + len(edges)) if name == "xi" else len(edges))
-        # The first listed edge of each warning signature is the one its check built.
         listed = {edge_signature(BmEdge.parse(inst["key"])) for inst in report.instances}
-        want_builds += report.warned - len(listed)
         assert counts == (want_calls, want_builds), name
         warnings[name] = (report.warned, len(listed))
     assert warnings.pop("audit") == (509, 109)
@@ -860,17 +867,18 @@ def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
 def test_suites_encode_only_the_instances_they_list(monkeypatch):
     """A passing instance is never encoded: every suite makes one outermost
     encode call per instance it lists, exhaustive at k, k' <= 3 and sampled
-    at seeds 0-2.  A sampled instance listed at several draws is encoded
-    once, and its key replayed."""
+    at seeds 0-2, whether it encodes a built instance or formats the key of
+    an unbuilt edge (bm.encode_edge).  A sampled instance listed at several
+    draws is encoded once, and its key replayed."""
     calls = depth = 0
 
     def counting(encode):
-        def counted(self):
+        def counted(*args):
             nonlocal calls, depth
             calls += not depth
             depth += 1
             try:
-                return encode(self)
+                return encode(*args)
             finally:
                 depth -= 1
 
@@ -878,6 +886,7 @@ def test_suites_encode_only_the_instances_they_list(monkeypatch):
 
     for cls in (BmObject, BmEdge, BmChain):
         monkeypatch.setattr(cls, "encode", counting(cls.encode))
+    monkeypatch.setattr(sweeps, "encode_edge", counting(sweeps.encode_edge))
     configs = [SweepConfig(max_k=3, max_k_prime=3)] + [
         SweepConfig(max_k=3, max_k_prime=3, samples=200, seed=seed) for seed in range(3)
     ]
