@@ -18,7 +18,7 @@ from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objec
 from .compare import gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import f_chain, j_cardinality_audit, pairing_set
-from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, run_suites
+from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, reads_edges, run_suites
 from .wfib import g_chain
 
 EXIT_PASS = 0
@@ -311,6 +311,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         if args.jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
+        names = args.suites or SUITE_NAMES
+        if args.max_kprime is not None and not reads_edges(config, names):
+            raise ValidationError(f"--max-kprime is not read: no edge in suites {' '.join(names)}")
         reports = run_suites(config, args.suites)
         sys.stdout.write(_render_verify(reports, args.format))
         return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

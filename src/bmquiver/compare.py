@@ -13,10 +13,10 @@ classes from g_classes), and gamma on a vertex's label number L is
 L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
 named only at the API boundary and in the witness of a failure.  The
 witnesses read gamma from one row per (ell, beta), built once per process
-from _gamma.  Naturality and xi read a one-edge chain's F, G and witnesses
-from one kernel keyed by the objects' values, the images of the target's
-0-fiber and the fiber map, which is all F and G read of the edge.  Edges
-that share these come one after another, so the kernel keeps one entry.
+from _gamma.  Constancy, xi and naturality read a one-edge chain's pairs,
+F, G and witnesses from one kernel, _one_edge, identification reads G alone,
+and constancy, identification and xi build no chain.  Edges that share the
+kernel's key come one after another, so it keeps one entry.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from functools import cache, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+from . import quiverf
 from .bm import BmChain, BmEdge, BmObject
 from .errors import (
     IllDefinedComponentError,
@@ -37,9 +38,7 @@ from .quiverf import (
     QuiverLabel,
     _shape,
     chain_labels,
-    edge_pairs,
     f_classes,
-    f_edge_classes,
     f_object,
     f_object_via_segments,
     label_count,
@@ -50,6 +49,9 @@ from .quiverf import (
 )
 from .quotient import QuotientSet, least_representatives
 from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes
+
+#: A chain, or an object or an edge standing for its chain of length 0 or 1.
+Chain = BmChain | BmObject | BmEdge
 
 
 def _gamma(code: int, ell: int) -> int:
@@ -74,43 +76,49 @@ def _witness(betas: Iterable[int], sizes: tuple[int, ...], g: Sequence[int]) -> 
     return witness
 
 
-def _g_side(chain: BmChain) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Fiber sizes, G classes by vertex number, and the witness of every label number."""
-    sizes, maps = chain_signature(chain)
-    g = g_classes(sizes, maps)
-    return sizes, g, _witness((obj.beta for obj in chain.objects), sizes, g)
-
-
 @lru_cache(maxsize=1)
 def _one_edge(
     source: tuple[int, ...], target: tuple[int, ...], p: tuple[int, ...], fmap: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """F classes, fiber sizes, G classes and witnesses of the one-edge chain source -> target.
+) -> tuple[list, list, list[int], tuple[int, ...], list[int], list[int]]:
+    """Pairs and notes, F, fiber sizes, G and witnesses of the one-edge chain source -> target.
 
     source and target are object values, p the images of the target's
-    0-fiber (all the pairing rules read of the map) and fmap the fiber map
-    (all G reads).  Edges are enumerated with their 1-part innermost, so
-    the edges that share these values follow one another: one entry serves
-    them all, where a memo of every edge would grow with the sweep.
+    0-fiber (all the pairing rules, read through quiverf, read of the map)
+    and fmap the fiber map (all G reads).  Edges are enumerated with their
+    1-part innermost, so those that share these values follow one another:
+    one entry serves them all.  Its lists are shared, and no caller changes them.
     """
-    f = f_edge_classes(source, target, p)
-    ends = _shape(source), _shape(target)
-    sizes = tuple(end.ell + 1 for end in ends)
+    pairs, notes = quiverf._rule_pairs(source, target, p)
+    phi, phi_prime = _shape(source), _shape(target)
+    f = least_representatives(phi.count + phi_prime.count, pairs)
+    sizes = (phi.ell + 1, phi_prime.ell + 1)
     g = g_classes(sizes, (fmap,))
-    witness = _witness((end.beta for end in ends), sizes, g)
-    return tuple(f), sizes, tuple(g), tuple(witness)
+    witness = _witness((phi.beta, phi_prime.beta), sizes, g)
+    return pairs, notes, f, sizes, g, witness
 
 
-def _sides(chain: BmChain) -> tuple[Sequence[int], tuple[int, ...], Sequence[int], Sequence[int]]:
-    """F classes, fiber sizes, G classes and witnesses of a chain; one edge reads _one_edge."""
-    if chain.length != 1:
-        return (f_classes(chain), *_g_side(chain))
-    (edge,) = chain.edges
+def _edge_sides(edge: BmEdge) -> tuple:
+    """_one_edge on an edge, naming the edge in the error of a label the rules cannot build."""
     p = edge.map.images[: edge.phi_prime.ell + 1]
     try:
         return _one_edge(edge.phi.values, edge.phi_prime.values, p, edge.fiber_map())
     except (UnresolvableLabelError, LabelRangeError) as exc:
         raise pairing_error(edge, exc) from exc
+
+
+def _vertex_sides(phi: BmObject) -> tuple:
+    """F classes, fiber size, G classes and witnesses of the chain of length 0 at phi."""
+    sizes, g = (phi.ell + 1,), g_classes((phi.ell + 1,), ())
+    return range(label_count(phi.ell, phi.beta)), sizes, g, _witness((phi.beta,), sizes, g)
+
+
+def _sides(chain: BmChain) -> tuple[Sequence[int], tuple[int, ...], Sequence[int], Sequence[int]]:
+    """F classes, fiber sizes, G classes and witnesses of a chain; one edge reads _one_edge."""
+    if chain.length == 1:
+        return _edge_sides(chain.edges[0])[2:]
+    sizes, maps = chain_signature(chain)
+    g = g_classes(sizes, maps)
+    return f_classes(chain), sizes, g, _witness((obj.beta for obj in chain.objects), sizes, g)
 
 
 def _classes(reps: Sequence[int]) -> dict[int, list[int]]:
@@ -136,13 +144,13 @@ class GammaComponent:
 
 
 def _check_well_defined(
-    chain: BmChain, f: Sequence[int], sizes: tuple[int, ...], witness: Sequence[int]
+    chain: Chain, objects: Sequence[BmObject], f: Sequence[int], sizes: tuple, witness: Sequence
 ) -> None:
-    """Raise unless every F class has one image."""
+    """Raise unless every F class of the chain on these objects has one image."""
     for block in _classes(f).values():
         images = {witness[code] for code in block}
         if len(images) > 1:
-            labels = chain_labels(chain)
+            labels = chain_labels(objects)
             vertices = fiber_vertices(sizes)
             raise IllDefinedComponentError(
                 f"class {tuple(labels[code] for code in block)} of chain "
@@ -153,8 +161,8 @@ def _check_well_defined(
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
     f, sizes, g, witness = _sides(chain)
-    _check_well_defined(chain, f, sizes, witness)
-    labels = chain_labels(chain)
+    _check_well_defined(chain, chain.objects, f, sizes, witness)
+    labels = chain_labels(chain.objects)
     vertices = fiber_vertices(sizes)
     return GammaComponent(
         QuotientSet.decode(labels, f),
@@ -180,13 +188,11 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     This is the well-definedness of the comparison on the edge.  A failure
     names the pair with the chain of identities its pairing rule follows.
     """
-    chain = BmChain.from_edges([edge])
-    sizes, _, witness = _g_side(chain)
-    pairs, notes = edge_pairs(edge)
+    pairs, notes, _, sizes, _, witness = _edge_sides(edge)
     broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
     failures = []
     if broken:
-        labels, vertices = chain_labels(chain), fiber_vertices(sizes)
+        labels, vertices = chain_labels((edge.phi, edge.phi_prime)), fiber_vertices(sizes)
         for n in broken:
             a, b = pairs[n]
             failures.append(
@@ -202,43 +208,38 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
     Vertex square at t: including a generator of position t into the chain
     and applying the chain comparison must agree with applying the vertex
     comparison and then the fiber map into the chain's components.  Segment
-    square at s: same statement for the single-edge subchain at s.  A chain
-    of one edge is its own segment, so its F, G and witnesses are reused.
+    square at s: same statement for the single-edge subchain at s.
     """
     f, sizes, g, witness = _sides(chain)
     failures: list[str] = []
     # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
     if broken:
-        labels, vertices = chain_labels(chain), fiber_vertices(sizes)
+        labels, vertices = chain_labels(chain.objects), fiber_vertices(sizes)
         for code in broken:
             label = labels[code]
             failures.append(
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    if chain.length == 1:
-        # Every code of a class reads witness[rep] through the chain, so the
-        # square of the class holds when G fixes witness[rep].  The blocks
-        # below are built only to name a failure.
-        if all(g[witness[code]] == witness[code] for code, rep in enumerate(f) if code == rep):
-            return VerificationReport(tuple(failures))
-        segments: Iterable = [(chain, f, witness)]
-    else:
-        segments = (
-            (seg, f_classes(seg), _g_side(seg)[2])
-            for seg in (chain.subchain(s - 1, s) for s in range(1, chain.length + 1))
-        )
+    # On one edge each code of a class reads witness[rep] through the chain, so the
+    # squares hold when G fixes every witness[rep]; the segment only names a failure.
+    if chain.length == 1 and all(
+        g[witness[code]] == witness[code] for code, rep in enumerate(f) if code == rep
+    ):
+        return VerificationReport(tuple(failures))
     # Segment numbers shift into the chain's by the label offset of position s - 1.
     label_offs = label_offsets(chain.objects)
     fiber_off = 0
-    for s, (seg, seg_f, seg_witness) in enumerate(segments, start=1):
+    for s in range(1, chain.length + 1):
+        seg = chain.subchain(s - 1, s)
+        seg_f, _, _, seg_witness = _sides(seg)
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}
             via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:
-                seg_labels, vertices = chain_labels(seg), fiber_vertices(sizes)
+                seg_labels, vertices = chain_labels(seg.objects), fiber_vertices(sizes)
                 failures.append(
                     f"segment square s={s}: class {tuple(seg_labels[c] for c in block)} "
                     f"gives {[vertices[v] for v in sorted(via_chain)]} != "
@@ -303,10 +304,10 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
 
 def verify_edge_identification(edge: BmEdge) -> VerificationReport:
     """Check that (1, i) and (0, p(i)) share a component class for every fiber element i."""
-    sizes, maps = chain_signature(BmChain.from_edges([edge]))
-    g = g_classes(sizes, maps)
+    sizes, fmap = (edge.phi.ell + 1, edge.phi_prime.ell + 1), edge.fiber_map()
+    g = g_classes(sizes, (fmap,))
     failures = []
-    for i, image in enumerate(edge.fiber_map()):
+    for i, image in enumerate(fmap):
         upper, lower = g[sizes[0] + i], g[image]
         if upper != lower:
             vertices = fiber_vertices(sizes)
@@ -357,29 +358,34 @@ def xi_component(chain: BmChain, target_size: int) -> XiTable:
     return XiTable(g_reps, f_reps, tuple(entries))
 
 
-def xi_restriction_commutes(chain: BmChain, target_size: int) -> VerificationReport:
+def xi_restriction_commutes(chain: Chain, target_size: int) -> VerificationReport:
     """Check that precomposition commutes with restriction to every vertex.
 
     Restricting a function on the chain's components to a vertex and then
     precomposing must equal precomposing over the chain and restricting
     along the label inclusion.  A function h on the components is a value
     per component, components in order; each label compares the slot its
-    chain class reads with the slot its vertex comparison reads.
+    chain class reads with the slot its vertex comparison reads.  An object
+    or an edge stands for its chain of length 0 or 1, which is not built.
     """
-    f, sizes, g, witness = _sides(chain)
-    _check_well_defined(chain, f, sizes, witness)
+    if isinstance(chain, BmObject):
+        objects, (f, sizes, g, witness) = (chain,), _vertex_sides(chain)
+    elif isinstance(chain, BmEdge):
+        objects, (_, _, f, sizes, g, witness) = (chain.phi, chain.phi_prime), _edge_sides(chain)
+    else:
+        objects, (f, sizes, g, witness) = chain.objects, _sides(chain)
+    _check_well_defined(chain, objects, f, sizes, witness)
     slot = {rep: i for i, rep in enumerate(sorted(set(g)))}
     via_chain = [slot[witness[rep]] for rep in f]
     restricted: list[int] = []
     fiber_off = 0
-    for obj, size in zip(chain.objects, sizes):
-        vertex_witness = _g_side(BmChain.vertex(obj))[2]
-        restricted.extend(slot[g[fiber_off + v]] for v in vertex_witness)
+    for obj, size in zip(objects, sizes):
+        restricted.extend(slot[g[fiber_off + v]] for v in _vertex_sides(obj)[3])
         fiber_off += size
     broken = [code for code, s in enumerate(via_chain) if s != restricted[code]]
     failures = []
     if broken:
-        labels = chain_labels(chain)
+        labels = chain_labels(objects)
         for values in product(range(target_size), repeat=len(slot)):
             for code in broken:
                 on_chain, on_vertex = values[via_chain[code]], values[restricted[code]]

@@ -24,8 +24,8 @@ pairing_set) or to render a witness.
 
 The pairing rules are one integer core on the two objects' values and the
 map's images (_rule_pairs): edge_pairs applies it to an edge and names the
-edge in the error of a label it cannot build, and f_edge_classes gives F on
-a one-edge chain from the values alone.  The rules read each object's
+edge in the error of a label it cannot build, and compare's one-edge kernel
+applies it to the values alone.  The rules read each object's
 resolutions from tables kept for the whole process: each (kind, index) a
 rule requests of an object goes to _resolve once, and its number is kept.
 A request that _resolve cannot answer is not kept, so it goes to _resolve,
@@ -106,11 +106,9 @@ def f_object(phi: BmObject, vertex: int = 0) -> tuple[QuiverLabel, ...]:
     return tuple(_label(code, ell, vertex) for code in range(label_count(ell, phi.beta)))
 
 
-def chain_labels(chain: BmChain) -> tuple[QuiverLabel, ...]:
-    """The labels of every position of a chain; label number L is the L-th."""
-    return tuple(
-        label for t, obj in enumerate(chain.objects) for label in f_object(obj, vertex=t)
-    )
+def chain_labels(objects: Sequence[BmObject]) -> tuple[QuiverLabel, ...]:
+    """The labels of every position of the chain on these objects; label number L is the L-th."""
+    return tuple(label for t, obj in enumerate(objects) for label in f_object(obj, vertex=t))
 
 
 def label_offsets(objects: Sequence[BmObject]) -> list[int]:
@@ -282,18 +280,6 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
         raise pairing_error(edge, exc) from exc
 
 
-def f_edge_classes(
-    source: tuple[int, ...], target: tuple[int, ...], p: Sequence[int]
-) -> list[int]:
-    """F on the one-edge chain between the objects with these values (see f_classes).
-
-    p holds the images of the map; a label the rules cannot build raises
-    as in _rule_pairs.
-    """
-    count = _shape(source).count + _shape(target).count
-    return least_representatives(count, _rule_pairs(source, target, p)[0])
-
-
 @dataclass(frozen=True)
 class PairingList:
     """The list of label pairs glued by an edge, with one note per pair.
@@ -336,7 +322,7 @@ def f_classes(chain: BmChain) -> list[int]:
 
 def f_chain(chain: BmChain) -> QuotientSet:
     """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
-    return QuotientSet.decode(chain_labels(chain), f_classes(chain))
+    return QuotientSet.decode(chain_labels(chain.objects), f_classes(chain))
 
 
 def segment_labels(phi: BmObject) -> list[tuple[BmObject, list[int]]]:

@@ -313,20 +313,18 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
 
 
 def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
-    """On the chain of one object or edge, one record per target size.
+    """On the chain of one object or edge, unbuilt, one record per target size.
 
     A failure is keyed <chain>@<m>, as `bmquiver eval xi` replays it.  One
     of _INSTANCE_ERRORS fails the instance with the error.
     """
-    is_object = isinstance(instance, BmObject)
-    chain = BmChain.vertex(instance) if is_object else BmChain.from_edges([instance])
     records: list[Record] = []
     for m in range(max_target_size + 1):
         try:
-            failures = list(xi_restriction_commutes(chain, m).failures)
+            failures = list(xi_restriction_commutes(instance, m).failures)
         except _INSTANCE_ERRORS as exc:
             failures = [str(exc)]
-        records.append((f"{chain.encode()}@{m}", "fail", failures) if failures else None)
+        records.append((f"{instance.encode()}@{m}", "fail", failures) if failures else None)
     return records
 
 
@@ -586,6 +584,12 @@ def _sweep(
                 for record in records:
                     report.add(record, count)
     return report
+
+
+def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
+    """Whether a named suite's sources give edges, the only readers of max_k_prime."""
+    sources = {source for name in names if name in _SUITES for source in _SUITES[name][0]}
+    return _edges in sources or (_xi_edges in sources and config.max_chain_len > 0)
 
 
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:

@@ -297,6 +297,32 @@ def test_exhaustive_gluing_runs_past_the_recursion_limit(capsys):
     assert json.loads(out)[0]["summary"] == {"failed": 0, "total": 2402, "warned": 0}
 
 
+@pytest.mark.parametrize(
+    "suites,bounds",
+    [
+        (["gluing"], ["--max-k", "2"]),
+        (["cardinality", "decomposition"], ["--max-k", "2"]),
+        (["xi", "gluing"], ["--max-k", "2", "--max-chain-len", "0"]),
+    ],
+)
+def test_verify_rejects_max_kprime_that_no_suite_reads(capsys, suites, bounds):
+    """--max-kprime bounds edge targets; where no requested suite checks an
+    edge it would be ignored, so verify exits 2 and names the option."""
+    assert main(["verify", "--suites", *suites, *bounds, "--max-kprime", "5"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --max-kprime is not read: no edge in suites {' '.join(suites)}\n"
+
+
+def test_verify_takes_max_kprime_where_a_suite_checks_edges(capsys):
+    """One suite that checks edges is enough, xi once chains of length 1 are in range."""
+    for suites in (["gluing", "xi"], ["cardinality", "audit"]):
+        argv = ["verify", "--suites", *suites, "--max-k", "1", "--max-kprime", "2"]
+        code, out = run(capsys, *argv, "--max-chain-len", "1", "--format", "json")
+        assert code == EXIT_PASS
+        assert [r["bounds"]["maxKPrime"] for r in json.loads(out)] == [2, 2]
+
+
 def test_verify_has_no_exhaustive_flag(capsys):
     assert main(["verify", "--max-k", "1", "--exhaustive"]) == EXIT_USAGE
 

@@ -28,7 +28,8 @@ from bmquiver import (
 )
 from bmquiver import compare, quiverf, sweeps
 from bmquiver.sweeps import SweepConfig
-from bmquiver.quiverf import LabelKind, f_classes, label_count, mid
+from bmquiver.quiverf import LabelKind, edge_pairs, f_classes, label_count, mid
+from bmquiver.wfib import chain_signature, g_classes
 from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
 
@@ -177,8 +178,10 @@ class TestNaturality:
         assert report.passed
 
     def test_one_edge_chain_is_its_own_segment(self, monkeypatch):
-        """A one-edge chain computes its F and G once, in the one-edge kernel;
-        a two-edge chain computes F on itself and on each segment."""
+        """A one-edge chain computes its F and G once, in the one-edge kernel.
+        A two-edge chain computes F on itself, and its segments read the
+        kernel: the first is the edge just checked, and the identity edge
+        after it is the one miss more."""
         calls = []
 
         def counted(chain):
@@ -190,19 +193,26 @@ class TestNaturality:
         assert verify_naturality(BmChain.from_edges([edge])).passed
         assert (calls, compare._one_edge.cache_info().misses) == ([], 1)
         verify_naturality(BmChain.from_edges([edge, identity_edge(edge.phi_prime)]))
-        assert (calls, compare._one_edge.cache_info().misses) == ([2, 1, 1], 1)
+        assert (calls, compare._one_edge.cache_info().misses) == ([2], 2)
 
     def test_one_edge_kernel_matches_the_chain_route(self):
-        """On every edge with k, k' <= 4, the kernel's F classes, fiber sizes,
-        G classes and witnesses are those of f_classes and _g_side on the
-        one-edge chain."""
+        """On every edge with k, k' <= 4, the kernel's pairs and notes are
+        those of edge_pairs, its F that of f_classes on the one-edge chain,
+        its sizes and G those of chain_signature through g_classes, and the
+        witness of each label the G class of the fiber element _gamma gives it."""
         for edge in enumerate_all_edges(4, 4):
             chain = BmChain.from_edges([edge])
-            f, sizes, g, witness = compare._sides(chain)
-            expected_sizes, expected_g, expected_witness = compare._g_side(chain)
+            pairs, notes, f, sizes, g, witness = compare._edge_sides(edge)
+            expected_sizes, maps = chain_signature(chain)
+            expected_g = g_classes(expected_sizes, maps)
+            expected_witness = [
+                expected_g[fiber_off + compare._gamma(code, obj.ell)]
+                for obj, fiber_off in zip(chain.objects, (0, expected_sizes[0]))
+                for code in range(len(f_object(obj)))
+            ]
+            assert (list(pairs), list(notes)) == edge_pairs(edge), edge
             assert list(f) == f_classes(chain), edge
-            assert sizes == expected_sizes, edge
-            assert list(g) == expected_g, edge
+            assert (sizes, list(g)) == (expected_sizes, expected_g), edge
             assert list(witness) == expected_witness, edge
 
     def test_one_edge_kernel_computes_once_per_run_of_equal_images(self, monkeypatch):

@@ -815,6 +815,26 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
     assert set(warnings.values()) == {(0, 0)}
 
 
+def test_edge_checks_build_no_chain(monkeypatch):
+    """Constancy, identification and xi at k, k' <= 2 build no BmChain: a
+    check of one edge reads the one-edge kernel, or G alone, from the edge,
+    and xi reads an object's vertex from the object.  Naturality builds the
+    one-edge chain it checks, one per edge, and no segment of it."""
+    builds = 0
+    post_init = BmChain.__post_init__
+
+    def built(chain):
+        nonlocal builds
+        builds += 1
+        post_init(chain)
+
+    monkeypatch.setattr(BmChain, "__post_init__", built)
+    for name, want in (("constancy", 0), ("identification", 0), ("xi", 0), ("naturality", 109)):
+        builds = 0
+        report = sweeps.run_suite(SMALL, name)
+        assert (report.passed, report.total > 0, builds) == (True, True, want), name
+
+
 EDGE_MUTANTS = {
     "none": lambda monkeypatch: None,
     "fiber_map": short_fiber_map,
