@@ -180,12 +180,6 @@ class BmChain:
     def length(self) -> int:
         return len(self.edges)
 
-    def subchain(self, start: int, stop: int) -> "BmChain":
-        """The chain restricted to positions start..stop (inclusive)."""
-        if not 0 <= start <= stop <= self.length:
-            raise ValidationError(f"bad subchain range [{start}, {stop}]")
-        return BmChain(self.objects[start], self.edges[start:stop])
-
     def encode(self) -> str:
         if not self.edges:
             return self.base.encode()

@@ -13,10 +13,12 @@ classes from g_classes), and gamma on a vertex's label number L is
 L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
 named only at the API boundary and in the witness of a failure.  The
 witnesses read gamma from one row per (ell, beta), built once per process
-from _gamma.  Constancy, xi and naturality read a one-edge chain's pairs,
-F, G and witnesses from one kernel, _one_edge, identification reads G alone,
-and constancy, identification and xi build no chain.  Edges that share the
-kernel's key come one after another, so it keeps one entry.
+from _gamma.  The checks take an object, an edge or a chain as it is, and
+_sides reads its F, G and witnesses: an object reads its own G, and an
+edge, alone or as a segment of a longer chain, reads the one kernel
+_one_edge.  Identification reads G alone, so no edge check builds a chain.
+Edges that share the kernel's key come one after another, so it keeps one
+entry.
 """
 
 from __future__ import annotations
@@ -78,47 +80,54 @@ def _witness(betas: Iterable[int], sizes: tuple[int, ...], g: Sequence[int]) -> 
 
 @lru_cache(maxsize=1)
 def _one_edge(
-    source: tuple[int, ...], target: tuple[int, ...], p: tuple[int, ...], fmap: tuple[int, ...]
+    source: tuple[int, ...], target: tuple[int, ...], fmap: tuple[int, ...]
 ) -> tuple[list, list, list[int], tuple[int, ...], list[int], list[int]]:
     """Pairs and notes, F, fiber sizes, G and witnesses of the one-edge chain source -> target.
 
-    source and target are object values, p the images of the target's
-    0-fiber (all the pairing rules, read through quiverf, read of the map)
-    and fmap the fiber map (all G reads).  Edges are enumerated with their
-    1-part innermost, so those that share these values follow one another:
-    one entry serves them all.  Its lists are shared, and no caller changes them.
+    source and target are object values and fmap the fiber map, the images
+    of the target's 0-fiber, which G and the pairing rules (read through
+    quiverf) both read.  G comes first, so a map that does not fit its
+    fibers fails with G's ValidationError before any rule indexes it.
+    Edges are enumerated with their 1-part innermost, so those that share
+    these values follow one another: one entry serves them all.  Its lists
+    are shared, and no caller changes them.
     """
-    pairs, notes = quiverf._rule_pairs(source, target, p)
     phi, phi_prime = _shape(source), _shape(target)
-    f = least_representatives(phi.count + phi_prime.count, pairs)
     sizes = (phi.ell + 1, phi_prime.ell + 1)
     g = g_classes(sizes, (fmap,))
+    pairs, notes = quiverf._rule_pairs(source, target, fmap)
+    f = least_representatives(phi.count + phi_prime.count, pairs)
     witness = _witness((phi.beta, phi_prime.beta), sizes, g)
     return pairs, notes, f, sizes, g, witness
 
 
 def _edge_sides(edge: BmEdge) -> tuple:
     """_one_edge on an edge, naming the edge in the error of a label the rules cannot build."""
-    p = edge.map.images[: edge.phi_prime.ell + 1]
     try:
-        return _one_edge(edge.phi.values, edge.phi_prime.values, p, edge.fiber_map())
+        return _one_edge(edge.phi.values, edge.phi_prime.values, edge.fiber_map())
     except (UnresolvableLabelError, LabelRangeError) as exc:
         raise pairing_error(edge, exc) from exc
 
 
-def _vertex_sides(phi: BmObject) -> tuple:
-    """F classes, fiber size, G classes and witnesses of the chain of length 0 at phi."""
-    sizes, g = (phi.ell + 1,), g_classes((phi.ell + 1,), ())
-    return range(label_count(phi.ell, phi.beta)), sizes, g, _witness((phi.beta,), sizes, g)
+def _sides(instance: Chain) -> tuple:
+    """Objects, edges, F classes, fiber sizes, G classes and witnesses of an instance.
 
-
-def _sides(chain: BmChain) -> tuple[Sequence[int], tuple[int, ...], Sequence[int], Sequence[int]]:
-    """F classes, fiber sizes, G classes and witnesses of a chain; one edge reads _one_edge."""
-    if chain.length == 1:
-        return _edge_sides(chain.edges[0])[2:]
-    sizes, maps = chain_signature(chain)
+    An object stands for its chain of length 0 and reads its own G; an
+    edge, or a chain of one edge, reads _one_edge; neither builds a chain.
+    """
+    if isinstance(instance, BmObject):
+        sizes = (instance.ell + 1,)
+        g = g_classes(sizes, ())
+        f = range(label_count(instance.ell, instance.beta))
+        return (instance,), (), f, sizes, g, _witness((instance.beta,), sizes, g)
+    if isinstance(instance, BmChain) and instance.length == 1:
+        instance = instance.edges[0]
+    if isinstance(instance, BmEdge):
+        return (instance.phi, instance.phi_prime), (instance,), *_edge_sides(instance)[2:]
+    sizes, maps = chain_signature(instance)
     g = g_classes(sizes, maps)
-    return f_classes(chain), sizes, g, _witness((obj.beta for obj in chain.objects), sizes, g)
+    witness = _witness((obj.beta for obj in instance.objects), sizes, g)
+    return instance.objects, instance.edges, f_classes(instance), sizes, g, witness
 
 
 def _classes(reps: Sequence[int]) -> dict[int, list[int]]:
@@ -160,9 +169,9 @@ def _check_well_defined(
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    f, sizes, g, witness = _sides(chain)
-    _check_well_defined(chain, chain.objects, f, sizes, witness)
-    labels = chain_labels(chain.objects)
+    objects, _, f, sizes, g, witness = _sides(chain)
+    _check_well_defined(chain, objects, f, sizes, witness)
+    labels = chain_labels(objects)
     vertices = fiber_vertices(sizes)
     return GammaComponent(
         QuotientSet.decode(labels, f),
@@ -202,20 +211,22 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     return VerificationReport(tuple(failures))
 
 
-def verify_naturality(chain: BmChain) -> VerificationReport:
+def verify_naturality(chain: Chain) -> VerificationReport:
     """Check every vertex- and segment-inclusion square of the chain, on numbers.
 
     Vertex square at t: including a generator of position t into the chain
     and applying the chain comparison must agree with applying the vertex
     comparison and then the fiber map into the chain's components.  Segment
-    square at s: same statement for the single-edge subchain at s.
+    square at s: same statement for edge s, the chain's segment from
+    position s - 1 to s, read as an edge and not built as a chain.  An
+    object or an edge stands for its chain of length 0 or 1.
     """
-    f, sizes, g, witness = _sides(chain)
+    objects, edges, f, sizes, g, witness = _sides(chain)
     failures: list[str] = []
     # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
     if broken:
-        labels, vertices = chain_labels(chain.objects), fiber_vertices(sizes)
+        labels, vertices = chain_labels(objects), fiber_vertices(sizes)
         for code in broken:
             label = labels[code]
             failures.append(
@@ -224,22 +235,21 @@ def verify_naturality(chain: BmChain) -> VerificationReport:
             )
     # On one edge each code of a class reads witness[rep] through the chain, so the
     # squares hold when G fixes every witness[rep]; the segment only names a failure.
-    if chain.length == 1 and all(
+    if len(edges) == 1 and all(
         g[witness[code]] == witness[code] for code, rep in enumerate(f) if code == rep
     ):
         return VerificationReport(tuple(failures))
     # Segment numbers shift into the chain's by the label offset of position s - 1.
-    label_offs = label_offsets(chain.objects)
+    label_offs = label_offsets(objects)
     fiber_off = 0
-    for s in range(1, chain.length + 1):
-        seg = chain.subchain(s - 1, s)
-        seg_f, _, _, seg_witness = _sides(seg)
+    for s, edge in enumerate(edges, start=1):
+        seg_objects, _, seg_f, _, _, seg_witness = _sides(edge)
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}
             via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:
-                seg_labels, vertices = chain_labels(seg.objects), fiber_vertices(sizes)
+                seg_labels, vertices = chain_labels(seg_objects), fiber_vertices(sizes)
                 failures.append(
                     f"segment square s={s}: class {tuple(seg_labels[c] for c in block)} "
                     f"gives {[vertices[v] for v in sorted(via_chain)]} != "
@@ -368,19 +378,14 @@ def xi_restriction_commutes(chain: Chain, target_size: int) -> VerificationRepor
     chain class reads with the slot its vertex comparison reads.  An object
     or an edge stands for its chain of length 0 or 1, which is not built.
     """
-    if isinstance(chain, BmObject):
-        objects, (f, sizes, g, witness) = (chain,), _vertex_sides(chain)
-    elif isinstance(chain, BmEdge):
-        objects, (_, _, f, sizes, g, witness) = (chain.phi, chain.phi_prime), _edge_sides(chain)
-    else:
-        objects, (f, sizes, g, witness) = chain.objects, _sides(chain)
+    objects, _, f, sizes, g, witness = _sides(chain)
     _check_well_defined(chain, objects, f, sizes, witness)
     slot = {rep: i for i, rep in enumerate(sorted(set(g)))}
     via_chain = [slot[witness[rep]] for rep in f]
     restricted: list[int] = []
     fiber_off = 0
     for obj, size in zip(objects, sizes):
-        restricted.extend(slot[g[fiber_off + v]] for v in _vertex_sides(obj)[3])
+        restricted.extend(slot[g[fiber_off + v]] for v in _sides(obj)[-1])
         fiber_off += size
     broken = [code for code, s in enumerate(via_chain) if s != restricted[code]]
     failures = []

@@ -290,7 +290,7 @@ def _constancy(edge: BmEdge) -> tuple[Record, ...]:
 
 @_on_edge
 def _naturality(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(edge, verify_naturality(BmChain.from_edges([edge])))
+    return _records(edge, verify_naturality(edge))
 
 
 @_on_edge

@@ -67,32 +67,6 @@ def _pi0(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return comp
 
 
-def _roots(
-    sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]
-) -> list[int] | None:
-    """The root of every fiber vertex in the pullback forest, by vertex number.
-
-    Vertex (t + 1, j) has one cross edge, down to (t, p(j)), so its root is
-    the root of (t, p(j)): on a chain, the base point p_1(...p_t(j)).  A
-    root is the least vertex of its tree.  None when the maps do not fit the
-    sizes, as in _edge_components: a wrong number of maps, a map whose
-    length is not its fiber size, or an image outside the previous fiber.
-    """
-    if len(sizes) != len(maps) + 1:
-        return None
-    below: Sequence[int] = range(sizes[0])
-    roots = list(below)
-    for size, fmap in zip(sizes[1:], maps):
-        if len(fmap) != size or (fmap and min(fmap) < 0):
-            return None
-        try:
-            below = [below[image] for image in fmap]
-        except IndexError:
-            return None
-        roots += below
-    return roots
-
-
 @cache
 def _edge_components(
     size0: int, size1: int, fmap: tuple[int, ...]
@@ -249,13 +223,25 @@ def g_classes(sizes: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list
     """G on vertex numbers: the least vertex in the component of each fiber vertex.
 
     The pullback graph is a forest, so a component is a tree and its least
-    vertex is the root: on a chain, vertex (t, j) gets the vertex number
-    of its base point, which is that base point's index in fiber 0.
+    vertex is the root.  Vertex (t + 1, j) has one cross edge, down to
+    (t, p(j)), so its root is the root of (t, p(j)): on a chain, vertex
+    (t, j) gets the vertex number of its base point p_1(...p_t(j)), which is
+    that base point's index in fiber 0.  Raises ValidationError when the
+    maps do not fit the sizes, as in _edge_components: a wrong number of
+    maps, a map whose length is not its fiber size, or an image outside the
+    previous fiber.
     """
-    roots = _roots(sizes, maps)
-    if roots is None:
-        raise ValidationError(f"fiber maps {maps} do not fit fiber sizes {sizes}")
-    return roots
+    if len(sizes) == len(maps) + 1:
+        below: Sequence[int] = range(sizes[0])
+        roots = list(below)
+        for size, fmap in zip(sizes[1:], maps):
+            if len(fmap) != size or (fmap and (min(fmap) < 0 or max(fmap) >= len(below))):
+                break
+            below = [below[image] for image in fmap]
+            roots += below
+        else:
+            return roots
+    raise ValidationError(f"fiber maps {maps} do not fit fiber sizes {sizes}")
 
 
 def g_chain(chain: BmChain) -> GSet:

@@ -229,15 +229,6 @@ def test_chain_validation_and_encoding():
         BmChain.parse(e1.encode() + "|" + mismatched.encode())
 
 
-def test_subchain():
-    e = identity_edge(OBJ("00"))
-    chain = BmChain.from_edges([e, e])
-    assert chain.subchain(0, 1).length == 1
-    assert chain.subchain(1, 1).length == 0
-    with pytest.raises(ValidationError):
-        chain.subchain(2, 1)
-
-
 def test_derived_attributes_are_computed_once_and_leave_equality_alone():
     """chain.objects is built once, with the chain, and so are an object's
     top, ell and beta; they change no comparison, hash, repr or encoding."""

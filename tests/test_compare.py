@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ from bmquiver.quiverf import LabelKind, edge_pairs, f_classes, label_count, mid
 from bmquiver.wfib import chain_signature, g_classes
 from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
+from test_sweeps import edge_pool
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -259,6 +262,38 @@ class TestNaturality:
             DeltaMap(k_prime, phi.top, images),
         )
         assert verify_naturality(BmChain.from_edges([first, second])).passed
+
+    @pytest.mark.parametrize(
+        "mutant,failed,digest",
+        [
+            (None, 0, "936b26787d8b460dafbcae3afc0a2355ecd1aeb53e502cdde09337560c11d514"),
+            ("offsets", 537, "8e287485bfc216ee93925b26860a614961c6208e69e73ad35910d1687612c580"),
+            ("gamma", 175, "a02da2b79f145193dac88d1478747a560981141448f90e669025f192f2dd884c"),
+        ],
+    )
+    def test_two_edge_chains_fail_under_mutants(self, monkeypatch, mutant, failed, digest):
+        """On all 1,401 two-edge chains with k <= 2, naturality passes, and fails
+        when every label offset is 0 (only segment squares read the offsets) or
+        when gamma sends x1(i) to i - 1.  The digest, a sha256 of the JSON of
+        every chain's failure list in chain order, was taken while the segment
+        squares still built each segment as a one-edge subchain."""
+        if mutant == "offsets":
+            offsets = compare.label_offsets
+            monkeypatch.setattr(compare, "label_offsets", lambda objs: [0] * len(offsets(objs)))
+        elif mutant == "gamma":
+            monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
+        pool = edge_pool(2)
+        chains = [
+            BmChain.from_edges([first, second])
+            for edges in pool.values()
+            for first in edges
+            for second in pool[first.phi_prime]
+        ]
+        lists = [list(verify_naturality(chain).failures) for chain in chains]
+        assert (len(chains), sum(map(bool, lists))) == (1401, failed)
+        assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == digest
+        if mutant == "offsets":
+            assert all(line.startswith("segment square") for line in sum(lists, []))
 
 
 class TestDecomposition:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import ne
 
 import networkx as nx
 import pytest
@@ -293,7 +292,7 @@ def test_pi0_matches_networkx_on_random_graphs():
 
 
 # The whole-signature route that gluing_agreement took before it became a
-# walk over frontier states: the roots by composition (wfib._roots), every
+# walk over frontier states: the roots by composition (wfib.g_classes), every
 # edge's pi0 classes glued over the shared fibers at once, and a comparison
 # of the two partitions.
 
@@ -336,9 +335,12 @@ def glued_classes(sizes, maps, twist=None):
 def whole_signature_agreement(signature, twist=None) -> bool:
     """The base classes are distinct and every vertex is glued to its root."""
     sizes, maps = signature
-    roots = wfib._roots(sizes, maps)
-    # A chain's maps are total, so every root is a base point.
-    if not maps or roots is None or any(map(ne, map(len, maps), sizes[1:])):
+    # G rejects maps that are not total, so every root is a base point.
+    try:
+        roots = wfib.g_classes(sizes, maps)
+    except ValidationError:
+        return False
+    if not maps:
         return False
     glued = glued_classes(sizes, maps, twist)
     base = glued[: sizes[0]]
