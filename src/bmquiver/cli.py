@@ -187,7 +187,14 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
         ends, previous = [sum(map(mul, row, ends)) for row in counts], ends
         # At a fixed point every longer length has the same counts.
         length = args.max_len if ends == previous else length + 1
-    _check_count("chains", sum(ends), length == args.max_len)
+    chains = sum(ends)
+    _check_count("chains", chains, length == args.max_len)
+    # Few chains can still be long: --max-len edge keys each, bounded too.
+    if chains * args.max_len > 10 * LISTING_MAX_ITEMS:
+        raise ValidationError(
+            f"enumerate chains would list {chains} chains of {args.max_len} edges, "
+            f"{chains * args.max_len} edges, more than {10 * LISTING_MAX_ITEMS}"
+        )
     # leaving[s]: (target index, key) of each edge from objs[s], in edge order.
     leaving = [
         [(t, e.encode()) for t, target in enumerate(objs) for e in enumerate_edges(phi, target)]

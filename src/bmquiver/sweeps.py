@@ -313,19 +313,18 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
 
 
 def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
-    """On the chain of one object or edge, unbuilt, one record per target size.
-
-    A failure is keyed <chain>@<m>, as `bmquiver eval xi` replays it.  One
-    of _INSTANCE_ERRORS fails the instance with the error.
+    """On the chain of one object or edge, unbuilt, one check gives the record
+    of every target size, keyed <chain>@<m> as `bmquiver eval xi` replays
+    it.  One of _INSTANCE_ERRORS fails the instance with the error.
     """
-    records: list[Record] = []
-    for m in range(max_target_size + 1):
-        try:
-            failures = list(xi_restriction_commutes(instance, m).failures)
-        except _INSTANCE_ERRORS as exc:
-            failures = [str(exc)]
-        records.append((f"{instance.encode()}@{m}", "fail", failures) if failures else None)
-    return records
+    try:
+        failures = list(xi_restriction_commutes(instance).failures)
+    except _INSTANCE_ERRORS as exc:
+        failures = [str(exc)]
+    if not failures:
+        return [None] * (max_target_size + 1)
+    key = instance.encode()
+    return [(f"{key}@{m}", "fail", failures) for m in range(max_target_size + 1)]
 
 
 def _xi_edges(config: SweepConfig) -> tuple[Iterable[Run], list[int] | None]:
@@ -526,7 +525,7 @@ SUITE_NAMES = (
     "identification",
     "audit",
 )
-#: Suites that run only when named; xi uses targets of size <= 3.
+#: Suites that run only when named; xi lists targets of size <= 3.
 EXTRA_SUITE_NAMES = ("xi",)
 
 
@@ -611,7 +610,7 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
 
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
-    """Hom-set precomposition commutes with vertex restriction, all sizes up to the bound."""
+    """Precomposition commutes with restriction: one check per instance, a record per size."""
     sources, _, by_signature = _SUITES["xi"]
     check = partial(_xi, max_target_size=max_target_size)
     return _sweep(config, "xi", sources, check, by_signature)

@@ -191,6 +191,7 @@ def test_enumerate_chains_lists_in_edge_order(capsys, max_k, max_len):
     [
         ("0", "2000", EXIT_PASS, 2),
         ("0", "40000", EXIT_PASS, 2),
+        ("0", "100000000", EXIT_USAGE, None),
         ("12", "0", EXIT_PASS, 104),
         ("100", "1", EXIT_USAGE, None),
     ],
@@ -202,7 +203,12 @@ def test_enumerate_chains_bounds_before_building(capsys, max_k, max_len, code, c
     assert main(["enumerate", "chains", "--max-k", max_k, "--max-len", max_len]) == code
     assert perf_counter() - start < 2
     out, err = capsys.readouterr()
-    if count is None:
+    if max_len == "100000000":
+        assert err == (
+            "error: enumerate chains would list 2 chains of 100000000 edges, "
+            "200000000 edges, more than 1000000\n"
+        )
+    elif count is None:
         assert err.startswith("error: enumerate chains would list at least ")
     else:
         assert out.startswith(f"chains: {count}\n")
@@ -404,6 +410,31 @@ def verify(*extra):
 with_jobs = verify("--jobs", "2")
 print(json.dumps([with_jobs, verify(), "multiprocessing" in sys.modules]))
 """
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "--max-k", "1", "--max-chain-len", "1"], EXIT_PASS),
+        (["eval", "G", "2"], EXIT_USAGE),
+    ],
+)
+def test_console_entry_point(argv, code):
+    """python -m bmquiver.cli runs run(), the installed bmquiver command, which
+    exits with the code of main: a passing battery lists a PASS line per
+    suite, and a bad encoding is named on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "bmquiver.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == code
+    if code == EXIT_PASS:
+        heads = [line.split(":")[0] for line in done.stdout.splitlines() if line[0] != " "]
+        assert heads == [f"PASS {name}" for name in SUITE_NAMES]
+        assert done.stderr == ""
+    else:
+        assert (done.stdout, done.stderr) == ("", "error: bad object encoding '2'\n")
 
 
 def test_jobs_start_no_worker_processes():

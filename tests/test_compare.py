@@ -459,11 +459,9 @@ class TestXi:
 
     def test_restriction_commutes_small(self):
         for phi in enumerate_objects(2):
-            for m in range(4):
-                assert xi_restriction_commutes(BmChain.vertex(phi), m).passed
+            assert xi_restriction_commutes(BmChain.vertex(phi)).passed
         for edge in enumerate_all_edges(2, 2):
-            for m in range(4):
-                assert xi_restriction_commutes(BmChain.from_edges([edge]), m).passed
+            assert xi_restriction_commutes(BmChain.from_edges([edge])).passed
 
 
 def test_gamma_rows_equal_gamma_per_code():
