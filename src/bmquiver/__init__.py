@@ -19,6 +19,7 @@ from .compare import (
     GammaComponent,
     VerificationReport,
     XiTable,
+    f_chain,
     gamma_chain,
     verify_constancy,
     verify_decomposition,
@@ -43,7 +44,6 @@ from .quiverf import (
     LabelKind,
     PairingList,
     QuiverLabel,
-    f_chain,
     f_object,
     f_object_via_segments,
     j_cardinality_audit,

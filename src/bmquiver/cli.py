@@ -15,9 +15,9 @@ from operator import mul
 from typing import Sequence
 
 from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objects
-from .compare import gamma_chain, xi_component
+from .compare import f_chain, gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
-from .quiverf import f_chain, j_cardinality_audit, pairing_set
+from .quiverf import j_cardinality_audit, pairing_set
 from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, reads_edges, run_suites
 from .wfib import g_chain
 

@@ -8,16 +8,17 @@ direct enumeration, that this assignment is constant on every glued pair
 (naturality), and that it is compatible with segment decompositions.
 xi's hom-set square holds exactly when gamma is well-defined.
 
-The checks run on numbers: labels numbered as in quiverf (F classes
-from f_classes), fiber vertices numbered position-major as in wfib (G
-classes from g_classes), and gamma on a vertex's label number L is
-L // 2 + 1 for an x1 label and L // 2 otherwise.  Labels and vertices are
-named only at the API boundary and in the witness of a failure.  The
-witnesses read gamma from one row per (ell, beta), built once per process
-from _gamma.  The checks take an object, an edge or a chain as it is, and
-_sides reads its F, G and witnesses: an object reads its own G, and an
-edge, alone or as a segment of a longer chain, reads the one kernel
-_one_edge.  Identification reads G alone, so no edge check builds a chain.
+The checks run on numbers: labels numbered as in quiverf (F classes by
+union-find over the pairing rules' pairs), fiber vertices numbered
+position-major as in wfib (G classes from g_classes), and gamma on a
+vertex's label number L is L // 2 + 1 for an x1 label and L // 2
+otherwise.  Labels and vertices are named only at the API boundary and in
+the witness of a failure.  The witnesses read gamma from one row per
+(ell, beta), built once per process from _gamma.  The checks and f_chain
+take an object, an edge or a chain as it is, and _sides reads its pairs,
+F, G and witnesses from the one kernel _kernel, on its objects' values and
+its edges' fiber maps; an edge is read alone or as a segment of a longer
+chain.  Identification reads G alone, so no edge check builds a chain.
 Edges that share the kernel's key come one after another, so it keeps one
 entry.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import quiverf
 from .bm import BmChain, BmEdge, BmObject
@@ -41,17 +42,16 @@ from .quiverf import (
     QuiverLabel,
     _shape,
     chain_labels,
-    f_classes,
+    edge_pairs,
     f_object,
     f_object_via_segments,
     label_count,
     label_offsets,
-    pairing_error,
     render_note,
     segment_labels,
 )
 from .quotient import QuotientSet, least_representatives
-from .wfib import GSet, Vertex, chain_signature, fiber_vertices, g_classes
+from .wfib import GSet, Vertex, fiber_vertices, g_classes
 
 #: A chain, or an object or an edge standing for its chain of length 0 or 1.
 Chain = BmChain | BmObject | BmEdge
@@ -68,67 +68,59 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
-def _witness(betas: Iterable[int], sizes: tuple[int, ...], g: Sequence[int]) -> list[int]:
-    """The witness of every label number: the G class of the fiber element gamma
-    assigns to it, before any quotienting on the labeled-set side."""
+@lru_cache(maxsize=1)
+def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
+    """Pairs and notes, F, fiber sizes, G and witnesses of the chain on these
+    objects' values and its edges' fiber maps.
+
+    G comes first, so a map that does not fit its fibers fails with G's
+    ValidationError before any rule indexes it.  Each edge's pairing rules
+    (read through quiverf) number its labels from its source position, and
+    shift by the label counts of the earlier positions; F is union-find over
+    every label, one witness each.  Edges are enumerated with their 1-part
+    innermost, so those that share these values follow one another: one
+    entry serves them all.  Its lists are shared, and no caller changes them.
+    """
+    shapes = list(map(_shape, values))
+    sizes = tuple([shape.ell + 1 for shape in shapes])
+    g = g_classes(sizes, maps)
+    # The witness of each label: the G class of the fiber element gamma assigns it.
     witness: list[int] = []
     fiber_off = 0
-    for beta, size in zip(betas, sizes):
-        witness += [g[fiber_off + v] for v in _gamma_row(size - 1, beta)]
-        fiber_off += size
-    return witness
-
-
-@lru_cache(maxsize=1)
-def _one_edge(
-    source: tuple[int, ...], target: tuple[int, ...], fmap: tuple[int, ...]
-) -> tuple[list, list, list[int], tuple[int, ...], list[int], list[int]]:
-    """Pairs and notes, F, fiber sizes, G and witnesses of the one-edge chain source -> target.
-
-    source and target are object values and fmap the fiber map, the images
-    of the target's 0-fiber, which G and the pairing rules (read through
-    quiverf) both read.  G comes first, so a map that does not fit its
-    fibers fails with G's ValidationError before any rule indexes it.
-    Edges are enumerated with their 1-part innermost, so those that share
-    these values follow one another: one entry serves them all.  Its lists
-    are shared, and no caller changes them.
-    """
-    phi, phi_prime = _shape(source), _shape(target)
-    sizes = (phi.ell + 1, phi_prime.ell + 1)
-    g = g_classes(sizes, (fmap,))
-    pairs, notes = quiverf._rule_pairs(source, target, fmap)
-    f = least_representatives(phi.count + phi_prime.count, pairs)
-    witness = _witness((phi.beta, phi_prime.beta), sizes, g)
-    return pairs, notes, f, sizes, g, witness
-
-
-def _edge_sides(edge: BmEdge) -> tuple:
-    """_one_edge on an edge, naming the edge in the error of a label the rules cannot build."""
-    try:
-        return _one_edge(edge.phi.values, edge.phi_prime.values, edge.fiber_map())
-    except (UnresolvableLabelError, LabelRangeError) as exc:
-        raise pairing_error(edge, exc) from exc
+    for shape in shapes:
+        witness += [g[fiber_off + v] for v in _gamma_row(shape.ell, shape.beta)]
+        fiber_off += shape.ell + 1
+    pairs, notes = quiverf._rule_pairs(values[0], values[1], maps[0]) if maps else ([], [])
+    label_off = 0
+    for t in range(1, len(maps)):
+        label_off += shapes[t - 1].count
+        more, more_notes = quiverf._rule_pairs(values[t], values[t + 1], maps[t])
+        pairs += [(a + label_off, b + label_off) for a, b in more]
+        notes += more_notes
+    return pairs, notes, least_representatives(len(witness), pairs), sizes, g, witness
 
 
 def _sides(instance: Chain) -> tuple:
-    """Objects, edges, F classes, fiber sizes, G classes and witnesses of an instance.
+    """Objects, edges, pairs and notes, F classes, fiber sizes, G classes and
+    witnesses of an instance, from _kernel; nothing is built.
 
-    An object stands for its chain of length 0 and reads its own G; an
-    edge, or a chain of one edge, reads _one_edge; neither builds a chain.
+    Where a rule cannot build a label, the error names the first edge on
+    which edge_pairs raises.
     """
-    if isinstance(instance, BmObject):
-        sizes = (instance.ell + 1,)
-        g = g_classes(sizes, ())
-        f = range(label_count(instance.ell, instance.beta))
-        return (instance,), (), f, sizes, g, _witness((instance.beta,), sizes, g)
-    if isinstance(instance, BmChain) and instance.length == 1:
-        instance = instance.edges[0]
     if isinstance(instance, BmEdge):
-        return (instance.phi, instance.phi_prime), (instance,), *_edge_sides(instance)[2:]
-    sizes, maps = chain_signature(instance)
-    g = g_classes(sizes, maps)
-    witness = _witness((obj.beta for obj in instance.objects), sizes, g)
-    return instance.objects, instance.edges, f_classes(instance), sizes, g, witness
+        objects, edges = (instance.phi, instance.phi_prime), (instance,)
+        key = (instance.phi.values, instance.phi_prime.values), (instance.fiber_map(),)
+    elif isinstance(instance, BmObject):
+        objects, edges, key = (instance,), (), ((instance.values,), ())
+    else:
+        objects, edges = instance.objects, instance.edges
+        key = tuple(obj.values for obj in objects), tuple(edge.fiber_map() for edge in edges)
+    try:
+        return objects, edges, *_kernel(*key)
+    except (UnresolvableLabelError, LabelRangeError):
+        for edge in edges:
+            edge_pairs(edge)
+        raise
 
 
 def _classes(reps: Sequence[int]) -> dict[int, list[int]]:
@@ -155,7 +147,7 @@ class GammaComponent:
 
 def _check_well_defined(chain: Chain) -> tuple:
     """_sides of an instance; raise unless each of its F classes has one image."""
-    sides = objects, _, f, sizes, _, witness = _sides(chain)
+    sides = objects, _, _, _, f, sizes, _, witness = _sides(chain)
     for block in _classes(f).values():
         images = {witness[code] for code in block}
         if len(images) > 1:
@@ -167,9 +159,15 @@ def _check_well_defined(chain: Chain) -> tuple:
     return sides
 
 
+def f_chain(chain: BmChain) -> QuotientSet:
+    """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
+    objects, _, _, _, f, _, _, _ = _sides(chain)
+    return QuotientSet.decode(chain_labels(objects), f)
+
+
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    objects, _, f, sizes, g, witness = _check_well_defined(chain)
+    objects, _, _, _, f, sizes, g, witness = _check_well_defined(chain)
     labels, vertices = chain_labels(objects), fiber_vertices(sizes)
     return GammaComponent(
         QuotientSet.decode(labels, f),
@@ -195,7 +193,7 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     This is the well-definedness of the comparison on the edge.  A failure
     names the pair with the chain of identities its pairing rule follows.
     """
-    pairs, notes, _, sizes, _, witness = _edge_sides(edge)
+    _, _, pairs, notes, _, sizes, _, witness = _sides(edge)
     broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
     failures = []
     if broken:
@@ -219,7 +217,7 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     position s - 1 to s, read as an edge and not built as a chain.  An
     object or an edge stands for its chain of length 0 or 1.
     """
-    objects, edges, f, sizes, g, witness = _sides(chain)
+    objects, edges, _, _, f, sizes, g, witness = _sides(chain)
     failures: list[str] = []
     # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
@@ -231,17 +229,15 @@ def verify_naturality(chain: Chain) -> VerificationReport:
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    # On one edge each code of a class reads witness[rep] through the chain, so the
-    # squares hold when G fixes every witness[rep]; the segment only names a failure.
-    if len(edges) == 1 and all(
-        g[witness[code]] == witness[code] for code, rep in enumerate(f) if code == rep
-    ):
+    # On one edge a class's segment square fails only where G moves witness[rep],
+    # so the squares hold when G fixes every witness; the segment only names a failure.
+    if len(edges) == 1 and all(g[w] == w for w in witness):
         return VerificationReport(tuple(failures))
     # Segment numbers shift into the chain's by the label offset of position s - 1.
     label_offs = label_offsets(objects)
     fiber_off = 0
     for s, edge in enumerate(edges, start=1):
-        seg_objects, _, seg_f, _, _, seg_witness = _sides(edge)
+        seg_objects, _, _, _, seg_f, _, _, seg_witness = _sides(edge)
         label_off = label_offs[s - 1]
         for rep, block in _classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}

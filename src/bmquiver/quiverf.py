@@ -17,15 +17,15 @@ The labels of a vertex are totally ordered, so the computations number
 them: on a chain, position t numbers x1(i) as off_t + 2(i-1), x2(i) as
 off_t + 2(i-1) + 1 and xm as off_t + 2*ell_t, where off_t counts the
 labels of the earlier positions.  Integer order is label order.  The
-pairing rules emit pairs of these numbers, F on a chain is union-find over
-range(n), and the least number in a class is its canonical representative.
-QuiverLabel values are built only to decode a result (f_chain,
-pairing_set) or to render a witness.
+pairing rules emit pairs of these numbers; F on a chain, computed in
+compare, is union-find over range(n), and the least number in a class is
+its canonical representative.  QuiverLabel values are built only to decode
+a result (compare.f_chain, pairing_set) or to render a witness.
 
 The pairing rules are one integer core on the two objects' values and the
 map's images (_rule_pairs): edge_pairs applies it to an edge and names the
-edge in the error of a label it cannot build, and compare's one-edge kernel
-applies it to the values alone.  The rules read each object's
+edge in the error of a label it cannot build, and compare's kernel applies
+it to each edge of a chain, on values alone.  The rules read each object's
 resolutions from tables kept for the whole process: each (kind, index) a
 rule requests of an object goes to _resolve once, and its number is kept.
 A request that _resolve cannot answer is not kept, so it goes to _resolve,
@@ -39,14 +39,12 @@ from dataclasses import dataclass
 from functools import cache, total_ordering
 from typing import NamedTuple, Sequence
 
-from .bm import BmChain, BmEdge, BmObject, segment_decompose
+from .bm import BmEdge, BmObject, segment_decompose
 from .errors import (
-    BmQuiverError,
     LabelRangeError,
     PairingConstructionError,
     UnresolvableLabelError,
 )
-from .quotient import QuotientSet, least_representatives
 
 
 class LabelKind(enum.Enum):
@@ -262,13 +260,6 @@ def _rule_pairs(
     return pairs, notes
 
 
-def pairing_error(edge: BmEdge, exc: BmQuiverError) -> PairingConstructionError:
-    """The error that names the edge on which the pairing rules built an invalid label."""
-    return PairingConstructionError(
-        f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
-    )
-
-
 def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     """The pairing rules of an edge (see _rule_pairs), on label numbers, with one note per pair.
 
@@ -277,7 +268,9 @@ def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
     try:
         return _rule_pairs(edge.phi.values, edge.phi_prime.values, edge.map.images)
     except (UnresolvableLabelError, LabelRangeError) as exc:
-        raise pairing_error(edge, exc) from exc
+        raise PairingConstructionError(
+            f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -304,25 +297,6 @@ def pairing_set(edge: BmEdge) -> PairingList:
         tuple((labels[a], labels[b]) for a, b in pairs),
         tuple(render_note(note) for note in notes),
     )
-
-
-def f_classes(chain: BmChain) -> list[int]:
-    """F on label numbers: the least label number in the class of each label.
-
-    The iterated pushout over a chain is all vertex labels modulo all edge
-    pairings, closed by union-find over the label numbers.
-    """
-    offsets = label_offsets(chain.objects)
-    pairs: list[tuple[int, int]] = []
-    for t, edge in enumerate(chain.edges):
-        off = offsets[t]
-        pairs.extend((a + off, b + off) for a, b in edge_pairs(edge)[0])
-    return least_representatives(offsets[-1], pairs)
-
-
-def f_chain(chain: BmChain) -> QuotientSet:
-    """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
-    return QuotientSet.decode(chain_labels(chain.objects), f_classes(chain))
 
 
 def segment_labels(phi: BmObject) -> list[tuple[BmObject, list[int]]]:

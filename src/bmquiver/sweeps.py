@@ -195,8 +195,9 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
     For an object pair, a 0-part and, when beta' = 1, the first image of the
     1-part fix the signature.  The 1-parts are in lexicographic order, so
     those that share a first image are consecutive and make one run.  The
-    1-part is innermost, so the edges with one 0-part follow one another,
-    which the one-entry memo of compare._one_edge relies on.
+    1-part is innermost, so the edges with one 0-part, which share the key
+    of compare._kernel (the objects' values and the fiber map), follow one
+    another: its one-entry memo relies on that.
     """
     targets = enumerate_objects(config.max_k_prime)
     for phi in enumerate_objects(config.max_k):

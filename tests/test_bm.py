@@ -196,6 +196,7 @@ def test_edge_encoding_round_trip():
     assert edge.phi.encode() == "0011"
     assert edge.phi_prime.encode() == "01"
     assert BmEdge.parse(edge.encode()) == edge
+    assert str(edge) == edge.encode() == "phi=0011;phiPrime=01;map=1,3"
     with pytest.raises(ParseError):
         BmEdge.parse("phi=0011;map=1,3")
     with pytest.raises(ParseError):
@@ -220,6 +221,7 @@ def test_chain_validation_and_encoding():
     assert chain.length == 2
     assert [o.encode() for o in chain.objects] == ["00", "00", "00"]
     assert BmChain.parse(chain.encode()) == chain
+    assert str(chain) == chain.encode()
     vertex = BmChain.parse("0011")
     assert vertex.length == 0 and vertex.base.encode() == "0011"
     mismatched = identity_edge(OBJ("01"))

@@ -437,6 +437,38 @@ def test_console_entry_point(argv, code):
         assert (done.stdout, done.stderr) == ("", "error: bad object encoding '2'\n")
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify", "--max-k", "3"],
+            "0b56e0dbf89052469bd1f9745c01e439d2263fa52d69dd7c47ae1a43c8881c38",
+        ),
+        (
+            ["verify", "--max-k", "4", "--max-chain-len", "3", "--samples", "400", "--seed", "1",
+             "--suites", *SUITE_NAMES, *EXTRA_SUITE_NAMES],
+            "01fa3ed5f43dbc74234c50afd3aad690f53fba1ea1ff45a97d2128222e9b8977",
+        ),
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv, digest):
+    """Fresh interpreters with string hashing seeded 0 and 1 print the same
+    JSON report, byte for byte, and exit 0: nothing a report shows depends
+    on the iteration order of a set or dict of strings."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "bmquiver.cli", *argv, "--format", "json"],
+            capture_output=True, env=env,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_PASS, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == digest
+
+
 def test_jobs_start_no_worker_processes():
     """--jobs is accepted and changes nothing: every suite runs in one process."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -29,15 +29,35 @@ from bmquiver import (
     xi_restriction_commutes,
 )
 from bmquiver import compare, quiverf, sweeps
+from bmquiver.errors import PairingConstructionError
 from bmquiver.sweeps import SweepConfig
-from bmquiver.quiverf import LabelKind, edge_pairs, f_classes, label_count, mid
+from bmquiver.quiverf import LabelKind, edge_pairs, label_count, label_offsets, mid
 from bmquiver.wfib import chain_signature, g_classes
 from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
-from test_sweeps import edge_pool
+from test_quotient import union_find_blocks
+from test_sweeps import edge_pool, x1_zero_as_x1_one
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
+
+
+def two_edge_chains(max_k: int) -> list[BmChain]:
+    """Every chain of two edges on objects with k <= max_k."""
+    pool = edge_pool(max_k)
+    return [
+        BmChain.from_edges([first, second])
+        for edges in pool.values()
+        for first in edges
+        for second in pool[first.phi_prime]
+    ]
+
+
+def as_chain(instance) -> BmChain:
+    """An object or an edge as its chain of length 0 or 1; a chain as it is."""
+    if isinstance(instance, BmObject):
+        return BmChain.vertex(instance)
+    return BmChain.from_edges([instance]) if isinstance(instance, BmEdge) else instance
 
 
 @st.composite
@@ -180,43 +200,73 @@ class TestNaturality:
         report = verify_naturality(chain)
         assert report.passed
 
-    def test_one_edge_chain_is_its_own_segment(self, monkeypatch):
-        """A one-edge chain computes its F and G once, in the one-edge kernel.
-        A two-edge chain computes F on itself, and its segments read the
-        kernel: the first is the edge just checked, and the identity edge
-        after it is the one miss more."""
-        calls = []
-
-        def counted(chain):
-            calls.append(chain.length)
-            return f_classes(chain)
-
-        monkeypatch.setattr(compare, "f_classes", counted)
+    def test_one_edge_chain_is_its_own_segment(self):
+        """A one-edge chain reads its pairs, F and G from one kernel entry.  A
+        two-edge chain computes its own entry, then one per segment: the
+        first segment is the edge just checked, which the chain's entry evicted."""
+        compare._kernel.cache_clear()
         edge = EDGE("phi=00;phiPrime=000;map=0,1,1")
         assert verify_naturality(BmChain.from_edges([edge])).passed
-        assert (calls, compare._one_edge.cache_info().misses) == ([], 1)
+        assert compare._kernel.cache_info().misses == 1
         verify_naturality(BmChain.from_edges([edge, identity_edge(edge.phi_prime)]))
-        assert (calls, compare._one_edge.cache_info().misses) == ([2], 2)
+        assert compare._kernel.cache_info().misses == 4
 
-    def test_one_edge_kernel_matches_the_chain_route(self):
-        """On every edge with k, k' <= 4, the kernel's pairs and notes are
-        those of edge_pairs, its F that of f_classes on the one-edge chain,
-        its sizes and G those of chain_signature through g_classes, and the
-        witness of each label the G class of the fiber element _gamma gives it."""
-        for edge in enumerate_all_edges(4, 4):
-            chain = BmChain.from_edges([edge])
-            pairs, notes, f, sizes, g, witness = compare._edge_sides(edge)
-            expected_sizes, maps = chain_signature(chain)
+    def test_kernel_matches_routes_it_does_not_share(self):
+        """On every object with k <= 4, every edge with k, k' <= 4 and every
+        two-edge chain with k <= 2, the kernel's pairs and notes are each
+        edge's edge_pairs shifted by label_offsets, its F is the union-find of
+        test_quotient on those pairs, its sizes and G are chain_signature
+        through g_classes, and the witness of each label is the G class of
+        the fiber element _gamma gives it."""
+        count = 0
+        for instance in enumerate_objects(4) + enumerate_all_edges(4, 4) + two_edge_chains(2):
+            objects, edges, pairs, notes, f, sizes, g, witness = compare._sides(instance)
+            offsets = label_offsets(objects)
+            expected_pairs, expected_notes = [], []
+            for off, edge in zip(offsets, edges):
+                edge_p, edge_n = edge_pairs(edge)
+                expected_pairs += [(a + off, b + off) for a, b in edge_p]
+                expected_notes += edge_n
+            assert (list(pairs), list(notes)) == (expected_pairs, expected_notes), instance
+            blocks = union_find_blocks(range(offsets[-1]), expected_pairs)
+            least = {code: block[0] for block in blocks for code in block}
+            assert list(f) == [least[code] for code in range(offsets[-1])], instance
+            expected_sizes, maps = chain_signature(as_chain(instance))
             expected_g = g_classes(expected_sizes, maps)
+            fiber_offs = [sum(expected_sizes[:t]) for t in range(len(objects))]
             expected_witness = [
                 expected_g[fiber_off + compare._gamma(code, obj.ell)]
-                for obj, fiber_off in zip(chain.objects, (0, expected_sizes[0]))
-                for code in range(len(f_object(obj)))
+                for obj, fiber_off in zip(objects, fiber_offs)
+                for code in range(label_count(obj.ell, obj.beta))
             ]
-            assert (list(pairs), list(notes)) == edge_pairs(edge), edge
-            assert list(f) == f_classes(chain), edge
-            assert (sizes, list(g)) == (expected_sizes, expected_g), edge
-            assert list(witness) == expected_witness, edge
+            assert (sizes, list(g)) == (expected_sizes, expected_g), instance
+            assert list(witness) == expected_witness, instance
+            count += 1
+        assert count == 20 + 2421 + 1401
+
+    def test_kernel_names_the_first_edge_the_rules_fail_on(self, monkeypatch):
+        """With x1(0) resolved as x1(1), a two-edge chain with k <= 2 fails
+        exactly when the rules fail on one of its edges, and _sides and f_chain
+        both raise the error edge_pairs raises on the first such edge."""
+        x1_zero_as_x1_one(monkeypatch)
+        failing = 0
+        for chain in two_edge_chains(2):
+            expected = None
+            for edge in chain.edges:
+                try:
+                    edge_pairs(edge)
+                except PairingConstructionError as exc:
+                    expected = str(exc)
+                    break
+            for route in (compare._sides, f_chain):
+                if expected is None:
+                    route(chain)
+                else:
+                    with pytest.raises(PairingConstructionError) as raised:
+                        route(chain)
+                    assert str(raised.value) == expected, chain.encode()
+            failing += expected is not None
+        assert failing > 0
 
     def test_one_edge_kernel_computes_once_per_run_of_equal_images(self, monkeypatch):
         """Exhaustive naturality checks every edge, one verify_naturality call
@@ -233,9 +283,9 @@ class TestNaturality:
         monkeypatch.setattr(sweeps, "verify_naturality", counted)
         for bound, edges, misses in ((4, 2421, 1227), (5, 10697, 4684)):
             calls = 0
-            compare._one_edge.cache_clear()
+            compare._kernel.cache_clear()
             report = sweeps.run_suite(SweepConfig(max_k=bound, max_k_prime=bound), "naturality")
-            info = compare._one_edge.cache_info()
+            info = compare._kernel.cache_info()
             assert (report.total, report.failed, calls) == (edges, 0, edges)
             assert (info.misses, info.hits) == (misses, edges - misses)
             assert (info.maxsize, info.currsize) == (1, 1)
@@ -282,13 +332,7 @@ class TestNaturality:
             monkeypatch.setattr(compare, "label_offsets", lambda objs: [0] * len(offsets(objs)))
         elif mutant == "gamma":
             monkeypatch.setattr(compare, "_gamma", lambda code, ell: code // 2)
-        pool = edge_pool(2)
-        chains = [
-            BmChain.from_edges([first, second])
-            for edges in pool.values()
-            for first in edges
-            for second in pool[first.phi_prime]
-        ]
+        chains = two_edge_chains(2)
         lists = [list(verify_naturality(chain).failures) for chain in chains]
         assert (len(chains), sum(map(bool, lists))) == (1401, failed)
         assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == digest

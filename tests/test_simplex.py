@@ -131,6 +131,7 @@ def test_validation_rejects_bad_maps():
 def test_encoding_round_trip():
     m = DeltaMap(2, 3, (0, 2, 2))
     assert m.encode() == "0,2,2"
+    assert str(m) == "(0,2,2):[2]->[3]"
     assert DeltaMap.parse("0,2,2", 3) == m
     assert DeltaMap.parse(" 0 ,2, 2", 3) == m
     with pytest.raises(ParseError):

@@ -340,7 +340,7 @@ def least_dropping_last_pair(monkeypatch):
     def dropping_last(n, pairs):
         return least(n, list(pairs)[:-1])
 
-    for module in (quotient_module, wfib, quiverf, compare):
+    for module in (quotient_module, wfib, compare):
         monkeypatch.setattr(module, "least_representatives", dropping_last)
 
 
@@ -422,8 +422,8 @@ def x1_zero_as_x1_one(monkeypatch):
 
 
 def dropped_inner_rule(monkeypatch):
-    """The pairs (x2(j), x1(j-1)) dropped from the pairing rules, which every
-    F reads, the one-edge kernel of compare included."""
+    """The pairs (x2(j), x1(j-1)) dropped from the pairing rules, which F
+    reads through the kernel of compare."""
     rule_pairs = quiverf._rule_pairs
 
     def dropped(source, target, p):
@@ -501,7 +501,7 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
 KERNEL_MEMOS = {
     "_shape",
     "_gamma_row",
-    "_one_edge",
+    "_kernel",
     "_edge_components",
     "_interned",
     "_base",
@@ -602,7 +602,7 @@ def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
     def dropping_last(n, pairs):
         return least(n, list(pairs)[:-1])
 
-    for module in (quotient_module, wfib, quiverf, compare):
+    for module in (quotient_module, wfib, compare):
         monkeypatch.setattr(module, "least_representatives", dropping_last)
     reports = {r.suite: r for r in sweeps.run_suites(SMALL, ["gluing", "decomposition"])}
     gluing = reports["gluing"]
@@ -818,7 +818,7 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
 
 def test_edge_checks_build_no_chain(monkeypatch):
     """Constancy, naturality, identification and xi at k, k' <= 2 build no
-    BmChain: a check of one edge reads the one-edge kernel, or G alone,
+    BmChain: a check of one edge reads the kernel, or G alone,
     from the edge, and xi reads an object's vertex from the object."""
     builds = 0
     post_init = BmChain.__post_init__
@@ -872,33 +872,40 @@ def test_objects_and_edges_check_as_their_chains(monkeypatch, mutant):
     assert (failing > 0) == (mutant not in ("none", "dropped pairing rule")), failing
 
 
-#: Per mutant: the edges with k, k' <= 3 that constancy, xi and naturality fail.
+#: Per mutant: the edges with k, k' <= 3 and with k, k' <= 4 that constancy,
+#: xi and naturality fail.
 SAME_FAILURES = {
-    "none": 0,
-    "fiber_map": 336,
-    "_gamma": 126,
-    "_resolve": 53,
-    "dropped pairing rule": 0,
-    "discrete G": 316,
+    "none": (0, 0),
+    "fiber_map": (336, 1650),
+    "_gamma": (126, 928),
+    "_resolve": (53, 226),
+    "dropped pairing rule": (0, 0),
+    "discrete G": (316, 1615),
 }
 
 
 @pytest.mark.parametrize("mutant", list(SAME_FAILURES))
 def test_constancy_xi_and_naturality_fail_the_same_edges(monkeypatch, mutant):
     """xi checks only that gamma is well-defined, which is what constancy
-    checks pair by pair: on all 531 edges with k, k' <= 3, constancy, xi and
-    naturality fail exactly the same edges, plain, under each edge mutant
-    and with every vertex its own component."""
+    checks pair by pair: on all 2,421 edges with k, k' <= 4, constancy, xi
+    and naturality fail exactly the same edges, plain, under each edge
+    mutant and with every vertex its own component.  Each of the 861 edge
+    signatures fails whole or not at all, naturality's included."""
     {**EDGE_MUTANTS, "discrete G": MUTANTS["discrete G"]}[mutant](monkeypatch)
-    edges = enumerate_all_edges(3, 3)
+    edges = enumerate_all_edges(4, 4)
     checks = (compare.verify_constancy, compare.xi_restriction_commutes, compare.verify_naturality)
     failing = {
         check.__name__: [edge for edge in edges if check_outcome(check, edge)] for check in checks
     }
-    assert len(edges) == 531
+    assert len(edges) == 2421
     assert failing["xi_restriction_commutes"] == failing["verify_constancy"]
     assert failing["verify_naturality"] == failing["verify_constancy"]
-    assert len(failing["verify_constancy"]) == SAME_FAILURES[mutant]
+    small = [edge for edge in failing["verify_constancy"] if edge.phi.top <= 3 >= edge.phi_prime.top]
+    assert (len(small), len(failing["verify_constancy"])) == SAME_FAILURES[mutant]
+    signatures = Counter(map(edge_signature, edges))
+    failed = Counter(map(edge_signature, failing["verify_constancy"]))
+    assert len(signatures) == 861
+    assert all(failed[signature] == signatures[signature] for signature in failed)
 
 
 @pytest.mark.parametrize("mutant", list(EDGE_MUTANTS))
