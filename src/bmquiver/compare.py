@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import quiverf
 from .bm import BmChain, BmEdge, BmObject
@@ -50,7 +50,7 @@ from .quiverf import (
     render_note,
     segment_labels,
 )
-from .quotient import QuotientSet, least_representatives
+from .quotient import QuotientSet, classes, least_representatives
 from .wfib import GSet, Vertex, fiber_vertices, g_classes
 
 #: A chain, or an object or an edge standing for its chain of length 0 or 1.
@@ -123,14 +123,6 @@ def _sides(instance: Chain) -> tuple:
         raise
 
 
-def _classes(reps: Sequence[int]) -> dict[int, list[int]]:
-    """Members of each class by representative, classes in order."""
-    out: dict[int, list[int]] = {}
-    for member, rep in enumerate(reps):
-        out.setdefault(rep, []).append(member)
-    return out
-
-
 @dataclass(frozen=True)
 class GammaComponent:
     """The comparison on one chain, with the two values it compares.
@@ -148,7 +140,7 @@ class GammaComponent:
 def _check_well_defined(chain: Chain) -> tuple:
     """_sides of an instance; raise unless each of its F classes has one image."""
     sides = objects, _, _, _, f, sizes, _, witness = _sides(chain)
-    for block in _classes(f).values():
+    for block in classes(f).values():
         images = {witness[code] for code in block}
         if len(images) > 1:
             labels, vertices = chain_labels(objects), fiber_vertices(sizes)
@@ -172,7 +164,7 @@ def gamma_chain(chain: BmChain) -> GammaComponent:
     return GammaComponent(
         QuotientSet.decode(labels, f),
         GSet.decode(sizes, g),
-        {labels[rep]: vertices[witness[rep]] for rep in _classes(f)},
+        {labels[rep]: vertices[witness[rep]] for rep in classes(f)},
     )
 
 
@@ -239,7 +231,7 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     for s, edge in enumerate(edges, start=1):
         seg_objects, _, _, _, seg_f, _, _, seg_witness = _sides(edge)
         label_off = label_offs[s - 1]
-        for rep, block in _classes(seg_f).items():
+        for rep, block in classes(seg_f).items():
             via_chain = {witness[f[code + label_off]] for code in block}
             via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:
@@ -283,7 +275,7 @@ def verify_decomposition(phi: BmObject) -> VerificationReport:
         starts.append(len(position))
         position.extend(range(i - 1, i + segment.ell))
     pairs = [(starts[i - 1] + 1, starts[i]) for i in range(1, phi.top) if not phi.values[i]]
-    glued = _classes(least_representatives(len(position), pairs))
+    glued = classes(least_representatives(len(position), pairs))
     if len(glued) != ell + 1:
         failures.append(f"glued fiber has {len(glued)} classes, expected {ell + 1}")
     else:

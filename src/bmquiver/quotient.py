@@ -42,11 +42,17 @@ class QuotientSet:
         reps[i] must be the least index in the block of i, as
         least_representatives returns it.
         """
-        groups: dict[int, list] = {}
-        for element, rep in zip(elements, reps):
-            groups.setdefault(rep, []).append(element)
         # Each block opens at its least index, so the blocks come in order.
-        return cls(tuple(elements), tuple(tuple(group) for group in groups.values()))
+        blocks = classes(reps).values()
+        return cls(tuple(elements), tuple(tuple(elements[i] for i in block) for block in blocks))
+
+
+def classes(reps: Sequence[int]) -> dict[int, list[int]]:
+    """Members of each class by representative, classes in order of first appearance."""
+    out: dict[int, list[int]] = {}
+    for member, rep in enumerate(reps):
+        out.setdefault(rep, []).append(member)
+    return out
 
 
 def least_representatives(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:

@@ -2,16 +2,17 @@
 
 Every suite enumerates its instances in a fixed order (or samples them with
 a seeded generator), runs one check per instance (per fiber signature in
-the exhaustive gluing suite, per distinct draw in sampled mode outside
-gluing, and per passing or warning edge signature in constancy,
-identification, audit and xi) in a single process, and aggregates a
-report: failures stop nothing, they are collected with witnesses so a
-broken case is localized.
+the exhaustive gluing suite, and per passing or warning signature in
+exhaustive constancy, identification, audit and xi and in sampled mode
+outside gluing) in a single process, and aggregates a report: failures
+stop nothing, they are collected with witnesses so a broken case is
+localized.
 Every suite but gluing runs from one table of instance sources and checks.
 A source gives runs: consecutive instances, in enumeration order, that
-share one signature.  A suite that reuses verdicts by signature counts a
-run whose signature passed without building its instances, and lists a
-run whose signature warned under its instances' keys, unbuilt.
+share one signature, or one run per draw in sampled mode.  A suite that
+reuses verdicts by signature counts a run whose signature passed without
+building its instances, and lists a run whose signature warned under its
+instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -123,21 +124,6 @@ class SuiteReport:
         }
 
 
-def _distinct(draws: list) -> tuple[list, list[int]]:
-    """The distinct draws in order of first draw, and each draw's position among them."""
-    position: dict = {}
-    order = [position.setdefault(draw, len(position)) for draw in draws]
-    return list(position), order
-
-
-def _replay(results: Iterable, order: list[int] | None) -> Iterable:
-    """One result per draw from one per distinct draw; order None is every instance once."""
-    if order is None:
-        return results
-    results = list(results)
-    return [results[i] for i in order]
-
-
 #: A run: consecutive instances of a source, in enumeration order, that share
 #: one signature, as (signature, count, instance, key): instance(n) builds the
 #: n-th instance of the run and key(n) gives its encoding without building it,
@@ -145,20 +131,14 @@ def _replay(results: Iterable, order: list[int] | None) -> Iterable:
 Run = tuple[object, int, Callable[[int], object], Callable[[int], str]]
 
 
-def _objects(config: SweepConfig) -> tuple[list[Run], list[int] | None]:
-    """The objects to check, each a run of one, and the draw order over them (see _replay).
-
-    Exhaustive: every object in range, each checked once, and no order.
-    Sampled: config.samples seeded draws.  Each distinct object is listed
-    once, in order of first draw, so a suite checks it once and replays its
-    result at every draw.  An object is its own signature.
-    """
+def _objects(config: SweepConfig) -> Iterator[Run]:
+    """The objects to check, each a run of one: every object in range, or
+    config.samples seeded draws in draw order, repeats included."""
     objs = enumerate_objects(config.max_k)
-    order = None
     if config.samples is not None:
         rng = random.Random(config.seed)
-        objs, order = _distinct([rng.choice(objs) for _ in range(config.samples)])
-    return [_object_run(phi) for phi in objs], order
+        objs = [rng.choice(objs) for _ in range(config.samples)]
+    return map(_object_run, objs)
 
 
 def _object_run(phi: BmObject) -> Run:
@@ -210,31 +190,32 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
                     yield _edge_run(phi, phi_prime, zero, stretch)
 
 
-def _edges(config: SweepConfig) -> tuple[Iterable[Run], list[int] | None]:
-    """The edges to check, as runs, and the draw order over them (see _replay).
+def _edges(config: SweepConfig) -> Iterator[Run]:
+    """The edges to check, as runs.
 
-    Exhaustive: every edge in range, and no order.  Sampled: config.samples
-    seeded draws.  A draw picks a source and a target object, then an index
+    Exhaustive: every edge in range (see _edge_runs).  Sampled:
+    config.samples seeded draws, each a run of one, in draw order, repeats
+    included.  A draw picks a source and a target object, then an index
     into their edges in map order; a pair with no edges is drawn again
     without an index.  Drawing an index below n takes the same generator
     step as choosing from a list of n, so the draws match choosing from
-    enumerate_edges.  Each distinct draw is a run of one, in order of first draw.
+    enumerate_edges.
     """
     if config.samples is None:
-        return _edge_runs(config), None
+        yield from _edge_runs(config)
+        return
     rng = random.Random(config.seed)
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
-    draws = []
-    while len(draws) < config.samples:
+    drawn = 0
+    while drawn < config.samples:
         phi = sources[rng.randrange(len(sources))]
         phi_prime = targets[rng.randrange(len(targets))]
         zeros, ones = fiber_parts(phi, phi_prime)
         if zeros and ones:
             zero, one = divmod(rng.randrange(len(zeros) * len(ones)), len(ones))
-            draws.append((phi, phi_prime, zeros[zero], ones[one : one + 1]))
-    distinct, order = _distinct(draws)
-    return (_edge_run(*draw) for draw in distinct), order
+            drawn += 1
+            yield _edge_run(phi, phi_prime, zeros[zero], ones[one : one + 1])
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -328,9 +309,9 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
     return [(f"{key}@{m}", "fail", failures) for m in range(max_target_size + 1)]
 
 
-def _xi_edges(config: SweepConfig) -> tuple[Iterable[Run], list[int] | None]:
+def _xi_edges(config: SweepConfig) -> Iterable[Run]:
     """The edges of the xi suite: none unless chains of length 1 are in range."""
-    return _edges(config) if config.max_chain_len else ([], None)
+    return _edges(config) if config.max_chain_len else []
 
 
 class _ChainCounts:
@@ -501,13 +482,13 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     return report
 
 
-#: Per suite: the sources of its instances, each giving runs (see Run) with
-#: their draw order (see _replay); the check of one instance, which gives
-#: its records; and whether the verdict is a function of the run signature,
-#: so that a run whose signature passed is counted unbuilt (else every
-#: instance is built and checked).  The checks call the verifiers by their
-#: module names, so a verifier rebound here is the one that runs.  Naturality
-#: checks every edge: the benchmark's traced self-check counts its calls.
+#: Per suite: the sources of its instances, each giving runs (see Run); the
+#: check of one instance, which gives its records; and whether an exhaustive
+#: sweep reuses verdicts by run signature, counting a run whose signature
+#: passed unbuilt (a sampled sweep always does; see _sweep).  The checks call
+#: the verifiers by their module names, so a verifier rebound here is the one
+#: that runs.  Exhaustive naturality checks every edge: the benchmark's
+#: traced self-check counts its calls.
 _SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
     "cardinality": ((_objects,), _cardinality, False),
     "constancy": ((_edges,), _constancy, True),
@@ -566,21 +547,20 @@ def _run_records(run: Run, check: Callable, verdicts: dict | None) -> list:
 def _sweep(
     config: SweepConfig, name: str, sources: tuple, check: Callable, by_signature: bool
 ) -> SuiteReport:
-    """Check the runs of every source, and replay the records per draw.
+    """Check the runs of every source in order, exhaustive or sampled alike.
 
     By signature, a run whose signature has passed or only warned before
-    takes that verdict unchecked.  This is exact only if the check reads
-    nothing beyond the signature; a check that read more would be
-    under-checked, which the signature test in tests/test_sweeps.py guards.
-    The kept verdicts live for this call only.
+    takes that verdict unchecked.  A sampled sweep always does, since its
+    draws repeat.  This is exact only if the check reads nothing beyond the
+    signature; a check that read more would be under-checked, which the
+    signature test in tests/test_sweeps.py guards.  The kept verdicts live
+    for this call only.
     """
     report = SuiteReport(name, config.bounds_dict())
-    verdicts: dict | None = {} if by_signature else None
+    verdicts: dict | None = {} if by_signature or config.samples is not None else None
     for source in sources:
-        runs, order = source(config)
-        results = (_run_records(run, check, verdicts) for run in runs)
-        for counted in _replay(results, order):
-            for records, count in counted:
+        for run in source(config):
+            for records, count in _run_records(run, check, verdicts):
                 for record in records:
                     report.add(record, count)
     return report
@@ -595,13 +575,14 @@ def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES.
 
-    Sampled mode checks each distinct drawn object or edge once, and lists
-    a failing or warning instance at each of its draws, in draw order; the
-    total counts every draw.  Edges come in runs that share a signature
-    (see _edge_runs and _run_records): constancy, identification, audit and
-    xi check each signature once and count a later run whose signature
-    passed without building its edges, while naturality builds and checks
-    every edge.  An instance on which the pairing rules build an invalid
+    Edges come in runs that share a signature (see _edge_runs and
+    _run_records): exhaustive constancy, identification, audit and xi check
+    each signature once and count a later run whose signature passed
+    without building its edges, while exhaustive naturality builds and
+    checks every edge.  Sampled mode checks a drawn signature (an object is
+    its own) once if it passes or warns, and at every draw if it fails; it
+    lists each failing or warning draw in draw order, and the total counts
+    every draw.  An instance on which the pairing rules build an invalid
     label, gamma is not well-defined, or G rejects the fiber maps fails with
     the error as its witness instead of stopping the sweep.
     """

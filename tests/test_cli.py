@@ -449,6 +449,11 @@ def test_console_entry_point(argv, code):
              "--suites", *SUITE_NAMES, *EXTRA_SUITE_NAMES],
             "01fa3ed5f43dbc74234c50afd3aad690f53fba1ea1ff45a97d2128222e9b8977",
         ),
+        (
+            ["verify", "--max-k", "5", "--max-kprime", "5",
+             "--suites", "constancy", "naturality", "identification", "audit"],
+            "df4c8f4b9d06c00eb5023373942996dca112d4f32430ebfd4ee673e448edf165",
+        ),
     ],
 )
 def test_output_does_not_depend_on_the_hash_seed(argv, digest):

@@ -177,12 +177,9 @@ def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_pri
         config = SweepConfig(
             max_k=max_k, max_k_prime=max_k_prime, samples=40, seed=seed
         )
-        runs, order = sweeps._edges(config)
-        runs = list(runs)
+        runs = list(sweeps._edges(config))
         assert all(count == 1 for _, count, _, _ in runs)
-        edges = [instance(0) for _, _, instance, _ in runs]
-        assert len(set(edges)) == len(edges)
-        assert [edges[i] for i in order] == choose_from_filtered_edges(config)
+        assert [instance(0) for _, _, instance, _ in runs] == choose_from_filtered_edges(config)
 
 
 def choose_gluing_chains(config: SweepConfig) -> list[BmChain]:
@@ -727,11 +724,13 @@ def test_edge_checks_are_functions_of_the_signature():
     """Every edge with k, k' <= 4 gets the records of the first edge in
     enumeration order with its signature, keys aside: the check reads
     nothing of an edge beyond its signature, so reusing a verdict is exact.
+    Exhaustive sweeps reuse verdicts in the signed suites only, sampled
+    sweeps in naturality too.
     """
     signed = [name for name, (_, _, by_signature) in sweeps._SUITES.items() if by_signature]
     assert tuple(signed) == SIGNED_SUITES
     edges = enumerate_all_edges(4, 4)
-    for name in SIGNED_SUITES:
+    for name in SIGNED_SUITES + ("naturality",):
         check = sweeps._SUITES[name][1]
         first: dict = {}
         for edge in edges:
@@ -748,8 +747,7 @@ def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, ma
     BmEdge.encode gives it, and a run ends exactly where the next edge has
     another source, target or signature."""
     edges = enumerate_all_edges(max_k, max_k_prime)
-    runs, order = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
-    assert order is None
+    runs = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
     walked = []
     for signature, count, instance, key in runs:
         run = [instance(n) for n in range(count)]
@@ -814,6 +812,28 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
         warnings[name] = (report.warned, len(listed))
     assert warnings.pop("audit") == (509, 109)
     assert set(warnings.values()) == {(0, 0)}
+
+
+def test_sampled_naturality_checks_each_drawn_signature_once(monkeypatch):
+    """With nothing failing, sampled naturality calls its verifier once per
+    distinct signature among the drawn edges, and counts every draw."""
+    calls = 0
+    verify = sweeps.verify_naturality
+
+    def counted(edge):
+        nonlocal calls
+        calls += 1
+        return verify(edge)
+
+    monkeypatch.setattr(sweeps, "verify_naturality", counted)
+    for seed in range(3):
+        config = SweepConfig(max_k=3, max_k_prime=3, samples=200, seed=seed)
+        drawn = choose_from_filtered_edges(config)
+        signatures = len({edge_signature(edge) for edge in drawn})
+        calls = 0
+        report = sweeps.run_suite(config, "naturality")
+        assert (report.passed, report.total) == (True, 200)
+        assert calls == signatures < len(set(drawn)), seed
 
 
 def test_edge_checks_build_no_chain(monkeypatch):
@@ -953,7 +973,7 @@ def test_suites_encode_only_the_instances_they_list(monkeypatch):
     encode call per instance it lists, exhaustive at k, k' <= 3 and sampled
     at seeds 0-2, whether it encodes a built instance or formats the key of
     an unbuilt edge (bm.encode_edge).  A sampled instance listed at several
-    draws is encoded once, and its key replayed."""
+    draws is encoded at each of them."""
     calls = depth = 0
 
     def counting(encode):
@@ -974,11 +994,15 @@ def test_suites_encode_only_the_instances_they_list(monkeypatch):
     configs = [SweepConfig(max_k=3, max_k_prime=3)] + [
         SweepConfig(max_k=3, max_k_prime=3, samples=200, seed=seed) for seed in range(3)
     ]
-    listed = 0
+    listed = repeated = 0
     for config in configs:
         for name in SUITE_NAMES + EXTRA_SUITE_NAMES:
             calls = 0
-            keys = {inst["key"] for inst in sweeps.run_suite(config, name).instances}
-            assert calls == len(keys), (config, name)
+            instances = sweeps.run_suite(config, name).instances
+            keys = {inst["key"] for inst in instances}
+            assert calls == (len(keys) if config.samples is None else len(instances)), (
+                config, name
+            )
             listed += len(keys)
-    assert listed > 0  # the audit warnings
+            repeated += len(instances) - len(keys)
+    assert listed > 0 and repeated > 0  # the audit warnings
