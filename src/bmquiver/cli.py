@@ -142,9 +142,13 @@ def _render_eval(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _object_count(max_k: int) -> int:
+    """The objects on [k <= max_k], in closed form, before any is built."""
+    return max(max_k + 1, 0) * (max_k + 4) // 2
+
+
 def _enumerate_payload(args: argparse.Namespace) -> dict:
-    # The objects on [k <= max_k], in closed form, before any is built.
-    objects = max(args.max_k + 1, 0) * (args.max_k + 4) // 2
+    objects = _object_count(args.max_k)
     if args.kind == "objects":
         _check_count("objects", objects)
         objs = enumerate_objects(args.max_k)
@@ -321,6 +325,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         names = args.suites or SUITE_NAMES
         if args.max_kprime is not None and not reads_edges(config, names):
             raise ValidationError(f"--max-kprime is not read: no edge in suites {' '.join(names)}")
+        # Every suite builds the objects on [k <= max_k], and an edge suite the
+        # targets on [k <= max_k_prime]: count them before any is built.
+        bounds = [("--max-k", config.max_k)]
+        if reads_edges(config, names):
+            bounds.append(("--max-kprime", config.max_k_prime))
+        for flag, bound in bounds:
+            objects = _object_count(bound)
+            if objects > LISTING_MAX_ITEMS:
+                raise ValidationError(
+                    f"verify would build {objects} objects for {flag} {bound}, "
+                    f"more than {LISTING_MAX_ITEMS}"
+                )
         reports = run_suites(config, args.suites)
         sys.stdout.write(_render_verify(reports, args.format))
         return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

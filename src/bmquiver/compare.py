@@ -16,9 +16,11 @@ otherwise.  Labels and vertices are named only at the API boundary and in
 the witness of a failure.  The witnesses read gamma from one row per
 (ell, beta), built once per process from _gamma.  The checks and f_chain
 take an object, an edge or a chain as it is, and _sides reads its pairs,
-F, G and witnesses from the one kernel _kernel, on its objects' values and
+G and witnesses from the one kernel _kernel, on its objects' values and
 its edges' fiber maps; an edge is read alone or as a segment of a longer
-chain.  Identification reads G alone, so no edge check builds a chain.
+chain.  A check tests the pairs first and builds F (_f) only to name a
+failing class or to run segment squares; f_chain and gamma_chain build it
+themselves.  Identification reads G alone, so no edge check builds a chain.
 Edges that share the kernel's key come one after another, so it keeps one
 entry.
 """
@@ -70,16 +72,19 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
-    """Pairs and notes, F, fiber sizes, G and witnesses of the chain on these
+    """Pairs and notes, fiber sizes, G and witnesses of the chain on these
     objects' values and its edges' fiber maps.
 
     G comes first, so a map that does not fit its fibers fails with G's
     ValidationError before any rule indexes it.  Each edge's pairing rules
     (read through quiverf) number its labels from its source position, and
-    shift by the label counts of the earlier positions; F is union-find over
-    every label, one witness each.  Edges are enumerated with their 1-part
-    innermost, so those that share these values follow one another: one
-    entry serves them all.  Its lists are shared, and no caller changes them.
+    shift by the label counts of the earlier positions; there is one witness
+    per label.  F is not computed here (see _f): it is the quotient by the
+    equivalence the pairs generate, so gamma is well-defined on F exactly
+    when each pair's two witnesses agree.  Edges are enumerated with their
+    1-part innermost, so those that share these values follow one another:
+    one entry serves them all.  Its lists are shared, and no caller changes
+    them.
     """
     shapes = list(map(_shape, values))
     sizes = tuple([shape.ell + 1 for shape in shapes])
@@ -97,12 +102,12 @@ def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ..
         more, more_notes = quiverf._rule_pairs(values[t], values[t + 1], maps[t])
         pairs += [(a + label_off, b + label_off) for a, b in more]
         notes += more_notes
-    return pairs, notes, least_representatives(len(witness), pairs), sizes, g, witness
+    return pairs, notes, sizes, g, witness
 
 
 def _sides(instance: Chain) -> tuple:
-    """Objects, edges, pairs and notes, F classes, fiber sizes, G classes and
-    witnesses of an instance, from _kernel; nothing is built.
+    """Objects, edges, pairs and notes, fiber sizes, G classes and witnesses
+    of an instance, from _kernel; nothing is built.
 
     Where a rule cannot build a label, the error names the first edge on
     which edge_pairs raises.
@@ -123,6 +128,17 @@ def _sides(instance: Chain) -> tuple:
         raise
 
 
+def _f(sides: tuple) -> list[int]:
+    """F of an instance from its _sides: the least label number of each label's class."""
+    _, _, pairs, _, _, _, witness = sides
+    return least_representatives(len(witness), pairs)
+
+
+def _agrees(pairs: list, witness: list) -> bool:
+    """Whether both labels of every pair have one witness, so gamma is constant on F."""
+    return all(witness[a] == witness[b] for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class GammaComponent:
     """The comparison on one chain, with the two values it compares.
@@ -138,9 +154,14 @@ class GammaComponent:
 
 
 def _check_well_defined(chain: Chain) -> tuple:
-    """_sides of an instance; raise unless each of its F classes has one image."""
-    sides = objects, _, _, _, f, sizes, _, witness = _sides(chain)
-    for block in classes(f).values():
+    """_sides of an instance; raise unless each of its F classes has one image.
+
+    The pairs are tested first; F is built only to name the failing class.
+    """
+    sides = objects, _, pairs, _, sizes, _, witness = _sides(chain)
+    if _agrees(pairs, witness):
+        return sides
+    for block in classes(_f(sides)).values():
         images = {witness[code] for code in block}
         if len(images) > 1:
             labels, vertices = chain_labels(objects), fiber_vertices(sizes)
@@ -153,13 +174,14 @@ def _check_well_defined(chain: Chain) -> tuple:
 
 def f_chain(chain: BmChain) -> QuotientSet:
     """The iterated pushout over a chain: all vertex labels modulo all edge pairings."""
-    objects, _, _, _, f, _, _, _ = _sides(chain)
-    return QuotientSet.decode(chain_labels(objects), f)
+    sides = _sides(chain)
+    return QuotientSet.decode(chain_labels(sides[0]), _f(sides))
 
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    objects, _, _, _, f, sizes, g, witness = _check_well_defined(chain)
+    sides = objects, _, _, _, sizes, g, witness = _check_well_defined(chain)
+    f = _f(sides)
     labels, vertices = chain_labels(objects), fiber_vertices(sizes)
     return GammaComponent(
         QuotientSet.decode(labels, f),
@@ -185,7 +207,7 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     This is the well-definedness of the comparison on the edge.  A failure
     names the pair with the chain of identities its pairing rule follows.
     """
-    _, _, pairs, notes, _, sizes, _, witness = _sides(edge)
+    _, _, pairs, notes, sizes, _, witness = _sides(edge)
     broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
     failures = []
     if broken:
@@ -209,9 +231,17 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     position s - 1 to s, read as an edge and not built as a chain.  An
     object or an edge stands for its chain of length 0 or 1.
     """
-    objects, edges, _, _, f, sizes, g, witness = _sides(chain)
+    sides = objects, edges, pairs, _, sizes, g, witness = _sides(chain)
+    # On one edge a class's segment square fails only where G moves witness[rep],
+    # so the squares hold when G fixes every witness; the segment only names a failure.
+    segments = () if len(edges) == 1 and all(g[w] == w for w in witness) else edges
+    # The vertex comparison on label L, through the fiber map, is witness[L]; so
+    # the vertex squares hold exactly when both labels of every pair agree.
+    agrees = _agrees(pairs, witness)
+    if agrees and not segments:
+        return VerificationReport()
+    f = _f(sides)
     failures: list[str] = []
-    # The vertex comparison on label L, through the fiber map, is witness[L].
     broken = [code for code, rep in enumerate(f) if witness[rep] != witness[code]]
     if broken:
         labels, vertices = chain_labels(objects), fiber_vertices(sizes)
@@ -221,17 +251,13 @@ def verify_naturality(chain: Chain) -> VerificationReport:
                 f"vertex square t={label.vertex}: {label} gives "
                 f"{vertices[witness[f[code]]]} != {vertices[witness[code]]}"
             )
-    # On one edge a class's segment square fails only where G moves witness[rep],
-    # so the squares hold when G fixes every witness; the segment only names a failure.
-    if len(edges) == 1 and all(g[w] == w for w in witness):
-        return VerificationReport(tuple(failures))
     # Segment numbers shift into the chain's by the label offset of position s - 1.
     label_offs = label_offsets(objects)
     fiber_off = 0
-    for s, edge in enumerate(edges, start=1):
-        seg_objects, _, _, _, seg_f, _, _, seg_witness = _sides(edge)
+    for s, edge in enumerate(segments, start=1):
+        seg_sides = seg_objects, _, _, _, _, _, seg_witness = _sides(edge)
         label_off = label_offs[s - 1]
-        for rep, block in classes(seg_f).items():
+        for rep, block in classes(_f(seg_sides)).items():
             via_chain = {witness[f[code + label_off]] for code in block}
             via_segment = g[seg_witness[rep] + fiber_off]
             if via_chain != {via_segment}:

@@ -9,10 +9,13 @@ stop nothing, they are collected with witnesses so a broken case is
 localized.
 Every suite but gluing runs from one table of instance sources and checks.
 A source gives runs: consecutive instances, in enumeration order, that
-share one signature, or one run per draw in sampled mode.  A suite that
-reuses verdicts by signature counts a run whose signature passed without
-building its instances, and lists a run whose signature warned under its
-instances' keys, unbuilt.
+share one signature, or one run per draw in sampled mode.  Sampled objects
+and edges are drawn once per process for given bounds and seed, kept as
+integers (indices into the enumeration), and shared by every suite that
+samples them; each run is built from its draw as it is reached.  A suite
+that reuses verdicts by signature counts a run whose signature passed in
+place, without building its instances, and lists a run whose signature
+warned under its instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, groupby, product
 from typing import Callable, Iterable, Iterator
 
@@ -131,13 +134,26 @@ class SuiteReport:
 Run = tuple[object, int, Callable[[int], object], Callable[[int], str]]
 
 
+@lru_cache(maxsize=1)
+def _object_draws(max_k: int, samples: int, seed: int) -> tuple[int, ...]:
+    """The enumerate_objects(max_k) indices of samples seeded draws, in draw order.
+
+    Every suite of a process that samples objects at these bounds and seed
+    reads this one draw, kept as integers.
+    """
+    rng = random.Random(seed)
+    indices = range(len(enumerate_objects(max_k)))
+    return tuple([rng.choice(indices) for _ in range(samples)])
+
+
 def _objects(config: SweepConfig) -> Iterator[Run]:
     """The objects to check, each a run of one: every object in range, or
-    config.samples seeded draws in draw order, repeats included."""
+    config.samples seeded draws (see _object_draws) in draw order, repeats
+    included."""
     objs = enumerate_objects(config.max_k)
     if config.samples is not None:
-        rng = random.Random(config.seed)
-        objs = [rng.choice(objs) for _ in range(config.samples)]
+        draws = _object_draws(config.max_k, config.samples, config.seed)
+        objs = map(objs.__getitem__, draws)
     return map(_object_run, objs)
 
 
@@ -190,32 +206,54 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
                     yield _edge_run(phi, phi_prime, zero, stretch)
 
 
+@lru_cache(maxsize=1)
+def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[tuple, ...]:
+    """samples seeded edge draws, in draw order, as three tuples of integers: the
+    source's index in enumerate_objects(max_k), the target's in
+    enumerate_objects(max_k_prime), and the edge's index among their edges
+    in map order.
+
+    A draw picks a source and a target, then an index into their edges; a
+    pair with no edges is drawn again without an index.  Drawing an index
+    below n takes the same generator step as choosing from a list of n, so
+    the draws match choosing from enumerate_edges.  Every suite of a process
+    that samples edges at these bounds and seed reads this one draw.
+    """
+    rng = random.Random(seed)
+    sources = enumerate_objects(max_k)
+    targets = enumerate_objects(max_k_prime)
+    source_at: list[int] = []
+    target_at: list[int] = []
+    index_at: list[int] = []
+    while len(index_at) < samples:
+        source = rng.randrange(len(sources))
+        target = rng.randrange(len(targets))
+        zeros, ones = fiber_parts(sources[source], targets[target])
+        if zeros and ones:
+            source_at.append(source)
+            target_at.append(target)
+            index_at.append(rng.randrange(len(zeros) * len(ones)))
+    return tuple(source_at), tuple(target_at), tuple(index_at)
+
+
 def _edges(config: SweepConfig) -> Iterator[Run]:
     """The edges to check, as runs.
 
-    Exhaustive: every edge in range (see _edge_runs).  Sampled:
-    config.samples seeded draws, each a run of one, in draw order, repeats
-    included.  A draw picks a source and a target object, then an index
-    into their edges in map order; a pair with no edges is drawn again
-    without an index.  Drawing an index below n takes the same generator
-    step as choosing from a list of n, so the draws match choosing from
-    enumerate_edges.
+    Exhaustive: every edge in range (see _edge_runs).  Sampled: the draws of
+    _edge_draws, each a run of one built as it is reached, in draw order,
+    repeats included.
     """
     if config.samples is None:
         yield from _edge_runs(config)
         return
-    rng = random.Random(config.seed)
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
-    drawn = 0
-    while drawn < config.samples:
-        phi = sources[rng.randrange(len(sources))]
-        phi_prime = targets[rng.randrange(len(targets))]
+    draws = _edge_draws(config.max_k, config.max_k_prime, config.samples, config.seed)
+    for source, target, index in zip(*draws):
+        phi, phi_prime = sources[source], targets[target]
         zeros, ones = fiber_parts(phi, phi_prime)
-        if zeros and ones:
-            zero, one = divmod(rng.randrange(len(zeros) * len(ones)), len(ones))
-            drawn += 1
-            yield _edge_run(phi, phi_prime, zeros[zero], ones[one : one + 1])
+        zero, one = divmod(index, len(ones))
+        yield _edge_run(phi, phi_prime, zeros[zero], ones[one : one + 1])
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -511,23 +549,21 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _run_records(run: Run, check: Callable, verdicts: dict | None) -> list:
+def _run_records(run: Run, check: Callable, verdicts: dict | None, kept: tuple | None) -> list:
     """The records of a run, each with the number of instances it counts, in order.
 
     verdicts keeps passing and warning verdicts by signature (None: check
-    every instance).  A run whose signature passed is counted unbuilt.
-    Else its instances are built and checked in order until one passes,
-    which counts the rest, or warns: a warning names nothing else of its
-    instance, so each later one is listed, unbuilt, under its own key.  Each
-    instance of a failing signature is checked and listed with its own
-    witnesses.
+    every instance), and kept is the verdict it holds for the run's
+    signature, which did not pass (_sweep counts a run whose signature
+    passed).  The instances are built and checked in order until one
+    passes, which counts the rest, or warns: a warning names nothing else
+    of its instance, so each later one is listed, unbuilt, under its own
+    key.  Each instance of a failing signature is checked and listed with
+    its own witnesses.
     """
     signature, count, instance, key = run
     if verdicts is None:
         return [(check(instance(n)), 1) for n in range(count)]
-    kept = verdicts.get(signature)
-    if kept is not None and not any(kept):
-        return [(kept, count)]
     out = []
     for n in range(count):
         if kept is not None:
@@ -550,17 +586,22 @@ def _sweep(
     """Check the runs of every source in order, exhaustive or sampled alike.
 
     By signature, a run whose signature has passed or only warned before
-    takes that verdict unchecked.  A sampled sweep always does, since its
-    draws repeat.  This is exact only if the check reads nothing beyond the
-    signature; a check that read more would be under-checked, which the
-    signature test in tests/test_sweeps.py guards.  The kept verdicts live
-    for this call only.
+    takes that verdict unchecked: a passing one is counted, every record of
+    every instance, without building the run's instances.  A sampled sweep
+    always reuses verdicts, since its draws repeat.  This is exact only if
+    the check reads nothing beyond the signature; a check that read more
+    would be under-checked, which the signature test in tests/test_sweeps.py
+    guards.  The kept verdicts live for this call only.
     """
     report = SuiteReport(name, config.bounds_dict())
     verdicts: dict | None = {} if by_signature or config.samples is not None else None
     for source in sources:
         for run in source(config):
-            for records, count in _run_records(run, check, verdicts):
+            kept = None if verdicts is None else verdicts.get(run[0])
+            if kept is not None and not any(kept):
+                report.add(None, run[1] * len(kept))
+                continue
+            for records, count in _run_records(run, check, verdicts, kept):
                 for record in records:
                     report.add(record, count)
     return report

@@ -329,6 +329,34 @@ def test_verify_takes_max_kprime_where_a_suite_checks_edges(capsys):
         assert [r["bounds"]["maxKPrime"] for r in json.loads(out)] == [2, 2]
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--max-k", "99999", "--suites", "cardinality"], "--max-k"),
+        (["--max-k", "99999", "--samples", "10", "--suites", "gluing"], "--max-k"),
+        (["--max-k", "2", "--max-kprime", "99999", "--suites", "constancy"], "--max-kprime"),
+        (["--max-k", "2", "--max-kprime", "99999", "--suites", "xi"], "--max-kprime"),
+    ],
+)
+def test_verify_counts_its_objects_before_building_them(argv, flag):
+    """Every suite builds the objects on [k <= --max-k], and a suite that
+    checks edges those on [k <= --max-kprime]: past 100,000 of them, counted
+    in closed form as (K + 1)(K + 4) / 2, verify exits 2 at once and names
+    the count, with no traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "bmquiver.cli", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert perf_counter() - start < 10
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert done.stderr == (
+        f"error: verify would build 5000150000 objects for {flag} 99999, more than 100000\n"
+    )
+
+
 def test_verify_has_no_exhaustive_flag(capsys):
     assert main(["verify", "--max-k", "1", "--exhaustive"]) == EXIT_USAGE
 

@@ -214,13 +214,13 @@ class TestNaturality:
     def test_kernel_matches_routes_it_does_not_share(self):
         """On every object with k <= 4, every edge with k, k' <= 4 and every
         two-edge chain with k <= 2, the kernel's pairs and notes are each
-        edge's edge_pairs shifted by label_offsets, its F is the union-find of
-        test_quotient on those pairs, its sizes and G are chain_signature
-        through g_classes, and the witness of each label is the G class of
-        the fiber element _gamma gives it."""
+        edge's edge_pairs shifted by label_offsets, the F that _f builds
+        from them is the union-find of test_quotient, its sizes and G are
+        chain_signature through g_classes, and the witness of each label is
+        the G class of the fiber element _gamma gives it."""
         count = 0
         for instance in enumerate_objects(4) + enumerate_all_edges(4, 4) + two_edge_chains(2):
-            objects, edges, pairs, notes, f, sizes, g, witness = compare._sides(instance)
+            sides = objects, edges, pairs, notes, sizes, g, witness = compare._sides(instance)
             offsets = label_offsets(objects)
             expected_pairs, expected_notes = [], []
             for off, edge in zip(offsets, edges):
@@ -230,6 +230,7 @@ class TestNaturality:
             assert (list(pairs), list(notes)) == (expected_pairs, expected_notes), instance
             blocks = union_find_blocks(range(offsets[-1]), expected_pairs)
             least = {code: block[0] for block in blocks for code in block}
+            f = compare._f(sides)
             assert list(f) == [least[code] for code in range(offsets[-1])], instance
             expected_sizes, maps = chain_signature(as_chain(instance))
             expected_g = g_classes(expected_sizes, maps)

@@ -444,7 +444,7 @@ class TestLabelOracle:
     def test_union_find_f_matches_fixpoint_closure(self):
         for chain in oracle_chains():
             elements, pairs = label_f_chain(chain)
-            reps = compare._sides(chain)[4]
+            reps = compare._f(compare._sides(chain))
             assert len(reps) == label_offsets(chain.objects)[-1] == len(elements)
             blocks = {}
             for label, rep in zip(elements, reps):

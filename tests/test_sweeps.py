@@ -836,6 +836,59 @@ def test_sampled_naturality_checks_each_drawn_signature_once(monkeypatch):
         assert calls == signatures < len(set(drawn)), seed
 
 
+ALL_SAMPLED = ["verify", "--suites", *SUITE_NAMES, *EXTRA_SUITE_NAMES, "--format", "json"]
+
+
+def test_shared_draws_follow_the_sampling_config(monkeypatch, capsys):
+    """The suites of one process share their draws, and a memo kept from
+    another seed or bound is never read: sampled runs at seed 1, seed 2,
+    seed 1 with --max-k 4 and seed 1 again each print, under gamma off by
+    one so that every failing draw is listed, the report computed after
+    clear_memos()."""
+    gamma_off_by_one(monkeypatch)
+    first = ["--max-k", "3", "--samples", "150", "--seed", "1"]
+    configs = [first, first[:-1] + ["2"], ["--max-k", "4"] + first[2:], first]
+    printed = []
+    for bounds in configs:
+        assert main(ALL_SAMPLED + bounds) == EXIT_FAIL
+        printed.append(capsys.readouterr().out)
+        clear_memos()
+        assert main(ALL_SAMPLED + bounds) == EXIT_FAIL
+        assert capsys.readouterr().out == printed[-1], bounds
+    assert len(set(printed)) == 3
+
+
+class CountingRandom(random.Random):
+    """A generator that counts how many are made and the draws they take."""
+
+    counts: Counter = Counter()
+
+    def __init__(self, seed) -> None:
+        self.counts["Random"] += 1
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.counts["randrange"] += 1
+        return super().randrange(*args)
+
+    def choice(self, seq):
+        self.counts["choice"] += 1
+        return super().choice(seq)
+
+
+def test_sampled_suites_draw_once_per_source_kind(monkeypatch):
+    """At the benchmark's sampled bounds (k, k' <= 5, chains of length <= 4,
+    2,500 samples, seed 1), every suite and xi together make one generator
+    per source kind (objects, edges, gluing chains), not one per suite:
+    20,038 randrange calls (randint's included) and 2,500 choice calls."""
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    monkeypatch.setattr(CountingRandom, "counts", Counter())
+    config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
+    reports = sweeps.run_suites(config, list(SUITE_NAMES + EXTRA_SUITE_NAMES))
+    assert all(report.passed for report in reports)
+    assert CountingRandom.counts == {"Random": 3, "randrange": 20038, "choice": 2500}
+
+
 def test_edge_checks_build_no_chain(monkeypatch):
     """Constancy, naturality, identification and xi at k, k' <= 2 build no
     BmChain: a check of one edge reads the kernel, or G alone,
