@@ -27,6 +27,8 @@ EXIT_USAGE = 2
 
 #: Most items that an `enumerate` listing lists.
 LISTING_MAX_ITEMS = 100_000
+#: Most edges that an exhaustive `verify` builds, and most draws of a sampled one.
+VERIFY_MAX_ITEMS = 10_000_000
 
 
 def _dump_json(payload) -> str:
@@ -231,6 +233,40 @@ def _check_count(kind: str, count: int, exact: bool = True) -> None:
         )
 
 
+def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
+    """Exit 2, naming the count, when verify would build too many objects or
+    edges, or keep too many draws."""
+    # Every suite builds the objects on [k <= max_k], and an edge suite the
+    # targets on [k <= max_k_prime]: count them before any is built.
+    edges = reads_edges(config, names)
+    bounds = [("--max-k", config.max_k)]
+    if edges:
+        bounds.append(("--max-kprime", config.max_k_prime))
+    for flag, bound in bounds:
+        objects = _object_count(bound)
+        if objects > LISTING_MAX_ITEMS:
+            raise ValidationError(
+                f"verify would build {objects} objects for {flag} {bound}, "
+                f"more than {LISTING_MAX_ITEMS}"
+            )
+    if (config.samples or 0) > VERIFY_MAX_ITEMS:
+        raise ValidationError(
+            f"verify would draw {config.samples} samples, more than {VERIFY_MAX_ITEMS}"
+        )
+    if config.samples is None and edges:
+        # An exhaustive edge suite builds every edge: sum their closed-form
+        # counts a source at a time, and stop once past the bound.
+        sources, targets = enumerate_objects(config.max_k), enumerate_objects(config.max_k_prime)
+        total = 0
+        for counted, phi in enumerate(sources, 1):
+            total += sum(count_edges(phi, target) for target in targets)
+            if total > VERIFY_MAX_ITEMS:
+                least = "" if counted == len(sources) else "at least "
+                raise ValidationError(
+                    f"verify would build {least}{total} edges, more than {VERIFY_MAX_ITEMS}"
+                )
+
+
 def _render_listing(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(payload)
@@ -325,18 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         names = args.suites or SUITE_NAMES
         if args.max_kprime is not None and not reads_edges(config, names):
             raise ValidationError(f"--max-kprime is not read: no edge in suites {' '.join(names)}")
-        # Every suite builds the objects on [k <= max_k], and an edge suite the
-        # targets on [k <= max_k_prime]: count them before any is built.
-        bounds = [("--max-k", config.max_k)]
-        if reads_edges(config, names):
-            bounds.append(("--max-kprime", config.max_k_prime))
-        for flag, bound in bounds:
-            objects = _object_count(bound)
-            if objects > LISTING_MAX_ITEMS:
-                raise ValidationError(
-                    f"verify would build {objects} objects for {flag} {bound}, "
-                    f"more than {LISTING_MAX_ITEMS}"
-                )
+        _check_verify_count(config, names)
         reports = run_suites(config, args.suites)
         sys.stdout.write(_render_verify(reports, args.format))
         return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

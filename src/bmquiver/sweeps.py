@@ -1,21 +1,20 @@
 """Verification sweeps over bounded instance ranges.
 
 Every suite enumerates its instances in a fixed order (or samples them with
-a seeded generator), runs one check per instance (per fiber signature in
-the exhaustive gluing suite, and per passing or warning signature in
-exhaustive constancy, identification, audit and xi and in sampled mode
-outside gluing) in a single process, and aggregates a report: failures
-stop nothing, they are collected with witnesses so a broken case is
-localized.
-Every suite but gluing runs from one table of instance sources and checks.
-A source gives runs: consecutive instances, in enumeration order, that
-share one signature, or one run per draw in sampled mode.  Sampled objects
-and edges are drawn once per process for given bounds and seed, kept as
-integers (indices into the enumeration), and shared by every suite that
-samples them; each run is built from its draw as it is reached.  A suite
-that reuses verdicts by signature counts a run whose signature passed in
-place, without building its instances, and lists a run whose signature
-warned under its instances' keys, unbuilt.
+a seeded generator), checks them in a single process, and aggregates a
+report: failures stop nothing, they are collected with witnesses so a
+broken case is localized.
+Every suite runs through one loop, _sweep, but for the walk over fiber
+signatures of exhaustive gluing.  A source gives runs: consecutive
+instances, in enumeration order, that share one signature, or one run per
+draw in sampled mode.  Sampled objects and edges are drawn once per process
+for given bounds and seed, kept as integers (indices into the enumeration),
+and shared by every suite that samples them; each run is built from its
+draw as it is reached.  A check gives only what failed, never a key, and
+the sweep lists it under the instance's key.  A sweep that reuses verdicts
+by signature counts a run whose signature passed in place, without
+building its instances, and lists a run whose signature warned under its
+instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -40,7 +39,6 @@ from .bm import (
     fiber_parts,
 )
 from .compare import (
-    VerificationReport,
     verify_constancy,
     verify_decomposition,
     verify_edge_identification,
@@ -82,8 +80,9 @@ class SweepConfig:
         return out
 
 
-#: The outcome of one checked instance: None for a pass, else
-#: (key, "fail" or "warn", witnesses).
+#: What a check gives for one instance: None for a pass, else (suffix, "fail"
+#: or "warn", witnesses).  The sweep lists it under the instance's key followed
+#: by suffix, which is "" but in xi, where it names a target size ("@m").
 Record = tuple[str, str, list[str]] | None
 
 
@@ -103,7 +102,7 @@ class SuiteReport:
         return self.failed == 0
 
     def add(self, record: Record, count: int = 1) -> None:
-        """count checked instances with one record; one that did not pass is listed once."""
+        """count checked instances with one full-keyed record, listed once if not a pass."""
         self.total += count
         if record is None:
             return
@@ -128,9 +127,10 @@ class SuiteReport:
 
 
 #: A run: consecutive instances of a source, in enumeration order, that share
-#: one signature, as (signature, count, instance, key): instance(n) builds the
-#: n-th instance of the run and key(n) gives its encoding without building it,
-#: so a run that is only counted, or only listed, is never built.
+#: one signature, as (signature, count, instance, key): instance(n) builds what
+#: the check reads of the n-th instance of the run (a drawn chain gives its fiber
+#: signature) and key(n) gives its encoding without building it, so a run that
+#: is only counted, or only listed, is never built.
 Run = tuple[object, int, Callable[[int], object], Callable[[int], str]]
 
 
@@ -266,9 +266,9 @@ def _vertex_chain_failures(phi: BmObject) -> list[str]:
 _PASS: tuple[Record, ...] = (None,)
 
 
-def _records(instance: BmObject | BmEdge, result: VerificationReport) -> tuple[Record, ...]:
-    """The records of one verified instance: its one record, None when it passed."""
-    return _PASS if result.passed else ((instance.encode(), "fail", list(result.failures)),)
+def _failed(witnesses: list[str], status: str = "fail") -> tuple[Record, ...]:
+    """The one record of an instance with these witnesses, None when it has none."""
+    return (("", status, witnesses),) if witnesses else _PASS
 
 
 def _cardinality(phi: BmObject) -> tuple[Record, ...]:
@@ -276,13 +276,12 @@ def _cardinality(phi: BmObject) -> tuple[Record, ...]:
     expected_f = max(0, 2 * phi.ell + phi.beta)
     got_f = len(f_object(phi))
     witnesses = [] if got_f == expected_f else [f"|F| = {got_f}, expected {expected_f}"]
-    witnesses += _vertex_chain_failures(phi)
-    return ((phi.encode(), "fail", witnesses),) if witnesses else _PASS
+    return _failed(witnesses + _vertex_chain_failures(phi))
 
 
 def _decomposition(phi: BmObject) -> tuple[Record, ...]:
     """Segment-decomposition compatibility; objects on [0] have no segments and no record."""
-    return _records(phi, verify_decomposition(phi)) if phi.top else ()
+    return _failed(list(verify_decomposition(phi).failures)) if phi.top else ()
 
 
 #: The errors that fail one instance with the error as its witness: pairing
@@ -298,24 +297,24 @@ def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
         try:
             return check(edge)
         except _INSTANCE_ERRORS as exc:
-            return ((edge.encode(), "fail", [str(exc)]),)
+            return _failed([str(exc)])
 
     return checked
 
 
 @_on_edge
 def _constancy(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(edge, verify_constancy(edge))
+    return _failed(list(verify_constancy(edge).failures))
 
 
 @_on_edge
 def _naturality(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(edge, verify_naturality(edge))
+    return _failed(list(verify_naturality(edge).failures))
 
 
 @_on_edge
 def _identification(edge: BmEdge) -> tuple[Record, ...]:
-    return _records(edge, verify_edge_identification(edge))
+    return _failed(list(verify_edge_identification(edge).failures))
 
 
 @_on_edge
@@ -328,23 +327,21 @@ def _audit(edge: BmEdge) -> tuple[Record, ...]:
         f"(effective {audit.effective_count}, midImageTight={audit.mid_image_tight})"
     )
     # The closed formula is only binding without a crossing on the target.
-    status = "fail" if edge.phi_prime.beta == 0 else "warn"
-    return ((edge.encode(), status, [message]),)
+    return _failed([message], "fail" if edge.phi_prime.beta == 0 else "warn")
 
 
-def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> list[Record]:
+def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> tuple[Record, ...]:
     """On the chain of one object or edge, unbuilt, one check gives the record
-    of every target size, keyed <chain>@<m> as `bmquiver eval xi` replays
-    it.  One of _INSTANCE_ERRORS fails the instance with the error.
+    of every target size m, suffixed @m as `bmquiver eval xi` replays it.
+    One of _INSTANCE_ERRORS fails the instance with the error.
     """
     try:
         failures = list(xi_restriction_commutes(instance).failures)
     except _INSTANCE_ERRORS as exc:
         failures = [str(exc)]
     if not failures:
-        return [None] * (max_target_size + 1)
-    key = instance.encode()
-    return [(f"{key}@{m}", "fail", failures) for m in range(max_target_size + 1)]
+        return (None,) * (max_target_size + 1)
+    return tuple((f"@{m}", "fail", failures) for m in range(max_target_size + 1))
 
 
 def _xi_edges(config: SweepConfig) -> Iterable[Run]:
@@ -409,14 +406,18 @@ def _representative(signature: FiberSignature) -> BmChain:
     return BmChain.from_edges(edges)
 
 
-def _check_vertex(report: SuiteReport, base: BmObject) -> None:
-    """A chain of length 0: its components are in bijection with the base fiber."""
-    witnesses = _vertex_chain_failures(base)
-    report.add((base.encode(), "fail", witnesses) if witnesses else None)
+def _chain_run(signature: FiberSignature, steps: list[tuple]) -> Run:
+    """The run of one drawn chain of length >= 1, whose signature and instance
+    are its fiber signature; its edges (edge_at arguments) are built for its key only."""
+
+    def key(n: int) -> str:
+        return BmChain.from_edges([edge_at(*step) for step in steps]).encode()
+
+    return signature, 1, lambda n: signature, key
 
 
-def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
-    """config.samples seeded chains, each checked as drawn.
+def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
+    """config.samples seeded chains, each a run of one, in draw order.
 
     A draw picks a length and a base object, then each next edge by its
     index among the edges leaving the current object: targets in
@@ -425,7 +426,8 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
     the same generator step as choosing from a list of n, so the chains are
     those of choosing from that list.  Cumulative edge counts give an
     index's target, and its 0-part in fiber_parts its fiber map, as in
-    edge_at; only a failing chain's edges are built, for its key.
+    edge_at.  A chain of length 0 is the run of its object; a longer one is
+    given by its fiber signature (see _chain_run).
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
@@ -435,11 +437,10 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
         length = rng.randint(0, config.max_chain_len)
         current = rng.randrange(len(objs))
         if not length:
-            _check_vertex(report, objs[current])
+            yield _object_run(objs[current])
             continue
         sizes = [objs[current].ell + 1]
-        maps = []
-        steps = []
+        maps, steps = [], []
         for _ in range(length):
             # The identity edge is always there, so ends[current][-1] >= 1.
             index = rng.randrange(ends[current][-1])
@@ -449,18 +450,24 @@ def _sampled_gluing(report: SuiteReport, config: SweepConfig) -> None:
             zeros, ones = fiber_parts(objs[current], objs[target])
             maps.append(zeros[index // len(ones)])
             sizes.append(objs[target].ell + 1)
-            steps.append((current, target, index))
+            steps.append((objs[current], objs[target], index))
             current = target
-        if gluing_agreement((tuple(sizes), tuple(maps))):
-            report.add(None)
-        else:
-            edges = [edge_at(objs[s], objs[t], index) for s, t, index in steps]
-            message = f"gluing disagrees with direct components (fiber sizes {tuple(sizes)})"
-            report.add((BmChain.from_edges(edges).encode(), "fail", [message]))
+        yield _chain_run((tuple(sizes), tuple(maps)), steps)
+
+
+def _gluing(instance: BmObject | FiberSignature) -> tuple[Record, ...]:
+    """On a chain of length 0, given by its object, the base-fiber bijection;
+    on a longer one, given by its fiber signature, gluing against direct
+    components."""
+    if isinstance(instance, BmObject):
+        return _failed(_vertex_chain_failures(instance))
+    if gluing_agreement(instance):
+        return _PASS
+    return _failed([f"gluing disagrees with direct components (fiber sizes {instance[0]})"])
 
 
 def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
-    """Depth-first over 0-fiber size sequences, z ascending, then every fiber-map sequence.
+    """Chains of length >= 1, depth-first over 0-fiber sizes, z ascending, then fiber maps.
 
     Chain weights depend on the sizes alone, so each size prefix takes one
     step.  Each signature of the sizes (a product of per-edge fiber maps) is
@@ -470,9 +477,6 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
-
-    for base in enumerate_objects(config.max_k):
-        _check_vertex(report, base)
     if not config.max_chain_len:
         return
     # Size prefixes with their weights, the next to visit on top.
@@ -480,7 +484,7 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     while stack:
         sizes, weights = stack.pop()
         chains = sum(weights)
-        # A base prefix is a chain of length 0, checked above.
+        # A base prefix is a chain of length 0, checked before the walk.
         signatures = product(*(fiber_maps[b][a] for a, b in zip(sizes, sizes[1:])))
         for maps in signatures if len(sizes) > 1 else ():
             if gluing_agreement((sizes, maps)):
@@ -510,13 +514,13 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     checks each fiber signature once, in ascending order, adds the number of
     concrete chains that share it, a closed form, to the counts, and lists a
     failing signature as one instance keyed by a concrete chain that has it.
-    Sampled mode checks each drawn chain.
+    Sampled mode checks drawn chains (see _drawn_chains) as every sampled
+    sweep checks its draws (see run_suite).
     """
-    report = SuiteReport("gluing", config.bounds_dict())
-    if config.samples is None:
-        _exhaustive_gluing(report, config)
-    else:
-        _sampled_gluing(report, config)
+    if config.samples is not None:
+        return _sweep(config, "gluing", (_drawn_chains,), _gluing, True)
+    report = _sweep(config, "gluing", (_objects,), _gluing, False)
+    _exhaustive_gluing(report, config)
     return report
 
 
@@ -549,61 +553,40 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _run_records(run: Run, check: Callable, verdicts: dict | None, kept: tuple | None) -> list:
-    """The records of a run, each with the number of instances it counts, in order.
-
-    verdicts keeps passing and warning verdicts by signature (None: check
-    every instance), and kept is the verdict it holds for the run's
-    signature, which did not pass (_sweep counts a run whose signature
-    passed).  The instances are built and checked in order until one
-    passes, which counts the rest, or warns: a warning names nothing else
-    of its instance, so each later one is listed, unbuilt, under its own
-    key.  Each instance of a failing signature is checked and listed with
-    its own witnesses.
-    """
-    signature, count, instance, key = run
-    if verdicts is None:
-        return [(check(instance(n)), 1) for n in range(count)]
-    out = []
-    for n in range(count):
-        if kept is not None:
-            name = key(n)
-            out.append((tuple(None if r is None else (name, r[1], r[2]) for r in kept), 1))
-            continue
-        records = check(instance(n))
-        if all(r is None or r[1] == "warn" for r in records):
-            kept = verdicts[signature] = records
-            if not any(records):
-                out.append((records, count - n))
-                break
-        out.append((records, 1))
-    return out
-
-
 def _sweep(
     config: SweepConfig, name: str, sources: tuple, check: Callable, by_signature: bool
 ) -> SuiteReport:
-    """Check the runs of every source in order, exhaustive or sampled alike.
+    """Check the runs of every source in order, exhaustive or sampled alike,
+    and list each record of the n-th instance of a run under key(n) followed
+    by the record's suffix.
 
-    By signature, a run whose signature has passed or only warned before
-    takes that verdict unchecked: a passing one is counted, every record of
-    every instance, without building the run's instances.  A sampled sweep
-    always reuses verdicts, since its draws repeat.  This is exact only if
-    the check reads nothing beyond the signature; a check that read more
-    would be under-checked, which the signature test in tests/test_sweeps.py
-    guards.  The kept verdicts live for this call only.
+    By signature, the instances of a run are built and checked in order
+    until one passes, which counts the rest, or warns, whose records the
+    rest take unbuilt; each instance of a failing signature is checked and
+    listed with its own witnesses.  A run whose signature has passed or only
+    warned before takes that verdict unchecked: a passing one is counted,
+    every record of every instance, without building the run's instances.
+    A sampled sweep always reuses verdicts, since its draws repeat.  This is
+    exact only if the check reads nothing beyond the signature; a check that
+    read more would be under-checked, which the signature test in
+    tests/test_sweeps.py guards.  The kept verdicts live for this call only.
     """
     report = SuiteReport(name, config.bounds_dict())
     verdicts: dict | None = {} if by_signature or config.samples is not None else None
     for source in sources:
-        for run in source(config):
-            kept = None if verdicts is None else verdicts.get(run[0])
-            if kept is not None and not any(kept):
-                report.add(None, run[1] * len(kept))
-                continue
-            for records, count in _run_records(run, check, verdicts, kept):
+        for signature, count, instance, key in source(config):
+            kept = None if verdicts is None else verdicts.get(signature)
+            for n in range(count):
+                records = kept
+                if records is None:
+                    records = check(instance(n))
+                    if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
+                        kept = verdicts[signature] = records
+                if kept is not None and not any(kept):
+                    report.add(None, (count - n) * len(kept))
+                    break
                 for record in records:
-                    report.add(record, count)
+                    report.add(record and (key(n) + record[0], record[1], record[2]))
     return report
 
 
@@ -616,16 +599,17 @@ def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES.
 
-    Edges come in runs that share a signature (see _edge_runs and
-    _run_records): exhaustive constancy, identification, audit and xi check
-    each signature once and count a later run whose signature passed
-    without building its edges, while exhaustive naturality builds and
-    checks every edge.  Sampled mode checks a drawn signature (an object is
-    its own) once if it passes or warns, and at every draw if it fails; it
-    lists each failing or warning draw in draw order, and the total counts
-    every draw.  An instance on which the pairing rules build an invalid
-    label, gamma is not well-defined, or G rejects the fiber maps fails with
-    the error as its witness instead of stopping the sweep.
+    Edges come in runs that share a signature (see _edge_runs and _sweep):
+    exhaustive constancy, identification, audit and xi check each signature
+    once and count a later run whose signature passed without building its
+    edges, while exhaustive naturality builds and checks every edge.
+    Sampled mode checks a drawn signature (an object is its own, a chain of
+    length >= 1 has its fiber signature) once if it passes or warns, and at
+    every draw if it fails; it lists each failing or warning draw in draw
+    order, and the total counts every draw.  An instance on which the
+    pairing rules build an invalid label, gamma is not well-defined, or G
+    rejects the fiber maps fails with the error as its witness instead of
+    stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)

@@ -357,6 +357,39 @@ def test_verify_counts_its_objects_before_building_them(argv, flag):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (
+            ["--max-k", "40", "--suites", "constancy"],
+            EXIT_USAGE,
+            "error: verify would build at least 19762820 edges, more than 10000000\n",
+        ),
+        (
+            ["--max-k", "1", "--samples", "10000001"],
+            EXIT_USAGE,
+            "error: verify would draw 10000001 samples, more than 10000000\n",
+        ),
+        (["--max-k", "5", "--max-kprime", "5", "--suites", "constancy"], EXIT_PASS, ""),
+    ],
+)
+def test_verify_counts_its_edges_and_draws_before_building_them(argv, code, err):
+    """An exhaustive edge suite sums the closed-form edge counts a source at a
+    time and exits 2 once past 10,000,000, naming the count ("at least" when
+    it stopped early); more than 10,000,000 samples exit 2 too.  Neither
+    leaves a traceback, and k, k' <= 5 still passes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "bmquiver.cli", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert perf_counter() - start < 10
+    assert (done.returncode, done.stderr) == (code, err)
+    assert (done.stdout == "") == (code == EXIT_USAGE)
+
+
 def test_verify_has_no_exhaustive_flag(capsys):
     assert main(["verify", "--max-k", "1", "--exhaustive"]) == EXIT_USAGE
 
