@@ -95,12 +95,15 @@ class BmEdge:
                 f"map target [{self.map.target_top}] does not match "
                 f"source object on [{self.phi.top}]"
             )
-        for i, v in enumerate(self.map.images):
-            if self.phi.values[v] != self.phi_prime.values[i]:
-                raise ValidationError(
-                    f"map {self.map.encode()} does not lie over [1] "
-                    f"for {self.phi} -> {self.phi_prime}"
-                )
+        # Both objects and the map are monotone: only the last 0 and first 1 of phi' can fail.
+        ell, last, images = self.phi.ell, self.phi_prime.ell, self.map.images
+        if (last >= 0 and images[last] > ell) or (
+            last < self.phi_prime.top and images[last + 1] <= ell
+        ):
+            raise ValidationError(
+                f"map {self.map.encode()} does not lie over [1] "
+                f"for {self.phi} -> {self.phi_prime}"
+            )
 
     def fiber_map(self) -> tuple[int, ...]:
         """The restriction of the map to fibers over 0, as a value tuple."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from operator import mul
 from typing import Sequence
 
@@ -254,14 +255,17 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
             f"verify would draw {config.samples} samples, more than {VERIFY_MAX_ITEMS}"
         )
     if config.samples is None and edges:
-        # An exhaustive edge suite builds every edge: sum their closed-form
-        # counts a source at a time, and stop once past the bound.
-        sources, targets = enumerate_objects(config.max_k), enumerate_objects(config.max_k_prime)
-        total = 0
-        for counted, phi in enumerate(sources, 1):
-            total += sum(count_edges(phi, target) for target in targets)
+        # An exhaustive edge suite builds every edge.  A source on [k] has C(K' + k + 2,
+        # K' + 1) - 1 edges into the targets on [k' <= K'] (Vandermonde, then the hockey
+        # stick): sum them a source at a time in enumeration order, none built.
+        top, total = config.max_k_prime + 1, 0
+        per_source = (
+            comb(top + k + 1, top) - 1 for k in range(config.max_k + 1) for _ in range(k + 2)
+        )
+        for counted, count in enumerate(per_source, 1):
+            total += count
             if total > VERIFY_MAX_ITEMS:
-                least = "" if counted == len(sources) else "at least "
+                least = "" if counted == _object_count(config.max_k) else "at least "
                 raise ValidationError(
                     f"verify would build {least}{total} edges, more than {VERIFY_MAX_ITEMS}"
                 )

@@ -18,11 +18,12 @@ the witness of a failure.  The witnesses read gamma from one row per
 take an object, an edge or a chain as it is, and _sides reads its pairs,
 G and witnesses from the one kernel _kernel, on its objects' values and
 its edges' fiber maps; an edge is read alone or as a segment of a longer
-chain.  A check tests the pairs first and builds F (_f) only to name a
-failing class or to run segment squares; f_chain and gamma_chain build it
-themselves.  Identification reads G alone, so no edge check builds a chain.
-Edges that share the kernel's key come one after another, so it keeps one
-entry.
+chain.  Each entry carries two verdicts: both labels of every pair have
+one witness, and G fixes every witness.  A passing check reads only these,
+and builds F (_f) only to name a failing class or to run segment squares;
+f_chain and gamma_chain build it themselves.  Identification reads G
+alone, so no edge check builds a chain.  Edges that share the kernel's key
+come one after another, so it keeps one entry.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
-    """Pairs and notes, fiber sizes, G and witnesses of the chain on these
-    objects' values and its edges' fiber maps.
+    """Pairs and notes, fiber sizes, G, witnesses and two verdicts of the
+    chain on these objects' values and its edges' fiber maps.
 
     G comes first, so a map that does not fit its fibers fails with G's
     ValidationError before any rule indexes it.  Each edge's pairing rules
@@ -81,7 +82,8 @@ def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ..
     shift by the label counts of the earlier positions; there is one witness
     per label.  F is not computed here (see _f): it is the quotient by the
     equivalence the pairs generate, so gamma is well-defined on F exactly
-    when each pair's two witnesses agree.  Edges are enumerated with their
+    when each pair's two witnesses agree (the first verdict; the second is
+    that G fixes every witness).  Edges are enumerated with their
     1-part innermost, so those that share these values follow one another:
     one entry serves them all.  Its lists are shared, and no caller changes
     them.
@@ -102,12 +104,13 @@ def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ..
         more, more_notes = quiverf._rule_pairs(values[t], values[t + 1], maps[t])
         pairs += [(a + label_off, b + label_off) for a, b in more]
         notes += more_notes
-    return pairs, notes, sizes, g, witness
+    agrees = all(witness[a] == witness[b] for a, b in pairs)
+    return pairs, notes, sizes, g, witness, agrees, [g[w] for w in witness] == witness
 
 
 def _sides(instance: Chain) -> tuple:
-    """Objects, edges, pairs and notes, fiber sizes, G classes and witnesses
-    of an instance, from _kernel; nothing is built.
+    """Objects, edges, pairs and notes, fiber sizes, G classes, witnesses and
+    the two verdicts of an instance, from _kernel; nothing is built.
 
     Where a rule cannot build a label, the error names the first edge on
     which edge_pairs raises.
@@ -130,13 +133,8 @@ def _sides(instance: Chain) -> tuple:
 
 def _f(sides: tuple) -> list[int]:
     """F of an instance from its _sides: the least label number of each label's class."""
-    _, _, pairs, _, _, _, witness = sides
+    pairs, witness = sides[2], sides[6]
     return least_representatives(len(witness), pairs)
-
-
-def _agrees(pairs: list, witness: list) -> bool:
-    """Whether both labels of every pair have one witness, so gamma is constant on F."""
-    return all(witness[a] == witness[b] for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -156,10 +154,10 @@ class GammaComponent:
 def _check_well_defined(chain: Chain) -> tuple:
     """_sides of an instance; raise unless each of its F classes has one image.
 
-    The pairs are tested first; F is built only to name the failing class.
+    The kernel's first verdict is read; F is built only to name the failing class.
     """
-    sides = objects, _, pairs, _, sizes, _, witness = _sides(chain)
-    if _agrees(pairs, witness):
+    sides = objects, _, _, _, sizes, _, witness, agrees, _ = _sides(chain)
+    if agrees:
         return sides
     for block in classes(_f(sides)).values():
         images = {witness[code] for code in block}
@@ -180,7 +178,7 @@ def f_chain(chain: BmChain) -> QuotientSet:
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    sides = objects, _, _, _, sizes, g, witness = _check_well_defined(chain)
+    sides = objects, _, _, _, sizes, g, witness, _, _ = _check_well_defined(chain)
     f = _f(sides)
     labels, vertices = chain_labels(objects), fiber_vertices(sizes)
     return GammaComponent(
@@ -207,18 +205,18 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     This is the well-definedness of the comparison on the edge.  A failure
     names the pair with the chain of identities its pairing rule follows.
     """
-    _, _, pairs, notes, sizes, _, witness = _sides(edge)
-    broken = [n for n, (a, b) in enumerate(pairs) if witness[a] != witness[b]]
-    failures = []
-    if broken:
-        labels, vertices = chain_labels((edge.phi, edge.phi_prime)), fiber_vertices(sizes)
-        for n in broken:
-            a, b = pairs[n]
-            failures.append(
-                f"pair ({labels[a]}, {labels[b]}) [{render_note(notes[n])}] has images "
-                f"{vertices[witness[a]]} != {vertices[witness[b]]}"
-            )
-    return VerificationReport(tuple(failures))
+    _, _, pairs, notes, sizes, _, witness, agrees, _ = _sides(edge)
+    if agrees:
+        return VerificationReport()
+    labels, vertices = chain_labels((edge.phi, edge.phi_prime)), fiber_vertices(sizes)
+    return VerificationReport(
+        tuple(
+            f"pair ({labels[a]}, {labels[b]}) [{render_note(note)}] has images "
+            f"{vertices[witness[a]]} != {vertices[witness[b]]}"
+            for (a, b), note in zip(pairs, notes)
+            if witness[a] != witness[b]
+        )
+    )
 
 
 def verify_naturality(chain: Chain) -> VerificationReport:
@@ -231,13 +229,12 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     position s - 1 to s, read as an edge and not built as a chain.  An
     object or an edge stands for its chain of length 0 or 1.
     """
-    sides = objects, edges, pairs, _, sizes, g, witness = _sides(chain)
+    sides = objects, edges, _, _, sizes, g, witness, agrees, fixed = _sides(chain)
     # On one edge a class's segment square fails only where G moves witness[rep],
     # so the squares hold when G fixes every witness; the segment only names a failure.
-    segments = () if len(edges) == 1 and all(g[w] == w for w in witness) else edges
+    segments = () if len(edges) == 1 and fixed else edges
     # The vertex comparison on label L, through the fiber map, is witness[L]; so
     # the vertex squares hold exactly when both labels of every pair agree.
-    agrees = _agrees(pairs, witness)
     if agrees and not segments:
         return VerificationReport()
     f = _f(sides)
@@ -255,7 +252,7 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     label_offs = label_offsets(objects)
     fiber_off = 0
     for s, edge in enumerate(segments, start=1):
-        seg_sides = seg_objects, _, _, _, _, _, seg_witness = _sides(edge)
+        seg_sides = seg_objects, _, _, _, _, _, seg_witness, _, _ = _sides(edge)
         label_off = label_offs[s - 1]
         for rep, block in classes(_f(seg_sides)).items():
             via_chain = {witness[f[code + label_off]] for code in block}

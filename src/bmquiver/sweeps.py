@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, groupby, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bm import (
     BmChain,
@@ -266,9 +266,9 @@ def _vertex_chain_failures(phi: BmObject) -> list[str]:
 _PASS: tuple[Record, ...] = (None,)
 
 
-def _failed(witnesses: list[str], status: str = "fail") -> tuple[Record, ...]:
+def _failed(witnesses: Sequence[str], status: str = "fail") -> tuple[Record, ...]:
     """The one record of an instance with these witnesses, None when it has none."""
-    return (("", status, witnesses),) if witnesses else _PASS
+    return (("", status, list(witnesses)),) if witnesses else _PASS
 
 
 def _cardinality(phi: BmObject) -> tuple[Record, ...]:
@@ -281,7 +281,7 @@ def _cardinality(phi: BmObject) -> tuple[Record, ...]:
 
 def _decomposition(phi: BmObject) -> tuple[Record, ...]:
     """Segment-decomposition compatibility; objects on [0] have no segments and no record."""
-    return _failed(list(verify_decomposition(phi).failures)) if phi.top else ()
+    return _failed(verify_decomposition(phi).failures) if phi.top else ()
 
 
 #: The errors that fail one instance with the error as its witness: pairing
@@ -304,17 +304,17 @@ def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
 
 @_on_edge
 def _constancy(edge: BmEdge) -> tuple[Record, ...]:
-    return _failed(list(verify_constancy(edge).failures))
+    return _failed(verify_constancy(edge).failures)
 
 
 @_on_edge
 def _naturality(edge: BmEdge) -> tuple[Record, ...]:
-    return _failed(list(verify_naturality(edge).failures))
+    return _failed(verify_naturality(edge).failures)
 
 
 @_on_edge
 def _identification(edge: BmEdge) -> tuple[Record, ...]:
-    return _failed(list(verify_edge_identification(edge).failures))
+    return _failed(verify_edge_identification(edge).failures)
 
 
 @_on_edge
@@ -336,12 +336,12 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> tuple[Record, 
     One of _INSTANCE_ERRORS fails the instance with the error.
     """
     try:
-        failures = list(xi_restriction_commutes(instance).failures)
+        failures = xi_restriction_commutes(instance).failures
     except _INSTANCE_ERRORS as exc:
-        failures = [str(exc)]
+        failures = (str(exc),)
     if not failures:
         return (None,) * (max_target_size + 1)
-    return tuple((f"@{m}", "fail", failures) for m in range(max_target_size + 1))
+    return tuple((f"@{m}", "fail", list(failures)) for m in range(max_target_size + 1))
 
 
 def _xi_edges(config: SweepConfig) -> Iterable[Run]:
@@ -471,8 +471,9 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
 
     Chain weights depend on the sizes alone, so each size prefix takes one
     step.  Each signature of the sizes (a product of per-edge fiber maps) is
-    checked once for all their chains; failures list in (sizes, maps) order.
-    The walk keeps its own stack, so no chain length meets the recursion limit.
+    checked once for all their chains, and the passes of the sizes are added
+    at once; failures list in (sizes, maps) order.  The walk keeps its own
+    stack, so no chain length meets the recursion limit.
     """
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
@@ -483,12 +484,12 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     stack = [((z,), counts.base(z)) for z in reversed(range(width))]
     while stack:
         sizes, weights = stack.pop()
-        chains = sum(weights)
+        chains, passed = sum(weights), 0
         # A base prefix is a chain of length 0, checked before the walk.
         signatures = product(*(fiber_maps[b][a] for a, b in zip(sizes, sizes[1:])))
         for maps in signatures if len(sizes) > 1 else ():
             if gluing_agreement((sizes, maps)):
-                report.add(None, chains)
+                passed += 1
             else:
                 message = (
                     "gluing disagrees with direct components (fiber sizes "
@@ -496,6 +497,7 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
                 )
                 key = _representative((sizes, maps)).encode()
                 report.add((key, "fail", [message]), chains)
+        report.add(None, passed * chains)
         if len(sizes) <= config.max_chain_len:
             # A nonempty 0-fiber has no map into an empty one.
             for z in reversed(range(width if sizes[-1] else 1)):
@@ -558,7 +560,7 @@ def _sweep(
 ) -> SuiteReport:
     """Check the runs of every source in order, exhaustive or sampled alike,
     and list each record of the n-th instance of a run under key(n) followed
-    by the record's suffix.
+    by the record's suffix; passing records are tallied and added once.
 
     By signature, the instances of a run are built and checked in order
     until one passes, which counts the rest, or warns, whose records the
@@ -571,7 +573,7 @@ def _sweep(
     read more would be under-checked, which the signature test in
     tests/test_sweeps.py guards.  The kept verdicts live for this call only.
     """
-    report = SuiteReport(name, config.bounds_dict())
+    report, passed = SuiteReport(name, config.bounds_dict()), 0
     verdicts: dict | None = {} if by_signature or config.samples is not None else None
     for source in sources:
         for signature, count, instance, key in source(config):
@@ -583,10 +585,12 @@ def _sweep(
                     if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
                         kept = verdicts[signature] = records
                 if kept is not None and not any(kept):
-                    report.add(None, (count - n) * len(kept))
+                    passed += (count - n) * len(kept)
                     break
-                for record in records:
-                    report.add(record and (key(n) + record[0], record[1], record[2]))
+                passed += records.count(None)
+                for record in filter(None, records):
+                    report.add((key(n) + record[0], record[1], record[2]))
+    report.add(None, passed)
     return report
 
 

@@ -166,20 +166,22 @@ def gluing_agreement(signature: FiberSignature) -> bool:
     (the vertices over one base point).  The check walks the signature edge
     by edge through interned frontier states: each edge's pi0 comes from the
     cached _edge_components, and each (state, fiber map) move is computed
-    once.  A signature whose maps do not compose fails.
+    once and then read.  A signature whose maps do not compose fails.
     """
     sizes, maps = signature
     if not maps or len(sizes) != len(maps) + 1:
         return False
-    state = _base(sizes[0])
-    for size0, size1, fmap in zip(sizes, sizes[1:], maps):
+    size0 = sizes[0]
+    state = _base(size0)
+    for size1, fmap in zip(sizes[1:], maps):
         edge = _edge_components(size0, size1, fmap)
         if edge is None:
             return False
-        after = state.moves.get(fmap)
-        if after is None:
-            after = state.moves[fmap] = _step(state, fmap, edge)
-        state = after
+        try:
+            state = state.moves[fmap]
+        except KeyError:
+            state = state.moves.setdefault(fmap, _step(state, fmap, edge))
+        size0 = size1
     return state.agrees
 
 

@@ -146,6 +146,31 @@ def test_edge_must_lie_over_one():
         BmEdge(OBJ("01"), OBJ("0"), DeltaMap(1, 1, (0, 1)))
 
 
+def test_edge_lies_over_one_exactly_where_every_position_does():
+    """For every object pair with k, k' <= 4 and every monotone map
+    [k'] -> [k], BmEdge accepts exactly the maps with phi(map(i)) = phi'(i)
+    at every position i, and rejects the rest with one message naming the
+    map and the objects."""
+    objs = enumerate_objects(4)
+    accepted = rejected = 0
+    for phi in objs:
+        for phi_prime in objs:
+            for images in combinations_with_replacement(range(phi.top + 1), phi_prime.top + 1):
+                delta = DeltaMap(phi_prime.top, phi.top, images)
+                if all(phi.values[v] == phi_prime.values[i] for i, v in enumerate(images)):
+                    BmEdge(phi, phi_prime, delta)
+                    accepted += 1
+                    continue
+                with pytest.raises(ValidationError) as raised:
+                    BmEdge(phi, phi_prime, delta)
+                assert str(raised.value) == (
+                    f"map {delta.encode()} does not lie over [1] for {phi} -> {phi_prime}"
+                )
+                rejected += 1
+    assert accepted == len(enumerate_all_edges(4, 4)) == 2421
+    assert accepted + rejected == 12321
+
+
 @given(bm_edges())
 def test_edge_invariants(edge):
     # zeros map to zeros, monotonically, and a target crossing forces a source crossing

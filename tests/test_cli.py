@@ -7,13 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bmquiver import cli
+from bmquiver.bm import count_edges, enumerate_objects
 from bmquiver.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from bmquiver.errors import ValidationError
 from bmquiver.sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, xi_suite
 from test_sweeps import concrete_chains
 
@@ -388,6 +392,46 @@ def test_verify_counts_its_edges_and_draws_before_building_them(argv, code, err)
     assert perf_counter() - start < 10
     assert (done.returncode, done.stderr) == (code, err)
     assert (done.stdout == "") == (code == EXIT_USAGE)
+
+
+def test_verify_counts_edges_without_building_an_object(monkeypatch, capsys):
+    """The edge bound of verify reads no object: with enumerate_objects made
+    to raise, --max-k 444 exits 2 with the count summed a source at a time,
+    "at least" because it stopped early."""
+
+    def unbuilt(max_k):
+        raise AssertionError(f"enumerate_objects({max_k}) called")
+
+    monkeypatch.setattr(cli, "enumerate_objects", unbuilt)
+    assert main(["verify", "--max-k", "444", "--suites", "constancy"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: verify would build at least 15185625 edges, more than 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("max_k", range(7))
+def test_verify_edge_bound_sums_count_edges_a_source_at_a_time(monkeypatch, max_k):
+    """For K, K' <= 6 and a bound just below each running sum of count_edges
+    over the sources in enumerate_objects order, the verify bound stops at
+    that source and names that sum, "at least" unless it is the last source;
+    with the bound at the full sum it passes."""
+    sources = enumerate_objects(max_k)
+    for max_k_prime in range(7):
+        targets = enumerate_objects(max_k_prime)
+        config = SweepConfig(max_k=max_k, max_k_prime=max_k_prime)
+        running = list(
+            accumulate(sum(count_edges(phi, target) for target in targets) for phi in sources)
+        )
+        for counted, total in enumerate(running, 1):
+            monkeypatch.setattr(cli, "VERIFY_MAX_ITEMS", total - 1)
+            least = "" if counted == len(sources) else "at least "
+            with pytest.raises(ValidationError) as raised:
+                cli._check_verify_count(config, ["constancy"])
+            assert str(raised.value) == (
+                f"verify would build {least}{total} edges, more than {total - 1}"
+            ), (max_k, max_k_prime, counted)
+        monkeypatch.setattr(cli, "VERIFY_MAX_ITEMS", running[-1])
+        cli._check_verify_count(config, ["constancy"])
 
 
 def test_verify_has_no_exhaustive_flag(capsys):

@@ -36,21 +36,10 @@ from bmquiver.wfib import chain_signature, g_classes
 from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
 from test_quotient import union_find_blocks
-from test_sweeps import edge_pool, x1_zero_as_x1_one
+from test_sweeps import two_edge_chains, x1_zero_as_x1_one
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
-
-
-def two_edge_chains(max_k: int) -> list[BmChain]:
-    """Every chain of two edges on objects with k <= max_k."""
-    pool = edge_pool(max_k)
-    return [
-        BmChain.from_edges([first, second])
-        for edges in pool.values()
-        for first in edges
-        for second in pool[first.phi_prime]
-    ]
 
 
 def as_chain(instance) -> BmChain:
@@ -217,10 +206,11 @@ class TestNaturality:
         edge's edge_pairs shifted by label_offsets, the F that _f builds
         from them is the union-find of test_quotient, its sizes and G are
         chain_signature through g_classes, and the witness of each label is
-        the G class of the fiber element _gamma gives it."""
+        the G class of the fiber element _gamma gives it.  The two verdicts
+        that follow are checked in tests/test_sweeps.py."""
         count = 0
         for instance in enumerate_objects(4) + enumerate_all_edges(4, 4) + two_edge_chains(2):
-            sides = objects, edges, pairs, notes, sizes, g, witness = compare._sides(instance)
+            sides = objects, edges, pairs, notes, sizes, g, witness, _, _ = compare._sides(instance)
             offsets = label_offsets(objects)
             expected_pairs, expected_notes = [], []
             for off, edge in zip(offsets, edges):

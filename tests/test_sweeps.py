@@ -40,6 +40,17 @@ def edge_pool(max_k: int) -> dict:
     return {phi: [e for target in objs for e in enumerate_edges(phi, target)] for phi in objs}
 
 
+def two_edge_chains(max_k: int) -> list[BmChain]:
+    """Every chain of two edges on objects with k <= max_k."""
+    pool = edge_pool(max_k)
+    return [
+        BmChain.from_edges([first, second])
+        for edges in pool.values()
+        for first in edges
+        for second in pool[first.phi_prime]
+    ]
+
+
 def concrete_chains(max_k: int, max_len: int):
     """Every chain with 1..max_len edges over objects on [k <= max_k]."""
     pool = edge_pool(max_k)
@@ -144,6 +155,57 @@ def test_exhaustive_gluing_steps_once_per_size_prefix_and_next_size(monkeypatch)
     report = gluing_suite(SweepConfig(max_k=max_k, max_chain_len=max_len))
     assert calls == sum(width if sizes[-1] else 1 for sizes in prefixes) == 438
     assert (report.total, report.failed) == (1120280, 0)
+
+
+def counting_passes(monkeypatch) -> Counter:
+    """Count the report.add calls that count passes (record None), the
+    instances they count, and the calls that list a record."""
+    counts: Counter = Counter()
+    add = sweeps.SuiteReport.add
+
+    def counted(report, record, count=1):
+        if record is None:
+            counts["adds"] += 1
+            counts["passes"] += count
+        else:
+            counts["listed"] += 1
+        add(report, record, count)
+
+    monkeypatch.setattr(sweeps.SuiteReport, "add", counted)
+    return counts
+
+
+def test_exhaustive_gluing_counts_passes_once_per_size_prefix(monkeypatch):
+    """The (3, 3) sweep tallies its passing signatures and counts them with
+    one report.add per size prefix it visits, plus one for the chains of
+    length 0: at most 399 adds, a number that does not grow with the 251,333
+    signatures, for the same total."""
+    counts = counting_passes(monkeypatch)
+    prefixes = {(z,) for z in range(5)}
+
+    def recorded(signature):
+        prefixes.add(signature[0])
+        return gluing_agreement(signature)
+
+    monkeypatch.setattr(sweeps, "gluing_agreement", recorded)
+    report = gluing_suite(SweepConfig(max_k=3, max_chain_len=3))
+    assert (report.total, report.failed) == (1120280, 0)
+    assert counts["adds"] <= len(prefixes) + 1 == 399
+    assert counts["passes"] == report.total
+
+
+@pytest.mark.parametrize("name", [n for n in SUITE_NAMES + EXTRA_SUITE_NAMES if n != "gluing"])
+def test_sweeps_count_their_passes_with_one_add(monkeypatch, name):
+    """Exhaustive and sampled, with gamma off by one, every suite but gluing
+    tallies its passing records and counts them with one report.add, and
+    adds each record it lists on its own."""
+    counts = counting_passes(monkeypatch)
+    MUTANTS["gamma"](monkeypatch)
+    for config in (SMALL, SweepConfig(max_k=2, max_k_prime=2, samples=60, seed=1)):
+        counts.clear()
+        report = sweeps.run_suite(config, name)
+        assert (counts["adds"], counts["listed"]) == (1, len(report.instances)), (config, name)
+        assert counts["passes"] == report.total - report.failed - report.warned
 
 
 def test_fiber_parts_are_built_once_per_process():
@@ -930,6 +992,47 @@ EDGE_MUTANTS = {
     "_resolve": x1_zero_as_x1_one,
     "dropped pairing rule": dropped_inner_rule,
 }
+
+
+def rotated_g(monkeypatch):
+    """Every vertex in the class of the next vertex number, so that G moves its witnesses."""
+    monkeypatch.setattr(
+        compare, "g_classes", lambda sizes, maps: [(v + 1) % sum(sizes) for v in range(sum(sizes))]
+    )
+
+
+#: Per mutant, on the objects, edges and two-edge chains with k <= 2: the
+#: instances the kernel raises on, and those whose pairs disagree or whose G
+#: moves a witness.
+KERNEL_VERDICTS = {
+    "none": (0, 0, 0),
+    "fiber_map": (900, 0, 0),
+    "_gamma": (0, 185, 0),
+    "_resolve": (190, 0, 0),
+    "dropped pairing rule": (0, 0, 0),
+    "rotated G": (0, 880, 935),
+}
+
+
+@pytest.mark.parametrize("mutant", list(KERNEL_VERDICTS))
+def test_kernel_verdicts_are_their_per_label_definitions(monkeypatch, mutant):
+    """On every object, edge and two-edge chain with k <= 2, plain, under each
+    edge mutant and with a G that moves its witnesses, the kernel's two
+    verdicts are what they stand for: both labels of every pair have one
+    witness, and G fixes every witness."""
+    {**EDGE_MUTANTS, "rotated G": rotated_g}[mutant](monkeypatch)
+    raised = disagreeing = moving = 0
+    for instance in enumerate_objects(2) + enumerate_all_edges(2, 2) + two_edge_chains(2):
+        try:
+            _, _, pairs, _, _, g, witness, agrees, fixed = compare._sides(instance)
+        except sweeps._INSTANCE_ERRORS:
+            raised += 1
+            continue
+        assert agrees == all(witness[a] == witness[b] for a, b in pairs), instance.encode()
+        assert fixed == all(g[w] == w for w in witness), instance.encode()
+        disagreeing += not agrees
+        moving += not fixed
+    assert (raised, disagreeing, moving) == KERNEL_VERDICTS[mutant]
 
 
 def check_outcome(check, instance) -> tuple:
