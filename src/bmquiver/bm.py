@@ -251,14 +251,19 @@ def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
     )
 
 
-def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
-    """enumerate_edges(phi, phi_prime)[index], built without the other edges."""
+def edge_parts(phi: BmObject, phi_prime: BmObject, index: int) -> tuple[tuple, tuple]:
+    """The fiber_parts entries whose images make enumerate_edges(phi, phi_prime)[index]."""
     zeros, ones = fiber_parts(phi, phi_prime)
     if not 0 <= index < len(zeros) * len(ones):
         raise IndexError(f"edge index {index} out of range for {phi} -> {phi_prime}")
     zero, one = divmod(index, len(ones))
-    images = zeros[zero] + ones[one]
-    return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, images))
+    return zeros[zero], ones[one]
+
+
+def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
+    """enumerate_edges(phi, phi_prime)[index], built without the other edges."""
+    zero, one = edge_parts(phi, phi_prime, index)
+    return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, zero + one))
 
 
 def segment_decompose(phi: BmObject) -> list[BmObject]:

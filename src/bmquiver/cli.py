@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from math import comb
-from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objects
 from .compare import f_chain, gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import j_cardinality_audit, pairing_set
+from .simplex import count_monotone
 from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, reads_edges, run_suites
 from .wfib import g_chain
 
@@ -177,21 +178,20 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
         raise ValidationError(f"--max-len must be >= 0, got {args.max_len}")
     # Every object has its identity edge, so each chain extends to a distinct
     # longer one: the objects and then the edges, one source at a time, bound
-    # the count from below before anything larger is built.
+    # the count from below before anything is built.
     _check_count("chains", objects, not args.max_len)
-    objs = enumerate_objects(args.max_k)
     if not args.max_len:
+        objs = enumerate_objects(args.max_k)
         return {"kind": "chains", "count": len(objs), "items": [phi.encode() for phi in objs]}
-    counts, edges = [], 0
-    for phi in objs:
-        counts.append([count_edges(phi, target) for target in objs])
-        edges += sum(counts[-1])
-        _check_count("chains", edges, args.max_len == 1 and len(counts) == len(objs))
-    # ends[s]: the chains of this length from objs[s]; A^length . 1 for A = counts.
-    ends, length = [1] * len(objs), 0
+    for counted, edges in enumerate(_edge_totals(args.max_k, args.max_k), 1):
+        _check_count("chains", edges, args.max_len == 1 and counted == objects)
+    # ends[k']: the chains of this length that end on [k'] (at length 0, its k' + 2 objects);
+    # each object on [k] has C(k + k' + 1, k) edges into those on [k'] (see _edge_totals).
+    tops = range(args.max_k + 1)
+    ends, length = [k + 2 for k in tops], 0
     # Far past the bound, a lower bound will do and keeps the numbers small.
     while length < args.max_len and sum(ends) <= LISTING_MAX_ITEMS**2:
-        ends, previous = [sum(map(mul, row, ends)) for row in counts], ends
+        ends, previous = [sum(comb(k + kp + 1, k) * ends[k] for k in tops) for kp in tops], ends
         # At a fixed point every longer length has the same counts.
         length = args.max_len if ends == previous else length + 1
     chains = sum(ends)
@@ -202,6 +202,7 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
             f"enumerate chains would list {chains} chains of {args.max_len} edges, "
             f"{chains * args.max_len} edges, more than {10 * LISTING_MAX_ITEMS}"
         )
+    objs = enumerate_objects(args.max_k)
     # leaving[s]: (target index, key) of each edge from objs[s], in edge order.
     leaving = [
         [(t, e.encode()) for t, target in enumerate(objs) for e in enumerate_edges(phi, target)]
@@ -236,7 +237,7 @@ def _check_count(kind: str, count: int, exact: bool = True) -> None:
 
 def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
     """Exit 2, naming the count, when verify would build too many objects or
-    edges, or keep too many draws."""
+    edges, keep too many draws, or list too many fiber maps for one draw."""
     # Every suite builds the objects on [k <= max_k], and an edge suite the
     # targets on [k <= max_k_prime]: count them before any is built.
     edges = reads_edges(config, names)
@@ -254,21 +255,37 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
         raise ValidationError(
             f"verify would draw {config.samples} samples, more than {VERIFY_MAX_ITEMS}"
         )
+    if config.samples is not None:
+        # A drawn edge, and each edge of a drawn gluing chain (K' = K there), lists
+        # the fiber maps of its object pair (bm.fiber_parts): at most
+        # count_monotone(K' + 1, K + 1), between objects all over 0.
+        tops = [config.max_k_prime] if edges else []
+        if config.max_chain_len and "gluing" in names:
+            tops.append(config.max_k)
+        for top in tops:
+            listed = count_monotone(top + 1, config.max_k + 1)
+            if listed > VERIFY_MAX_ITEMS:
+                raise ValidationError(
+                    f"verify would list {listed} fiber maps for one drawn pair, "
+                    f"more than {VERIFY_MAX_ITEMS}"
+                )
     if config.samples is None and edges:
-        # An exhaustive edge suite builds every edge.  A source on [k] has C(K' + k + 2,
-        # K' + 1) - 1 edges into the targets on [k' <= K'] (Vandermonde, then the hockey
-        # stick): sum them a source at a time in enumeration order, none built.
-        top, total = config.max_k_prime + 1, 0
-        per_source = (
-            comb(top + k + 1, top) - 1 for k in range(config.max_k + 1) for _ in range(k + 2)
-        )
-        for counted, count in enumerate(per_source, 1):
-            total += count
+        # An exhaustive edge suite builds every edge.
+        for counted, total in enumerate(_edge_totals(config.max_k, config.max_k_prime), 1):
             if total > VERIFY_MAX_ITEMS:
                 least = "" if counted == _object_count(config.max_k) else "at least "
                 raise ValidationError(
                     f"verify would build {least}{total} edges, more than {VERIFY_MAX_ITEMS}"
                 )
+
+
+def _edge_totals(max_k: int, max_k_prime: int) -> Iterator[int]:
+    """The edges from the first n sources on [k <= max_k], n = 1, 2, ... in enumerate_objects
+    order, into the targets on [k' <= K' = max_k_prime], none built.  An edge from any object
+    on [k] is a monotone map [k'] -> [k] that fixes its target: C(k + k' + 1, k) of them go
+    into the objects on [k'], and C(K' + k + 2, K' + 1) - 1 into all (the hockey stick)."""
+    top = max_k_prime + 1
+    return accumulate(comb(top + k + 1, top) - 1 for k in range(max_k + 1) for _ in range(k + 2))
 
 
 def _render_listing(payload: dict, fmt: str) -> str:

@@ -8,13 +8,13 @@ Every suite runs through one loop, _sweep, but for the walk over fiber
 signatures of exhaustive gluing.  A source gives runs: consecutive
 instances, in enumeration order, that share one signature, or one run per
 draw in sampled mode.  Sampled objects and edges are drawn once per process
-for given bounds and seed, kept as integers (indices into the enumeration),
-and shared by every suite that samples them; each run is built from its
-draw as it is reached.  A check gives only what failed, never a key, and
-the sweep lists it under the instance's key.  A sweep that reuses verdicts
-by signature counts a run whose signature passed in place, without
-building its instances, and lists a run whose signature warned under its
-instances' keys, unbuilt.
+for given bounds and seed, kept as indices into the enumeration (an edge as
+its image parts too), and shared by every suite that samples them; each run
+is built straight from its draw as it is reached.  A check gives only what
+failed, never a key, and the sweep lists it under the instance's key.  A
+sweep that reuses verdicts by signature counts a run whose signature passed
+in place, without building its instances, and lists a run whose signature
+warned under its instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -34,6 +34,7 @@ from .bm import (
     BmObject,
     count_edges,
     edge_at,
+    edge_parts,
     encode_edge,
     enumerate_objects,
     fiber_parts,
@@ -208,40 +209,36 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
 
 @lru_cache(maxsize=1)
 def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[tuple, ...]:
-    """samples seeded edge draws, in draw order, as three tuples of integers: the
+    """samples seeded edge draws, in draw order, as four parallel tuples: the
     source's index in enumerate_objects(max_k), the target's in
-    enumerate_objects(max_k_prime), and the edge's index among their edges
-    in map order.
+    enumerate_objects(max_k_prime), and the edge's 0-part and 1-part (see bm.edge_parts).
 
     A draw picks a source and a target, then an index into their edges; a
-    pair with no edges is drawn again without an index.  Drawing an index
-    below n takes the same generator step as choosing from a list of n, so
-    the draws match choosing from enumerate_edges.  Every suite of a process
-    that samples edges at these bounds and seed reads this one draw.
+    pair with no edges (count_edges, nothing listed) is drawn again without
+    an index.  Drawing an index below n takes the same generator step as
+    choosing from a list of n, so the draws match choosing from
+    enumerate_edges.  Every suite of a process that samples edges at these
+    bounds and seed reads this one draw.
     """
     rng = random.Random(seed)
     sources = enumerate_objects(max_k)
     targets = enumerate_objects(max_k_prime)
-    source_at: list[int] = []
-    target_at: list[int] = []
-    index_at: list[int] = []
-    while len(index_at) < samples:
+    draws: list[tuple] = []
+    while len(draws) < samples:
         source = rng.randrange(len(sources))
         target = rng.randrange(len(targets))
-        zeros, ones = fiber_parts(sources[source], targets[target])
-        if zeros and ones:
-            source_at.append(source)
-            target_at.append(target)
-            index_at.append(rng.randrange(len(zeros) * len(ones)))
-    return tuple(source_at), tuple(target_at), tuple(index_at)
+        if count := count_edges(sources[source], targets[target]):
+            parts = edge_parts(sources[source], targets[target], rng.randrange(count))
+            draws.append((source, target, *parts))
+    return tuple(zip(*draws))
 
 
 def _edges(config: SweepConfig) -> Iterator[Run]:
     """The edges to check, as runs.
 
     Exhaustive: every edge in range (see _edge_runs).  Sampled: the draws of
-    _edge_draws, each a run of one built as it is reached, in draw order,
-    repeats included.
+    _edge_draws, each a run of one built straight from its parts as it is
+    reached, in draw order, repeats included.
     """
     if config.samples is None:
         yield from _edge_runs(config)
@@ -249,11 +246,8 @@ def _edges(config: SweepConfig) -> Iterator[Run]:
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
     draws = _edge_draws(config.max_k, config.max_k_prime, config.samples, config.seed)
-    for source, target, index in zip(*draws):
-        phi, phi_prime = sources[source], targets[target]
-        zeros, ones = fiber_parts(phi, phi_prime)
-        zero, one = divmod(index, len(ones))
-        yield _edge_run(phi, phi_prime, zeros[zero], ones[one : one + 1])
+    for source, target, zero, one in zip(*draws):
+        yield _edge_run(sources[source], targets[target], zero, (one,))
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -425,9 +419,9 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
     `bmquiver enumerate chains` lists them.  Drawing an index below n takes
     the same generator step as choosing from a list of n, so the chains are
     those of choosing from that list.  Cumulative edge counts give an
-    index's target, and its 0-part in fiber_parts its fiber map, as in
-    edge_at.  A chain of length 0 is the run of its object; a longer one is
-    given by its fiber signature (see _chain_run).
+    index's target, and the 0-part of its bm.edge_parts its fiber map.  A
+    chain of length 0 is the run of its object; a longer one is given by
+    its fiber signature (see _chain_run).
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
@@ -447,8 +441,7 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
             target = bisect_right(ends[current], index)
             if target:
                 index -= ends[current][target - 1]
-            zeros, ones = fiber_parts(objs[current], objs[target])
-            maps.append(zeros[index // len(ones)])
+            maps.append(edge_parts(objs[current], objs[target], index)[0])
             sizes.append(objs[target].ell + 1)
             steps.append((objs[current], objs[target], index))
             current = target

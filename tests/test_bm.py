@@ -17,7 +17,8 @@ from bmquiver import (
     enumerate_objects,
     segment_decompose,
 )
-from bmquiver.bm import count_edges, edge_at
+from bmquiver.bm import count_edges, edge_at, edge_parts
+from bmquiver.simplex import count_monotone
 from test_simplex import identity
 
 OBJ = BmObject.parse
@@ -128,15 +129,32 @@ def test_edges_built_from_fiber_maps_match_filtered_maps(phi):
         edges = enumerate_edges(phi, phi_prime)
         assert edges == filtered_edges(phi, phi_prime)
         assert len(edges) == count_edges(phi, phi_prime)
+        split = phi_prime.ell + 1
         for i, edge in enumerate(edges):
             assert edge_at(phi, phi_prime, i) == edge
+            images = edge.map.images
+            assert edge_parts(phi, phi_prime, i) == (images[:split], images[split:])
 
 
 def test_edge_at_rejects_indices_out_of_range():
     assert count_edges(OBJ("0"), OBJ("1")) == 0
-    for phi, phi_prime, index in [("0", "1", 0), ("001", "01", 2), ("001", "01", -1)]:
-        with pytest.raises(IndexError):
-            edge_at(OBJ(phi), OBJ(phi_prime), index)
+    for at in (edge_at, edge_parts):
+        for phi, phi_prime, index in [("0", "1", 0), ("001", "01", 2), ("001", "01", -1)]:
+            with pytest.raises(IndexError):
+                at(OBJ(phi), OBJ(phi_prime), index)
+
+
+def test_edges_from_a_source_into_one_ordinal_are_its_monotone_maps():
+    """An edge from phi on [k] is a monotone map [k'] -> [k] that fixes its
+    target, so for k, k' <= 8 the edges from any object on [k] into all the
+    objects on [k'] number count_monotone(k' + 1, k + 1)."""
+    by_top: dict[int, list[BmObject]] = {}
+    for phi in enumerate_objects(8):
+        by_top.setdefault(phi.top, []).append(phi)
+    for phi in enumerate_objects(8):
+        for k_prime, targets in by_top.items():
+            edges = sum(count_edges(phi, target) for target in targets)
+            assert edges == count_monotone(k_prime + 1, phi.top + 1), (phi, k_prime)
 
 
 def test_edge_must_lie_over_one():

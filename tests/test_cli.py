@@ -361,6 +361,10 @@ def test_verify_counts_its_objects_before_building_them(argv, flag):
     )
 
 
+#: The fiber maps between two objects on [40] all over 0: C(81, 41).
+C_81_41 = 212392290424395860814420
+
+
 @pytest.mark.parametrize(
     "argv,code,err",
     [
@@ -375,13 +379,27 @@ def test_verify_counts_its_objects_before_building_them(argv, flag):
             "error: verify would draw 10000001 samples, more than 10000000\n",
         ),
         (["--max-k", "5", "--max-kprime", "5", "--suites", "constancy"], EXIT_PASS, ""),
+        (
+            ["--max-k", "40", "--samples", "10", "--suites", "constancy"],
+            EXIT_USAGE,
+            f"error: verify would list {C_81_41} fiber maps for one drawn pair, "
+            "more than 10000000\n",
+        ),
+        (
+            ["--max-k", "40", "--samples", "10", "--suites", "gluing"],
+            EXIT_USAGE,
+            f"error: verify would list {C_81_41} fiber maps for one drawn pair, "
+            "more than 10000000\n",
+        ),
     ],
 )
 def test_verify_counts_its_edges_and_draws_before_building_them(argv, code, err):
     """An exhaustive edge suite sums the closed-form edge counts a source at a
     time and exits 2 once past 10,000,000, naming the count ("at least" when
-    it stopped early); more than 10,000,000 samples exit 2 too.  Neither
-    leaves a traceback, and k, k' <= 5 still passes."""
+    it stopped early); more than 10,000,000 samples exit 2 too, and so does a
+    sampled edge suite or sampled gluing that could list more than
+    10,000,000 fiber maps for one drawn pair.  None leaves a traceback, and
+    k, k' <= 5 still passes."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = perf_counter()
@@ -406,6 +424,54 @@ def test_verify_counts_edges_without_building_an_object(monkeypatch, capsys):
     assert main(["verify", "--max-k", "444", "--suites", "constancy"]) == EXIT_USAGE
     assert capsys.readouterr() == (
         "", "error: verify would build at least 15185625 edges, more than 10000000\n"
+    )
+
+
+def test_enumerate_chains_counts_edges_without_building_an_object(monkeypatch, capsys):
+    """The chain bound of enumerate reads no object: with enumerate_objects
+    made to raise, --max-k 444 --max-len 1 exits 2 with the edges summed a
+    source at a time, "at least" because it stopped early."""
+
+    def unbuilt(max_k):
+        raise AssertionError(f"enumerate_objects({max_k}) called")
+
+    monkeypatch.setattr(cli, "enumerate_objects", unbuilt)
+    argv = ["enumerate", "chains", "--max-k", "444", "--max-len", "1"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: enumerate chains would list at least 100570 chains, more than 100000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "max_k,max_k_prime,max_chain_len,suites,listed",
+    [
+        (12, 12, 2, ["constancy", "gluing"], None),
+        (12, 13, 2, ["constancy"], None),
+        (13, 12, 2, ["constancy"], 10400600),
+        (13, 12, 1, ["xi"], 10400600),
+        (12, 40, 2, ["gluing"], None),
+        (13, 2, 2, ["gluing"], 20058300),
+        (40, 40, 0, ["gluing", "xi", "cardinality", "decomposition"], None),
+        (5, 5, 4, list(SUITE_NAMES), None),
+    ],
+)
+def test_verify_fiber_map_bound_is_the_widest_pair(
+    max_k, max_k_prime, max_chain_len, suites, listed
+):
+    """The widest pair maps [K'] all over 0 into [K] all over 0, so a draw
+    lists at most count_monotone(K' + 1, K + 1) fiber maps, with K' = K for
+    the chains of gluing: 5,200,300 at K = K' = 12, 9,657,700 at (12, 13)
+    and 10,400,600 at (13, 12).  Object suites, and chains of length 0,
+    list none."""
+    config = SweepConfig(max_k, max_k_prime, max_chain_len, samples=10)
+    if listed is None:
+        cli._check_verify_count(config, suites)
+        return
+    with pytest.raises(ValidationError) as raised:
+        cli._check_verify_count(config, suites)
+    assert str(raised.value) == (
+        f"verify would list {listed} fiber maps for one drawn pair, more than 10000000"
     )
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from bmquiver import BmChain, chain_signature, gluing_agreement, wfib
-from bmquiver import compare, quiverf, sweeps
-from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects
+from bmquiver import bm, compare, quiverf, sweeps
+from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects, fiber_parts
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
@@ -964,6 +964,28 @@ def test_sampled_suites_draw_once_per_source_kind(monkeypatch):
     reports = sweeps.run_suites(config, list(SUITE_NAMES + EXTRA_SUITE_NAMES))
     assert all(report.passed for report in reports)
     assert CountingRandom.counts == {"Random": 3, "randrange": 20038, "choice": 2500}
+
+
+def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
+    """At the benchmark's sampled bounds, seed 1, the seven suites list the
+    fiber maps of an object pair (fiber_parts, through bm or sweeps) 7,474
+    times: once per kept edge draw, in the shared draw that the first edge
+    suite makes, and once per edge of a drawn gluing chain.  After the
+    draw, the sampled edge suites build each run from its drawn parts."""
+    calls: Counter = Counter()
+    suite = None
+
+    def counted(phi, phi_prime):
+        calls[suite] += 1
+        return fiber_parts(phi, phi_prime)
+
+    monkeypatch.setattr(bm, "fiber_parts", counted)
+    monkeypatch.setattr(sweeps, "fiber_parts", counted)
+    config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
+    for suite in SUITE_NAMES:
+        assert sweeps.run_suite(config, suite).passed, suite
+    assert calls == {"constancy": 2500, "gluing": 4974}
+    assert sum(calls.values()) == 7474
 
 
 def test_edge_checks_build_no_chain(monkeypatch):
