@@ -37,20 +37,25 @@ class BmObject:
     beta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = self.values
+        if not values:
             raise ValidationError("an object needs at least one value")
-        prev = 0
-        for v in self.values:
-            if v not in (0, 1):
-                raise ValidationError(f"value {v} outside {{0, 1}}")
-            if v < prev:
-                raise ValidationError(f"values {self.values} not monotone")
-            prev = v
+        n, zeros = len(values), values.count(0)
+        # A monotone map into [1] is its zeros, then ones: one whole-tuple
+        # comparison checks it, and the loop runs only to word the error.
+        if values != (0,) * zeros + (1,) * (n - zeros):
+            prev = 0
+            for v in values:
+                if v not in (0, 1):
+                    raise ValidationError(f"value {v} outside {{0, 1}}")
+                if v < prev:
+                    raise ValidationError(f"values {values} not monotone")
+                prev = v
         # Derived here once: caching them on first read would materialize the
         # instance __dict__ and slow every later attribute read of the object.
-        object.__setattr__(self, "top", len(self.values) - 1)
-        object.__setattr__(self, "ell", self.values.count(0) - 1)
-        object.__setattr__(self, "beta", int(0 in self.values and 1 in self.values))
+        object.__setattr__(self, "top", n - 1)
+        object.__setattr__(self, "ell", zeros - 1)
+        object.__setattr__(self, "beta", int(0 < zeros < n))
 
     def encode(self) -> str:
         return "".join(str(v) for v in self.values)
@@ -210,7 +215,7 @@ def enumerate_objects(k_max: int) -> list[BmObject]:
     out = []
     for k in range(k_max + 1):
         for zeros in range(k + 1, -1, -1):
-            out.append(BmObject(tuple([0] * zeros + [1] * (k + 1 - zeros))))
+            out.append(BmObject((0,) * zeros + (1,) * (k + 1 - zeros)))
     return out
 
 

@@ -419,14 +419,15 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
     `bmquiver enumerate chains` lists them.  Drawing an index below n takes
     the same generator step as choosing from a list of n, so the chains are
     those of choosing from that list.  Cumulative edge counts give an
-    index's target, and the 0-part of its bm.edge_parts its fiber map.  A
-    chain of length 0 is the run of its object; a longer one is given by
-    its fiber signature (see _chain_run).
+    index's target, and the 0-part of its bm.edge_parts its fiber map; a
+    source's counts are made when a draw first leaves it.  A chain of
+    length 0 is the run of its object; a longer one is given by its fiber
+    signature (see _chain_run).
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
     # ends[s][t]: the number of edges from objs[s] to objs[0], ..., objs[t].
-    ends = [list(accumulate(count_edges(phi, target) for target in objs)) for phi in objs]
+    ends: dict[int, list[int]] = {}
     for _ in range(config.samples):
         length = rng.randint(0, config.max_chain_len)
         current = rng.randrange(len(objs))
@@ -436,11 +437,15 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
         sizes = [objs[current].ell + 1]
         maps, steps = [], []
         for _ in range(length):
-            # The identity edge is always there, so ends[current][-1] >= 1.
-            index = rng.randrange(ends[current][-1])
-            target = bisect_right(ends[current], index)
+            if current not in ends:
+                phi = objs[current]
+                ends[current] = list(accumulate(count_edges(phi, target) for target in objs))
+            row = ends[current]
+            # The identity edge is always there, so row[-1] >= 1.
+            index = rng.randrange(row[-1])
+            target = bisect_right(row, index)
             if target:
-                index -= ends[current][target - 1]
+                index -= row[target - 1]
             maps.append(edge_parts(objs[current], objs[target], index)[0])
             sizes.append(objs[target].ell + 1)
             steps.append((objs[current], objs[target], index))
@@ -525,7 +530,9 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
 #: passed unbuilt (a sampled sweep always does; see _sweep).  The checks call
 #: the verifiers by their module names, so a verifier rebound here is the one
 #: that runs.  Exhaustive naturality checks every edge: the benchmark's
-#: traced self-check counts its calls.
+#: traced self-check counts its calls.  A passing edge costs a lookup in
+#: compare's verdict memo, keyed by the edge's shape ((ell, beta, ell',
+#: beta') and fiber map); after constancy every shape is there already.
 _SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
     "cardinality": ((_objects,), _cardinality, False),
     "constancy": ((_edges,), _constancy, True),

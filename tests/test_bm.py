@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +101,39 @@ def test_beta_iff_ell_strictly_interior():
     for obj in enumerate_objects(8):
         assert (obj.beta == 1) == (-1 < obj.ell < obj.top)
         assert obj.values[: obj.ell + 1] == (0,) * (obj.ell + 1)
+
+
+def looped_object_check(values: tuple) -> tuple[str | None, int, int]:
+    """The validation message of an object by the element loop it once ran,
+    or None with the (ell, beta) it derived."""
+    if not values:
+        return "an object needs at least one value", 0, 0
+    prev = 0
+    for v in values:
+        if v not in (0, 1):
+            return f"value {v} outside {{0, 1}}", 0, 0
+        if v < prev:
+            return f"values {values} not monotone", 0, 0
+        prev = v
+    return None, values.count(0) - 1, int(0 in values and 1 in values)
+
+
+def test_objects_validate_as_the_element_loop_did():
+    """Every tuple over {-1, 0, 1, 2} of length <= 5 is refused with the
+    message of the element loop, or built with its ell and beta."""
+    built = 0
+    for n in range(6):
+        for values in product((-1, 0, 1, 2), repeat=n):
+            message, ell, beta = looped_object_check(values)
+            if message is None:
+                obj = BmObject(values)
+                assert (obj.top, obj.ell, obj.beta) == (n - 1, ell, beta), values
+                built += 1
+            else:
+                with pytest.raises(ValidationError) as raised:
+                    BmObject(values)
+                assert str(raised.value) == message, values
+    assert built == sum(n + 1 for n in range(1, 6))
 
 
 def test_enumerate_edges_examples():

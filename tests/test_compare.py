@@ -42,6 +42,12 @@ OBJ = BmObject.parse
 EDGE = BmEdge.parse
 
 
+def edge_shape(edge: BmEdge) -> tuple:
+    """What the kernel reads of an edge: both objects' (ell, beta) and the fiber map."""
+    phi, phi_prime = edge.phi, edge.phi_prime
+    return phi.ell, phi.beta, phi_prime.ell, phi_prime.beta, edge.fiber_map()
+
+
 def as_chain(instance) -> BmChain:
     """An object or an edge as its chain of length 0 or 1; a chain as it is."""
     if isinstance(instance, BmObject):
@@ -261,9 +267,10 @@ class TestNaturality:
 
     def test_one_edge_kernel_computes_once_per_run_of_equal_images(self, monkeypatch):
         """Exhaustive naturality checks every edge, one verify_naturality call
-        each, and computes F and G once per stretch of edges that share their
-        objects and 0-fiber images: 4,684 of the 10,697 edges at k, k' <= 5,
-        1,227 of the 2,421 at k, k' <= 4.  The memo holds one entry."""
+        each, and computes F and G once per edge shape, (ell, beta, ell', beta')
+        and the fiber map: 2,957 of the 10,697 edges at k, k' <= 5, 787 of the
+        2,421 at k, k' <= 4.  Each shape misses the verdict memo once and runs
+        the kernel once; the kernel's own memo holds one entry."""
         calls = 0
 
         def counted(chain):
@@ -272,14 +279,55 @@ class TestNaturality:
             return verify_naturality(chain)
 
         monkeypatch.setattr(sweeps, "verify_naturality", counted)
-        for bound, edges, misses in ((4, 2421, 1227), (5, 10697, 4684)):
+        for bound, edges, shapes in ((4, 2421, 787), (5, 10697, 2957)):
             calls = 0
             compare._kernel.cache_clear()
+            compare._edge_verdicts.cache_clear()
             report = sweeps.run_suite(SweepConfig(max_k=bound, max_k_prime=bound), "naturality")
-            info = compare._kernel.cache_info()
+            memo, kernel = compare._edge_verdicts.cache_info(), compare._kernel.cache_info()
             assert (report.total, report.failed, calls) == (edges, 0, edges)
-            assert (info.misses, info.hits) == (misses, edges - misses)
-            assert (info.maxsize, info.currsize) == (1, 1)
+            assert len(set(map(edge_shape, enumerate_all_edges(bound, bound)))) == shapes
+            assert (memo.misses, memo.hits, memo.currsize) == (shapes, edges - shapes, shapes)
+            assert (kernel.misses, kernel.hits) == (shapes, 0)
+            assert (kernel.maxsize, kernel.currsize) == (1, 1)
+
+    def test_naturality_after_constancy_computes_no_kernel(self, monkeypatch):
+        """Constancy at k, k' <= 5 leaves every edge shape's verdicts in the
+        memo, so naturality after it makes its 10,697 verify_naturality calls
+        without one kernel miss, and no memo miss either."""
+        calls = 0
+
+        def counted(chain):
+            nonlocal calls
+            calls += 1
+            return verify_naturality(chain)
+
+        monkeypatch.setattr(sweeps, "verify_naturality", counted)
+        config = SweepConfig(max_k=5, max_k_prime=5)
+        assert sweeps.run_suite(config, "constancy").passed
+        kernel, memo = compare._kernel.cache_info(), compare._edge_verdicts.cache_info()
+        report = sweeps.run_suite(config, "naturality")
+        assert (report.total, report.failed, calls) == (10697, 0, 10697)
+        assert compare._kernel.cache_info().misses == kernel.misses
+        assert compare._edge_verdicts.cache_info().misses == memo.misses == 2957
+
+    def test_kernel_on_canonical_objects_is_the_kernel_on_the_edge(self):
+        """The kernel reads an object only through (ell, beta): on every edge
+        with k, k' <= 4 it gives the same pairs, notes, fiber sizes, G,
+        witnesses and verdicts on the edge's objects as on the canonical
+        objects with their invariants, which the verdict memo runs it on."""
+        edges = enumerate_all_edges(4, 4)
+        for edge in edges:
+            phi, phi_prime, maps = edge.phi, edge.phi_prime, (edge.fiber_map(),)
+            canonical = (
+                compare._canonical(phi.ell, phi.beta),
+                compare._canonical(phi_prime.ell, phi_prime.beta),
+            )
+            assert [BmObject(values).ell for values in canonical] == [phi.ell, phi_prime.ell]
+            assert [BmObject(values).beta for values in canonical] == [phi.beta, phi_prime.beta]
+            concrete = compare._kernel((phi.values, phi_prime.values), maps)
+            assert compare._kernel(canonical, maps) == concrete, edge.encode()
+        assert len(edges) == 2421
 
     @given(bm_edges(max_top=5), st.data())
     @settings(max_examples=100)

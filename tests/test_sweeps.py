@@ -4,6 +4,7 @@ draw, and mutants of the integer kernel that the suites must catch."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import random
@@ -279,6 +280,36 @@ def test_sampled_gluing_draws_by_index_match_choosing_from_edge_pools(monkeypatc
         report = gluing_suite(config)
         assert [inst["key"] for inst in report.instances] == [c.encode() for c in chains]
         assert checked == [chain_signature(c) for c in chains if c.length]
+
+
+def test_sampled_gluing_of_objects_alone_counts_no_edges(monkeypatch):
+    """At chain length 0 no draw leaves its object, so sampled gluing counts
+    no edge: at k <= 150 (11,626 objects) it checks its 10 drawn objects
+    without calling count_edges."""
+    calls = 0
+
+    def counted(phi, phi_prime):
+        nonlocal calls
+        calls += 1
+        return bm.count_edges(phi, phi_prime)
+
+    monkeypatch.setattr(sweeps, "count_edges", counted)
+    report = gluing_suite(SweepConfig(max_k=150, max_chain_len=0, samples=10))
+    assert (report.total, report.failed, calls) == (10, 0, 0)
+
+
+def test_sampled_gluing_reports_are_unchanged():
+    """Sampled gluing at k <= 4, length <= 3, 300 samples, seeds 0-10, gives
+    the reports it gave while every source's cumulative edge counts were
+    made before the first draw (sha256 of their sorted-key JSON, in seed
+    order)."""
+    digest = hashlib.sha256()
+    for seed in range(11):
+        config = SweepConfig(max_k=4, max_chain_len=3, samples=300, seed=seed)
+        digest.update(json.dumps(gluing_suite(config).to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "b7683281dce5d5ce155216ae03ceea4e6291ced72031dcfd8c883df5f2d80f64"
+    )
 
 
 def test_sampled_gluing_checks_each_passing_signature_once(monkeypatch):
@@ -588,6 +619,7 @@ KERNEL_MEMOS = {
     "_shape",
     "_gamma_row",
     "_kernel",
+    "_edge_verdicts",
     "_edge_components",
     "_interned",
     "_base",
@@ -636,6 +668,13 @@ def test_no_module_global_holds_a_memo():
     assert set(held) == CONSTANT_TABLES
 
 
+def test_the_edge_verdict_memo_is_bounded_and_found():
+    """The verdict memo of one-edge checks is a functools cache of finite
+    size, which cached_functions (so clear_memos) finds."""
+    assert compare._edge_verdicts in cached_functions()
+    assert compare._edge_verdicts.cache_info().maxsize == 1 << 16
+
+
 def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
     """The resolution tables and gamma rows live for the whole process.
 
@@ -653,7 +692,9 @@ def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
 def test_each_resolution_is_computed_once_per_object(monkeypatch):
     """With the memos cleared, constancy and naturality sweeps at k, k' <= 3
     call _resolve (from outside itself) at most once per (object, kind,
-    index): the pairing rules read every later request from the tables."""
+    index): the pairing rules read every later request from the tables.
+    Passing edges run the kernel on the canonical objects of their shapes
+    only, so 25 requests are resolved."""
     resolve = quiverf._resolve
     calls: Counter = Counter()
     depth = 0
@@ -672,7 +713,7 @@ def test_each_resolution_is_computed_once_per_object(monkeypatch):
     config = SweepConfig(max_k=3, max_k_prime=3)
     for name in ("constancy", "naturality"):
         assert sweeps.run_suite(config, name).passed
-    assert (len(calls), max(calls.values())) == (35, 1)
+    assert (len(calls), max(calls.values())) == (25, 1)
 
 
 def test_least_representatives_dropping_its_last_pair_fails_gluing(monkeypatch):
@@ -1055,6 +1096,42 @@ def test_kernel_verdicts_are_their_per_label_definitions(monkeypatch, mutant):
         disagreeing += not agrees
         moving += not fixed
     assert (raised, disagreeing, moving) == KERNEL_VERDICTS[mutant]
+
+
+@pytest.mark.parametrize("mutant", list(KERNEL_VERDICTS))
+def test_memo_verdicts_are_the_verdicts_of_sides(monkeypatch, mutant):
+    """On every edge with k, k' <= 4, plain, under each edge mutant and with
+    a G that moves its witnesses, the verdict memo gives the two verdicts of
+    _sides on the edge, and naturality and xi on the edge give what they
+    give on its chain, which reads no memo.  Where _sides raises, the memo
+    gives none, and constancy, naturality and xi raise the error of _sides,
+    which names the edge."""
+    {**EDGE_MUTANTS, "rotated G": rotated_g}[mutant](monkeypatch)
+    raised = 0
+    for edge in enumerate_all_edges(4, 4):
+        chain = BmChain.from_edges([edge])
+        for check in (compare.verify_naturality, compare.xi_restriction_commutes):
+            assert check_outcome(check, edge) == check_outcome(check, chain), edge.encode()
+        try:
+            *_, agrees, fixed = compare._sides(edge)
+        except sweeps._INSTANCE_ERRORS as exc:
+            raised += 1
+            error = (type(exc).__name__, str(exc))
+            assert not any(compare._edge_passes(edge, verdicts) for verdicts in (1, 2, 3))
+            for check in (
+                compare.verify_constancy,
+                compare.verify_naturality,
+                compare.xi_restriction_commutes,
+            ):
+                assert check_outcome(check, edge) == error, (check, edge.encode())
+            continue
+        phi, phi_prime = edge.phi, edge.phi_prime
+        verdicts = compare._edge_verdicts(
+            phi.ell, phi.beta, phi_prime.ell, phi_prime.beta, *edge.fiber_map()
+        )
+        assert verdicts == agrees + 2 * fixed, edge.encode()
+        assert (not check_outcome(compare.verify_constancy, edge)) == agrees, edge.encode()
+    assert (raised > 0) == (mutant in ("fiber_map", "_resolve")), raised
 
 
 def check_outcome(check, instance) -> tuple:
