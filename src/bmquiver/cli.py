@@ -237,7 +237,8 @@ def _check_count(kind: str, count: int, exact: bool = True) -> None:
 
 def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
     """Exit 2, naming the count, when verify would build too many objects or
-    edges, keep too many draws, or list too many fiber maps for one draw."""
+    edges, keep too many draws, draw too many chain edges, or list too many
+    fiber maps for one draw."""
     # Every suite builds the objects on [k <= max_k], and an edge suite the
     # targets on [k <= max_k_prime]: count them before any is built.
     edges = reads_edges(config, names)
@@ -256,6 +257,11 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
             f"verify would draw {config.samples} samples, more than {VERIFY_MAX_ITEMS}"
         )
     if config.samples is not None:
+        drawn = config.samples * config.max_chain_len
+        if "gluing" in names and drawn > VERIFY_MAX_ITEMS:
+            raise ValidationError(
+                f"verify would draw up to {drawn} chain edges, more than {VERIFY_MAX_ITEMS}"
+            )
         # A drawn edge, and each edge of a drawn gluing chain (K' = K there), lists
         # the fiber maps of its object pair (bm.fiber_parts): at most
         # count_monotone(K' + 1, K + 1), between objects all over 0.

@@ -18,13 +18,12 @@ the witness of a failure.  The witnesses read gamma from one row per
 take an object, an edge or a chain as it is, and _sides reads its pairs,
 G and witnesses from the one kernel _kernel, on its objects' values and
 its edges' fiber maps; an edge is read alone or as a segment of a longer
-chain.  Each entry carries two verdicts: both labels of every pair have
+chain.  The kernel also gives two verdicts: both labels of every pair have
 one witness, and G fixes every witness.  A passing check reads only these,
 and builds F (_f) only to name a failing class or to run segment squares;
 f_chain and gamma_chain build it themselves.  Identification reads G
-alone, so no edge check builds a chain.  Edges that share the kernel's key
-come one after another, so it keeps one entry.  The kernel reads an object
-only through (ell, beta), so a one-edge check (constancy, naturality, xi)
+alone, so no edge check builds a chain.  The kernel reads an object only
+through (ell, beta), so a one-edge check (constancy, naturality, xi)
 first reads the two verdicts of the edge's shape, its invariants and fiber
 map, from one bounded memo, _edge_verdicts, kept for the process; only a
 failing verdict, or a kernel that raises, goes to _sides, which names the
@@ -77,7 +76,6 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
-@lru_cache(maxsize=1)
 def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
     """Pairs and notes, fiber sizes, G, witnesses and two verdicts of the
     chain on these objects' values and its edges' fiber maps.
@@ -89,10 +87,7 @@ def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ..
     per label.  F is not computed here (see _f): it is the quotient by the
     equivalence the pairs generate, so gamma is well-defined on F exactly
     when each pair's two witnesses agree (the first verdict; the second is
-    that G fixes every witness).  Edges are enumerated with their
-    1-part innermost, so those that share these values follow one another:
-    one entry serves them all.  Its lists are shared, and no caller changes
-    them.
+    that G fixes every witness).
     """
     shapes = list(map(_shape, values))
     sizes = tuple([shape.ell + 1 for shape in shapes])
@@ -245,9 +240,7 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     """
     if _edge_passes(edge, 1):
         return VerificationReport()
-    _, _, pairs, notes, sizes, _, witness, agrees, _ = _sides(edge)
-    if agrees:
-        return VerificationReport()
+    _, _, pairs, notes, sizes, _, witness, _, _ = _sides(edge)
     labels, vertices = chain_labels((edge.phi, edge.phi_prime)), fiber_vertices(sizes)
     return VerificationReport(
         tuple(
@@ -271,13 +264,10 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     """
     if isinstance(chain, BmEdge) and _edge_passes(chain, 3):
         return VerificationReport()
-    sides = objects, edges, _, _, sizes, g, witness, agrees, fixed = _sides(chain)
-    # On one edge a class's segment square fails only where G moves witness[rep],
-    # so the squares hold when G fixes every witness; the segment only names a failure.
-    segments = () if len(edges) == 1 and fixed else edges
+    sides = objects, edges, _, _, sizes, g, witness, agrees, _ = _sides(chain)
     # The vertex comparison on label L, through the fiber map, is witness[L]; so
     # the vertex squares hold exactly when both labels of every pair agree.
-    if agrees and not segments:
+    if agrees and not edges:
         return VerificationReport()
     f = _f(sides)
     failures: list[str] = []
@@ -293,8 +283,11 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     # Segment numbers shift into the chain's by the label offset of position s - 1.
     label_offs = label_offsets(objects)
     fiber_off = 0
-    for s, edge in enumerate(segments, start=1):
-        seg_sides = seg_objects, _, _, _, _, _, seg_witness, _, _ = _sides(edge)
+    for s, edge in enumerate(edges, start=1):
+        # A one-edge instance is its own only segment.
+        seg_sides = seg_objects, _, _, _, _, _, seg_witness, _, _ = (
+            sides if len(edges) == 1 else _sides(edge)
+        )
         label_off = label_offs[s - 1]
         for rep, block in classes(_f(seg_sides)).items():
             via_chain = {witness[f[code + label_off]] for code in block}

@@ -191,10 +191,7 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
 
     For an object pair, a 0-part and, when beta' = 1, the first image of the
     1-part fix the signature.  The 1-parts are in lexicographic order, so
-    those that share a first image are consecutive and make one run.  The
-    1-part is innermost, so the edges with one 0-part, which share the key
-    of compare._kernel (the objects' values and the fiber map), follow one
-    another: its one-entry memo relies on that.
+    those that share a first image are consecutive and make one run.
     """
     targets = enumerate_objects(config.max_k_prime)
     for phi in enumerate_objects(config.max_k):
@@ -473,11 +470,11 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     at once; failures list in (sizes, maps) order.  The walk keeps its own
     stack, so no chain length meets the recursion limit.
     """
+    if not config.max_chain_len:
+        return
     counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
-    if not config.max_chain_len:
-        return
     # Size prefixes with their weights, the next to visit on top.
     stack = [((z,), counts.base(z)) for z in reversed(range(width))]
     while stack:

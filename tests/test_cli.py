@@ -391,6 +391,12 @@ C_81_41 = 212392290424395860814420
             f"error: verify would list {C_81_41} fiber maps for one drawn pair, "
             "more than 10000000\n",
         ),
+        (
+            ["--suites", "gluing", "--samples", "1", "--max-k", "1",
+             "--max-chain-len", "100000000", "--seed", "0"],
+            EXIT_USAGE,
+            "error: verify would draw up to 100000000 chain edges, more than 10000000\n",
+        ),
     ],
 )
 def test_verify_counts_its_edges_and_draws_before_building_them(argv, code, err):
@@ -398,7 +404,8 @@ def test_verify_counts_its_edges_and_draws_before_building_them(argv, code, err)
     time and exits 2 once past 10,000,000, naming the count ("at least" when
     it stopped early); more than 10,000,000 samples exit 2 too, and so does a
     sampled edge suite or sampled gluing that could list more than
-    10,000,000 fiber maps for one drawn pair.  None leaves a traceback, and
+    10,000,000 fiber maps for one drawn pair, or sampled gluing that could
+    draw more than 10,000,000 chain edges.  None leaves a traceback, and
     k, k' <= 5 still passes."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -36,7 +36,7 @@ from bmquiver.wfib import chain_signature, g_classes
 from test_bm import enumerate_all_edges, identity_edge
 from test_quiverf import one, resolve_label, two
 from test_quotient import union_find_blocks
-from test_sweeps import two_edge_chains, x1_zero_as_x1_one
+from test_sweeps import rotated_g, two_edge_chains, x1_zero_as_x1_one
 
 OBJ = BmObject.parse
 EDGE = BmEdge.parse
@@ -46,6 +46,19 @@ def edge_shape(edge: BmEdge) -> tuple:
     """What the kernel reads of an edge: both objects' (ell, beta) and the fiber map."""
     phi, phi_prime = edge.phi, edge.phi_prime
     return phi.ell, phi.beta, phi_prime.ell, phi_prime.beta, edge.fiber_map()
+
+
+def count_kernel(monkeypatch) -> list:
+    """Record the key of every kernel computation from here on; the record is returned."""
+    computed = []
+    kernel = compare._kernel
+
+    def counted(values, maps):
+        computed.append((values, maps))
+        return kernel(values, maps)
+
+    monkeypatch.setattr(compare, "_kernel", counted)
+    return computed
 
 
 def as_chain(instance) -> BmChain:
@@ -195,16 +208,29 @@ class TestNaturality:
         report = verify_naturality(chain)
         assert report.passed
 
-    def test_one_edge_chain_is_its_own_segment(self):
-        """A one-edge chain reads its pairs, F and G from one kernel entry.  A
-        two-edge chain computes its own entry, then one per segment: the
-        first segment is the edge just checked, which the chain's entry evicted."""
-        compare._kernel.cache_clear()
+    def test_one_edge_chain_is_its_own_segment(self, monkeypatch):
+        """A one-edge chain reads its pairs, F and G, its segment's too, from
+        one kernel computation.  A two-edge chain computes its own, then one
+        per segment."""
+        computed = count_kernel(monkeypatch)
         edge = EDGE("phi=00;phiPrime=000;map=0,1,1")
         assert verify_naturality(BmChain.from_edges([edge])).passed
-        assert compare._kernel.cache_info().misses == 1
+        assert len(computed) == 1
+        computed.clear()
         verify_naturality(BmChain.from_edges([edge, identity_edge(edge.phi_prime)]))
-        assert compare._kernel.cache_info().misses == 4
+        assert len(computed) == 3
+
+    def test_one_edge_segment_square_reads_the_instance_kernel(self, monkeypatch):
+        """Where G moves its witnesses, a one-edge chain's segment square runs,
+        fails, and reads the chain's own kernel computation: one in all.  The
+        report is the one the edge itself gives."""
+        rotated_g(monkeypatch)
+        computed = count_kernel(monkeypatch)
+        edge = EDGE("phi=00;phiPrime=000;map=0,1,1")
+        report = verify_naturality(BmChain.from_edges([edge]))
+        assert len(computed) == 1
+        assert any(failure.startswith("segment square s=1:") for failure in report.failures)
+        assert verify_naturality(edge) == report
 
     def test_kernel_matches_routes_it_does_not_share(self):
         """On every object with k <= 4, every edge with k, k' <= 4 and every
@@ -269,8 +295,9 @@ class TestNaturality:
         """Exhaustive naturality checks every edge, one verify_naturality call
         each, and computes F and G once per edge shape, (ell, beta, ell', beta')
         and the fiber map: 2,957 of the 10,697 edges at k, k' <= 5, 787 of the
-        2,421 at k, k' <= 4.  Each shape misses the verdict memo once and runs
-        the kernel once; the kernel's own memo holds one entry."""
+        2,421 at k, k' <= 4.  Each shape misses the verdict memo once and
+        computes the kernel once, and no kernel key is computed twice."""
+        computed = count_kernel(monkeypatch)
         calls = 0
 
         def counted(chain):
@@ -281,20 +308,20 @@ class TestNaturality:
         monkeypatch.setattr(sweeps, "verify_naturality", counted)
         for bound, edges, shapes in ((4, 2421, 787), (5, 10697, 2957)):
             calls = 0
-            compare._kernel.cache_clear()
+            computed.clear()
             compare._edge_verdicts.cache_clear()
             report = sweeps.run_suite(SweepConfig(max_k=bound, max_k_prime=bound), "naturality")
-            memo, kernel = compare._edge_verdicts.cache_info(), compare._kernel.cache_info()
+            memo = compare._edge_verdicts.cache_info()
             assert (report.total, report.failed, calls) == (edges, 0, edges)
             assert len(set(map(edge_shape, enumerate_all_edges(bound, bound)))) == shapes
             assert (memo.misses, memo.hits, memo.currsize) == (shapes, edges - shapes, shapes)
-            assert (kernel.misses, kernel.hits) == (shapes, 0)
-            assert (kernel.maxsize, kernel.currsize) == (1, 1)
+            assert len(computed) == len(set(computed)) == shapes
 
     def test_naturality_after_constancy_computes_no_kernel(self, monkeypatch):
         """Constancy at k, k' <= 5 leaves every edge shape's verdicts in the
         memo, so naturality after it makes its 10,697 verify_naturality calls
-        without one kernel miss, and no memo miss either."""
+        without one kernel computation, and no memo miss either."""
+        computed = count_kernel(monkeypatch)
         calls = 0
 
         def counted(chain):
@@ -305,10 +332,12 @@ class TestNaturality:
         monkeypatch.setattr(sweeps, "verify_naturality", counted)
         config = SweepConfig(max_k=5, max_k_prime=5)
         assert sweeps.run_suite(config, "constancy").passed
-        kernel, memo = compare._kernel.cache_info(), compare._edge_verdicts.cache_info()
+        assert len(computed) == 2957
+        computed.clear()
+        memo = compare._edge_verdicts.cache_info()
         report = sweeps.run_suite(config, "naturality")
         assert (report.total, report.failed, calls) == (10697, 0, 10697)
-        assert compare._kernel.cache_info().misses == kernel.misses
+        assert computed == []
         assert compare._edge_verdicts.cache_info().misses == memo.misses == 2957
 
     def test_kernel_on_canonical_objects_is_the_kernel_on_the_edge(self):

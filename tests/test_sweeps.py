@@ -298,6 +298,15 @@ def test_sampled_gluing_of_objects_alone_counts_no_edges(monkeypatch):
     assert (report.total, report.failed, calls) == (10, 0, 0)
 
 
+def test_exhaustive_gluing_of_objects_alone_lists_no_fiber_map():
+    """At chain length 0 exhaustive gluing checks only its objects: at
+    k <= 10 (77 objects) it lists no fiber map, so monotone_tuples never misses."""
+    monotone_tuples.cache_clear()
+    report = gluing_suite(SweepConfig(max_k=10, max_chain_len=0))
+    assert (report.total, report.failed) == (77, 0)
+    assert monotone_tuples.cache_info().misses == 0
+
+
 def test_sampled_gluing_reports_are_unchanged():
     """Sampled gluing at k <= 4, length <= 3, 300 samples, seeds 0-10, gives
     the reports it gave while every source's cumulative edge counts were
@@ -618,7 +627,6 @@ def test_gamma_off_by_one_fails_xi_instead_of_raising(monkeypatch, capsys):
 KERNEL_MEMOS = {
     "_shape",
     "_gamma_row",
-    "_kernel",
     "_edge_verdicts",
     "_edge_components",
     "_interned",
