@@ -5,16 +5,20 @@ a seeded generator), checks them in a single process, and aggregates a
 report: failures stop nothing, they are collected with witnesses so a
 broken case is localized.
 Every suite runs through one loop, _sweep, but for the walk over fiber
-signatures of exhaustive gluing.  A source gives runs: consecutive
-instances, in enumeration order, that share one signature, or one run per
-draw in sampled mode.  Sampled objects and edges are drawn once per process
-for given bounds and seed, kept as indices into the enumeration (an edge as
-its image parts too), and shared by every suite that samples them; each run
-is built straight from its draw as it is reached.  A check gives only what
+signatures of exhaustive gluing.  A source gives runs: instances that
+share one signature, each at its position.  Exhaustive, a run is a stretch
+of consecutive instances in enumeration order.  Sampled objects and edges
+are drawn once per process for given bounds and seed, kept as indices into
+the enumeration (an edge as its image parts too), and grouped once by
+signature, in order of first draw; every suite that samples them reads
+that one draw and grouping, and a run is a group: every draw of one
+signature.  So a sampled suite checks each distinct signature once, and
+touches single draws only to list their records, in draw order, or to
+re-check the draws of a failing signature.  A check gives only what
 failed, never a key, and the sweep lists it under the instance's key.  A
-sweep that reuses verdicts by signature counts a run whose signature passed
-in place, without building its instances, and lists a run whose signature
-warned under its instances' keys, unbuilt.
+sweep that reuses verdicts by signature counts a run whose signature
+passed in place, without building its instances, and lists a run whose
+signature warned under its instances' keys, unbuilt.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -127,62 +131,110 @@ class SuiteReport:
         }
 
 
-#: A run: consecutive instances of a source, in enumeration order, that share
-#: one signature, as (signature, count, instance, key): instance(n) builds what
-#: the check reads of the n-th instance of the run (a drawn chain gives its fiber
-#: signature) and key(n) gives its encoding without building it, so a run that
-#: is only counted, or only listed, is never built.
-Run = tuple[object, int, Callable[[int], object], Callable[[int], str]]
+#: A run: instances of a source that share one signature, as (signature, at,
+#: instance, key).  at holds one entry a per instance, in order: exhaustive,
+#: the instances are consecutive in enumeration order (an edge's entry is its
+#: 1-part); sampled, each entry is a draw position, in draw order, by which
+#: the sweep lists.  instance(a) builds what the check reads of the instance
+#: (a drawn chain gives its fiber signature) and key(a) gives its encoding
+#: without building it, so a run that is only counted, or only listed, is
+#: never built.
+Run = tuple[object, Sequence, Callable[..., object], Callable[..., str]]
+
+
+def _grouped(keys: Iterable) -> tuple[tuple[tuple[object, int], ...], memoryview]:
+    """The draws with these keys, grouped by key: (key, count) per group, in
+    order of first draw, and the positions of every group's draws, group
+    after group, each group's in draw order (see _group_runs).
+
+    The positions take 4 bytes per draw.  Each key is read once.
+    """
+    numbers: dict = {}
+    groups = [numbers.setdefault(key, len(numbers)) for key in keys]
+    counts = [0] * len(numbers)
+    for group in groups:
+        counts[group] += 1
+    starts = list(accumulate(counts))
+    order = _positions(len(groups))
+    # Filled from the last draw back, so that starts[g] ends at group g's start.
+    for position in reversed(range(len(groups))):
+        group = groups[position]
+        starts[group] -= 1
+        order[starts[group]] = position
+    return tuple(zip(numbers, counts)), order
+
+
+def _positions(size: int) -> memoryview:
+    """size integers below 2**32, all 0, writable, in 4 bytes each."""
+    return memoryview(bytearray(4 * size)).cast("I")
+
+
+def _group_runs(grouping: tuple) -> Iterator[tuple[object, memoryview]]:
+    """Each group of a _grouped result with a view of its draw positions."""
+    groups, order = grouping
+    start = 0
+    for key, count in groups:
+        yield key, order[start : start + count]
+        start += count
 
 
 @lru_cache(maxsize=1)
-def _object_draws(max_k: int, samples: int, seed: int) -> tuple[int, ...]:
-    """The enumerate_objects(max_k) indices of samples seeded draws, in draw order.
+def _object_groups(max_k: int, samples: int, seed: int) -> tuple:
+    """samples seeded draws of an enumerate_objects(max_k) index, grouped by
+    index (see _grouped).
 
     Every suite of a process that samples objects at these bounds and seed
-    reads this one draw, kept as integers.
+    reads this one grouping; the draws are kept only in it.
     """
     rng = random.Random(seed)
     indices = range(len(enumerate_objects(max_k)))
-    return tuple([rng.choice(indices) for _ in range(samples)])
+    return _grouped(rng.choice(indices) for _ in range(samples))
 
 
 def _objects(config: SweepConfig) -> Iterator[Run]:
-    """The objects to check, each a run of one: every object in range, or
-    config.samples seeded draws (see _object_draws) in draw order, repeats
-    included."""
+    """The objects to check: every object in range, each a run of one, or
+    config.samples seeded draws (see _object_groups), a run per drawn object
+    with every draw of it."""
     objs = enumerate_objects(config.max_k)
-    if config.samples is not None:
-        draws = _object_draws(config.max_k, config.samples, config.seed)
-        objs = map(objs.__getitem__, draws)
-    return map(_object_run, objs)
+    if config.samples is None:
+        return map(_object_run, objs)
+    groups = _object_groups(config.max_k, config.samples, config.seed)
+    return (_object_run(objs[index], at) for index, at in _group_runs(groups))
 
 
-def _object_run(phi: BmObject) -> Run:
-    """The run of one object, built already; an object is its own signature."""
-    return phi, 1, lambda n: phi, lambda n: phi.encode()
+def _object_run(phi: BmObject, at: Sequence = range(1)) -> Run:
+    """The run of one object at these positions, built already; an object is
+    its own signature."""
+    return phi, at, lambda a: phi, lambda a: phi.encode()
+
+
+def _edge_signature(phi: BmObject, phi_prime: BmObject, zero: tuple, one: tuple) -> tuple:
+    """The signature of the edge phi -> phi' with images zero + one.
+
+    It is what the constancy, identification, audit and xi checks read of
+    an edge: (ell, beta, ell', beta'), the images of the 0-fiber of phi',
+    and p(ell' + 1) when beta' = 1 (the audit reads it).  It is read from
+    the images, not through BmEdge.fiber_map, so edges that the pairing
+    rules tell apart are never merged.
+    """
+    beta_prime = phi_prime.beta
+    return phi.ell, phi.beta, phi_prime.ell, beta_prime, zero + one[:beta_prime]
 
 
 def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> Run:
-    """The run of edges phi -> phi' with this 0-part and these 1-parts, in map order.
-
-    The signature is what the constancy, identification, audit and xi checks
-    read of an edge: (ell, beta, ell', beta'), the images of the 0-fiber of
-    phi', and p(ell' + 1) when beta' = 1 (the audit reads it).  It is read
-    from the images, not through BmEdge.fiber_map, so edges that the
-    pairing rules tell apart are never merged.  When beta' = 1 the 1-parts
-    must share their first image.
+    """The run of edges phi -> phi' with this 0-part and these 1-parts, in map
+    order, under their signature (see _edge_signature).  When beta' = 1 the
+    1-parts must share their first image.
     """
-    beta_prime, kp, k = phi_prime.beta, phi_prime.top, phi.top
-    signature = (phi.ell, phi.beta, phi_prime.ell, beta_prime, zero + ones[0][:beta_prime])
+    kp, k = phi_prime.top, phi.top
 
-    def edge(n: int) -> BmEdge:
-        return BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + ones[n]))
+    def edge(one: tuple) -> BmEdge:
+        return BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one))
 
-    def key(n: int) -> str:
-        return encode_edge(phi, phi_prime, zero + ones[n])
+    def key(one: tuple) -> str:
+        return encode_edge(phi, phi_prime, zero + one)
 
-    return signature, len(ones), edge, key
+    return _edge_signature(phi, phi_prime, zero, ones[0]), ones, edge, key
 
 
 def _edge_runs(config: SweepConfig) -> Iterator[Run]:
@@ -230,21 +282,41 @@ def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[
     return tuple(zip(*draws))
 
 
+@lru_cache(maxsize=1)
+def _edge_groups(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple:
+    """The draws of _edge_draws grouped by signature (see _edge_signature and
+    _grouped), each draw's signature computed once."""
+    sources = enumerate_objects(max_k)
+    targets = enumerate_objects(max_k_prime)
+    phis, phi_primes, zeros, ones = _edge_draws(max_k, max_k_prime, samples, seed)
+    phis, phi_primes = map(sources.__getitem__, phis), map(targets.__getitem__, phi_primes)
+    return _grouped(map(_edge_signature, phis, phi_primes, zeros, ones))
+
+
 def _edges(config: SweepConfig) -> Iterator[Run]:
     """The edges to check, as runs.
 
     Exhaustive: every edge in range (see _edge_runs).  Sampled: the draws of
-    _edge_draws, each a run of one built straight from its parts as it is
-    reached, in draw order, repeats included.
+    _edge_draws, a run per signature with every draw of it (see
+    _edge_groups), each edge built straight from its parts when it is reached.
     """
     if config.samples is None:
         yield from _edge_runs(config)
         return
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
-    draws = _edge_draws(config.max_k, config.max_k_prime, config.samples, config.seed)
-    for source, target, zero, one in zip(*draws):
-        yield _edge_run(sources[source], targets[target], zero, (one,))
+    bounds = config.max_k, config.max_k_prime, config.samples, config.seed
+    phis, phi_primes, zeros, ones = _edge_draws(*bounds)
+
+    def edge(a: int) -> BmEdge:
+        phi, phi_prime = sources[phis[a]], targets[phi_primes[a]]
+        return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, zeros[a] + ones[a]))
+
+    def key(a: int) -> str:
+        return encode_edge(sources[phis[a]], targets[phi_primes[a]], zeros[a] + ones[a])
+
+    for signature, at in _group_runs(_edge_groups(*bounds)):
+        yield signature, at, edge, key
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -397,18 +469,29 @@ def _representative(signature: FiberSignature) -> BmChain:
     return BmChain.from_edges(edges)
 
 
-def _chain_run(signature: FiberSignature, steps: list[tuple]) -> Run:
-    """The run of one drawn chain of length >= 1, whose signature and instance
-    are its fiber signature; its edges (edge_at arguments) are built for its key only."""
+def _chain_run(
+    signature: FiberSignature, objs: list[BmObject], base: int, steps: list[int], position: int
+) -> Run:
+    """The run of one drawn chain of length >= 1 at its draw position, whose
+    signature and instance are its fiber signature.
 
-    def key(n: int) -> str:
-        return BmChain.from_edges([edge_at(*step) for step in steps]).encode()
+    steps holds each edge as two integers in a row, the index of its target
+    in objs and its index among the edges into that target (see edge_at),
+    from objs[base] on; the edges are built for the key only.
+    """
 
-    return signature, 1, lambda n: signature, key
+    def key(a: int) -> str:
+        edges, current, flat = [], base, iter(steps)
+        for target, index in zip(flat, flat):
+            edges.append(edge_at(objs[current], objs[target], index))
+            current = target
+        return BmChain.from_edges(edges).encode()
+
+    return signature, (position,), lambda a: signature, key
 
 
 def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
-    """config.samples seeded chains, each a run of one, in draw order.
+    """config.samples seeded chains, each a run of one at its draw position.
 
     A draw picks a length and a base object, then each next edge by its
     index among the edges leaving the current object: targets in
@@ -425,14 +508,13 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
     objs = enumerate_objects(config.max_k)
     # ends[s][t]: the number of edges from objs[s] to objs[0], ..., objs[t].
     ends: dict[int, list[int]] = {}
-    for _ in range(config.samples):
+    for position in range(config.samples):
         length = rng.randint(0, config.max_chain_len)
         current = rng.randrange(len(objs))
         if not length:
-            yield _object_run(objs[current])
+            yield _object_run(objs[current], (position,))
             continue
-        sizes = [objs[current].ell + 1]
-        maps, steps = [], []
+        base, sizes, maps, steps = current, [objs[current].ell + 1], [], []
         for _ in range(length):
             if current not in ends:
                 phi = objs[current]
@@ -445,9 +527,9 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
                 index -= row[target - 1]
             maps.append(edge_parts(objs[current], objs[target], index)[0])
             sizes.append(objs[target].ell + 1)
-            steps.append((objs[current], objs[target], index))
+            steps += (target, index)
             current = target
-        yield _chain_run((tuple(sizes), tuple(maps)), steps)
+        yield _chain_run((tuple(sizes), tuple(maps)), objs, base, steps, position)
 
 
 def _gluing(instance: BmObject | FiberSignature) -> tuple[Record, ...]:
@@ -556,8 +638,8 @@ def _sweep(
     config: SweepConfig, name: str, sources: tuple, check: Callable, by_signature: bool
 ) -> SuiteReport:
     """Check the runs of every source in order, exhaustive or sampled alike,
-    and list each record of the n-th instance of a run under key(n) followed
-    by the record's suffix; passing records are tallied and added once.
+    and list each record of a run's instance with entry a under key(a)
+    followed by the record's suffix; passing records are tallied and added once.
 
     By signature, the instances of a run are built and checked in order
     until one passes, which counts the rest, or warns, whose records the
@@ -565,30 +647,55 @@ def _sweep(
     listed with its own witnesses.  A run whose signature has passed or only
     warned before takes that verdict unchecked: a passing one is counted,
     every record of every instance, without building the run's instances.
-    A sampled sweep always reuses verdicts, since its draws repeat.  This is
-    exact only if the check reads nothing beyond the signature; a check that
-    read more would be under-checked, which the signature test in
-    tests/test_sweeps.py guards.  The kept verdicts live for this call only.
+    A sampled sweep always reuses verdicts: a run is every draw of one
+    signature, so it checks each distinct signature once, and touches single
+    draws only to list their records or to check the draws of a failing
+    signature; its listings are put back in draw order, each draw's records
+    in their order.  This is exact only if the check reads nothing beyond
+    the signature; a check that read more would be under-checked, which the
+    signature test in tests/test_sweeps.py guards.  The kept verdicts live
+    for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
     verdicts: dict | None = {} if by_signature or config.samples is not None else None
     for source in sources:
-        for signature, count, instance, key in source(config):
+        # (positions, key, records): the instances at positions list records.
+        listed: list = []
+        for signature, at, instance, key in source(config):
             kept = None if verdicts is None else verdicts.get(signature)
-            for n in range(count):
-                records = kept
-                if records is None:
-                    records = check(instance(n))
-                    if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
-                        kept = verdicts[signature] = records
-                if kept is not None and not any(kept):
-                    passed += (count - n) * len(kept)
+            n = 0
+            while kept is None and n < len(at):
+                records = check(instance(at[n]))
+                if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
+                    kept = verdicts[signature] = records
                     break
                 passed += records.count(None)
+                if any(records):
+                    listed.append((at[n : n + 1], key, records))
+                n += 1
+            if kept is not None:
+                # The instances from n on take the kept records.
+                passed += (len(at) - n) * kept.count(None)
+                if any(kept):
+                    listed.append((at[n:], key, kept))
+        if listed and config.samples is not None:
+            listed = _in_draw_order(listed, config.samples)
+        for at, key, records in listed:
+            for a in at:
                 for record in filter(None, records):
-                    report.add((key(n) + record[0], record[1], record[2]))
+                    report.add((key(a) + record[0], record[1], record[2]))
     report.add(None, passed)
     return report
+
+
+def _in_draw_order(listed: list, samples: int) -> Iterator[tuple]:
+    """The listed (positions, key, records) entries of a sampled source, one
+    entry per position, in draw order; no two entries share a position."""
+    numbers = _positions(samples)
+    for number, (at, _, _) in enumerate(listed, 1):
+        for a in at:
+            numbers[a] = number
+    return (((a,), *listed[n - 1][1:]) for a, n in enumerate(numbers) if n)
 
 
 def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
@@ -606,7 +713,8 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     edges, while exhaustive naturality builds and checks every edge.
     Sampled mode checks a drawn signature (an object is its own, a chain of
     length >= 1 has its fiber signature) once if it passes or warns, and at
-    every draw if it fails; it lists each failing or warning draw in draw
+    every draw if it fails, visiting the drawn objects and edges one run per
+    signature (see _grouped); it lists each failing or warning draw in draw
     order, and the total counts every draw.  An instance on which the
     pairing rules build an invalid label, gamma is not well-defined, or G
     rejects the fiber maps fails with the error as its witness instead of

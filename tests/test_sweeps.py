@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import groupby
 from pathlib import Path
@@ -20,7 +21,7 @@ from bmquiver.bm import BmEdge, BmObject, enumerate_edges, enumerate_objects, fi
 from bmquiver.errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
-from bmquiver.simplex import monotone_tuples
+from bmquiver.simplex import DeltaMap, monotone_tuples
 from bmquiver.cli import EXIT_FAIL, EXIT_PASS, main
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
@@ -236,13 +237,20 @@ def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
 
 @pytest.mark.parametrize("max_k,max_k_prime", [(5, 5), (2, 5), (5, 2), (0, 3)])
 def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_prime):
+    """The n-th edge of the shared draw is the n-th edge chosen from each
+    pair's list, and the sampled runs build it at position n."""
+    sources, targets = enumerate_objects(max_k), enumerate_objects(max_k_prime)
     for seed in range(20):
         config = SweepConfig(
             max_k=max_k, max_k_prime=max_k_prime, samples=40, seed=seed
         )
-        runs = list(sweeps._edges(config))
-        assert all(count == 1 for _, count, _, _ in runs)
-        assert [instance(0) for _, _, instance, _ in runs] == choose_from_filtered_edges(config)
+        drawn = [
+            BmEdge(sources[s], targets[t], DeltaMap(targets[t].top, sources[s].top, zero + one))
+            for s, t, zero, one in zip(*sweeps._edge_draws(max_k, max_k_prime, 40, seed))
+        ]
+        assert drawn == choose_from_filtered_edges(config)
+        built = {a: instance(a) for _, at, instance, _ in sweeps._edges(config) for a in at}
+        assert [built[n] for n in range(40)] == drawn
 
 
 def choose_gluing_chains(config: SweepConfig) -> list[BmChain]:
@@ -875,11 +883,11 @@ def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, ma
     edges = enumerate_all_edges(max_k, max_k_prime)
     runs = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
     walked = []
-    for signature, count, instance, key in runs:
-        run = [instance(n) for n in range(count)]
-        assert count >= 1
+    for signature, at, instance, key in runs:
+        run = [instance(a) for a in at]
+        assert len(at) >= 1
         assert {edge_signature(edge) for edge in run} == {signature}
-        assert [key(n) for n in range(count)] == [edge.encode() for edge in run]
+        assert [key(a) for a in at] == [edge.encode() for edge in run]
         walked.append(run)
     assert [edge for run in walked for edge in run] == edges
     stretches = groupby(edges, lambda e: (e.phi, e.phi_prime, edge_signature(e)))
@@ -1035,6 +1043,73 @@ def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
         assert sweeps.run_suite(config, suite).passed, suite
     assert calls == {"constancy": 2500, "gluing": 4974}
     assert sum(calls.values()) == 7474
+
+
+def test_sampled_suites_visit_one_run_per_drawn_signature(monkeypatch):
+    """At the benchmark's sampled bounds, seed 1, each drawn edge's signature
+    is computed once in the process, 2,500 times for the four edge suites
+    together, and each object or edge suite visits one run per distinct
+    drawn signature: 27 objects and 552 edge signatures, while its total
+    still counts every draw."""
+    computed = 0
+    signature_of = sweeps._edge_signature
+
+    def counted(*args):
+        nonlocal computed
+        computed += 1
+        return signature_of(*args)
+
+    visited = 0
+
+    def counting(source):
+        def runs(config):
+            nonlocal visited
+            for run in source(config):
+                visited += 1
+                yield run
+
+        return runs
+
+    monkeypatch.setattr(sweeps, "_edge_signature", counted)
+    suites = {
+        name: (tuple(map(counting, sources)), check, by_signature)
+        for name, (sources, check, by_signature) in sweeps._SUITES.items()
+    }
+    monkeypatch.setattr(sweeps, "_SUITES", suites)
+    config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
+    rng, objs = random.Random(config.seed), enumerate_objects(config.max_k)
+    objects = [rng.choice(objs) for _ in range(config.samples)]
+    signatures = {edge_signature(edge) for edge in choose_from_filtered_edges(config)}
+    expected = {
+        "cardinality": (len(set(objects)), 2500),
+        "decomposition": (len(set(objects)), sum(1 for phi in objects if phi.top)),
+        **{name: (len(signatures), 2500) for name in EDGE_SUITES},
+    }
+    assert (expected["cardinality"][0], expected["constancy"][0]) == (27, 552)
+    for name, want in expected.items():
+        visited = 0
+        report = sweeps.run_suite(config, name)
+        assert report.passed and (visited, report.total) == want, name
+    assert computed == 2500
+
+
+def test_the_edge_grouping_keeps_at_most_8_bytes_per_draw():
+    """Beyond the shared edge draw itself, its grouping by signature keeps
+    at most 8 bytes per draw: tracemalloc over the draw and then the
+    grouping at 50,000 samples, k, k' <= 2."""
+    clear_memos()
+    bounds = (2, 2, 50000, 0)
+    tracemalloc.start()
+    try:
+        sweeps._edge_draws(*bounds)
+        drawn = tracemalloc.get_traced_memory()[0]
+        groups, _ = sweeps._edge_groups(*bounds)
+        grouped = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        clear_memos()
+    assert sum(count for _, count in groups) == 50000
+    assert grouped - drawn <= 8 * 50000
 
 
 def test_edge_checks_build_no_chain(monkeypatch):
