@@ -6,6 +6,11 @@ which records whether the values cross from 0 to 1.  A morphism phi -> phi'
 of the opposite category is a monotone map [k'] -> [k] over [1], which is a
 monotone map of 0-fibers beside one of 1-fibers; a chain is a composable
 sequence of such morphisms.
+
+Enumerated and drawn edges come from one package-internal builder,
+_edge_of_parts, which takes a 0-part and a 1-part of fiber_parts and skips
+the checks those parts already guarantee.  Every other edge or map, outside
+input included, is built through BmEdge(...) and DeltaMap(...), which check it.
 """
 
 from __future__ import annotations
@@ -233,19 +238,39 @@ def fiber_parts(phi: BmObject, phi_prime: BmObject) -> tuple[tuple, tuple]:
     )
 
 
+#: How a frozen dataclass is made and its fields set, bound once for _edge_of_parts.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _edge_of_parts(phi: BmObject, phi_prime: BmObject, zero: tuple, one: tuple) -> BmEdge:
+    """The edge phi -> phi' whose images are zero + one, an entry of each
+    tuple of fiber_parts(phi, phi_prime), built unchecked.
+
+    Such parts are monotone into [0, ell] and [ell + 1, top] and as long as
+    the fibers of phi', so their concatenation is a monotone map [k'] -> [k]
+    over [1], and the checks of DeltaMap and BmEdge would find nothing.  The
+    frozen fields are set as the generated __init__ sets them; input from
+    anywhere else goes through BmEdge(...) and DeltaMap(...), which check it.
+    """
+    delta = _new(DeltaMap)
+    _set(delta, "source_top", phi_prime.top)
+    _set(delta, "target_top", phi.top)
+    _set(delta, "images", zero + one)
+    edge = _new(BmEdge)
+    _set(edge, "phi", phi)
+    _set(edge, "phi_prime", phi_prime)
+    _set(edge, "map", delta)
+    return edge
+
+
 def enumerate_edges(phi: BmObject, phi_prime: BmObject) -> list[BmEdge]:
     """All edges phi -> phi', i.e. all monotone maps over [1], in map order.
 
     Built as pairs of fiber maps, 0-part outer: every 0-part has the same
     length, so this is lexicographic order of the image tuples.
     """
-    kp, k = phi_prime.top, phi.top
     zeros, ones = fiber_parts(phi, phi_prime)
-    return [
-        BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one))
-        for zero in zeros
-        for one in ones
-    ]
+    return [_edge_of_parts(phi, phi_prime, zero, one) for zero in zeros for one in ones]
 
 
 def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
@@ -267,8 +292,7 @@ def edge_parts(phi: BmObject, phi_prime: BmObject, index: int) -> tuple[tuple, t
 
 def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:
     """enumerate_edges(phi, phi_prime)[index], built without the other edges."""
-    zero, one = edge_parts(phi, phi_prime, index)
-    return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, zero + one))
+    return _edge_of_parts(phi, phi_prime, *edge_parts(phi, phi_prime, index))
 
 
 def segment_decompose(phi: BmObject) -> list[BmObject]:

@@ -36,6 +36,7 @@ from .bm import (
     BmChain,
     BmEdge,
     BmObject,
+    _edge_of_parts,
     count_edges,
     edge_at,
     edge_parts,
@@ -226,10 +227,7 @@ def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> R
     order, under their signature (see _edge_signature).  When beta' = 1 the
     1-parts must share their first image.
     """
-    kp, k = phi_prime.top, phi.top
-
-    def edge(one: tuple) -> BmEdge:
-        return BmEdge(phi, phi_prime, DeltaMap(kp, k, zero + one))
+    edge = partial(_edge_of_parts, phi, phi_prime, zero)
 
     def key(one: tuple) -> str:
         return encode_edge(phi, phi_prime, zero + one)
@@ -299,6 +297,7 @@ def _edges(config: SweepConfig) -> Iterator[Run]:
     Exhaustive: every edge in range (see _edge_runs).  Sampled: the draws of
     _edge_draws, a run per signature with every draw of it (see
     _edge_groups), each edge built straight from its parts when it is reached.
+    Both build their edges with bm._edge_of_parts.
     """
     if config.samples is None:
         yield from _edge_runs(config)
@@ -309,8 +308,7 @@ def _edges(config: SweepConfig) -> Iterator[Run]:
     phis, phi_primes, zeros, ones = _edge_draws(*bounds)
 
     def edge(a: int) -> BmEdge:
-        phi, phi_prime = sources[phis[a]], targets[phi_primes[a]]
-        return BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, zeros[a] + ones[a]))
+        return _edge_of_parts(sources[phis[a]], targets[phi_primes[a]], zeros[a], ones[a])
 
     def key(a: int) -> str:
         return encode_edge(sources[phis[a]], targets[phi_primes[a]], zeros[a] + ones[a])

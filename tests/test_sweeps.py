@@ -918,14 +918,15 @@ def test_signature_suites_check_each_signature_once_and_build_only_what_they_lis
 
         return call
 
-    post_init = BmEdge.__post_init__
+    build = sweeps._edge_of_parts
 
-    def built(edge):
+    def built(*parts):
         nonlocal builds
         builds += 1
-        post_init(edge)
+        return build(*parts)
 
-    monkeypatch.setattr(BmEdge, "__post_init__", built)
+    # Every edge a sweep checks is built from its fiber parts, by this builder.
+    monkeypatch.setattr(sweeps, "_edge_of_parts", built)
     expected = {
         "constancy": ("verify_constancy", signatures, signatures),
         "identification": ("verify_edge_identification", signatures, signatures),
