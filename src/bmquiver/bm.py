@@ -63,7 +63,7 @@ class BmObject:
         object.__setattr__(self, "beta", int(0 < zeros < n))
 
     def encode(self) -> str:
-        return "".join(str(v) for v in self.values)
+        return "".join(map(str, self.values))
 
     @classmethod
     def parse(cls, text: str) -> "BmObject":
@@ -156,7 +156,7 @@ def encode_edge(phi: BmObject, phi_prime: BmObject, images: tuple[int, ...]) -> 
     """The encoding of the edge phi -> phi' whose map has these images, built or not."""
     return (
         f"phi={phi.encode()};phiPrime={phi_prime.encode()};"
-        f"map={','.join(str(v) for v in images)}"
+        f"map={','.join(map(str, images))}"
     )
 
 

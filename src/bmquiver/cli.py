@@ -3,7 +3,10 @@
 Exit codes: 0 when everything checked passes (warnings allowed), 1 when any
 verification fails, 2 for usage or parse errors.  JSON output is rendered
 with sorted keys and two-space indentation, so reports are byte-stable and
-round-trip through json.loads/dumps unchanged.
+round-trip through json.loads/dumps unchanged.  verify writes its reports
+record by record once every suite has run, byte-identical to
+json.dumps(indent=2, sort_keys=True) of them, so it holds no copy of its
+output.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import sys
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterator, Sequence
 
@@ -302,20 +306,46 @@ def _render_listing(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_verify(reports, fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json([r.to_dict() for r in reports])
-    lines = []
+def _write_verify(reports, fmt: str, write) -> None:
+    """Write the reports through write a record at a time, holding no copy of the
+    output: JSON byte-identical to _dump_json([r.to_dict() for r in reports]),
+    text to its lines joined by newlines, each listed instance one string."""
+    if fmt == "text":
+        if not reports:
+            write("\n")
+        for r in reports:
+            flag = "PASS" if r.passed else "FAIL"
+            write(f"{flag} {r.suite}: {r.total} checked, {r.failed} failed, {r.warned} warned\n")
+            for inst in r.instances:
+                lines = [f"  [{inst['status']}] {inst['key']}", *inst["witnesses"]]
+                write("\n      ".join(lines) + "\n")
+        return
+    if not reports:
+        write("[]\n")
+        return
+    before_report = "[\n"
     for r in reports:
-        flag = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{flag} {r.suite}: {r.total} checked, {r.failed} failed, {r.warned} warned"
-        )
-        for inst in r.instances:
-            lines.append(f"  [{inst['status']}] {inst['key']}")
-            for witness in inst["witnesses"]:
-                lines.append(f"      {witness}")
-    return "\n".join(lines) + "\n"
+        report = r.to_dict()
+        write(f'{before_report}  {{\n    "bounds": {_nested(report["bounds"])},\n    "instances": ')
+        before_report, before_instance = ",\n", "[\n"
+        for inst in report["instances"]:
+            witnesses = ",\n          ".join(map(_quote, inst["witnesses"]))
+            write(
+                f'{before_instance}      {{\n        "key": {_quote(inst["key"])},\n'
+                f'        "status": {_quote(inst["status"])},\n        "witnesses": '
+                + (f"[\n          {witnesses}\n        ]\n      }}" if witnesses else "[]\n      }")
+            )
+            before_instance = ",\n"
+        write("\n    ],\n" if report["instances"] else "[],\n")
+        summary = _nested(report["summary"])
+        write(f'    "suite": {_quote(report["suite"])},\n    "summary": {summary}\n  }}')
+    write("\n]\n")
+
+
+def _nested(value) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) renders a field of a report in a
+    list: every line after the first four spaces further in."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValidationError(f"--max-kprime is not read: no edge in suites {' '.join(names)}")
         _check_verify_count(config, names)
         reports = run_suites(config, args.suites)
-        sys.stdout.write(_render_verify(reports, args.format))
+        _write_verify(reports, args.format, sys.stdout.write)
         return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
