@@ -280,7 +280,9 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
                     f"more than {VERIFY_MAX_ITEMS}"
                 )
     if config.samples is None and edges:
-        # An exhaustive edge suite builds every edge.
+        # Exhaustive naturality walks every edge; a signed suite (constancy,
+        # identification, audit, xi) walks edges only to list them, so it
+        # can too, where every signature warns or fails.
         for counted, total in enumerate(_edge_totals(config.max_k, config.max_k_prime), 1):
             if total > VERIFY_MAX_ITEMS:
                 least = "" if counted == _object_count(config.max_k) else "at least "

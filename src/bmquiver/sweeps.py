@@ -15,10 +15,13 @@ that one draw and grouping, and a run is a group: every draw of one
 signature.  So a sampled suite checks each distinct signature once, and
 touches single draws only to list their records, in draw order, or to
 re-check the draws of a failing signature.  A check gives only what
-failed, never a key, and the sweep lists it under the instance's key.  A
-sweep that reuses verdicts by signature counts a run whose signature
-passed in place, without building its instances, and lists a run whose
-signature warned under its instances' keys, unbuilt.
+failed, never a key, and the sweep lists it under the instance's key.
+Exhaustive edges that a suite checks by signature are counted by shape,
+and listed by run: a closed-form table gives every edge signature once,
+with its edge count and one edge, and each signature is checked once on
+that edge.  Runs are walked only over the object pairs whose class holds
+a signature that warned or failed, to list a warning under each edge's
+key, unbuilt, and to check each edge of a failing signature on its own.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -30,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, groupby, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .bm import (
     BmChain,
@@ -235,9 +238,10 @@ def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> R
     return _edge_signature(phi, phi_prime, zero, ones[0]), ones, edge, key
 
 
-def _edge_runs(config: SweepConfig) -> Iterator[Run]:
+def _edge_runs(config: SweepConfig, classes: Container | None = None) -> Iterator[Run]:
     """Every edge in range as runs: sources, then targets, in enumerate_objects
-    order, then maps in edge order (see enumerate_edges).
+    order, then maps in edge order (see enumerate_edges).  Given classes,
+    only the object pairs whose (ell, beta, ell', beta') is in them.
 
     For an object pair, a 0-part and, when beta' = 1, the first image of the
     1-part fix the signature.  The 1-parts are in lexicographic order, so
@@ -246,12 +250,95 @@ def _edge_runs(config: SweepConfig) -> Iterator[Run]:
     targets = enumerate_objects(config.max_k_prime)
     for phi in enumerate_objects(config.max_k):
         for phi_prime in targets:
+            pair_class = phi.ell, phi.beta, phi_prime.ell, phi_prime.beta
+            if classes is not None and pair_class not in classes:
+                continue
             zeros, ones = fiber_parts(phi, phi_prime)
             head = phi_prime.beta
             stretches = [tuple(group) for _, group in groupby(ones, lambda one: one[:head])]
             for zero in zeros:
                 for stretch in stretches:
                     yield _edge_run(phi, phi_prime, zero, stretch)
+
+
+def _classes(objs: list[BmObject]) -> dict[tuple[int, int], list[BmObject]]:
+    """The objects by class (ell, beta), each class's in their order."""
+    classes: dict = {}
+    for phi in objs:
+        classes.setdefault((phi.ell, phi.beta), []).append(phi)
+    return classes
+
+
+def _edge_signatures(config: SweepConfig) -> Iterator[tuple[tuple, int, BmEdge]]:
+    """Every edge signature in range once (see _edge_signature), with the
+    number of edges in range that have it and one of those edges.
+
+    An object is fixed by its class (ell, beta) and its 1-fiber size o.  The
+    object pairs of one class pair share their 0-parts, and a signature is a
+    class pair, a 0-part and, when beta' = 1, the first image ell + 1 + a of
+    the 1-part: count_monotone(o' - 1, o - a) 1-parts begin there.  When
+    beta' = 0, all count_monotone(o', o) 1-parts share one signature.  A
+    signature's count sums these over the object pairs of its class pair.
+    Its edge is built on the first of those pairs, in enumeration order,
+    from the smallest 1-part with that first image, (ell + 1 + a,) * o', so
+    no 1-part is listed.
+    """
+    sources = _classes(enumerate_objects(config.max_k))
+    targets = _classes(enumerate_objects(config.max_k_prime))
+    for (ell, beta), phis in sources.items():
+        for (ell_prime, beta_prime), phi_primes in targets.items():
+            # heads[a]: [count, phi, phi'] of the signatures whose 1-part begins at ell + 1 + a.
+            heads: dict[int, list] = {}
+            for phi, phi_prime in product(phis, phi_primes):
+                o, o_prime = phi.top - ell, phi_prime.top - ell_prime
+                if beta_prime:
+                    counts = [count_monotone(o_prime - 1, o - a) for a in range(o)]
+                else:
+                    counts = [count_monotone(o_prime, o)]
+                for a, count in enumerate(counts):
+                    if count:
+                        heads.setdefault(a, [0, phi, phi_prime])[0] += count
+            for a, (count, phi, phi_prime) in heads.items():
+                one = (ell + 1 + a,) * (phi_prime.top - ell_prime)
+                for zero in monotone_tuples(ell_prime + 1, 0, ell + 1):
+                    edge = _edge_of_parts(phi, phi_prime, zero, one)
+                    yield _edge_signature(phi, phi_prime, zero, one), count, edge
+
+
+def _edges_by_shape(config: SweepConfig, check: Callable, listed: list) -> int:
+    """Check every exhaustive edge signature once, on its edge of
+    _edge_signatures, and give the passing records of every edge in range;
+    append what the edges list to listed as _sweep does, in enumeration order.
+
+    A signature that passes or warns counts its records once per edge.  Runs
+    are walked (see _edge_runs) only over the object pairs whose class
+    (ell, beta, ell', beta') holds a signature that warned or failed: a run
+    whose signature passed is counted already, one whose signature warned
+    lists the kept records under each edge's key, unbuilt, and each edge of
+    a failing signature is built, checked and listed on its own.
+    """
+    kept: dict = {}
+    classes: set = set()
+    passed = 0
+    for signature, count, edge in _edge_signatures(config):
+        records = check(edge)
+        if all(r is None or r[1] == "warn" for r in records):
+            kept[signature] = records
+            passed += count * records.count(None)
+        if any(records):
+            classes.add(signature[:4])
+    for signature, at, instance, key in _edge_runs(config, classes):
+        records = kept.get(signature)
+        if records is not None:
+            if any(records):
+                listed.append((at, key, records))
+            continue
+        for a in at:
+            records = check(instance(a))
+            passed += records.count(None)
+            if any(records):
+                listed.append(((a,), key, records))
+    return passed
 
 
 @lru_cache(maxsize=1)
@@ -603,11 +690,12 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
 
 #: Per suite: the sources of its instances, each giving runs (see Run); the
 #: check of one instance, which gives its records; and whether an exhaustive
-#: sweep reuses verdicts by run signature, counting a run whose signature
-#: passed unbuilt (a sampled sweep always does; see _sweep).  The checks call
-#: the verifiers by their module names, so a verifier rebound here is the one
-#: that runs.  Exhaustive naturality checks every edge: the benchmark's
-#: traced self-check counts its calls.  A passing edge costs a lookup in
+#: sweep checks its edges by signature, counting them by shape and walking
+#: runs only to list (see _edges_by_shape; a sampled sweep always reuses
+#: verdicts by signature, see _sweep).  The checks call the verifiers by
+#: their module names, so a verifier rebound here is the one that runs.
+#: Exhaustive naturality walks and checks every edge: the benchmark's traced
+#: self-check counts its calls.  A passing edge costs a lookup in
 #: compare's verdict memo, keyed by the edge's shape ((ell, beta, ell',
 #: beta') and fiber map); after constancy every shape is there already.
 _SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
@@ -639,44 +727,50 @@ def _sweep(
     and list each record of a run's instance with entry a under key(a)
     followed by the record's suffix; passing records are tallied and added once.
 
-    By signature, the instances of a run are built and checked in order
-    until one passes, which counts the rest, or warns, whose records the
-    rest take unbuilt; each instance of a failing signature is checked and
-    listed with its own witnesses.  A run whose signature has passed or only
-    warned before takes that verdict unchecked: a passing one is counted,
-    every record of every instance, without building the run's instances.
-    A sampled sweep always reuses verdicts: a run is every draw of one
-    signature, so it checks each distinct signature once, and touches single
-    draws only to list their records or to check the draws of a failing
-    signature; its listings are put back in draw order, each draw's records
-    in their order.  This is exact only if the check reads nothing beyond
-    the signature; a check that read more would be under-checked, which the
-    signature test in tests/test_sweeps.py guards.  The kept verdicts live
-    for this call only.
+    Exhaustive, every instance of a run is built and checked, but by
+    signature the edges are counted by shape: each edge signature is
+    checked once, and runs are walked only to list (see _edges_by_shape).
+    A sampled sweep reuses verdicts by signature: a run is every draw of one
+    signature, whose draws are built and checked in order until one passes,
+    which counts the rest, or warns, whose records the rest take unbuilt;
+    each draw of a failing signature is checked and listed with its own
+    witnesses.  So it checks each distinct signature once, and touches
+    single draws only to list their records or to check the draws of a
+    failing signature; its listings are put back in draw order, each draw's
+    records in their order.  This is exact only if the check reads nothing
+    beyond the signature; a check that read more would be under-checked,
+    which the signature test in tests/test_sweeps.py guards.  The kept
+    verdicts live for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
-    verdicts: dict | None = {} if by_signature or config.samples is not None else None
+    exhaustive = config.samples is None
+    verdicts: dict | None = None if exhaustive else {}
     for source in sources:
         # (positions, key, records): the instances at positions list records.
         listed: list = []
-        for signature, at, instance, key in source(config):
-            kept = None if verdicts is None else verdicts.get(signature)
-            n = 0
-            while kept is None and n < len(at):
-                records = check(instance(at[n]))
-                if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
-                    kept = verdicts[signature] = records
-                    break
-                passed += records.count(None)
-                if any(records):
-                    listed.append((at[n : n + 1], key, records))
-                n += 1
-            if kept is not None:
-                # The instances from n on take the kept records.
-                passed += (len(at) - n) * kept.count(None)
-                if any(kept):
-                    listed.append((at[n:], key, kept))
-        if listed and config.samples is not None:
+        if by_signature and exhaustive and source in (_edges, _xi_edges):
+            # xi has edges only with chains of length 1 in range (see _xi_edges).
+            if source is _edges or config.max_chain_len:
+                passed += _edges_by_shape(config, check, listed)
+        else:
+            for signature, at, instance, key in source(config):
+                kept = None if verdicts is None else verdicts.get(signature)
+                n = 0
+                while kept is None and n < len(at):
+                    records = check(instance(at[n]))
+                    if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
+                        kept = verdicts[signature] = records
+                        break
+                    passed += records.count(None)
+                    if any(records):
+                        listed.append((at[n : n + 1], key, records))
+                    n += 1
+                if kept is not None:
+                    # The instances from n on take the kept records.
+                    passed += (len(at) - n) * kept.count(None)
+                    if any(kept):
+                        listed.append((at[n:], key, kept))
+        if listed and not exhaustive:
             listed = _in_draw_order(listed, config.samples)
         for at, key, records in listed:
             for a in at:
@@ -705,10 +799,11 @@ def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES.
 
-    Edges come in runs that share a signature (see _edge_runs and _sweep):
-    exhaustive constancy, identification, audit and xi check each signature
-    once and count a later run whose signature passed without building its
-    edges, while exhaustive naturality builds and checks every edge.
+    Exhaustive constancy, identification, audit and xi check each edge
+    signature once, on one edge, and count its edges by a closed form (see
+    _edge_signatures and _edges_by_shape); they walk the edge runs (see
+    _edge_runs) only where a signature warned or failed, to list its edges.
+    Exhaustive naturality walks, builds and checks every edge.
     Sampled mode checks a drawn signature (an object is its own, a chain of
     length >= 1 has its fiber signature) once if it passes or warns, and at
     every draw if it fails, visiting the drawn objects and edges one run per

@@ -22,7 +22,7 @@ from bmquiver.errors import IllDefinedComponentError, PairingConstructionError, 
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
 from bmquiver.simplex import DeltaMap, monotone_tuples
-from bmquiver.cli import EXIT_FAIL, EXIT_PASS, main
+from bmquiver.cli import EXIT_FAIL, EXIT_PASS, _edge_totals, main
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
     SUITE_NAMES,
@@ -212,12 +212,15 @@ def test_sweeps_count_their_passes_with_one_add(monkeypatch, name):
 
 def test_fiber_parts_are_built_once_per_process():
     """Two walks of the edge runs at k, k' <= 7 build each fiber part once:
-    the second walk misses the monotone_tuples cache nowhere."""
+    the second walk misses the monotone_tuples cache nowhere, and neither
+    do the signature table and its edges."""
     config = SweepConfig(max_k=7, max_k_prime=7)
     monotone_tuples.cache_clear()
     for _ in range(2):
         assert sum(1 for _ in sweeps._edge_runs(config)) == 86754
         assert monotone_tuples.cache_info().misses == 405
+    assert sum(1 for _ in sweeps._edge_signatures(config)) == 47145
+    assert monotone_tuples.cache_info().misses == 405
 
 
 def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
@@ -896,6 +899,55 @@ def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, ma
         assert (len(walked), len({edge_signature(e) for e in edges})) == (5740, 3272)
 
 
+@pytest.mark.parametrize("max_k,max_k_prime", [(5, 5), (3, 5), (5, 0), (0, 4), (6, 6)])
+def test_edge_signatures_are_the_runs_counted(max_k, max_k_prime):
+    """The signature table gives each signature of the exhaustive runs once,
+    with the number of edges its runs hold, and an edge that has it and is
+    the checked BmEdge(...) of its images; the counts add up to every edge
+    in range, as count_edges and cli._edge_totals count them."""
+    config = SweepConfig(max_k=max_k, max_k_prime=max_k_prime)
+    walked: Counter = Counter()
+    for signature, at, _, _ in sweeps._edge_runs(config):
+        walked[signature] += len(at)
+    table: Counter = Counter()
+    for signature, count, edge in sweeps._edge_signatures(config):
+        assert signature not in table
+        table[signature] = count
+        assert edge_signature(edge) == signature
+        phi, phi_prime = edge.phi, edge.phi_prime
+        assert edge == BmEdge(phi, phi_prime, DeltaMap(phi_prime.top, phi.top, edge.map.images))
+    assert table == walked
+    sources, targets = enumerate_objects(max_k), enumerate_objects(max_k_prime)
+    total = sum(bm.count_edges(phi, phi_prime) for phi in sources for phi_prime in targets)
+    assert sum(table.values()) == total == list(_edge_totals(max_k, max_k_prime))[-1]
+    if (max_k, max_k_prime) == (5, 5):
+        assert (total, len(table)) == (10697, 3272)
+
+
+def test_passing_signed_suites_walk_no_run(monkeypatch):
+    """At k, k' <= 5, where nothing fails, constancy, identification and xi
+    count every edge from the signature table and list no fiber part;
+    audit walks the runs of the 225 of 729 object pairs whose class holds
+    a warning, to list them.  Naturality walks every pair."""
+    config = SweepConfig(max_k=5, max_k_prime=5)
+    calls = 0
+    parts = sweeps.fiber_parts
+
+    def counted(*objects):
+        nonlocal calls
+        calls += 1
+        return parts(*objects)
+
+    monkeypatch.setattr(sweeps, "fiber_parts", counted)
+    walked = {}
+    for name in ("constancy", "identification", "xi", "audit", "naturality"):
+        calls = 0
+        report = sweeps.run_suite(config, name)
+        assert report.passed and report.total == (42896 if name == "xi" else 10697), name
+        walked[name] = calls
+    assert walked == {"constancy": 0, "identification": 0, "xi": 0, "audit": 225, "naturality": 729}
+
+
 def test_signature_suites_check_each_signature_once_and_build_only_what_they_list(
     monkeypatch,
 ):
@@ -1284,32 +1336,34 @@ def test_constancy_xi_and_naturality_fail_the_same_edges(monkeypatch, mutant):
 
 @pytest.mark.parametrize("mutant", list(EDGE_MUTANTS))
 def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
-    """Walking runs and reusing verdicts by signature gives the report of
-    checking every edge of bm.enumerate_all_edges (or every list-chosen
-    draw) on its own, record by record in listing order: exhaustive at
-    k, k' <= 4 and sampled at k, k' <= 5, plain and under mutants whose
-    failing signatures must be listed edge by edge."""
+    """Counting by shape and walking runs to list (exhaustive), or reusing
+    verdicts by signature (sampled), gives the report of checking every edge
+    of bm.enumerate_all_edges (or every list-chosen draw) on its own, record
+    by record in listing order: exhaustive at k, k' <= 4 and at the
+    asymmetric (3, 5) and (5, 2), where object pairs with other 1-fiber
+    sizes share a class, and sampled at k, k' <= 5, plain and under mutants
+    whose failing signatures must be listed edge by edge."""
     EDGE_MUTANTS[mutant](monkeypatch)
-    exhaustive = SweepConfig(max_k=4, max_k_prime=4)
-    configs = [exhaustive] + [
-        SweepConfig(max_k=5, max_k_prime=5, samples=200, seed=seed) for seed in range(5)
-    ]
-    edges = enumerate_all_edges(4, 4)
-    objects = enumerate_objects(4)
+    configs = [SweepConfig(max_k=k, max_k_prime=kp) for k, kp in ((4, 4), (3, 5), (5, 2))]
+    configs += [SweepConfig(max_k=5, max_k_prime=5, samples=200, seed=seed) for seed in range(5)]
     failed = 0
     repeated: Counter = Counter()
     for config in configs:
-        drawn = edges if config is exhaustive else choose_from_filtered_edges(config)
+        exhaustive = config.samples is None
+        if exhaustive:
+            drawn = enumerate_all_edges(config.max_k, config.max_k_prime)
+        else:
+            drawn = choose_from_filtered_edges(config)
         assert len({edge_signature(edge) for edge in drawn}) < len(drawn)
         for name in SIGNED_SUITES:
-            if config is exhaustive:
-                records = edge_suite_records(config, name, objects, edges)
+            if exhaustive:
+                records = edge_suite_records(config, name, enumerate_objects(config.max_k), drawn)
             else:
                 records = per_draw_records(config, name)
             report = sweeps.run_suite(config, name).to_dict()
             assert report == expected_report(config, name, records), (config, name)
             failed += report["summary"]["failed"]
-            if config is exhaustive and name != "xi":
+            if exhaustive and name != "xi":
                 # Listed edges whose status and signature another listed edge shares.
                 listed = Counter(
                     (i["status"], edge_signature(BmEdge.parse(i["key"])))
