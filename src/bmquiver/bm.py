@@ -11,18 +11,21 @@ Enumerated and drawn edges come from one package-internal builder,
 _edge_of_parts, which takes a 0-part and a 1-part of fiber_parts and skips
 the checks those parts already guarantee.  Every other edge or map, outside
 input included, is built through BmEdge(...) and DeltaMap(...), which check it.
+Objects and edges are counted here too, in closed form, and a drawn edge is
+unranked from its counts (edge_parts), so no count or draw lists a fiber map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import (
     DegenerateDecompositionError,
     ParseError,
     ValidationError,
 )
-from .simplex import DeltaMap, count_monotone, monotone_tuples
+from .simplex import DeltaMap, _monotone_at, count_monotone, monotone_tuples
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,22 @@ def enumerate_objects(k_max: int) -> list[BmObject]:
     return out
 
 
+def count_objects(max_k: int) -> int:
+    """The objects on [k <= max_k], k + 2 on each [k], none built."""
+    return max(max_k + 1, 0) * (max_k + 4) // 2
+
+
+def count_ordinal_edges(k: int, k_prime: int) -> int:
+    """The edges from one object on [k] into all on [k']: the maps [k'] -> [k], C(k + k' + 1, k)."""
+    return comb(k + k_prime + 1, k)
+
+
+def count_leaving_edges(k: int, max_k_prime: int) -> int:
+    """The edges from one object on [k] into all on [k' <= K' = max_k_prime]: the sum of
+    count_ordinal_edges over k', C(K' + k + 2, k + 1) - 1 by the hockey stick."""
+    return comb(max_k_prime + k + 2, k + 1) - 1
+
+
 def fiber_parts(phi: BmObject, phi_prime: BmObject) -> tuple[tuple, tuple]:
     """The monotone 0-fiber maps [ell'] -> [ell] and the 1-fiber image tuples, in order.
 
@@ -282,12 +301,17 @@ def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
 
 
 def edge_parts(phi: BmObject, phi_prime: BmObject, index: int) -> tuple[tuple, tuple]:
-    """The fiber_parts entries whose images make enumerate_edges(phi, phi_prime)[index]."""
-    zeros, ones = fiber_parts(phi, phi_prime)
-    if not 0 <= index < len(zeros) * len(ones):
+    """The fiber_parts entries whose images make enumerate_edges(phi, phi_prime)[index],
+    unranked from their counts: no fiber map is listed."""
+    ell, ell_prime, o_prime = phi.ell, phi_prime.ell, phi_prime.top - phi_prime.ell
+    ones = count_monotone(o_prime, phi.top - ell)
+    if not 0 <= index < count_monotone(ell_prime + 1, ell + 1) * ones:
         raise IndexError(f"edge index {index} out of range for {phi} -> {phi_prime}")
-    zero, one = divmod(index, len(ones))
-    return zeros[zero], ones[one]
+    zero, one = divmod(index, ones)
+    return (
+        _monotone_at(ell_prime + 1, 0, ell + 1, zero),
+        _monotone_at(o_prime, ell + 1, phi.top + 1, one),
+    )
 
 
 def edge_at(phi: BmObject, phi_prime: BmObject, index: int) -> BmEdge:

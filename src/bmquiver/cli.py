@@ -16,14 +16,13 @@ import json
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from . import bm
 from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objects
 from .compare import f_chain, gamma_chain, xi_component
 from .errors import BmQuiverError, ParseError, ValidationError
 from .quiverf import j_cardinality_audit, pairing_set
-from .simplex import count_monotone
 from .sweeps import EXTRA_SUITE_NAMES, SUITE_NAMES, SweepConfig, reads_edges, run_suites
 from .wfib import g_chain
 
@@ -150,13 +149,8 @@ def _render_eval(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _object_count(max_k: int) -> int:
-    """The objects on [k <= max_k], in closed form, before any is built."""
-    return max(max_k + 1, 0) * (max_k + 4) // 2
-
-
 def _enumerate_payload(args: argparse.Namespace) -> dict:
-    objects = _object_count(args.max_k)
+    objects = bm.count_objects(args.max_k)
     if args.kind == "objects":
         _check_count("objects", objects)
         objs = enumerate_objects(args.max_k)
@@ -187,15 +181,16 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     if not args.max_len:
         objs = enumerate_objects(args.max_k)
         return {"kind": "chains", "count": len(objs), "items": [phi.encode() for phi in objs]}
-    for counted, edges in enumerate(_edge_totals(args.max_k, args.max_k), 1):
-        _check_count("chains", edges, args.max_len == 1 and counted == objects)
-    # ends[k']: the chains of this length that end on [k'] (at length 0, its k' + 2 objects);
-    # each object on [k] has C(k + k' + 1, k) edges into those on [k'] (see _edge_totals).
     tops = range(args.max_k + 1)
+    counts = (bm.count_leaving_edges(k, args.max_k) for k in tops for _ in range(k + 2))
+    for counted, edges in enumerate(accumulate(counts), 1):
+        _check_count("chains", edges, args.max_len == 1 and counted == objects)
+    # ends[k']: the chains of this length that end on [k'] (at length 0, its k' + 2 objects).
     ends, length = [k + 2 for k in tops], 0
     # Far past the bound, a lower bound will do and keeps the numbers small.
     while length < args.max_len and sum(ends) <= LISTING_MAX_ITEMS**2:
-        ends, previous = [sum(comb(k + kp + 1, k) * ends[k] for k in tops) for kp in tops], ends
+        previous = ends
+        ends = [sum(bm.count_ordinal_edges(k, kp) * ends[k] for k in tops) for kp in tops]
         # At a fixed point every longer length has the same counts.
         length = args.max_len if ends == previous else length + 1
     chains = sum(ends)
@@ -241,8 +236,7 @@ def _check_count(kind: str, count: int, exact: bool = True) -> None:
 
 def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
     """Exit 2, naming the count, when verify would build too many objects or
-    edges, keep too many draws, draw too many chain edges, or list too many
-    fiber maps for one draw."""
+    edges, keep too many draws, or draw too many chain edges."""
     # Every suite builds the objects on [k <= max_k], and an edge suite the
     # targets on [k <= max_k_prime]: count them before any is built.
     edges = reads_edges(config, names)
@@ -250,7 +244,7 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
     if edges:
         bounds.append(("--max-kprime", config.max_k_prime))
     for flag, bound in bounds:
-        objects = _object_count(bound)
+        objects = bm.count_objects(bound)
         if objects > LISTING_MAX_ITEMS:
             raise ValidationError(
                 f"verify would build {objects} objects for {flag} {bound}, "
@@ -260,44 +254,23 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
         raise ValidationError(
             f"verify would draw {config.samples} samples, more than {VERIFY_MAX_ITEMS}"
         )
-    if config.samples is not None:
-        drawn = config.samples * config.max_chain_len
-        if "gluing" in names and drawn > VERIFY_MAX_ITEMS:
-            raise ValidationError(
-                f"verify would draw up to {drawn} chain edges, more than {VERIFY_MAX_ITEMS}"
-            )
-        # A drawn edge, and each edge of a drawn gluing chain (K' = K there), lists
-        # the fiber maps of its object pair (bm.fiber_parts): at most
-        # count_monotone(K' + 1, K + 1), between objects all over 0.
-        tops = [config.max_k_prime] if edges else []
-        if config.max_chain_len and "gluing" in names:
-            tops.append(config.max_k)
-        for top in tops:
-            listed = count_monotone(top + 1, config.max_k + 1)
-            if listed > VERIFY_MAX_ITEMS:
-                raise ValidationError(
-                    f"verify would list {listed} fiber maps for one drawn pair, "
-                    f"more than {VERIFY_MAX_ITEMS}"
-                )
+    drawn = (config.samples or 0) * config.max_chain_len
+    if "gluing" in names and drawn > VERIFY_MAX_ITEMS:
+        raise ValidationError(
+            f"verify would draw up to {drawn} chain edges, more than {VERIFY_MAX_ITEMS}"
+        )
     if config.samples is None and edges:
-        # Exhaustive naturality walks every edge; a signed suite (constancy,
-        # identification, audit, xi) walks edges only to list them, so it
-        # can too, where every signature warns or fails.
-        for counted, total in enumerate(_edge_totals(config.max_k, config.max_k_prime), 1):
+        # Exhaustive naturality walks every edge, and a signed suite walks them to
+        # list them where every signature warns or fails: sum them a source at a
+        # time, in enumerate_objects order, none built.
+        tops = range(config.max_k + 1)
+        counts = (bm.count_leaving_edges(k, config.max_k_prime) for k in tops for _ in range(k + 2))
+        for counted, total in enumerate(accumulate(counts), 1):
             if total > VERIFY_MAX_ITEMS:
-                least = "" if counted == _object_count(config.max_k) else "at least "
+                least = "" if counted == bm.count_objects(config.max_k) else "at least "
                 raise ValidationError(
                     f"verify would build {least}{total} edges, more than {VERIFY_MAX_ITEMS}"
                 )
-
-
-def _edge_totals(max_k: int, max_k_prime: int) -> Iterator[int]:
-    """The edges from the first n sources on [k <= max_k], n = 1, 2, ... in enumerate_objects
-    order, into the targets on [k' <= K' = max_k_prime], none built.  An edge from any object
-    on [k] is a monotone map [k'] -> [k] that fixes its target: C(k + k' + 1, k) of them go
-    into the objects on [k'], and C(K' + k + 2, K' + 1) - 1 into all (the hockey stick)."""
-    top = max_k_prime + 1
-    return accumulate(comb(top + k + 1, top) - 1 for k in range(max_k + 1) for _ in range(k + 2))
 
 
 def _render_listing(payload: dict, fmt: str) -> str:

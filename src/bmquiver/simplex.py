@@ -1,15 +1,16 @@
 """Monotone maps between finite ordinals [n] = {0, ..., n}.
 
-A map is stored as the tuple of its values; composition and exhaustive
-enumeration are the only operations the rest of the package needs.  All
-enumeration goes through monotone_tuples, and all counting through
-count_monotone, which share one convention for empty fibers.
+A map is stored as the tuple of its values; composition, exhaustive
+enumeration and unranking are the only operations the rest of the package
+needs.  All enumeration goes through monotone_tuples, and all counting
+through count_monotone, which share one convention for empty fibers;
+_monotone_at unranks an entry of monotone_tuples from those counts alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -91,3 +92,15 @@ def count_monotone(n: int, m: int) -> int:
     """
     return comb(n + m - 1, n) if m else int(n == 0)
 
+
+@lru_cache(maxsize=1 << 12)
+def _monotone_at(n: int, lo: int, hi: int, index: int) -> tuple[int, ...]:
+    """monotone_tuples(n, lo, hi)[index], index in range, listing nothing: with left points
+    after it, a value v heads a block of count_monotone(left, hi - v) tuples, and each value
+    steps past the smaller ones' blocks, never past hi - 1.  The cache is bounded, not indices."""
+    values = []
+    for left in range(n - 1, -1, -1):
+        while index >= (block := comb(left + hi - lo - 1, left)):
+            index, lo = index - block, lo + 1
+        values.append(lo)
+    return tuple(values)

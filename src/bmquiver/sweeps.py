@@ -1,29 +1,19 @@
 """Verification sweeps over bounded instance ranges.
 
-Every suite enumerates its instances in a fixed order (or samples them with
-a seeded generator), checks them in a single process, and aggregates a
-report: failures stop nothing, they are collected with witnesses so a
-broken case is localized.
-Every suite runs through one loop, _sweep, but for the walk over fiber
-signatures of exhaustive gluing.  A source gives runs: instances that
-share one signature, each at its position.  Exhaustive, a run is a stretch
-of consecutive instances in enumeration order.  Sampled objects and edges
-are drawn once per process for given bounds and seed, kept as indices into
-the enumeration (an edge as its image parts too), and grouped once by
-signature, in order of first draw; every suite that samples them reads
-that one draw and grouping, and a run is a group: every draw of one
-signature.  So a sampled suite checks each distinct signature once, and
-touches single draws only to list their records, in draw order, or to
-re-check the draws of a failing signature.  A check gives only what
-failed, never a key, and the sweep lists it under the instance's key.
-Exhaustive edges that a suite checks by signature are counted by shape,
-and listed by run: a closed-form table gives every edge signature once,
-with its edge count and one edge, and each signature is checked once on
-that edge.  Runs are walked only over the object pairs whose class holds
-a signature that warned or failed, to list a warning under each edge's
-key, unbuilt, and to check each edge of a failing signature on its own.
-Audit mismatches on crossing targets are warnings; the pair-count identity
-is binding only where the target has no crossing.
+Every suite enumerates its instances in a fixed order, or samples them with
+a seeded generator, checks them in one process and aggregates a report:
+failures stop nothing, they are collected with witnesses, so a broken case
+is localized.  Every suite runs through one loop, _sweep, but for the walk
+over fiber signatures of exhaustive gluing.  A source gives runs, instances
+that share one signature (see Run); a check gives only what failed, never a
+key, and the sweep lists it under the instance's key.  Exhaustive, a run is
+a stretch of consecutive instances, and edges checked by signature are
+counted by shape and walked only to list (see _edges_by_shape).  Sampled
+objects and edges are drawn once per process for given bounds and seed,
+each edge unranked from its counts, and grouped once by signature; a run
+is a group, so a sampled suite checks each distinct signature once.  Audit
+mismatches on crossing targets are warnings; the pair-count identity is
+binding only where the target has no crossing.
 """
 
 from __future__ import annotations
@@ -41,6 +31,8 @@ from .bm import (
     BmObject,
     _edge_of_parts,
     count_edges,
+    count_leaving_edges,
+    count_objects,
     edge_at,
     edge_parts,
     encode_edge,
@@ -56,7 +48,7 @@ from .compare import (
 )
 from .errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from .quiverf import f_object, j_cardinality_audit
-from .simplex import DeltaMap, count_monotone, monotone_tuples
+from .simplex import DeltaMap, _monotone_at, count_monotone, monotone_tuples
 from .wfib import FiberSignature, g_chain, gluing_agreement
 
 
@@ -347,12 +339,12 @@ def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[
     source's index in enumerate_objects(max_k), the target's in
     enumerate_objects(max_k_prime), and the edge's 0-part and 1-part (see bm.edge_parts).
 
-    A draw picks a source and a target, then an index into their edges; a
-    pair with no edges (count_edges, nothing listed) is drawn again without
-    an index.  Drawing an index below n takes the same generator step as
-    choosing from a list of n, so the draws match choosing from
-    enumerate_edges.  Every suite of a process that samples edges at these
-    bounds and seed reads this one draw.
+    A draw picks a source and a target, then an index into their edges,
+    which bm.edge_parts unranks without listing a fiber map; a pair with no
+    edges (count_edges) is drawn again without an index.  Drawing an index
+    below n takes the same generator step as choosing from a list of n, so
+    the draws match choosing from enumerate_edges.  Every suite of a process
+    that samples edges at these bounds and seed reads this one draw.
     """
     rng = random.Random(seed)
     sources = enumerate_objects(max_k)
@@ -583,16 +575,22 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
     enumerate_objects order, then maps in edge order, the order in which
     `bmquiver enumerate chains` lists them.  Drawing an index below n takes
     the same generator step as choosing from a list of n, so the chains are
-    those of choosing from that list.  Cumulative edge counts give an
-    index's target, and the 0-part of its bm.edge_parts its fiber map; a
-    source's counts are made when a draw first leaves it.  A chain of
-    length 0 is the run of its object; a longer one is given by its fiber
-    signature (see _chain_run).
+    those of choosing from that list.  The index is unranked from counts,
+    listing no fiber map: per-ordinal counts, the same for every source on
+    [k], give the target's ordinal, the counts into its k' + 2 objects the
+    target, and the rest the fiber map, the 0-part alone.  A chain of length
+    0 is the run of its object; a longer one is given by its fiber signature
+    (see _chain_run).
     """
     rng = random.Random(config.seed)
     objs = enumerate_objects(config.max_k)
-    # ends[s][t]: the number of edges from objs[s] to objs[0], ..., objs[t].
-    ends: dict[int, list[int]] = {}
+    tops = range(config.max_k + 1)
+    # firsts[k']: the index in objs of the first object on [k'].  Made on first use:
+    # totals[k][k' + 1], the edges from an object on [k] into those on [0], ..., [k'],
+    # and rows[s, k'][j], from objs[s] into the first j objects on [k'], both from 0.
+    firsts = [count_objects(k - 1) for k in tops]
+    totals: dict[int, list[int]] = {}
+    rows: dict[tuple[int, int], list[int]] = {}
     for position in range(config.samples):
         length = rng.randint(0, config.max_chain_len)
         current = rng.randrange(len(objs))
@@ -601,17 +599,26 @@ def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
             continue
         base, sizes, maps, steps = current, [objs[current].ell + 1], [], []
         for _ in range(length):
-            if current not in ends:
-                phi = objs[current]
-                ends[current] = list(accumulate(count_edges(phi, target) for target in objs))
-            row = ends[current]
-            # The identity edge is always there, so row[-1] >= 1.
-            index = rng.randrange(row[-1])
-            target = bisect_right(row, index)
-            if target:
-                index -= row[target - 1]
-            maps.append(edge_parts(objs[current], objs[target], index)[0])
-            sizes.append(objs[target].ell + 1)
+            phi = objs[current]
+            if phi.top not in totals:
+                totals[phi.top] = [0, *(count_leaving_edges(phi.top, k) for k in tops)]
+            total = totals[phi.top]
+            # The identity edge is always there, so total[-1] >= 1.
+            index = rng.randrange(total[-1])
+            top = bisect_right(total, index) - 1
+            index -= total[top]
+            row = rows.get((current, top))
+            if row is None:
+                targets = objs[firsts[top] : firsts[top] + top + 2]
+                row = rows[current, top] = [0, *accumulate(count_edges(phi, t) for t in targets)]
+            target = bisect_right(row, index) - 1
+            index -= row[target]
+            target += firsts[top]
+            phi_prime = objs[target]
+            # The 1-parts vary fastest in edge order (see bm.edge_parts).
+            ones = count_monotone(phi_prime.top - phi_prime.ell, phi.top - phi.ell)
+            maps.append(_monotone_at(phi_prime.ell + 1, 0, phi.ell + 1, index // ones))
+            sizes.append(phi_prime.ell + 1)
             steps += (target, index)
             current = target
         yield _chain_run((tuple(sizes), tuple(maps)), objs, base, steps, position)
@@ -674,12 +681,11 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     Every chain position is an object on [k <= max_k]; max_k_prime is not
     used.  Chains of length 0 only assert the base-fiber bijection.  The
     check on a longer chain is a function of its fiber signature alone (the
-    pullback graph is built from nothing else).  Exhaustive mode therefore
-    checks each fiber signature once, in ascending order, adds the number of
-    concrete chains that share it, a closed form, to the counts, and lists a
-    failing signature as one instance keyed by a concrete chain that has it.
-    Sampled mode checks drawn chains (see _drawn_chains) as every sampled
-    sweep checks its draws (see run_suite).
+    pullback graph is built from nothing else), so exhaustive mode checks
+    each fiber signature once for all its chains, counted in closed form
+    (see _exhaustive_gluing), and lists a failing one keyed by a concrete
+    chain that has it.  Sampled mode checks drawn chains (see _drawn_chains)
+    as every sampled sweep checks its draws (see _sweep).
     """
     if config.samples is not None:
         return _sweep(config, "gluing", (_drawn_chains,), _gluing, True)
@@ -690,14 +696,11 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
 
 #: Per suite: the sources of its instances, each giving runs (see Run); the
 #: check of one instance, which gives its records; and whether an exhaustive
-#: sweep checks its edges by signature, counting them by shape and walking
-#: runs only to list (see _edges_by_shape; a sampled sweep always reuses
-#: verdicts by signature, see _sweep).  The checks call the verifiers by
-#: their module names, so a verifier rebound here is the one that runs.
-#: Exhaustive naturality walks and checks every edge: the benchmark's traced
-#: self-check counts its calls.  A passing edge costs a lookup in
-#: compare's verdict memo, keyed by the edge's shape ((ell, beta, ell',
-#: beta') and fiber map); after constancy every shape is there already.
+#: sweep checks its edges by signature (see _edges_by_shape; a sampled sweep
+#: always does, see _sweep).  The checks call the verifiers by their module
+#: names, so a verifier rebound here is the one that runs.  Exhaustive
+#: naturality checks every edge, as the benchmark's traced self-check counts
+#: its calls; a passing edge costs a lookup in compare's verdict memo.
 _SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
     "cardinality": ((_objects,), _cardinality, False),
     "constancy": ((_edges,), _constancy, True),
@@ -727,20 +730,16 @@ def _sweep(
     and list each record of a run's instance with entry a under key(a)
     followed by the record's suffix; passing records are tallied and added once.
 
-    Exhaustive, every instance of a run is built and checked, but by
-    signature the edges are counted by shape: each edge signature is
-    checked once, and runs are walked only to list (see _edges_by_shape).
-    A sampled sweep reuses verdicts by signature: a run is every draw of one
+    Exhaustive, every instance of a run is built and checked, but edges
+    checked by signature are counted by shape (see _edges_by_shape).  A
+    sampled sweep reuses verdicts by signature: a run is every draw of one
     signature, whose draws are built and checked in order until one passes,
     which counts the rest, or warns, whose records the rest take unbuilt;
     each draw of a failing signature is checked and listed with its own
-    witnesses.  So it checks each distinct signature once, and touches
-    single draws only to list their records or to check the draws of a
-    failing signature; its listings are put back in draw order, each draw's
-    records in their order.  This is exact only if the check reads nothing
-    beyond the signature; a check that read more would be under-checked,
-    which the signature test in tests/test_sweeps.py guards.  The kept
-    verdicts live for this call only.
+    witnesses, and the listings are put back in draw order.  This is exact
+    only if the check reads nothing beyond the signature, which the
+    signature test in tests/test_sweeps.py guards.  The kept verdicts live
+    for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
     exhaustive = config.samples is None
@@ -797,21 +796,11 @@ def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
 
 
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
-    """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES.
-
-    Exhaustive constancy, identification, audit and xi check each edge
-    signature once, on one edge, and count its edges by a closed form (see
-    _edge_signatures and _edges_by_shape); they walk the edge runs (see
-    _edge_runs) only where a signature warned or failed, to list its edges.
-    Exhaustive naturality walks, builds and checks every edge.
-    Sampled mode checks a drawn signature (an object is its own, a chain of
-    length >= 1 has its fiber signature) once if it passes or warns, and at
-    every draw if it fails, visiting the drawn objects and edges one run per
-    signature (see _grouped); it lists each failing or warning draw in draw
-    order, and the total counts every draw.  An instance on which the
-    pairing rules build an invalid label, gamma is not well-defined, or G
-    rejects the fiber maps fails with the error as its witness instead of
-    stopping the sweep.
+    """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES: gluing through
+    gluing_suite, every other suite through _sweep, exhaustive or sampled as
+    its docstring says.  An instance on which the pairing rules build an
+    invalid label, gamma is not well-defined, or G rejects the fiber maps
+    fails with the error as its witness instead of stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)

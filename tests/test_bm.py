@@ -17,7 +17,14 @@ from bmquiver import (
     enumerate_objects,
     segment_decompose,
 )
-from bmquiver.bm import count_edges, edge_at, edge_parts
+from bmquiver.bm import (
+    count_edges,
+    count_leaving_edges,
+    count_objects,
+    count_ordinal_edges,
+    edge_at,
+    edge_parts,
+)
 from bmquiver.simplex import count_monotone
 from test_simplex import identity
 
@@ -170,24 +177,38 @@ def test_edges_built_from_fiber_maps_match_filtered_maps(phi):
 
 
 def test_edge_at_rejects_indices_out_of_range():
+    """Every object pair with k, k' <= 4 has its edges at the indices
+    0, ..., count_edges - 1 and none at -1 or count_edges."""
     assert count_edges(OBJ("0"), OBJ("1")) == 0
-    for at in (edge_at, edge_parts):
-        for phi, phi_prime, index in [("0", "1", 0), ("001", "01", 2), ("001", "01", -1)]:
-            with pytest.raises(IndexError):
-                at(OBJ(phi), OBJ(phi_prime), index)
+    objs = enumerate_objects(4)
+    for phi, phi_prime in product(objs, objs):
+        count = count_edges(phi, phi_prime)
+        for at in (edge_at, edge_parts):
+            for index in (-1, count):
+                with pytest.raises(IndexError):
+                    at(phi, phi_prime, index)
 
 
 def test_edges_from_a_source_into_one_ordinal_are_its_monotone_maps():
     """An edge from phi on [k] is a monotone map [k'] -> [k] that fixes its
     target, so for k, k' <= 8 the edges from any object on [k] into all the
-    objects on [k'] number count_monotone(k' + 1, k + 1)."""
+    objects on [k'] number count_monotone(k' + 1, k + 1), which is
+    count_ordinal_edges(k, k'), and into those on [k' <= K'] they number
+    count_leaving_edges(k, K'); count_objects(K) is the objects on [k <= K]."""
     by_top: dict[int, list[BmObject]] = {}
     for phi in enumerate_objects(8):
         by_top.setdefault(phi.top, []).append(phi)
     for phi in enumerate_objects(8):
+        leaving = 0
         for k_prime, targets in by_top.items():
             edges = sum(count_edges(phi, target) for target in targets)
             assert edges == count_monotone(k_prime + 1, phi.top + 1), (phi, k_prime)
+            assert edges == count_ordinal_edges(phi.top, k_prime), (phi, k_prime)
+            leaving += edges
+            assert leaving == count_leaving_edges(phi.top, k_prime), (phi, k_prime)
+    assert count_objects(-1) == 0
+    for max_k in range(9):
+        assert count_objects(max_k) == len(enumerate_objects(max_k))
 
 
 def test_edge_must_lie_over_one():

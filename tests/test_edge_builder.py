@@ -65,24 +65,31 @@ def test_built_edges_stay_frozen():
     assert edge.map.images == zeros[0] + ones[-1]
 
 
-#: Objects on [k <= 9]: a pair all over 0 there lists 92,378 fiber maps,
-#: which stays small; at k = 12 it would list 5,200,300.
-objects_9 = st.integers(0, 9).flatmap(
+#: Objects on [k <= 60]: a pair all over 0 there has C(121, 61), about 1.2e35,
+#: edges, which edge_at unranks without listing any.
+objects_60 = st.integers(0, 60).flatmap(
     lambda k: st.integers(0, k + 1).map(lambda z: BmObject((0,) * z + (1,) * (k + 1 - z)))
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(objects_9, objects_9, st.data())
-def test_edges_at_drawn_indices_are_the_checked_edges_for_k_and_k_prime_up_to_9(
+@given(objects_60, objects_60, st.data())
+def test_edges_at_drawn_indices_are_the_checked_edges_for_k_and_k_prime_up_to_60(
     phi, phi_prime, data
 ):
     """edge_at, which builds through _edge_of_parts, gives the checked edge at
-    any index of an object pair on [k], [k'] <= 9."""
+    any index of an object pair on [k], [k'] <= 60, and the edge at the next
+    index has images strictly after it in lexicographic order, as
+    enumerate_edges lists them."""
     count = count_edges(phi, phi_prime)
     if not count:
         return
     index = data.draw(st.integers(0, count - 1), label="index")
-    assert_same_edge(
-        edge_at(phi, phi_prime, index), checked(phi, phi_prime, *edge_parts(phi, phi_prime, index))
-    )
+    edge = edge_at(phi, phi_prime, index)
+    assert_same_edge(edge, checked(phi, phi_prime, *edge_parts(phi, phi_prime, index)))
+    if index + 1 < count:
+        following = edge_at(phi, phi_prime, index + 1)
+        assert_same_edge(
+            following, checked(phi, phi_prime, *edge_parts(phi, phi_prime, index + 1))
+        )
+        assert edge.map.images < following.map.images

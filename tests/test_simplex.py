@@ -12,7 +12,7 @@ from bmquiver import (
     ValidationError,
     compose,
 )
-from bmquiver.simplex import count_monotone, monotone_tuples
+from bmquiver.simplex import _monotone_at, count_monotone, monotone_tuples
 
 
 def identity(n: int) -> DeltaMap:
@@ -76,6 +76,17 @@ def test_monotone_tuples_and_their_count(n, lo, hi):
     ]
     assert list(monotone_tuples(n, lo, hi)) == expected
     assert count_monotone(n, hi - lo) == len(expected)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_monotone_at_unranks_every_entry_from_counts_alone(n):
+    """For every n <= 8 and hi - lo <= 8, _monotone_at gives each entry of
+    monotone_tuples(n, lo, hi) at its index, without listing it."""
+    for lo, width in product((0, 3), range(9)):
+        listed = monotone_tuples(n, lo, lo + width)
+        _monotone_at.cache_clear()
+        assert [_monotone_at(n, lo, lo + width, i) for i in range(len(listed))] == list(listed)
+        assert _monotone_at.cache_info().misses == len(listed)
 
 
 @pytest.mark.parametrize("k_prime", range(4))

@@ -10,7 +10,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from bmquiver.errors import IllDefinedComponentError, PairingConstructionError, 
 from bmquiver.quiverf import LabelKind
 from bmquiver.quotient import least_representatives
 from bmquiver.simplex import DeltaMap, monotone_tuples
-from bmquiver.cli import EXIT_FAIL, EXIT_PASS, _edge_totals, main
+from bmquiver.cli import EXIT_FAIL, EXIT_PASS, main
 from bmquiver.sweeps import (
     EXTRA_SUITE_NAMES,
     SUITE_NAMES,
@@ -221,6 +221,27 @@ def test_fiber_parts_are_built_once_per_process():
         assert monotone_tuples.cache_info().misses == 405
     assert sum(1 for _ in sweeps._edge_signatures(config)) == 47145
     assert monotone_tuples.cache_info().misses == 405
+
+
+def test_a_drawn_pair_all_over_0_at_k_40_lists_no_fiber_map():
+    """The pair all over 0 on [40], the widest a draw at K = 40 can land on,
+    has C(81, 41) edges, 2.1e23: an index at its start, middle or end
+    unranks to the checked edge without a monotone_tuples miss, and so do
+    sampled constancy and gluing at K = 40."""
+    phi = BmObject((0,) * 41)
+    count = bm.count_edges(phi, phi)
+    assert count == 212392290424395860814420
+    monotone_tuples.cache_clear()
+    for index in (0, count // 2, count - 1):
+        edge = bm.edge_at(phi, phi, index)
+        assert edge == BmEdge(phi, phi, DeltaMap(40, 40, edge.map.images))
+    assert bm.edge_at(phi, phi, 0).map.images == (0,) * 41
+    assert bm.edge_at(phi, phi, count - 1).map.images == (40,) * 41
+    config = SweepConfig(max_k=40, max_k_prime=40, max_chain_len=3, samples=20, seed=2)
+    for suite in ("constancy", "gluing"):
+        report = sweeps.run_suite(config, suite)
+        assert (report.total, report.failed) == (20, 0), suite
+    assert monotone_tuples.cache_info().misses == 0
 
 
 def choose_from_filtered_edges(config: SweepConfig) -> list[BmEdge]:
@@ -904,7 +925,7 @@ def test_edge_signatures_are_the_runs_counted(max_k, max_k_prime):
     """The signature table gives each signature of the exhaustive runs once,
     with the number of edges its runs hold, and an edge that has it and is
     the checked BmEdge(...) of its images; the counts add up to every edge
-    in range, as count_edges and cli._edge_totals count them."""
+    in range, as count_edges and bm.count_leaving_edges count them."""
     config = SweepConfig(max_k=max_k, max_k_prime=max_k_prime)
     walked: Counter = Counter()
     for signature, at, _, _ in sweeps._edge_runs(config):
@@ -919,9 +940,67 @@ def test_edge_signatures_are_the_runs_counted(max_k, max_k_prime):
     assert table == walked
     sources, targets = enumerate_objects(max_k), enumerate_objects(max_k_prime)
     total = sum(bm.count_edges(phi, phi_prime) for phi in sources for phi_prime in targets)
-    assert sum(table.values()) == total == list(_edge_totals(max_k, max_k_prime))[-1]
+    leaving = sum((k + 2) * bm.count_leaving_edges(k, max_k_prime) for k in range(max_k + 1))
+    assert sum(table.values()) == total == leaving
     if (max_k, max_k_prime) == (5, 5):
         assert (total, len(table)) == (10697, 3272)
+
+
+def closed_form_totals(max_k: int, max_k_prime: int, max_chain_len: int) -> dict:
+    """Each suite's exhaustive total, from bm's counts alone: objects on
+    [k <= K], edges from them into the objects on [k' <= K'], and chains of
+    length 0 to L over ordinal sizes, each object on [k] having
+    count_ordinal_edges(k, k') edges into those on [k']."""
+    objects = bm.count_objects(max_k)
+    edges = sum((k + 2) * bm.count_leaving_edges(k, max_k_prime) for k in range(max_k + 1))
+    tops = range(max_k + 1)
+    ends = [k + 2 for k in tops]
+    chains = sum(ends)
+    for _ in range(max_chain_len):
+        ends = [sum(bm.count_ordinal_edges(k, kp) * ends[k] for k in tops) for kp in tops]
+        chains += sum(ends)
+    totals = dict.fromkeys(("constancy", "naturality", "identification", "audit"), edges)
+    return {
+        **totals,
+        "cardinality": objects,
+        "decomposition": objects - 2,
+        "xi": 4 * (objects + edges if max_chain_len else objects),
+        "gluing": chains,
+    }
+
+
+def test_closed_form_gluing_total_is_the_benchmark_count():
+    assert closed_form_totals(3, 3, 3)["gluing"] == 1120280
+
+
+@pytest.mark.parametrize("max_k", range(5))
+def test_report_totals_are_their_closed_forms(monkeypatch, max_k):
+    """For K, K' <= 4 and chain length L <= 3, each exhaustive report's total
+    is its closed form (see closed_form_totals), and each sampled one counts
+    every draw: --samples, 4 records per drawn object and edge for xi, and
+    the draws off [0] for decomposition.  A total does not read verdicts, so
+    gluing_agreement is stubbed to pass: at (4, 3) exhaustive gluing has
+    12,159,003 signatures."""
+    monkeypatch.setattr(sweeps, "gluing_agreement", lambda signature: True)
+    names = SUITE_NAMES + EXTRA_SUITE_NAMES
+    for max_k_prime, max_chain_len in product(range(5), range(4)):
+        config = SweepConfig(max_k, max_k_prime, max_chain_len)
+        expected = closed_form_totals(max_k, max_k_prime, max_chain_len)
+        # Each suite is run once per bounds it reads: xi reads K' and the
+        # length, gluing the length alone, and the rest K' alone.
+        reads = {"xi": True, "gluing": not max_k_prime}
+        for name in names:
+            if reads.get(name, max_chain_len == 3):
+                assert sweeps.run_suite(config, name).total == expected[name], (config, name)
+        samples, seed = 30, max_k_prime + 5 * max_chain_len
+        sampled = SweepConfig(max_k, max_k_prime, max_chain_len, samples, seed)
+        groups, _ = sweeps._object_groups(max_k, samples, seed)
+        on_0 = sum(count for index, count in groups if index < 2)
+        expected = dict.fromkeys(names, samples)
+        expected["decomposition"] = samples - on_0
+        expected["xi"] = 4 * samples * (2 if max_chain_len else 1)
+        for name in names:
+            assert sweeps.run_suite(sampled, name).total == expected[name], (sampled, name)
 
 
 def test_passing_signed_suites_walk_no_run(monkeypatch):
@@ -1077,11 +1156,11 @@ def test_sampled_suites_draw_once_per_source_kind(monkeypatch):
 
 
 def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
-    """At the benchmark's sampled bounds, seed 1, the seven suites list the
-    fiber maps of an object pair (fiber_parts, through bm or sweeps) 7,474
-    times: once per kept edge draw, in the shared draw that the first edge
-    suite makes, and once per edge of a drawn gluing chain.  After the
-    draw, the sampled edge suites build each run from its drawn parts."""
+    """At the benchmark's sampled bounds, seed 1, the seven suites never list
+    the fiber maps of an object pair (fiber_parts, through bm or sweeps): a
+    kept edge draw and each edge of a drawn gluing chain are unranked from
+    their counts, and the sampled edge suites build each run from its drawn
+    parts."""
     calls: Counter = Counter()
     suite = None
 
@@ -1094,8 +1173,7 @@ def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
     config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
     for suite in SUITE_NAMES:
         assert sweeps.run_suite(config, suite).passed, suite
-    assert calls == {"constancy": 2500, "gluing": 4974}
-    assert sum(calls.values()) == 7474
+    assert not calls and monotone_tuples.cache_info().misses == 0
 
 
 def test_sampled_suites_visit_one_run_per_drawn_signature(monkeypatch):
