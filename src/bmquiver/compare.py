@@ -114,7 +114,8 @@ def _canonical(ell: int, beta: int) -> tuple[int, ...]:
     return (0,) * (ell + 1) + (1,) * (beta or ell < 0)
 
 
-@lru_cache(maxsize=1 << 16)
+# 1 << 18 holds the 160,427 edge shapes with k, k' <= 8.
+@lru_cache(maxsize=1 << 18)
 def _edge_verdicts(ell: int, beta: int, ell_prime: int, beta_prime: int, *fmap: int) -> int:
     """The kernel's two verdicts on a one-edge chain, as agrees + 2 * fixed.
 

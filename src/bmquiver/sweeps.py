@@ -4,21 +4,23 @@ Every suite enumerates its instances in a fixed order, or samples them with
 a seeded generator, checks them in one process and aggregates a report:
 failures stop nothing, they are collected with witnesses, so a broken case
 is localized.  Every suite runs through one loop, _sweep, but for the walk
-over fiber signatures of exhaustive gluing.  A source gives runs, instances
-that share one signature (see Run); a check gives only what failed, never a
-key, and the sweep lists it under the instance's key.  Exhaustive, a run is
-a stretch of consecutive instances, and edges checked by signature are
-counted by shape and walked only to list (see _edges_by_shape).  Sampled
-objects and edges are drawn once per process for given bounds and seed,
-each edge unranked from its counts, and grouped once by signature; a run
-is a group, so a sampled suite checks each distinct signature once.  Audit
-mismatches on crossing targets are warnings; the pair-count identity is
-binding only where the target has no crossing.
+over fiber signatures of exhaustive gluing.  A source gives a table and a
+walk (see Source): the table checks each signature once, on one instance,
+for every instance that has it, and the walk gives, in output order, the
+runs (see Run) of the signatures that warned or failed, or every run of a
+source with no table.  A check gives only what failed, never a key, and the
+sweep lists it under the instance's key as the walk reaches it.  Exhaustive
+edges are counted by shape (see _edge_signatures); sampled objects and edges
+are drawn once per process for given bounds and seed, each edge unranked
+from its counts, and grouped once by signature, a table row per group.
+Audit mismatches on crossing targets are warnings; the pair-count identity
+is binding only where the target has no crossing.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -128,50 +130,51 @@ class SuiteReport:
 
 
 #: A run: instances of a source that share one signature, as (signature, at,
-#: instance, key).  at holds one entry a per instance, in order: exhaustive,
-#: the instances are consecutive in enumeration order (an edge's entry is its
-#: 1-part); sampled, each entry is a draw position, in draw order, by which
-#: the sweep lists.  instance(a) builds what the check reads of the instance
-#: (a drawn chain gives its fiber signature) and key(a) gives its encoding
-#: without building it, so a run that is only counted, or only listed, is
-#: never built.
+#: instance, key).  at holds one entry a per instance, in output order:
+#: exhaustive, the instances are consecutive in enumeration order (an edge's
+#: entry is its 1-part); sampled, a run is one draw and its entry the draw
+#: position.  instance(a) builds what the check reads of the instance (a drawn
+#: chain gives its fiber signature) and key(a) gives its encoding without
+#: building it, so a run that is only listed is never built.
 Run = tuple[object, Sequence, Callable[..., object], Callable[..., str]]
 
+#: A source: (table, walk).  The table has a row (signature, count, instance)
+#: per signature, checked once on instance for the count instances that have
+#: it.  walk(flagged) gives, in output order, the runs of the signatures in
+#: flagged, those whose row warned or failed; a source with no table gives
+#: every run, and each of its instances is checked (see _sweep).
+Source = tuple[Iterable[tuple[object, int, object]], Callable[[Container], Iterable[Run]]]
 
-def _grouped(keys: Iterable) -> tuple[tuple[tuple[object, int], ...], memoryview]:
-    """The draws with these keys, grouped by key: (key, count) per group, in
-    order of first draw, and the positions of every group's draws, group
-    after group, each group's in draw order (see _group_runs).
 
-    The positions take 4 bytes per draw.  Each key is read once.
-    """
+def _grouped(keys: Iterable) -> tuple[tuple[tuple[object, int, int], ...], array]:
+    """The draws with these keys, grouped by key: (key, count, first draw
+    position) per group, in order of first draw, and each draw's group
+    number, in 4 bytes.  Each key is read once."""
     numbers: dict = {}
-    groups = [numbers.setdefault(key, len(numbers)) for key in keys]
-    counts = [0] * len(numbers)
-    for group in groups:
-        counts[group] += 1
-    starts = list(accumulate(counts))
-    order = _positions(len(groups))
-    # Filled from the last draw back, so that starts[g] ends at group g's start.
-    for position in reversed(range(len(groups))):
-        group = groups[position]
-        starts[group] -= 1
-        order[starts[group]] = position
-    return tuple(zip(numbers, counts)), order
+    drawn = array("I", (numbers.setdefault(key, len(numbers)) for key in keys))
+    counts, firsts = [0] * len(numbers), [0] * len(numbers)
+    for position, number in enumerate(drawn):
+        if not counts[number]:
+            firsts[number] = position
+        counts[number] += 1
+    return tuple(zip(numbers, counts, firsts)), drawn
 
 
-def _positions(size: int) -> memoryview:
-    """size integers below 2**32, all 0, writable, in 4 bytes each."""
-    return memoryview(bytearray(4 * size)).cast("I")
+def _drawn(grouping: tuple, instance: Callable, key: Callable) -> Source:
+    """The source of grouped draws (see _grouped): a table row per group,
+    checked on its first draw, and a walk that gives each draw of a flagged
+    group as a run of one, in draw order.  instance(a) and key(a) read the
+    draw at position a."""
+    groups, drawn = grouping
+    table = ((signature, count, instance(first)) for signature, count, first in groups)
 
+    def walk(flagged: Container) -> Iterator[Run]:
+        marked = [signature in flagged for signature, _, _ in groups]
+        for a, number in enumerate(drawn):
+            if marked[number]:
+                yield groups[number][0], (a,), instance, key
 
-def _group_runs(grouping: tuple) -> Iterator[tuple[object, memoryview]]:
-    """Each group of a _grouped result with a view of its draw positions."""
-    groups, order = grouping
-    start = 0
-    for key, count in groups:
-        yield key, order[start : start + count]
-        start += count
+    return table, walk
 
 
 @lru_cache(maxsize=1)
@@ -187,15 +190,19 @@ def _object_groups(max_k: int, samples: int, seed: int) -> tuple:
     return _grouped(rng.choice(indices) for _ in range(samples))
 
 
-def _objects(config: SweepConfig) -> Iterator[Run]:
-    """The objects to check: every object in range, each a run of one, or
-    config.samples seeded draws (see _object_groups), a run per drawn object
-    with every draw of it."""
+def _objects(config: SweepConfig) -> Source:
+    """The objects to check: every object in range, each a run of one with no
+    table, or config.samples seeded draws (see _object_groups), a table row
+    per drawn object."""
     objs = enumerate_objects(config.max_k)
     if config.samples is None:
-        return map(_object_run, objs)
-    groups = _object_groups(config.max_k, config.samples, config.seed)
-    return (_object_run(objs[index], at) for index, at in _group_runs(groups))
+        return (), lambda flagged: map(_object_run, objs)
+    groups, drawn = grouping = _object_groups(config.max_k, config.samples, config.seed)
+
+    def phi(a: int) -> BmObject:
+        return objs[groups[drawn[a]][0]]
+
+    return _drawn(grouping, phi, lambda a: phi(a).encode())
 
 
 def _object_run(phi: BmObject, at: Sequence = range(1)) -> Run:
@@ -297,42 +304,6 @@ def _edge_signatures(config: SweepConfig) -> Iterator[tuple[tuple, int, BmEdge]]
                     yield _edge_signature(phi, phi_prime, zero, one), count, edge
 
 
-def _edges_by_shape(config: SweepConfig, check: Callable, listed: list) -> int:
-    """Check every exhaustive edge signature once, on its edge of
-    _edge_signatures, and give the passing records of every edge in range;
-    append what the edges list to listed as _sweep does, in enumeration order.
-
-    A signature that passes or warns counts its records once per edge.  Runs
-    are walked (see _edge_runs) only over the object pairs whose class
-    (ell, beta, ell', beta') holds a signature that warned or failed: a run
-    whose signature passed is counted already, one whose signature warned
-    lists the kept records under each edge's key, unbuilt, and each edge of
-    a failing signature is built, checked and listed on its own.
-    """
-    kept: dict = {}
-    classes: set = set()
-    passed = 0
-    for signature, count, edge in _edge_signatures(config):
-        records = check(edge)
-        if all(r is None or r[1] == "warn" for r in records):
-            kept[signature] = records
-            passed += count * records.count(None)
-        if any(records):
-            classes.add(signature[:4])
-    for signature, at, instance, key in _edge_runs(config, classes):
-        records = kept.get(signature)
-        if records is not None:
-            if any(records):
-                listed.append((at, key, records))
-            continue
-        for a in at:
-            records = check(instance(a))
-            passed += records.count(None)
-            if any(records):
-                listed.append(((a,), key, records))
-    return passed
-
-
 @lru_cache(maxsize=1)
 def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[tuple, ...]:
     """samples seeded edge draws, in draw order, as four parallel tuples: the
@@ -370,17 +341,22 @@ def _edge_groups(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple
     return _grouped(map(_edge_signature, phis, phi_primes, zeros, ones))
 
 
-def _edges(config: SweepConfig) -> Iterator[Run]:
-    """The edges to check, as runs.
+def _edges(config: SweepConfig) -> Source:
+    """The edges to check, a table row per signature.
 
-    Exhaustive: every edge in range (see _edge_runs).  Sampled: the draws of
-    _edge_draws, a run per signature with every draw of it (see
-    _edge_groups), each edge built straight from its parts when it is reached.
-    Both build their edges with bm._edge_of_parts.
+    Exhaustive: the rows of _edge_signatures, and a walk over the runs of
+    _edge_runs whose signature is flagged, on the object pairs of their
+    classes alone.  Sampled: a row per signature drawn by _edge_draws (see
+    _edge_groups), each edge built straight from its parts when it is
+    reached.  Both build their edges with bm._edge_of_parts.
     """
     if config.samples is None:
-        yield from _edge_runs(config)
-        return
+
+        def walk(flagged: Container) -> Iterator[Run]:
+            runs = _edge_runs(config, {signature[:4] for signature in flagged})
+            return (run for run in runs if run[0] in flagged)
+
+        return _edge_signatures(config), walk
     sources = enumerate_objects(config.max_k)
     targets = enumerate_objects(config.max_k_prime)
     bounds = config.max_k, config.max_k_prime, config.samples, config.seed
@@ -392,8 +368,15 @@ def _edges(config: SweepConfig) -> Iterator[Run]:
     def key(a: int) -> str:
         return encode_edge(sources[phis[a]], targets[phi_primes[a]], zeros[a] + ones[a])
 
-    for signature, at in _group_runs(_edge_groups(*bounds)):
-        yield signature, at, edge, key
+    return _drawn(_edge_groups(*bounds), edge, key)
+
+
+def _every_edge(config: SweepConfig) -> Source:
+    """The edges to check one by one when exhaustive: every run of _edge_runs,
+    with no table.  Sampled, the source is _edges."""
+    if config.samples is None:
+        return (), lambda flagged: _edge_runs(config)
+    return _edges(config)
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
@@ -484,9 +467,9 @@ def _xi(instance: BmObject | BmEdge, max_target_size: int = 3) -> tuple[Record, 
     return tuple((f"@{m}", "fail", list(failures)) for m in range(max_target_size + 1))
 
 
-def _xi_edges(config: SweepConfig) -> Iterable[Run]:
+def _xi_edges(config: SweepConfig) -> Source:
     """The edges of the xi suite: none unless chains of length 1 are in range."""
-    return _edges(config) if config.max_chain_len else []
+    return _edges(config) if config.max_chain_len else ((), lambda flagged: ())
 
 
 class _ChainCounts:
@@ -567,7 +550,12 @@ def _chain_run(
     return signature, (position,), lambda a: signature, key
 
 
-def _drawn_chains(config: SweepConfig) -> Iterator[Run]:
+def _drawn_chains(config: SweepConfig) -> Source:
+    """The chains of sampled gluing, with no table (see _chain_draws)."""
+    return (), lambda flagged: _chain_draws(config)
+
+
+def _chain_draws(config: SweepConfig) -> Iterator[Run]:
     """config.samples seeded chains, each a run of one at its draw position.
 
     A draw picks a length and a base object, then each next edge by its
@@ -688,27 +676,26 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     as every sampled sweep checks its draws (see _sweep).
     """
     if config.samples is not None:
-        return _sweep(config, "gluing", (_drawn_chains,), _gluing, True)
-    report = _sweep(config, "gluing", (_objects,), _gluing, False)
+        return _sweep(config, "gluing", (_drawn_chains,), _gluing)
+    report = _sweep(config, "gluing", (_objects,), _gluing)
     _exhaustive_gluing(report, config)
     return report
 
 
-#: Per suite: the sources of its instances, each giving runs (see Run); the
-#: check of one instance, which gives its records; and whether an exhaustive
-#: sweep checks its edges by signature (see _edges_by_shape; a sampled sweep
-#: always does, see _sweep).  The checks call the verifiers by their module
-#: names, so a verifier rebound here is the one that runs.  Exhaustive
-#: naturality checks every edge, as the benchmark's traced self-check counts
-#: its calls; a passing edge costs a lookup in compare's verdict memo.
-_SUITES: dict[str, tuple[tuple[Callable, ...], Callable, bool]] = {
-    "cardinality": ((_objects,), _cardinality, False),
-    "constancy": ((_edges,), _constancy, True),
-    "naturality": ((_edges,), _naturality, False),
-    "decomposition": ((_objects,), _decomposition, False),
-    "identification": ((_edges,), _identification, True),
-    "audit": ((_edges,), _audit, True),
-    "xi": ((_objects, _xi_edges), _xi, True),
+#: Per suite: the sources of its instances (see Source) and the check of one
+#: instance, which gives its records.  The checks call the verifiers by their
+#: module names, so a verifier rebound here is the one that runs.  Exhaustive
+#: naturality reads _every_edge, which checks every edge, because the
+#: benchmark's traced self-check counts its calls; a passing edge costs a
+#: lookup in compare's verdict memo.
+_SUITES: dict[str, tuple[tuple[Callable, ...], Callable]] = {
+    "cardinality": ((_objects,), _cardinality),
+    "constancy": ((_edges,), _constancy),
+    "naturality": ((_every_edge,), _naturality),
+    "decomposition": ((_objects,), _decomposition),
+    "identification": ((_edges,), _identification),
+    "audit": ((_edges,), _audit),
+    "xi": ((_objects, _xi_edges), _xi),
 }
 SUITE_NAMES = (
     "cardinality",
@@ -723,76 +710,62 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _sweep(
-    config: SweepConfig, name: str, sources: tuple, check: Callable, by_signature: bool
-) -> SuiteReport:
-    """Check the runs of every source in order, exhaustive or sampled alike,
-    and list each record of a run's instance with entry a under key(a)
-    followed by the record's suffix; passing records are tallied and added once.
+def _no_failure(records: tuple[Record, ...]) -> bool:
+    """Whether the records pass or warn, so that every instance of their
+    signature may take them; a failure's witnesses may name its instance."""
+    return all(record is None or record[1] == "warn" for record in records)
 
-    Exhaustive, every instance of a run is built and checked, but edges
-    checked by signature are counted by shape (see _edges_by_shape).  A
-    sampled sweep reuses verdicts by signature: a run is every draw of one
-    signature, whose draws are built and checked in order until one passes,
-    which counts the rest, or warns, whose records the rest take unbuilt;
-    each draw of a failing signature is checked and listed with its own
-    witnesses, and the listings are put back in draw order.  This is exact
-    only if the check reads nothing beyond the signature, which the
-    signature test in tests/test_sweeps.py guards.  The kept verdicts live
+
+def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> SuiteReport:
+    """Check every source in order, exhaustive or sampled alike: each table
+    row once, then each run of the walk over the rows that warned or failed,
+    listing each record of the instance with entry a under key(a) followed
+    by the record's suffix as the walk reaches it.
+
+    A passing row counts every instance of its signature, and a warning
+    keeps its records, which the walk lists unbuilt; every other instance
+    the walk gives is built and checked on its own, so each instance of a
+    failing signature lists its own witnesses.  Sampled, the walk also keeps
+    the records of an instance that passes or warns for the later runs of
+    its signature.  Passing records are tallied and added once.  Reuse is
+    exact only if the check reads nothing beyond the signature, which the
+    signature test in tests/test_sweeps.py guards.  The kept records live
     for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
-    exhaustive = config.samples is None
-    verdicts: dict | None = None if exhaustive else {}
+    sampled = config.samples is not None
     for source in sources:
-        # (positions, key, records): the instances at positions list records.
-        listed: list = []
-        if by_signature and exhaustive and source in (_edges, _xi_edges):
-            # xi has edges only with chains of length 1 in range (see _xi_edges).
-            if source is _edges or config.max_chain_len:
-                passed += _edges_by_shape(config, check, listed)
-        else:
-            for signature, at, instance, key in source(config):
-                kept = None if verdicts is None else verdicts.get(signature)
-                n = 0
-                while kept is None and n < len(at):
-                    records = check(instance(at[n]))
-                    if verdicts is not None and all(r is None or r[1] == "warn" for r in records):
-                        kept = verdicts[signature] = records
-                        break
-                    passed += records.count(None)
-                    if any(records):
-                        listed.append((at[n : n + 1], key, records))
-                    n += 1
-                if kept is not None:
-                    # The instances from n on take the kept records.
-                    passed += (len(at) - n) * kept.count(None)
-                    if any(kept):
-                        listed.append((at[n:], key, kept))
-        if listed and not exhaustive:
-            listed = _in_draw_order(listed, config.samples)
-        for at, key, records in listed:
+        table, walk = source(config)
+        kept: dict = {}
+        flagged: set = set()
+        for signature, count, instance in table:
+            records = check(instance)
+            if not any(records):
+                passed += count * len(records)
+                continue
+            flagged.add(signature)
+            if _no_failure(records):
+                kept[signature] = records
+        for signature, at, instance, key in walk(flagged):
             for a in at:
-                for record in filter(None, records):
-                    report.add((key(a) + record[0], record[1], record[2]))
+                records = kept.get(signature)
+                if records is None:
+                    records = check(instance(a))
+                    if sampled and _no_failure(records):
+                        kept[signature] = records
+                passed += records.count(None)
+                for suffix, status, witnesses in filter(None, records):
+                    report.add((key(a) + suffix, status, witnesses))
     report.add(None, passed)
     return report
-
-
-def _in_draw_order(listed: list, samples: int) -> Iterator[tuple]:
-    """The listed (positions, key, records) entries of a sampled source, one
-    entry per position, in draw order; no two entries share a position."""
-    numbers = _positions(samples)
-    for number, (at, _, _) in enumerate(listed, 1):
-        for a in at:
-            numbers[a] = number
-    return (((a,), *listed[n - 1][1:]) for a, n in enumerate(numbers) if n)
 
 
 def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
     """Whether a named suite's sources give edges, the only readers of max_k_prime."""
     sources = {source for name in names if name in _SUITES for source in _SUITES[name][0]}
-    return _edges in sources or (_xi_edges in sources and config.max_chain_len > 0)
+    if config.max_chain_len and _xi_edges in sources:
+        return True
+    return bool(sources & {_edges, _every_edge})
 
 
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
@@ -809,9 +782,8 @@ def run_suite(config: SweepConfig, name: str) -> SuiteReport:
 
 def xi_suite(config: SweepConfig, max_target_size: int = 3) -> SuiteReport:
     """Precomposition commutes with restriction: one check per instance, a record per size."""
-    sources, _, by_signature = _SUITES["xi"]
-    check = partial(_xi, max_target_size=max_target_size)
-    return _sweep(config, "xi", sources, check, by_signature)
+    sources, _ = _SUITES["xi"]
+    return _sweep(config, "xi", sources, partial(_xi, max_target_size=max_target_size))
 
 
 def run_suites(config: SweepConfig, suites: list[str] | None = None) -> list[SuiteReport]:

@@ -273,7 +273,9 @@ def test_sampled_edges_drawn_by_index_match_choosing_from_lists(max_k, max_k_pri
             for s, t, zero, one in zip(*sweeps._edge_draws(max_k, max_k_prime, 40, seed))
         ]
         assert drawn == choose_from_filtered_edges(config)
-        built = {a: instance(a) for _, at, instance, _ in sweeps._edges(config) for a in at}
+        table, walk = sweeps._edges(config)
+        runs = walk({signature for signature, _, _ in table})
+        built = {a: instance(a) for _, at, instance, _ in runs for a in at}
         assert [built[n] for n in range(40)] == drawn
 
 
@@ -712,7 +714,7 @@ def test_the_edge_verdict_memo_is_bounded_and_found():
     """The verdict memo of one-edge checks is a functools cache of finite
     size, which cached_functions (so clear_memos) finds."""
     assert compare._edge_verdicts in cached_functions()
-    assert compare._edge_verdicts.cache_info().maxsize == 1 << 16
+    assert compare._edge_verdicts.cache_info().maxsize == 1 << 18
 
 
 def test_clearing_the_memos_forgets_tables_filled_before_a_patch(monkeypatch):
@@ -886,7 +888,13 @@ def test_edge_checks_are_functions_of_the_signature():
     Exhaustive sweeps reuse verdicts in the signed suites only, sampled
     sweeps in naturality too.
     """
-    signed = [name for name, (_, _, by_signature) in sweeps._SUITES.items() if by_signature]
+    # A signed suite has a source whose exhaustive table has rows.
+    config = SweepConfig(max_k=4, max_k_prime=4, max_chain_len=1)
+    signed = [
+        name
+        for name, (sources, _) in sweeps._SUITES.items()
+        if any(any(source(config)[0]) for source in sources)
+    ]
     assert tuple(signed) == SIGNED_SUITES
     edges = enumerate_all_edges(4, 4)
     for name in SIGNED_SUITES + ("naturality",):
@@ -905,7 +913,7 @@ def test_edge_runs_are_the_enumeration_cut_where_the_signature_changes(max_k, ma
     BmEdge.encode gives it, and a run ends exactly where the next edge has
     another source, target or signature."""
     edges = enumerate_all_edges(max_k, max_k_prime)
-    runs = sweeps._edges(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
+    runs = sweeps._edge_runs(SweepConfig(max_k=max_k, max_k_prime=max_k_prime))
     walked = []
     for signature, at, instance, key in runs:
         run = [instance(a) for a in at]
@@ -995,7 +1003,7 @@ def test_report_totals_are_their_closed_forms(monkeypatch, max_k):
         samples, seed = 30, max_k_prime + 5 * max_chain_len
         sampled = SweepConfig(max_k, max_k_prime, max_chain_len, samples, seed)
         groups, _ = sweeps._object_groups(max_k, samples, seed)
-        on_0 = sum(count for index, count in groups if index < 2)
+        on_0 = sum(count for index, count, _ in groups if index < 2)
         expected = dict.fromkeys(names, samples)
         expected["decomposition"] = samples - on_0
         expected["xi"] = 4 * samples * (2 if max_chain_len else 1)
@@ -1179,7 +1187,7 @@ def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
 def test_sampled_suites_visit_one_run_per_drawn_signature(monkeypatch):
     """At the benchmark's sampled bounds, seed 1, each drawn edge's signature
     is computed once in the process, 2,500 times for the four edge suites
-    together, and each object or edge suite visits one run per distinct
+    together, and each object or edge suite checks one table row per distinct
     drawn signature: 27 objects and 552 edge signatures, while its total
     still counts every draw."""
     computed = 0
@@ -1193,18 +1201,23 @@ def test_sampled_suites_visit_one_run_per_drawn_signature(monkeypatch):
     visited = 0
 
     def counting(source):
-        def runs(config):
-            nonlocal visited
-            for run in source(config):
-                visited += 1
-                yield run
+        def counted_rows(config):
+            table, walk = source(config)
 
-        return runs
+            def rows():
+                nonlocal visited
+                for row in table:
+                    visited += 1
+                    yield row
+
+            return rows(), walk
+
+        return counted_rows
 
     monkeypatch.setattr(sweeps, "_edge_signature", counted)
     suites = {
-        name: (tuple(map(counting, sources)), check, by_signature)
-        for name, (sources, check, by_signature) in sweeps._SUITES.items()
+        name: (tuple(map(counting, sources)), check)
+        for name, (sources, check) in sweeps._SUITES.items()
     }
     monkeypatch.setattr(sweeps, "_SUITES", suites)
     config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
@@ -1239,7 +1252,7 @@ def test_the_edge_grouping_keeps_at_most_8_bytes_per_draw():
     finally:
         tracemalloc.stop()
         clear_memos()
-    assert sum(count for _, count in groups) == 50000
+    assert sum(count for _, count, _ in groups) == 50000
     assert grouped - drawn <= 8 * 50000
 
 
@@ -1452,6 +1465,60 @@ def test_signature_suites_match_checking_every_edge(monkeypatch, mutant):
     assert failed > 0 or mutant == "none"
     assert repeated["warn"] > 0
     assert repeated["fail"] > 0 or mutant == "none"
+
+
+@pytest.mark.parametrize("mutant,failing", [("_gamma", (444, 928)), ("_resolve", (16, 226))])
+def test_failing_signatures_are_checked_once_then_edge_by_edge(monkeypatch, mutant, failing):
+    """At k, k' <= 4, under gamma off by one (444 of the 861 signatures fail,
+    928 of the 2,421 edges) and under x1(0) resolved as x1(1) (16 and 226,
+    each witness naming its edge), constancy checks each signature once in
+    its table, and then each edge of a failing signature on its own: the
+    walk gives the runs of the failing signatures and no other.  Sampled at
+    300 draws, it checks each drawn signature once, and each draw of a
+    failing signature again."""
+    EDGE_MUTANTS[mutant](monkeypatch)
+    edges = enumerate_all_edges(4, 4)
+    signatures = Counter(map(edge_signature, edges))
+    failed = {
+        edge_signature(edge) for edge in edges if check_outcome(compare.verify_constancy, edge)
+    }
+    assert (len(signatures), len(edges)) == (861, 2421)
+    assert (len(failed), sum(signatures[s] for s in failed)) == failing
+    calls = 0
+    verify = sweeps.verify_constancy
+
+    def counted(edge):
+        nonlocal calls
+        calls += 1
+        return verify(edge)
+
+    walked: Counter = Counter()
+
+    def recorded(config):
+        table, walk = sweeps._edges(config)
+
+        def runs(flagged):
+            for run in walk(flagged):
+                walked[run[0]] += len(run[1])
+                yield run
+
+        return table, runs
+
+    monkeypatch.setattr(sweeps, "verify_constancy", counted)
+    monkeypatch.setitem(sweeps._SUITES, "constancy", ((recorded,), sweeps._SUITES["constancy"][1]))
+    report = sweeps.run_suite(SweepConfig(max_k=4, max_k_prime=4), "constancy")
+    assert (calls, report.total, report.failed) == (861 + failing[1], 2421, failing[1])
+    assert walked == {signature: signatures[signature] for signature in failed}
+    if mutant == "_resolve":
+        for instance in report.instances:
+            assert f"on edge {instance['key']}:" in instance["witnesses"][0]
+    config = SweepConfig(max_k=4, max_k_prime=4, samples=300, seed=0)
+    drawn = [edge_signature(edge) for edge in choose_from_filtered_edges(config)]
+    again = sum(signature in failed for signature in drawn)
+    calls = 0
+    report = sweeps.run_suite(config, "constancy")
+    assert 0 < again < 300
+    assert (calls, report.total, report.failed) == (len(set(drawn)) + again, 300, again)
 
 
 def test_suites_encode_only_the_instances_they_list(monkeypatch):
