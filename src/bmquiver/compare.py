@@ -27,7 +27,9 @@ through (ell, beta), so a one-edge check (constancy, naturality, xi)
 first reads the two verdicts of the edge's shape, its invariants and fiber
 map, from one bounded memo, _edge_verdicts, kept for the process; only a
 failing verdict, or a kernel that raises, goes to _sides, which names the
-edge and builds its witnesses.
+edge and builds its witnesses.  Notes, one per pair, are built only where
+a failure message reads them: the memo's kernel asks the pairing rules for
+none (see quiverf._rule_pairs), and _sides asks, for a failing pair's witness.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
-def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
+def _kernel(
+    values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...], *, notes: bool
+) -> tuple:
     """Pairs and notes, fiber sizes, G, witnesses and two verdicts of the
-    chain on these objects' values and its edges' fiber maps.
+    chain on these objects' values and its edges' fiber maps.  The notes
+    are None unless notes is set: only a failure's witness reads them.
 
     G comes first, so a map that does not fit its fibers fails with G's
     ValidationError before any rule indexes it.  Each edge's pairing rules
@@ -98,15 +103,15 @@ def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ..
     for shape in shapes:
         witness += [g[fiber_off + v] for v in _gamma_row(shape.ell, shape.beta)]
         fiber_off += shape.ell + 1
-    pairs, notes = quiverf._rule_pairs(values[0], values[1], maps[0]) if maps else ([], [])
+    kept: list | None = [] if notes else None
+    pairs = quiverf._rule_pairs(values[0], values[1], maps[0], kept) if maps else []
     label_off = 0
     for t in range(1, len(maps)):
         label_off += shapes[t - 1].count
-        more, more_notes = quiverf._rule_pairs(values[t], values[t + 1], maps[t])
+        more = quiverf._rule_pairs(values[t], values[t + 1], maps[t], kept)
         pairs += [(a + label_off, b + label_off) for a, b in more]
-        notes += more_notes
     agrees = all(witness[a] == witness[b] for a, b in pairs)
-    return pairs, notes, sizes, g, witness, agrees, [g[w] for w in witness] == witness
+    return pairs, kept, sizes, g, witness, agrees, [g[w] for w in witness] == witness
 
 
 def _canonical(ell: int, beta: int) -> tuple[int, ...]:
@@ -124,7 +129,7 @@ def _edge_verdicts(ell: int, beta: int, ell_prime: int, beta_prime: int, *fmap: 
     only the verdicts: every edge of that shape shares them.
     """
     values = _canonical(ell, beta), _canonical(ell_prime, beta_prime)
-    agrees, fixed = _kernel(values, (fmap,))[-2:]
+    agrees, fixed = _kernel(values, (fmap,), notes=False)[-2:]
     return agrees + 2 * fixed
 
 
@@ -144,7 +149,8 @@ def _edge_passes(edge: BmEdge, verdicts: int) -> bool:
 
 def _sides(instance: Chain) -> tuple:
     """Objects, edges, pairs and notes, fiber sizes, G classes, witnesses and
-    the two verdicts of an instance, from _kernel; nothing is built.
+    the two verdicts of an instance, from _kernel; nothing is built.  It
+    asks for notes: a one-edge check reaches it only to list a failure.
 
     Where a rule cannot build a label, the error names the first edge on
     which edge_pairs raises.
@@ -158,10 +164,10 @@ def _sides(instance: Chain) -> tuple:
         objects, edges = instance.objects, instance.edges
         key = tuple(obj.values for obj in objects), tuple(edge.fiber_map() for edge in edges)
     try:
-        return objects, edges, *_kernel(*key)
+        return objects, edges, *_kernel(*key, notes=True)
     except (UnresolvableLabelError, LabelRangeError):
         for edge in edges:
-            edge_pairs(edge)
+            edge_pairs(edge, notes=False)
         raise
 
 

@@ -25,7 +25,10 @@ a result (compare.f_chain, pairing_set) or to render a witness.
 The pairing rules are one integer core on the two objects' values and the
 map's images (_rule_pairs): edge_pairs applies it to an edge and names the
 edge in the error of a label it cannot build, and compare's kernel applies
-it to each edge of a chain, on values alone.  The rules read each object's
+it to each edge of a chain, on values alone.  Notes, the identity trail of
+each pair, are built only for a caller that asks: a failure's witness or
+`bmquiver eval pairs` (edge_pairs, compare._sides, pairing_set), never a
+check that passes or an audit that counts.  The rules read each object's
 resolutions from tables kept for the whole process: each (kind, index) a
 rule requests of an object goes to _resolve once, and its number is kept.
 A request that _resolve cannot answer is not kept, so it goes to _resolve,
@@ -35,7 +38,7 @@ and raises its error, each time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, total_ordering
 from typing import NamedTuple, Sequence
 
@@ -208,9 +211,16 @@ def render_note(note: Note) -> str:
 
 
 def _rule_pairs(
-    source: tuple[int, ...], target: tuple[int, ...], p: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[Note]]:
-    """The pairing rules between the objects with these values, with one note per pair.
+    source: tuple[int, ...],
+    target: tuple[int, ...],
+    p: Sequence[int],
+    notes: list[Note] | None = None,
+) -> list[tuple[int, int]]:
+    """The pairing rules between the objects with these values; given a
+    list for notes, one note per pair is appended to it, in pair order.
+
+    Only a failure's witness and `bmquiver eval pairs` read a note, so a
+    caller that passes or counts asks for none, and none is built.
 
     Pairs are of label numbers: source labels are numbered from 0 and
     target labels after them, as on a one-edge chain.  For each
@@ -233,44 +243,57 @@ def _rule_pairs(
     """
     ell_prime, beta_prime, _, y1, y2, ym = _shape(target)
     if ell_prime == -1:
-        return [], []
+        return []
     ell, _, shift, x1, x2, xm = _shape(source)
     pairs: list[tuple[int, int]] = []
-    notes: list[Note] = []
+    add = pairs.append
+    low = p[0]
     for i in range(1, ell_prime + 1):
-        if p[i - 1] == p[i]:
-            pairs.append((shift + y1[i], shift + y2[i]))
-            notes.append((_FLAT_NOTE, i, p[i], p[i - 1], i - 1))
+        high = p[i]
+        if low == high:
+            add((shift + y1[i], shift + y2[i]))
+            if notes is not None:
+                notes.append((_FLAT_NOTE, i, high, low, i - 1))
         else:
-            pairs.append((shift + y1[i], x1[p[i]]))
-            notes.append((_UP_NOTE, i, p[i]))
-            pairs.append((x2[p[i - 1] + 1], shift + y2[i]))
-            notes.append((_DOWN_NOTE, p[i - 1] + 1, p[i - 1], i - 1, i))
-            for j in range(p[i - 1] + 2, p[i] + 1):
-                pairs.append((x2[j], x1[j - 1]))
-                notes.append((_INNER_NOTE, j, j - 1))
+            add((shift + y1[i], x1[high]))
+            add((x2[low + 1], shift + y2[i]))
+            if notes is not None:
+                notes += [(_UP_NOTE, i, high), (_DOWN_NOTE, low + 1, low, i - 1, i)]
+            for j in range(low + 2, high + 1):
+                add((x2[j], x1[j - 1]))
+                if notes is not None:
+                    notes.append((_INNER_NOTE, j, j - 1))
+        low = high
     if beta_prime == 1:
-        pairs.append((xm[None], x1[ell]))
-        notes.append((_MID_NOTE, ell))
-        pairs.append((x2[p[ell_prime] + 1], shift + ym[None]))
-        notes.append((_MID_DOWN_NOTE, p[ell_prime] + 1, p[ell_prime], ell_prime))
-        for j in range(p[ell_prime] + 2, ell + 1):
-            pairs.append((x2[j], x1[j - 1]))
-            notes.append((_INNER_NOTE, j, j - 1))
-    return pairs, notes
+        add((xm[None], x1[ell]))
+        add((x2[low + 1], shift + ym[None]))
+        if notes is not None:
+            notes += [(_MID_NOTE, ell), (_MID_DOWN_NOTE, low + 1, low, ell_prime)]
+        for j in range(low + 2, ell + 1):
+            add((x2[j], x1[j - 1]))
+            if notes is not None:
+                notes.append((_INNER_NOTE, j, j - 1))
+    return pairs
 
 
-def edge_pairs(edge: BmEdge) -> tuple[list[tuple[int, int]], list[Note]]:
-    """The pairing rules of an edge (see _rule_pairs), on label numbers, with one note per pair.
+def edge_pairs(
+    edge: BmEdge, notes: bool = True
+) -> tuple[list[tuple[int, int]], list[Note] | None]:
+    """The pairing rules of an edge (see _rule_pairs), on label numbers, and
+    one note per pair, or None in place of the notes when notes is False.
 
+    Notes are built only for a reader of them, such as `bmquiver eval
+    pairs` (pairing_set); the audit, which counts pairs, asks for none.
     A label the rules cannot build raises PairingConstructionError naming the edge.
     """
+    kept: list[Note] | None = [] if notes else None
     try:
-        return _rule_pairs(edge.phi.values, edge.phi_prime.values, edge.map.images)
+        pairs = _rule_pairs(edge.phi.values, edge.phi_prime.values, edge.map.images, kept)
     except (UnresolvableLabelError, LabelRangeError) as exc:
         raise PairingConstructionError(
             f"pairing rules produced an invalid label on edge {edge.encode()}: {exc}"
         ) from exc
+    return pairs, kept
 
 
 @dataclass(frozen=True)
@@ -335,16 +358,30 @@ class JCardinalityAudit:
     formula_count is ell' + p(ell' + beta') - p(0); it is None in the
     degenerate case ell' = -1 where p(-1) is undefined and the pairing list
     is empty by convention.  mid_image_tight records, for beta' = 1, whether
-    p(ell' + 1) = ell + 1.
+    p(ell' + 1) = ell + 1.  The audit keeps the edge's pairs, built without
+    notes, and counts self pairs and effective pairs only when they are
+    read: an audit warning and `bmquiver eval audit` read them, a passing
+    audit does not.
     """
 
     edge: BmEdge
-    raw_count: int
-    self_pair_count: int
-    effective_count: int
+    pairs: list[tuple[int, int]] = field(repr=False, compare=False)
     formula_count: int | None
     degenerate: bool
     mid_image_tight: bool | None
+
+    @property
+    def raw_count(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def self_pair_count(self) -> int:
+        return sum(a == b for a, b in self.pairs)
+
+    @property
+    def effective_count(self) -> int:
+        """The number of distinct unordered pairs of two different labels."""
+        return len({(a, b) if a < b else (b, a) for a, b in self.pairs if a != b})
 
     @property
     def raw_matches(self) -> bool | None:
@@ -375,22 +412,13 @@ class JCardinalityAudit:
 
 def j_cardinality_audit(edge: BmEdge) -> JCardinalityAudit:
     """Compare the enumerated pair count of an edge against the closed formula."""
-    pairs = edge_pairs(edge)[0]
+    pairs = edge_pairs(edge, notes=False)[0]
     ell_prime, beta_prime = edge.phi_prime.ell, edge.phi_prime.beta
     if ell_prime == -1:
-        return JCardinalityAudit(edge, 0, 0, 0, None, True, None)
+        return JCardinalityAudit(edge, pairs, None, True, None)
     p = edge.map.images
     formula = ell_prime + p[ell_prime + beta_prime] - p[0]
     tight = None
     if beta_prime == 1:
         tight = p[ell_prime + 1] == edge.phi.ell + 1
-    effective = {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
-    return JCardinalityAudit(
-        edge,
-        len(pairs),
-        sum(a == b for a, b in pairs),
-        len(effective),
-        formula,
-        False,
-        tight,
-    )
+    return JCardinalityAudit(edge, pairs, formula, False, tight)

@@ -228,11 +228,21 @@ def _edge_run(phi: BmObject, phi_prime: BmObject, zero: tuple, ones: tuple) -> R
     """The run of edges phi -> phi' with this 0-part and these 1-parts, in map
     order, under their signature (see _edge_signature).  When beta' = 1 the
     1-parts must share their first image.
+
+    Every key of the run is bm.encode_edge of its images, zero + one, so it
+    begins with the encoding of zero alone and, when both parts are nonempty
+    (the 1-parts of a run share their length), a comma.  The key formats
+    that prefix on its first call and only the 1-part after it, so a run
+    that is not listed formats nothing.
     """
     edge = partial(_edge_of_parts, phi, phi_prime, zero)
+    prefix = ""
 
     def key(one: tuple) -> str:
-        return encode_edge(phi, phi_prime, zero + one)
+        nonlocal prefix
+        if not prefix:
+            prefix = encode_edge(phi, phi_prime, zero) + ("," if zero and one else "")
+        return prefix + ",".join(map(str, one))
 
     return _edge_signature(phi, phi_prime, zero, ones[0]), ones, edge, key
 

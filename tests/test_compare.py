@@ -49,13 +49,14 @@ def edge_shape(edge: BmEdge) -> tuple:
 
 
 def count_kernel(monkeypatch) -> list:
-    """Record the key of every kernel computation from here on; the record is returned."""
+    """Record the key of every kernel computation from here on, with or
+    without notes; the record is returned."""
     computed = []
     kernel = compare._kernel
 
-    def counted(values, maps):
+    def counted(values, maps, *, notes):
         computed.append((values, maps))
-        return kernel(values, maps)
+        return kernel(values, maps, notes=notes)
 
     monkeypatch.setattr(compare, "_kernel", counted)
     return computed
@@ -354,8 +355,9 @@ class TestNaturality:
             )
             assert [BmObject(values).ell for values in canonical] == [phi.ell, phi_prime.ell]
             assert [BmObject(values).beta for values in canonical] == [phi.beta, phi_prime.beta]
-            concrete = compare._kernel((phi.values, phi_prime.values), maps)
-            assert compare._kernel(canonical, maps) == concrete, edge.encode()
+            for notes in (False, True):
+                concrete = compare._kernel((phi.values, phi_prime.values), maps, notes=notes)
+                assert compare._kernel(canonical, maps, notes=notes) == concrete, edge.encode()
         assert len(edges) == 2421
 
     @given(bm_edges(max_top=5), st.data())

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from bmquiver import (
     pairing_set,
 )
 from bmquiver import compare, quiverf
+from bmquiver.cli import main
 from bmquiver.quiverf import label_count, label_offsets, mid
 from test_bm import enumerate_all_edges, identity_edge
 from test_quotient import union_find_blocks
@@ -309,6 +312,61 @@ class TestCardinalityAudit:
             audit = j_cardinality_audit(edge)
             if edge.phi_prime.beta == 0 and not audit.degenerate:
                 assert audit.raw_matches
+
+    def test_counts_on_demand_are_their_eager_definitions(self):
+        """On every edge with k, k' <= 4, the counts the audit makes when
+        read, its two verdicts and to_dict() are those of the eager
+        definitions on edge_pairs' pairs; only the pair list is kept."""
+        checked = 0
+        for edge in enumerate_all_edges(4, 4):
+            pairs, _ = quiverf.edge_pairs(edge)
+            audit = j_cardinality_audit(edge)
+            degenerate = edge.phi_prime.ell == -1
+            assert not (degenerate and pairs), edge.encode()
+            raw, self_pairs = len(pairs), sum(a == b for a, b in pairs)
+            effective = len({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+            formula = audit.formula_count
+            expected = {
+                "key": edge.encode(),
+                "betaPrime": edge.phi_prime.beta,
+                "rawCount": raw,
+                "selfPairCount": self_pairs,
+                "effectiveCount": effective,
+                "formulaCount": formula,
+                "rawMatches": None if formula is None else raw == formula,
+                "effectiveMatches": None if formula is None else effective == formula,
+                "degenerate": degenerate,
+                "midImageTight": audit.mid_image_tight,
+            }
+            got = (audit.raw_count, audit.self_pair_count, audit.effective_count)
+            assert got == (raw, self_pairs, effective), edge.encode()
+            assert (audit.raw_matches, audit.effective_matches) == (
+                expected["rawMatches"], expected["effectiveMatches"]
+            ), edge.encode()
+            assert audit.to_dict() == expected, edge.encode()
+            assert audit.pairs == pairs, edge.encode()
+            checked += 1
+        assert checked == 2421
+
+    def test_effective_count_merges_repeated_and_reversed_pairs(self):
+        """No edge's rules repeat an unordered pair (none at k, k' <= 7), so
+        the edges above cannot tell the effective count from the number of
+        pairs that are not self pairs; on kept pairs that do, it merges them."""
+        edge = EDGE("phi=00;phiPrime=000;map=0,0,1")
+        pairs = [(0, 1), (1, 0), (2, 2), (0, 1), (1, 3)]
+        audit = quiverf.JCardinalityAudit(edge, pairs, 2, False, None)
+        assert (audit.raw_count, audit.self_pair_count, audit.effective_count) == (5, 1, 2)
+        assert (audit.raw_matches, audit.effective_matches) == (False, True)
+
+    def test_eval_audit_output_is_pinned(self, capsys):
+        """`bmquiver eval audit --format json` gives, byte for byte, the
+        pinned output of the README's example edge and of three edges with
+        beta' = 1, from when the audit counted every pair eagerly."""
+        pinned = json.loads((Path(__file__).parent / "data" / "eval_audit.json").read_text())
+        assert sum(EDGE(key).phi_prime.beta for key in pinned) == len(pinned) == 4
+        for key, text in pinned.items():
+            assert main(["eval", "audit", key, "--format", "json"]) == 0
+            assert capsys.readouterr().out == text, key
 
 
 # An independent implementation on QuiverLabel values, kept as the oracle

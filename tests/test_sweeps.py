@@ -583,13 +583,17 @@ def x1_zero_as_x1_one(monkeypatch):
 
 def dropped_inner_rule(monkeypatch):
     """The pairs (x2(j), x1(j-1)) dropped from the pairing rules, which F
-    reads through the kernel of compare."""
+    reads through the kernel of compare.  The rules' notes tell which pairs
+    to drop, so they are always built here, and handed on when asked for."""
     rule_pairs = quiverf._rule_pairs
 
-    def dropped(source, target, p):
-        pairs, notes = rule_pairs(source, target, p)
-        kept = [n for n, note in enumerate(notes) if note[0] != quiverf._INNER_NOTE]
-        return [pairs[n] for n in kept], [notes[n] for n in kept]
+    def dropped(source, target, p, notes=None):
+        every_note: list = []
+        pairs = rule_pairs(source, target, p, every_note)
+        kept = [n for n, note in enumerate(every_note) if note[0] != quiverf._INNER_NOTE]
+        if notes is not None:
+            notes += [every_note[n] for n in kept]
+        return [pairs[n] for n in kept]
 
     monkeypatch.setattr(quiverf, "_rule_pairs", dropped)
 
@@ -1522,22 +1526,27 @@ def test_failing_signatures_are_checked_once_then_edge_by_edge(monkeypatch, muta
 
 
 def test_suites_encode_only_the_instances_they_list(monkeypatch):
-    """A passing instance is never encoded: every suite makes one outermost
-    encode call per instance it lists, exhaustive at k, k' <= 3 and sampled
-    at seeds 0-2, whether it encodes a built instance or formats the key of
-    an unbuilt edge (bm.encode_edge).  A sampled instance listed at several
-    draws is encoded at each of them."""
-    calls = depth = 0
+    """A passing instance is never encoded, and a listed one at most once:
+    exhaustive at k, k' <= 3 and sampled at seeds 0-2, every suite makes at
+    most one outermost encode call per instance it lists, none when it lists
+    none, and each call gives a prefix of a listed key, whether it encodes a
+    built instance or formats the key of an unbuilt edge (bm.encode_edge),
+    or the prefix that an exhaustive run's keys share.  A sampled instance
+    listed at several draws may be encoded at each of them."""
+    encoded: list[str] = []
+    depth = 0
 
     def counting(encode):
         def counted(*args):
-            nonlocal calls, depth
-            calls += not depth
+            nonlocal depth
             depth += 1
             try:
-                return encode(*args)
+                text = encode(*args)
             finally:
                 depth -= 1
+            if not depth:
+                encoded.append(text)
+            return text
 
         return counted
 
@@ -1550,12 +1559,131 @@ def test_suites_encode_only_the_instances_they_list(monkeypatch):
     listed = repeated = 0
     for config in configs:
         for name in SUITE_NAMES + EXTRA_SUITE_NAMES:
-            calls = 0
+            encoded.clear()
             instances = sweeps.run_suite(config, name).instances
             keys = {inst["key"] for inst in instances}
-            assert calls == (len(keys) if config.samples is None else len(instances)), (
-                config, name
-            )
+            bound = len(keys) if config.samples is None else len(instances)
+            assert len(encoded) <= bound and bool(encoded) == bool(bound), (config, name)
+            for text in encoded:
+                assert any(key.startswith(text) for key in keys), (config, name, text)
             listed += len(keys)
             repeated += len(instances) - len(keys)
     assert listed > 0 and repeated > 0  # the audit warnings
+
+
+def outcome(function, *args, **kwargs):
+    """What a call gives, or the type and message of the error it raises."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("mutant", list(EDGE_MUTANTS))
+def test_pairs_without_notes_are_the_pairs_with_notes(monkeypatch, mutant):
+    """On every edge with k, k' <= 4, plain and under each edge mutant, the
+    pairing rules asked for no notes give the pairs that edge_pairs gives
+    with one note per pair, or raise its error; so does the kernel, whose
+    sizes, G, witnesses and verdicts are the same either way."""
+    EDGE_MUTANTS[mutant](monkeypatch)
+    raised = 0
+    for edge in enumerate_all_edges(4, 4):
+        with_notes = outcome(quiverf.edge_pairs, edge)
+        assert outcome(quiverf.edge_pairs, edge, notes=False) == (
+            with_notes if isinstance(with_notes[0], str) else (with_notes[0], None)
+        ), edge.encode()
+        if isinstance(with_notes[0], str):
+            raised += 1
+        else:
+            pairs, notes = with_notes
+            assert len(notes) == len(pairs), edge.encode()
+        values = edge.phi.values, edge.phi_prime.values
+        kernel = outcome(compare._kernel, values, (edge.fiber_map(),), notes=True)
+        bare = outcome(compare._kernel, values, (edge.fiber_map(),), notes=False)
+        if isinstance(kernel[0], str):
+            assert bare == kernel, edge.encode()
+            continue
+        assert bare[1] is None and len(kernel[1]) == len(kernel[0]), edge.encode()
+        assert bare[:1] + bare[2:] == kernel[:1] + kernel[2:], edge.encode()
+    assert (raised > 0) == (mutant == "_resolve"), raised
+
+
+def test_passing_edge_sweeps_ask_for_no_notes(monkeypatch):
+    """Constancy, naturality, xi and audit at k, k' <= 4 fail nothing, and
+    none of the pairing rules they run, from cold memos, is asked for notes.
+    A constancy that fails, under the _gamma mutant, asks for them and
+    lists the witnesses pinned in tests/data/gamma_mutant.json."""
+    asked = []
+    rule_pairs = quiverf._rule_pairs
+
+    def spied(source, target, p, notes=None):
+        asked.append(notes is not None)
+        return rule_pairs(source, target, p, notes)
+
+    monkeypatch.setattr(quiverf, "_rule_pairs", spied)
+    config = SweepConfig(max_k=4, max_k_prime=4)
+    for name in ("constancy", "naturality", "xi", "audit"):
+        clear_memos()
+        asked.clear()
+        report = sweeps.run_suite(config, name)
+        assert (report.failed, report.total > 0) == (0, True), name
+        assert asked and not any(asked), name
+    gamma_off_by_one(monkeypatch)
+    clear_memos()
+    asked.clear()
+    report = failing_reports(["constancy"])["constancy"]
+    assert any(asked)
+    pinned = json.loads((Path(__file__).parent / "data" / "gamma_mutant.json").read_text())
+    assert report.to_dict() == pinned[0]
+
+
+#: Per audit sweep, (max_k, max_k', seed or None when exhaustive): the number
+#: of keys it lists and the sha256 of the keys joined by newlines, from when
+#: every listed key was formatted in full by bm.encode_edge.
+AUDIT_KEYS = {
+    (5, 5, None): (2754, "a5c1616f68b215d572b6b897af3ef2fdc11aa96b75d9b4f7b5258fb9420dfff8"),
+    (3, 5, None): (325, "91528598f130045d47f5b843ef1c89ef9b41ef2fc3eb19f5cb5b0de769baaca4"),
+    (5, 0, None): (0, hashlib.sha256(b"").hexdigest()),
+    (0, 4, None): (0, hashlib.sha256(b"").hexdigest()),
+    (5, 5, 0): (709, "85dadfd053ef4ac46d5e30bea59c64a6c6d335886373bffdb50d143eab0c616c"),
+    (5, 5, 1): (735, "1ff3e0aafbd3a67d2c4d8584136f27dbfb8b98d9bf74f6db47d5d66ecf84a56b"),
+    (5, 5, 2): (696, "30259b5bb574fbf6f380f29065c06b46682009c2c22a62f6deae8be2dc320bb9"),
+}
+
+
+@pytest.mark.parametrize("bounds", list(AUDIT_KEYS))
+def test_listed_audit_keys_are_their_edges_encodings(bounds):
+    """Every key an audit sweep lists, exhaustive or sampled at 2,500 draws,
+    is BmEdge.parse(key).encode(), and the keys are the pinned ones."""
+    max_k, max_k_prime, seed = bounds
+    samples = None if seed is None else 2500
+    config = SweepConfig(max_k=max_k, max_k_prime=max_k_prime, samples=samples, seed=seed or 0)
+    keys = [inst["key"] for inst in sweeps.run_suite(config, "audit").instances]
+    for key in keys:
+        assert BmEdge.parse(key).encode() == key
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert (len(keys), digest) == AUDIT_KEYS[bounds]
+
+
+@pytest.mark.parametrize("bounds", [(3, 5), (5, 0), (0, 4)])
+def test_every_run_key_is_its_edge_encoding(monkeypatch, bounds):
+    """Every key of every exhaustive edge run, read last 1-part first, is
+    the encoding of its edge, as bm.encode_edge and BmEdge.parse give it;
+    runs with an empty 0-part and with an empty 1-part are among them.  A
+    check that fails every edge lists every edge in range, in order, each
+    under its own encoding."""
+    config = SweepConfig(max_k=bounds[0], max_k_prime=bounds[1])
+    empty_zero = empty_one = 0
+    for _, ones, edge, key in sweeps._edge_runs(config):
+        for one in reversed(ones):
+            built = edge(one)
+            text = key(one)
+            assert text == built.encode() == BmEdge.parse(text).encode()
+            assert text == bm.encode_edge(built.phi, built.phi_prime, built.map.images)
+        empty_zero += built.phi_prime.ell == -1
+        empty_one += built.phi_prime.top == built.phi_prime.ell
+    assert empty_zero > 0 and empty_one > 0
+    failing = ((sweeps._edges,), lambda edge: sweeps._failed(["fails"]))
+    monkeypatch.setitem(sweeps._SUITES, "audit", failing)
+    keys = [inst["key"] for inst in sweeps.run_suite(config, "audit").instances]
+    assert keys == [edge.encode() for edge in enumerate_all_edges(*bounds)]
