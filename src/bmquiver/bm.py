@@ -303,14 +303,23 @@ def count_edges(phi: BmObject, phi_prime: BmObject) -> int:
 def edge_parts(phi: BmObject, phi_prime: BmObject, index: int) -> tuple[tuple, tuple]:
     """The fiber_parts entries whose images make enumerate_edges(phi, phi_prime)[index],
     unranked from their counts: no fiber map is listed."""
-    ell, ell_prime, o_prime = phi.ell, phi_prime.ell, phi_prime.top - phi_prime.ell
-    ones = count_monotone(o_prime, phi.top - ell)
+    ell, ell_prime = phi.ell, phi_prime.ell
+    ones = count_monotone(phi_prime.top - ell_prime, phi.top - ell)
     if not 0 <= index < count_monotone(ell_prime + 1, ell + 1) * ones:
         raise IndexError(f"edge index {index} out of range for {phi} -> {phi_prime}")
+    return _edge_parts_at(phi, phi_prime, index, ones)
+
+
+def _edge_parts_at(
+    phi: BmObject, phi_prime: BmObject, index: int, ones: int
+) -> tuple[tuple, tuple]:
+    """edge_parts(phi, phi_prime, index) for an index in range, given ones, the
+    pair's count of 1-parts, which vary fastest: it makes no count of its own."""
+    ell, ell_prime = phi.ell, phi_prime.ell
     zero, one = divmod(index, ones)
     return (
         _monotone_at(ell_prime + 1, 0, ell + 1, zero),
-        _monotone_at(o_prime, ell + 1, phi.top + 1, one),
+        _monotone_at(phi_prime.top - ell_prime, ell + 1, phi.top + 1, one),
     )
 
 

@@ -32,11 +32,11 @@ from .bm import (
     BmEdge,
     BmObject,
     _edge_of_parts,
+    _edge_parts_at,
     count_edges,
     count_leaving_edges,
     count_objects,
     edge_at,
-    edge_parts,
     encode_edge,
     enumerate_objects,
     fiber_parts,
@@ -177,17 +177,55 @@ def _drawn(grouping: tuple, instance: Callable, key: Callable) -> Source:
     return table, walk
 
 
+def _below(rng: random.Random) -> Callable[[int], int]:
+    """below(n), n >= 1: an integer of range(n) drawn by the getrandbits calls
+    of rng.randrange(n), CPython's Random._randbelow_with_getrandbits, which
+    choice and randint take too, without their Python-level argument handling."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    return below
+
+
+class _MapsInto(dict):
+    """table[n][m]: the monotone maps from n points into m points
+    (count_monotone), for m < width; row n is made when it is first read."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, n: int) -> list[int]:
+        row = self[n] = [count_monotone(n, m) for m in range(self.width)]
+        return row
+
+
+@lru_cache(maxsize=1)
+def _maps_into(width: int) -> _MapsInto:
+    """The count table that the sampled draws and chain counts of a process
+    share.  An edge maps a target's fibers into its source's, so its columns
+    are source fiber sizes: below width = max_k + 2 for sources on [k <= max_k]."""
+    return _MapsInto(width)
+
+
 @lru_cache(maxsize=1)
 def _object_groups(max_k: int, samples: int, seed: int) -> tuple:
     """samples seeded draws of an enumerate_objects(max_k) index, grouped by
-    index (see _grouped).
+    index (see _grouped).  Each draw makes the same getrandbits calls as
+    randrange over the objects (see _below).
 
     Every suite of a process that samples objects at these bounds and seed
     reads this one grouping; the draws are kept only in it.
     """
-    rng = random.Random(seed)
-    indices = range(len(enumerate_objects(max_k)))
-    return _grouped(rng.choice(indices) for _ in range(samples))
+    below = _below(random.Random(seed))
+    objects = count_objects(max_k)
+    return _grouped(below(objects) for _ in range(samples))
 
 
 def _objects(config: SweepConfig) -> Source:
@@ -322,21 +360,24 @@ def _edge_draws(max_k: int, max_k_prime: int, samples: int, seed: int) -> tuple[
 
     A draw picks a source and a target, then an index into their edges,
     which bm.edge_parts unranks without listing a fiber map; a pair with no
-    edges (count_edges) is drawn again without an index.  Drawing an index
-    below n takes the same generator step as choosing from a list of n, so
-    the draws match choosing from enumerate_edges.  Every suite of a process
-    that samples edges at these bounds and seed reads this one draw.
+    edges is drawn again without an index.  The pair's edge count and
+    1-part count are read from the shared table (see _maps_into), as
+    count_edges multiplies them.  Each draw makes the same getrandbits calls
+    as randrange (see _below), so the draws match choosing from
+    enumerate_edges.  Every suite of a process that samples edges at these
+    bounds and seed reads this one draw.
     """
-    rng = random.Random(seed)
+    below = _below(random.Random(seed))
     sources = enumerate_objects(max_k)
     targets = enumerate_objects(max_k_prime)
+    maps_into = _maps_into(max_k + 2)
     draws: list[tuple] = []
     while len(draws) < samples:
-        source = rng.randrange(len(sources))
-        target = rng.randrange(len(targets))
-        if count := count_edges(sources[source], targets[target]):
-            parts = edge_parts(sources[source], targets[target], rng.randrange(count))
-            draws.append((source, target, *parts))
+        phi = sources[source := below(len(sources))]
+        phi_prime = targets[target := below(len(targets))]
+        ones = maps_into[phi_prime.top - phi_prime.ell][phi.top - phi.ell]
+        if count := maps_into[phi_prime.ell + 1][phi.ell + 1] * ones:
+            draws.append((source, target, *_edge_parts_at(phi, phi_prime, below(count), ones)))
     return tuple(zip(*draws))
 
 
@@ -495,11 +536,9 @@ class _ChainCounts:
 
     def __init__(self, max_k: int) -> None:
         self.max_k = max_k
-        width = max_k + 2
-        # maps_into[n][m]: monotone maps from n points into m points.
-        self.maps_into = [
-            [count_monotone(n, m) for m in range(width)] for n in range(width)
-        ]
+        # maps_into[n][m]: monotone maps from n points into m points, every row read once.
+        table = _maps_into(max_k + 2)
+        self.maps_into = [table[n] for n in range(max_k + 2)]
 
     def base(self, z: int) -> tuple[int, ...]:
         """One chain of length 0 per object with 0-fiber size z."""
@@ -571,17 +610,19 @@ def _chain_draws(config: SweepConfig) -> Iterator[Run]:
     A draw picks a length and a base object, then each next edge by its
     index among the edges leaving the current object: targets in
     enumerate_objects order, then maps in edge order, the order in which
-    `bmquiver enumerate chains` lists them.  Drawing an index below n takes
-    the same generator step as choosing from a list of n, so the chains are
-    those of choosing from that list.  The index is unranked from counts,
-    listing no fiber map: per-ordinal counts, the same for every source on
-    [k], give the target's ordinal, the counts into its k' + 2 objects the
-    target, and the rest the fiber map, the 0-part alone.  A chain of length
-    0 is the run of its object; a longer one is given by its fiber signature
-    (see _chain_run).
+    `bmquiver enumerate chains` lists them.  Each draw makes the same
+    getrandbits calls as randrange (see _below), so the chains are those of
+    choosing from that list.  The index is unranked from counts, listing no
+    fiber map: per-ordinal counts, the same for every source on [k], give
+    the target's ordinal, the counts into its k' + 2 objects the target, and
+    the rest the fiber map, the 0-part alone, past the pair's 1-part count
+    in the shared table (see _maps_into).  A chain of length 0 is the run of
+    its object; a longer one is given by its fiber signature (see
+    _chain_run).
     """
-    rng = random.Random(config.seed)
+    below = _below(random.Random(config.seed))
     objs = enumerate_objects(config.max_k)
+    maps_into = _maps_into(config.max_k + 2)
     tops = range(config.max_k + 1)
     # firsts[k']: the index in objs of the first object on [k'].  Made on first use:
     # totals[k][k' + 1], the edges from an object on [k] into those on [0], ..., [k'],
@@ -590,8 +631,8 @@ def _chain_draws(config: SweepConfig) -> Iterator[Run]:
     totals: dict[int, list[int]] = {}
     rows: dict[tuple[int, int], list[int]] = {}
     for position in range(config.samples):
-        length = rng.randint(0, config.max_chain_len)
-        current = rng.randrange(len(objs))
+        length = below(config.max_chain_len + 1)
+        current = below(len(objs))
         if not length:
             yield _object_run(objs[current], (position,))
             continue
@@ -602,7 +643,7 @@ def _chain_draws(config: SweepConfig) -> Iterator[Run]:
                 totals[phi.top] = [0, *(count_leaving_edges(phi.top, k) for k in tops)]
             total = totals[phi.top]
             # The identity edge is always there, so total[-1] >= 1.
-            index = rng.randrange(total[-1])
+            index = below(total[-1])
             top = bisect_right(total, index) - 1
             index -= total[top]
             row = rows.get((current, top))
@@ -614,7 +655,7 @@ def _chain_draws(config: SweepConfig) -> Iterator[Run]:
             target += firsts[top]
             phi_prime = objs[target]
             # The 1-parts vary fastest in edge order (see bm.edge_parts).
-            ones = count_monotone(phi_prime.top - phi_prime.ell, phi.top - phi.ell)
+            ones = maps_into[phi_prime.top - phi_prime.ell][phi.top - phi.ell]
             maps.append(_monotone_at(phi_prime.ell + 1, 0, phi.ell + 1, index // ones))
             sizes.append(phi_prime.ell + 1)
             steps += (target, index)

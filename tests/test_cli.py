@@ -520,6 +520,28 @@ def test_sampled_mode_is_reproducible(capsys):
     assert all(r["summary"]["total"] > 0 for r in reports)
 
 
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (0, "b3573eba5700717a26bb2d054f10b83842964e5e2bc14bbe4dd002d765c03b15"),
+        (1, "49c3a1059ee2308ec6dd1b3e9c60f7a645f3b34050047d51ead61565d0ef58bf"),
+        (2, "3adcad6fd4b311f1e08347bad938c4106f4bf7e87a51f10af99640e3de2339a2"),
+    ],
+)
+def test_sampled_reports_at_max_k_60_are_pinned(capsys, seed, digest):
+    """All seven suites at --max-k 60, 2,500 samples and chains of length
+    <= 4 print the JSON they printed when every draw went through randrange,
+    choice or randint and every count through count_monotone (sha256 of
+    stdout).  Edge counts there need up to 118 bits, so an index can take
+    several 32-bit words of the generator."""
+    code, out = run(
+        capsys, "verify", "--max-k", "60", "--samples", "2500", "--max-chain-len", "4",
+        "--seed", str(seed), "--format", "json",
+    )
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_jobs_do_not_change_output(capsys):
     args = ["verify", "--max-k", "2", "--suites", "constancy", "audit", "--format", "json"]
     _, serial = run(capsys, *args)

@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import groupby, product
@@ -330,6 +331,52 @@ def test_sampled_gluing_of_objects_alone_counts_no_edges(monkeypatch):
     monkeypatch.setattr(sweeps, "count_edges", counted)
     report = gluing_suite(SweepConfig(max_k=150, max_chain_len=0, samples=10))
     assert (report.total, report.failed, calls) == (10, 0, 0)
+
+
+#: Every n in 1..300, and 2^j - 1, 2^j and 2^j + 1 for j <= 130: edge counts
+#: at --max-k 60 need up to 118 bits.
+BELOW_SIZES = sorted(set(range(1, 301)) | {2**j + d for j in range(131) for d in (-1, 0, 1)} - {0})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_below_draws_as_randrange_choice_and_randint(seed):
+    """_below(rng)(n) gives what randrange(n), choice(range(n)) and
+    randint(0, n - 1) give on a twin generator, and leaves the generator in
+    the twin's state after every draw, so the sampled draws are those of the
+    list-choosing loops.  choice needs len(range(n)), so it is compared for
+    n <= sys.maxsize alone."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    below = sweeps._below(rng)
+    for n in BELOW_SIZES:
+        draws = [(twin.randrange, n), (twin.randint, 0, n - 1)]
+        if n <= sys.maxsize:
+            draws.append((twin.choice, range(n)))
+        for draw, *args in draws:
+            assert below(n) == draw(*args), (n, draw.__name__)
+            assert rng.getstate() == twin.getstate(), (n, draw.__name__)
+
+
+def test_the_count_table_makes_rows_only_for_drawn_fiber_sizes():
+    """The shared count table of --max-k 150 (fiber sizes up to 151) is
+    made row by row as draws read it: sampled gluing of objects alone, 10
+    samples, reads no row, and sampled constancy on 10 drawn edges makes
+    the rows of the fiber sizes of its drawn targets alone, 152 counts each,
+    not the 152 rows of every size."""
+    width = 152
+    clear_memos()
+    gluing_suite(SweepConfig(max_k=150, max_chain_len=0, samples=10))
+    # The run made its table; reading it again finds that one, with no row.
+    assert sweeps._maps_into.cache_info().misses == 1
+    assert not sweeps._maps_into(width) and sweeps._maps_into.cache_info().misses == 1
+    config = SweepConfig(max_k=150, max_k_prime=150, samples=10)
+    assert sweeps.run_suite(config, "constancy").total == 10
+    targets = enumerate_objects(150)
+    drawn = sweeps._edge_draws(150, 150, 10, 0)[1]
+    sizes = {size for t in drawn for size in (targets[t].ell + 1, targets[t].top - targets[t].ell)}
+    table = sweeps._maps_into(width)
+    assert sweeps._maps_into.cache_info().misses == 1
+    assert set(table) == sizes and len(sizes) <= 20
+    assert all(len(row) == width for row in table.values())
 
 
 def test_exhaustive_gluing_of_objects_alone_lists_no_fiber_map():
@@ -1137,7 +1184,8 @@ def test_shared_draws_follow_the_sampling_config(monkeypatch, capsys):
 
 
 class CountingRandom(random.Random):
-    """A generator that counts how many are made and the draws they take."""
+    """A generator that counts how many are made and the getrandbits calls
+    they take, which every draw of randrange, choice and randint makes."""
 
     counts: Counter = Counter()
 
@@ -1145,26 +1193,24 @@ class CountingRandom(random.Random):
         self.counts["Random"] += 1
         super().__init__(seed)
 
-    def randrange(self, *args):
-        self.counts["randrange"] += 1
-        return super().randrange(*args)
-
-    def choice(self, seq):
-        self.counts["choice"] += 1
-        return super().choice(seq)
+    def getrandbits(self, k):
+        self.counts["getrandbits"] += 1
+        return super().getrandbits(k)
 
 
 def test_sampled_suites_draw_once_per_source_kind(monkeypatch):
     """At the benchmark's sampled bounds (k, k' <= 5, chains of length <= 4,
     2,500 samples, seed 1), every suite and xi together make one generator
-    per source kind (objects, edges, gluing chains), not one per suite:
-    20,038 randrange calls (randint's included) and 2,500 choice calls."""
+    per source kind (objects, edges, gluing chains), not one per suite, and
+    28,695 getrandbits calls, the generator stream that the randrange, choice
+    and randint draws of these suites made before they drew through
+    sweeps._below."""
     monkeypatch.setattr(random, "Random", CountingRandom)
     monkeypatch.setattr(CountingRandom, "counts", Counter())
     config = SweepConfig(max_k=5, max_k_prime=5, max_chain_len=4, samples=2500, seed=1)
     reports = sweeps.run_suites(config, list(SUITE_NAMES + EXTRA_SUITE_NAMES))
     assert all(report.passed for report in reports)
-    assert CountingRandom.counts == {"Random": 3, "randrange": 20038, "choice": 2500}
+    assert CountingRandom.counts == {"Random": 3, "getrandbits": 28695}
 
 
 def test_sampled_runs_come_straight_from_their_draws(monkeypatch):
