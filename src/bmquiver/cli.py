@@ -16,7 +16,7 @@ import json
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bm
 from .bm import BmChain, BmObject, count_edges, enumerate_edges, enumerate_objects
@@ -181,10 +181,9 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     if not args.max_len:
         objs = enumerate_objects(args.max_k)
         return {"kind": "chains", "count": len(objs), "items": [phi.encode() for phi in objs]}
+    for edges, last in _leaving_sums(args.max_k, args.max_k):
+        _check_count("chains", edges, args.max_len == 1 and last)
     tops = range(args.max_k + 1)
-    counts = (bm.count_leaving_edges(k, args.max_k) for k in tops for _ in range(k + 2))
-    for counted, edges in enumerate(accumulate(counts), 1):
-        _check_count("chains", edges, args.max_len == 1 and counted == objects)
     # ends[k']: the chains of this length that end on [k'] (at length 0, its k' + 2 objects).
     ends, length = [k + 2 for k in tops], 0
     # Far past the bound, a lower bound will do and keeps the numbers small.
@@ -224,6 +223,15 @@ def _enumerate_payload(args: argparse.Namespace) -> dict:
     return {"kind": "chains", "count": len(items), "items": items}
 
 
+def _leaving_sums(max_k: int, max_k_prime: int) -> Iterator[tuple[int, bool]]:
+    """Running sums of the edges, none built, from each object on [k <= max_k] into those
+    on [k' <= max_k_prime], in enumerate_objects order, each with whether it is the last."""
+    objects, tops = bm.count_objects(max_k), range(max_k + 1)
+    counts = (bm.count_leaving_edges(k, max_k_prime) for k in tops for _ in range(k + 2))
+    for counted, total in enumerate(accumulate(counts), 1):
+        yield total, counted == objects
+
+
 def _check_count(kind: str, count: int, exact: bool = True) -> None:
     """Exit 2, naming the count, when enumerate <kind> would list too many."""
     if count > LISTING_MAX_ITEMS:
@@ -261,13 +269,10 @@ def _check_verify_count(config: SweepConfig, names: Sequence[str]) -> None:
         )
     if config.samples is None and edges:
         # Exhaustive naturality walks every edge, and a signed suite walks them to
-        # list them where every signature warns or fails: sum them a source at a
-        # time, in enumerate_objects order, none built.
-        tops = range(config.max_k + 1)
-        counts = (bm.count_leaving_edges(k, config.max_k_prime) for k in tops for _ in range(k + 2))
-        for counted, total in enumerate(accumulate(counts), 1):
+        # list them where every signature warns or fails.
+        for total, last in _leaving_sums(config.max_k, config.max_k_prime):
             if total > VERIFY_MAX_ITEMS:
-                least = "" if counted == bm.count_objects(config.max_k) else "at least "
+                least = "" if last else "at least "
                 raise ValidationError(
                     f"verify would build {least}{total} edges, more than {VERIFY_MAX_ITEMS}"
                 )

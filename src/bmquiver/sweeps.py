@@ -8,11 +8,12 @@ over fiber signatures of exhaustive gluing.  A source gives a table and a
 walk (see Source): the table checks each signature once, on one instance,
 for every instance that has it, and the walk gives, in output order, the
 runs (see Run) of the signatures that warned or failed, or every run of a
-source with no table.  A check gives only what failed, never a key, and the
-sweep lists it under the instance's key as the walk reaches it.  Exhaustive
-edges are counted by shape (see _edge_signatures); sampled objects and edges
-are drawn once per process for given bounds and seed, each edge unranked
-from its counts, and grouped once by signature, a table row per group.
+source with no table, such as sampled gluing, each instance checked.  A
+check gives only what failed, never a key, and the sweep lists it under the
+instance's key as the walk reaches it.  Exhaustive edges are counted by
+shape (see _edge_signatures); sampled objects and edges are drawn once per
+process for given bounds and seed, each edge unranked from its counts, and
+grouped once by signature, a table row per group.
 Audit mismatches on crossing targets are warnings; the pair-count identity
 is binding only where the target has no crossing.
 """
@@ -27,6 +28,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, groupby, product
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
+from . import wfib
 from .bm import (
     BmChain,
     BmEdge,
@@ -51,7 +53,7 @@ from .compare import (
 from .errors import IllDefinedComponentError, PairingConstructionError, ValidationError
 from .quiverf import f_object, j_cardinality_audit
 from .simplex import DeltaMap, _monotone_at, count_monotone, monotone_tuples
-from .wfib import FiberSignature, g_chain, gluing_agreement
+from .wfib import FiberSignature, gluing_agreement
 
 
 @dataclass(frozen=True)
@@ -208,9 +210,10 @@ class _MapsInto(dict):
 
 @lru_cache(maxsize=1)
 def _maps_into(width: int) -> _MapsInto:
-    """The count table that the sampled draws and chain counts of a process
-    share.  An edge maps a target's fibers into its source's, so its columns
-    are source fiber sizes: below width = max_k + 2 for sources on [k <= max_k]."""
+    """The count table that the sampled draws, edge signature counts and
+    chain weights of a process share, sweeps' one count of monotone maps.
+    An edge maps a target's fibers into its source's, so its columns are
+    source fiber sizes: below width = max_k + 2 for sources on [k <= max_k]."""
     return _MapsInto(width)
 
 
@@ -323,25 +326,25 @@ def _edge_signatures(config: SweepConfig) -> Iterator[tuple[tuple, int, BmEdge]]
     An object is fixed by its class (ell, beta) and its 1-fiber size o.  The
     object pairs of one class pair share their 0-parts, and a signature is a
     class pair, a 0-part and, when beta' = 1, the first image ell + 1 + a of
-    the 1-part: count_monotone(o' - 1, o - a) 1-parts begin there.  When
-    beta' = 0, all count_monotone(o', o) 1-parts share one signature.  A
-    signature's count sums these over the object pairs of its class pair.
+    the 1-part: maps_into[o' - 1][o - a] 1-parts begin there, read from the
+    shared count table (see _maps_into).  When beta' = 0, all
+    maps_into[o'][o] 1-parts share one signature.  A signature's count sums
+    these over the object pairs of its class pair.
     Its edge is built on the first of those pairs, in enumeration order,
     from the smallest 1-part with that first image, (ell + 1 + a,) * o', so
     no 1-part is listed.
     """
     sources = _classes(enumerate_objects(config.max_k))
     targets = _classes(enumerate_objects(config.max_k_prime))
+    maps_into = _maps_into(config.max_k + 2)
     for (ell, beta), phis in sources.items():
         for (ell_prime, beta_prime), phi_primes in targets.items():
             # heads[a]: [count, phi, phi'] of the signatures whose 1-part begins at ell + 1 + a.
             heads: dict[int, list] = {}
             for phi, phi_prime in product(phis, phi_primes):
                 o, o_prime = phi.top - ell, phi_prime.top - ell_prime
-                if beta_prime:
-                    counts = [count_monotone(o_prime - 1, o - a) for a in range(o)]
-                else:
-                    counts = [count_monotone(o_prime, o)]
+                row = maps_into[o_prime - beta_prime]
+                counts = row[o:0:-1] if beta_prime else row[o : o + 1]
                 for a, count in enumerate(counts):
                     if count:
                         heads.setdefault(a, [0, phi, phi_prime])[0] += count
@@ -431,8 +434,8 @@ def _every_edge(config: SweepConfig) -> Source:
 
 
 def _vertex_chain_failures(phi: BmObject) -> list[str]:
-    """|G| = ell + 1 on the chain of length 0 at phi, whose components are its fiber."""
-    size = len(g_chain(BmChain.vertex(phi)))
+    """|G| = ell + 1 on the chain of length 0 at phi: the roots of its one fiber."""
+    size = len(set(wfib.g_classes((phi.ell + 1,), ())))
     return [] if size == phi.ell + 1 else [f"|G| = {size}, expected {phi.ell + 1}"]
 
 
@@ -523,34 +526,14 @@ def _xi_edges(config: SweepConfig) -> Source:
     return _edges(config) if config.max_chain_len else ((), lambda flagged: ())
 
 
-class _ChainCounts:
-    """Closed-form chain counts over fiber-level chains, objects on [k <= max_k].
-
-    An object is fixed by its 0-fiber size z and 1-fiber size o, with
-    1 <= z + o <= max_k + 1, and an edge by a monotone map on each fiber.
-    So the concrete chains over a fiber signature differ only in their
-    1-fibers and the maps between them.  A weight vector gives, for each
-    1-fiber size o of the last object, the number of those chains that end
-    there; it depends on the 0-fiber sizes alone.
-    """
-
-    def __init__(self, max_k: int) -> None:
-        self.max_k = max_k
-        # maps_into[n][m]: monotone maps from n points into m points, every row read once.
-        table = _maps_into(max_k + 2)
-        self.maps_into = [table[n] for n in range(max_k + 2)]
-
-    def base(self, z: int) -> tuple[int, ...]:
-        """One chain of length 0 per object with 0-fiber size z."""
-        return tuple(1 if 1 <= z + o <= self.max_k + 1 else 0 for o in range(self.max_k + 2))
-
-    def step(self, weights: tuple[int, ...], z: int) -> tuple[int, ...]:
-        """Weights after one more edge into an object with 0-fiber size z."""
-        top = self.max_k + 1
-        return tuple(
-            sum(w * n for w, n in zip(weights, row)) if 1 <= z + o <= top else 0
-            for o, row in enumerate(self.maps_into)
-        )
+def _chain_step(weights: tuple[int, ...], z: int, rows: list[list[int]]) -> tuple[int, ...]:
+    """Chain weights (see _exhaustive_gluing) one edge on, into an object with
+    0-fiber size z: rows[o][m] 1-fiber maps go from o points into m (see
+    _maps_into), and an object on [k <= max_k] has 0 < z + o < len(rows)."""
+    return tuple(
+        sum(w * n for w, n in zip(weights, row)) if 0 < z + o < len(rows) else 0
+        for o, row in enumerate(rows)
+    )
 
 
 def _representative(signature: FiberSignature) -> BmChain:
@@ -677,19 +660,24 @@ def _gluing(instance: BmObject | FiberSignature) -> tuple[Record, ...]:
 def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
     """Chains of length >= 1, depth-first over 0-fiber sizes, z ascending, then fiber maps.
 
-    Chain weights depend on the sizes alone, so each size prefix takes one
-    step.  Each signature of the sizes (a product of per-edge fiber maps) is
-    checked once for all their chains, and the passes of the sizes are added
-    at once; failures list in (sizes, maps) order.  The walk keeps its own
-    stack, so no chain length meets the recursion limit.
+    An object on [k <= max_k] is fixed by its fiber sizes z and o, with
+    1 <= z + o <= max_k + 1, and an edge by a monotone map on each fiber, so
+    the chains of one fiber signature differ only in their 1-fibers.  Their
+    weights, the number that end at each 1-fiber size o, depend on the sizes
+    alone, so each size prefix takes one step (see _chain_step).  Each
+    signature of the sizes (a product of per-edge fiber maps) is checked once
+    for all their chains, and the passes of the sizes are added at once;
+    failures list in (sizes, maps) order.  The walk keeps its own stack, so
+    no chain length meets the recursion limit.
     """
     if not config.max_chain_len:
         return
-    counts = _ChainCounts(config.max_k)
     width = config.max_k + 2
+    rows = [_maps_into(width)[n] for n in range(width)]
     fiber_maps = [[monotone_tuples(n, 0, m) for m in range(width)] for n in range(width)]
-    # Size prefixes with their weights, the next to visit on top.
-    stack = [((z,), counts.base(z)) for z in reversed(range(width))]
+    # Size prefixes with their weights (a base has one chain per object), the next on top.
+    stack = [((z,), tuple(int(0 < z + o < width) for o in range(width))) for z in range(width)]
+    stack.reverse()
     while stack:
         sizes, weights = stack.pop()
         chains, passed = sum(weights), 0
@@ -709,7 +697,7 @@ def _exhaustive_gluing(report: SuiteReport, config: SweepConfig) -> None:
         if len(sizes) <= config.max_chain_len:
             # A nonempty 0-fiber has no map into an empty one.
             for z in reversed(range(width if sizes[-1] else 1)):
-                child_weights = counts.step(weights, z)
+                child_weights = _chain_step(weights, z, rows)
                 if any(child_weights):
                     stack.append((sizes + (z,), child_weights))
 
@@ -723,8 +711,8 @@ def gluing_suite(config: SweepConfig) -> SuiteReport:
     pullback graph is built from nothing else), so exhaustive mode checks
     each fiber signature once for all its chains, counted in closed form
     (see _exhaustive_gluing), and lists a failing one keyed by a concrete
-    chain that has it.  Sampled mode checks drawn chains (see _drawn_chains)
-    as every sampled sweep checks its draws (see _sweep).
+    chain that has it.  Sampled mode checks every drawn chain (see
+    _drawn_chains), a source with no table (see _sweep).
     """
     if config.samples is not None:
         return _sweep(config, "gluing", (_drawn_chains,), _gluing)
@@ -761,30 +749,22 @@ SUITE_NAMES = (
 EXTRA_SUITE_NAMES = ("xi",)
 
 
-def _no_failure(records: tuple[Record, ...]) -> bool:
-    """Whether the records pass or warn, so that every instance of their
-    signature may take them; a failure's witnesses may name its instance."""
-    return all(record is None or record[1] == "warn" for record in records)
-
-
 def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> SuiteReport:
     """Check every source in order, exhaustive or sampled alike: each table
     row once, then each run of the walk over the rows that warned or failed,
     listing each record of the instance with entry a under key(a) followed
     by the record's suffix as the walk reaches it.
 
-    A passing row counts every instance of its signature, and a warning
+    A passing row counts every instance of its signature, and a warning row
     keeps its records, which the walk lists unbuilt; every other instance
     the walk gives is built and checked on its own, so each instance of a
-    failing signature lists its own witnesses.  Sampled, the walk also keeps
-    the records of an instance that passes or warns for the later runs of
-    its signature.  Passing records are tallied and added once.  Reuse is
-    exact only if the check reads nothing beyond the signature, which the
+    failing signature, and of a source with no table, lists its own
+    witnesses.  Passing records are tallied and added once.  Reuse is exact
+    only if the check reads nothing beyond the signature, which the
     signature test in tests/test_sweeps.py guards.  The kept records live
     for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
-    sampled = config.samples is not None
     for source in sources:
         table, walk = source(config)
         kept: dict = {}
@@ -795,15 +775,14 @@ def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> S
                 passed += count * len(records)
                 continue
             flagged.add(signature)
-            if _no_failure(records):
+            # Every instance of the signature may take a warning; a failure's
+            # witnesses may name its instance.
+            if all(record is None or record[1] == "warn" for record in records):
                 kept[signature] = records
         for signature, at, instance, key in walk(flagged):
+            warned = kept.get(signature)
             for a in at:
-                records = kept.get(signature)
-                if records is None:
-                    records = check(instance(a))
-                    if sampled and _no_failure(records):
-                        kept[signature] = records
+                records = warned or check(instance(a))
                 passed += records.count(None)
                 for suffix, status, witnesses in filter(None, records):
                     report.add((key(a) + suffix, status, witnesses))

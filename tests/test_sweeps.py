@@ -139,13 +139,13 @@ def test_exhaustive_gluing_steps_once_per_size_prefix_and_next_size(monkeypatch)
     max_k, max_len = 3, 3
     width = max_k + 2
     calls = 0
-    step = sweeps._ChainCounts.step
+    step = sweeps._chain_step
     prefixes = {(z,) for z in range(width)}
 
-    def counted_step(self, weights, z):
+    def counted_step(weights, z, rows):
         nonlocal calls
         calls += 1
-        return step(self, weights, z)
+        return step(weights, z, rows)
 
     def recorded(signature):
         sizes = signature[0]
@@ -153,7 +153,7 @@ def test_exhaustive_gluing_steps_once_per_size_prefix_and_next_size(monkeypatch)
             prefixes.add(sizes)
         return gluing_agreement(signature)
 
-    monkeypatch.setattr(sweeps._ChainCounts, "step", counted_step)
+    monkeypatch.setattr(sweeps, "_chain_step", counted_step)
     monkeypatch.setattr(sweeps, "gluing_agreement", recorded)
     report = gluing_suite(SweepConfig(max_k=max_k, max_chain_len=max_len))
     assert calls == sum(width if sizes[-1] else 1 for sizes in prefixes) == 438
@@ -307,7 +307,8 @@ def test_sampled_gluing_draws_by_index_match_choosing_from_edge_pools(monkeypatc
         return False
 
     monkeypatch.setattr(sweeps, "gluing_agreement", failing_agreement)
-    monkeypatch.setattr(sweeps, "g_chain", lambda chain: [None] * (chain.base.ell + 2))
+    # ell + 2 roots on a fiber of ell + 1 points: every vertex draw fails.
+    monkeypatch.setattr(wfib, "g_classes", lambda sizes, maps: range(sizes[0] + 1))
     for seed in range(20):
         checked.clear()
         config = SweepConfig(max_k=max_k, max_chain_len=4, samples=40, seed=seed)
@@ -402,11 +403,11 @@ def test_sampled_gluing_reports_are_unchanged():
     )
 
 
-def test_sampled_gluing_checks_each_passing_signature_once(monkeypatch):
-    """Sampled gluing reuses verdicts by signature like every sampled sweep:
-    it calls gluing_agreement once per distinct signature among the drawn
-    chains of length >= 1, and at the benchmark's sampled bounds (k <= 5,
-    length <= 4, 2,500 samples, seed 1) 1,097 times for 1,991 such draws."""
+def test_sampled_gluing_checks_each_drawn_chain(monkeypatch):
+    """Sampled gluing has no table, so it keeps no verdict: it calls
+    gluing_agreement once per drawn chain of length >= 1, repeated
+    signatures included, and at the benchmark's sampled bounds (k <= 5,
+    length <= 4, 2,500 samples, seed 1) 1,991 times for 1,991 such draws."""
     calls = 0
 
     def counted(signature):
@@ -420,13 +421,13 @@ def test_sampled_gluing_checks_each_passing_signature_once(monkeypatch):
         chains = [chain for chain in choose_gluing_chains(config) if chain.length]
         calls = 0
         report = gluing_suite(config)
-        assert calls == len({chain_signature(chain) for chain in chains}) < len(chains)
+        assert calls == len(chains) > len({chain_signature(chain) for chain in chains})
         assert (report.total, report.failed) == (200, 0)
     config = SweepConfig(max_k=5, max_chain_len=4, samples=2500, seed=1)
     calls = 0
     report = gluing_suite(config)
     drawn = sum(1 for chain in choose_gluing_chains(config) if chain.length)
-    assert (calls, drawn, report.total, report.failed) == (1097, 1991, 2500, 0)
+    assert (calls, drawn, report.total, report.failed) == (1991, 1991, 2500, 0)
 
 
 EDGE_SUITES = ("constancy", "naturality", "identification", "audit")
