@@ -27,9 +27,9 @@ through (ell, beta), so a one-edge check (constancy, naturality, xi)
 first reads the two verdicts of the edge's shape, its invariants and fiber
 map, from one bounded memo, _edge_verdicts, kept for the process; only a
 failing verdict, or a kernel that raises, goes to _sides, which names the
-edge and builds its witnesses.  Notes, one per pair, are built only where
-a failure message reads them: the memo's kernel asks the pairing rules for
-none (see quiverf._rule_pairs), and _sides asks, for a failing pair's witness.
+edge and builds its witnesses.  Notes, one per pair, come only from
+quiverf.edge_pairs, which constancy's failure witness reads, as `bmquiver
+eval pairs` does; the kernel never asks the pairing rules for them.
 """
 
 from __future__ import annotations
@@ -78,12 +78,9 @@ def _gamma_row(ell: int, beta: int) -> tuple[int, ...]:
     return tuple(_gamma(code, ell) for code in range(label_count(ell, beta)))
 
 
-def _kernel(
-    values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...], *, notes: bool
-) -> tuple:
-    """Pairs and notes, fiber sizes, G, witnesses and two verdicts of the
-    chain on these objects' values and its edges' fiber maps.  The notes
-    are None unless notes is set: only a failure's witness reads them.
+def _kernel(values: tuple[tuple[int, ...], ...], maps: tuple[tuple[int, ...], ...]) -> tuple:
+    """Pairs, fiber sizes, G, witnesses and two verdicts of the chain on
+    these objects' values and its edges' fiber maps.
 
     G comes first, so a map that does not fit its fibers fails with G's
     ValidationError before any rule indexes it.  Each edge's pairing rules
@@ -103,15 +100,14 @@ def _kernel(
     for shape in shapes:
         witness += [g[fiber_off + v] for v in _gamma_row(shape.ell, shape.beta)]
         fiber_off += shape.ell + 1
-    kept: list | None = [] if notes else None
-    pairs = quiverf._rule_pairs(values[0], values[1], maps[0], kept) if maps else []
+    pairs = quiverf._rule_pairs(values[0], values[1], maps[0]) if maps else []
     label_off = 0
     for t in range(1, len(maps)):
         label_off += shapes[t - 1].count
-        more = quiverf._rule_pairs(values[t], values[t + 1], maps[t], kept)
+        more = quiverf._rule_pairs(values[t], values[t + 1], maps[t])
         pairs += [(a + label_off, b + label_off) for a, b in more]
     agrees = all(witness[a] == witness[b] for a, b in pairs)
-    return pairs, kept, sizes, g, witness, agrees, [g[w] for w in witness] == witness
+    return pairs, sizes, g, witness, agrees, [g[w] for w in witness] == witness
 
 
 def _canonical(ell: int, beta: int) -> tuple[int, ...]:
@@ -129,7 +125,7 @@ def _edge_verdicts(ell: int, beta: int, ell_prime: int, beta_prime: int, *fmap: 
     only the verdicts: every edge of that shape shares them.
     """
     values = _canonical(ell, beta), _canonical(ell_prime, beta_prime)
-    agrees, fixed = _kernel(values, (fmap,), notes=False)[-2:]
+    agrees, fixed = _kernel(values, (fmap,))[-2:]
     return agrees + 2 * fixed
 
 
@@ -148,9 +144,8 @@ def _edge_passes(edge: BmEdge, verdicts: int) -> bool:
 
 
 def _sides(instance: Chain) -> tuple:
-    """Objects, edges, pairs and notes, fiber sizes, G classes, witnesses and
-    the two verdicts of an instance, from _kernel; nothing is built.  It
-    asks for notes: a one-edge check reaches it only to list a failure.
+    """Objects, edges, pairs, fiber sizes, G classes, witnesses and the two
+    verdicts of an instance, from _kernel; nothing is built.
 
     Where a rule cannot build a label, the error names the first edge on
     which edge_pairs raises.
@@ -164,7 +159,7 @@ def _sides(instance: Chain) -> tuple:
         objects, edges = instance.objects, instance.edges
         key = tuple(obj.values for obj in objects), tuple(edge.fiber_map() for edge in edges)
     try:
-        return objects, edges, *_kernel(*key, notes=True)
+        return objects, edges, *_kernel(*key)
     except (UnresolvableLabelError, LabelRangeError):
         for edge in edges:
             edge_pairs(edge, notes=False)
@@ -173,7 +168,7 @@ def _sides(instance: Chain) -> tuple:
 
 def _f(sides: tuple) -> list[int]:
     """F of an instance from its _sides: the least label number of each label's class."""
-    pairs, witness = sides[2], sides[6]
+    pairs, witness = sides[2], sides[5]
     return least_representatives(len(witness), pairs)
 
 
@@ -196,7 +191,7 @@ def _check_well_defined(chain: Chain) -> tuple:
 
     The kernel's first verdict is read; F is built only to name the failing class.
     """
-    sides = objects, _, _, _, sizes, _, witness, agrees, _ = _sides(chain)
+    sides = objects, _, _, sizes, _, witness, agrees, _ = _sides(chain)
     if agrees:
         return sides
     for block in classes(_f(sides)).values():
@@ -218,7 +213,7 @@ def f_chain(chain: BmChain) -> QuotientSet:
 
 def gamma_chain(chain: BmChain) -> GammaComponent:
     """The comparison on a chain; raises if any class has two distinct images."""
-    sides = objects, _, _, _, sizes, g, witness, _, _ = _check_well_defined(chain)
+    sides = objects, _, _, sizes, g, witness, _, _ = _check_well_defined(chain)
     f = _f(sides)
     labels, vertices = chain_labels(objects), fiber_vertices(sizes)
     return GammaComponent(
@@ -243,11 +238,13 @@ def verify_constancy(edge: BmEdge) -> VerificationReport:
     """Check that both members of every glued pair land in one component class.
 
     This is the well-definedness of the comparison on the edge.  A failure
-    names the pair with the chain of identities its pairing rule follows.
+    names the pair with the chain of identities its pairing rule follows,
+    the note that edge_pairs gives it.
     """
     if _edge_passes(edge, 1):
         return VerificationReport()
-    _, _, pairs, notes, sizes, _, witness, _, _ = _sides(edge)
+    _, _, _, sizes, _, witness, _, _ = _sides(edge)
+    pairs, notes = edge_pairs(edge)
     labels, vertices = chain_labels((edge.phi, edge.phi_prime)), fiber_vertices(sizes)
     return VerificationReport(
         tuple(
@@ -271,7 +268,7 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     """
     if isinstance(chain, BmEdge) and _edge_passes(chain, 3):
         return VerificationReport()
-    sides = objects, edges, _, _, sizes, g, witness, agrees, _ = _sides(chain)
+    sides = objects, edges, _, sizes, g, witness, agrees, _ = _sides(chain)
     # The vertex comparison on label L, through the fiber map, is witness[L]; so
     # the vertex squares hold exactly when both labels of every pair agree.
     if agrees and not edges:
@@ -292,7 +289,7 @@ def verify_naturality(chain: Chain) -> VerificationReport:
     fiber_off = 0
     for s, edge in enumerate(edges, start=1):
         # A one-edge instance is its own only segment.
-        seg_sides = seg_objects, _, _, _, _, _, seg_witness, _, _ = (
+        seg_sides = seg_objects, _, _, _, _, seg_witness, _, _ = (
             sides if len(edges) == 1 else _sides(edge)
         )
         label_off = label_offs[s - 1]

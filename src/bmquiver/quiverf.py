@@ -23,12 +23,12 @@ its canonical representative.  QuiverLabel values are built only to decode
 a result (compare.f_chain, pairing_set) or to render a witness.
 
 The pairing rules are one integer core on the two objects' values and the
-map's images (_rule_pairs): edge_pairs applies it to an edge and names the
-edge in the error of a label it cannot build, and compare's kernel applies
-it to each edge of a chain, on values alone.  Notes, the identity trail of
-each pair, are built only for a caller that asks: a failure's witness or
-`bmquiver eval pairs` (edge_pairs, compare._sides, pairing_set), never a
-check that passes or an audit that counts.  The rules read each object's
+map's images (_rule_pairs), one loop over windows of the map: edge_pairs
+applies it to an edge and names the edge in the error of a label it cannot
+build, and compare's kernel applies it to each edge of a chain, on values
+alone.  Notes, the identity trail of each pair, come only from edge_pairs,
+for constancy's failure witness and `bmquiver eval pairs` (pairing_set);
+the kernel and the audit ask for none.  The rules read each object's
 resolutions from tables kept for the whole process: each (kind, index) a
 rule requests of an object goes to _resolve once, and its number is kept.
 A request that _resolve cannot answer is not kept, so it goes to _resolve,
@@ -194,12 +194,13 @@ def _shape(values: tuple[int, ...]) -> _Shape:
     )
 
 
-# Notes, one per pair: a template and the raw indices it names.
+# Notes, one per pair: a template and the raw indices it names.  A window's first
+# two notes take (i, b) and (a + 1, a, i - 1, i); the closing window's show fewer.
 _FLAT_NOTE = "y1({0}) = x1({1}) = x1({2}) = y1({3}) = y2({0})"
 _UP_NOTE = "y1({0}) = x1({1})"
 _DOWN_NOTE = "x2({0}) = x1({1}) = y1({2}) = y2({3})"
 _INNER_NOTE = "x2({0}) = x1({1})"
-_MID_NOTE = "xm = x1({0})"
+_MID_NOTE = "xm = x1({1})"
 _MID_DOWN_NOTE = "x2({0}) = x1({1}) = y1({2}) = ym"
 
 Note = tuple  # (template, *indices)
@@ -219,23 +220,23 @@ def _rule_pairs(
     """The pairing rules between the objects with these values; given a
     list for notes, one note per pair is appended to it, in pair order.
 
-    Only a failure's witness and `bmquiver eval pairs` read a note, so a
-    caller that passes or counts asks for none, and none is built.
+    Only edge_pairs asks for notes, for a failure's witness or `bmquiver
+    eval pairs`; the kernel and the audit ask for none, and none is built.
 
     Pairs are of label numbers: source labels are numbered from 0 and
-    target labels after them, as on a one-edge chain.  For each
-    1 <= i <= ell' the rules contribute, writing p for the images of the
-    map (the rules read p(0..ell') only):
+    target labels after them, as on a one-edge chain.  Writing p for the
+    images of the map (the rules read p(0..ell') only), the rules run over
+    windows (i, a, b): (i, p(i-1), p(i)) for 1 <= i <= ell', then, when
+    beta' = 1 (forcing beta = 1), the closing window (ell'+1, p(ell'), ell),
+    in which xm and ym stand where the others have y1(i) and y2(i):
 
-      p(i-1) = p(i):  the pair (y1(i), y2(i));
-      p(i-1) < p(i):  (y1(i), x1(p(i))), (x2(p(i-1)+1), y2(i)), and
-                      (x2(j), x1(j-1)) for p(i-1)+2 <= j <= p(i).
+      a = b, not closing:  the pair (y1(i), y2(i));
+      otherwise:           (y1(i), x1(b)), (x2(a+1), y2(i)), and
+                           (x2(j), x1(j-1)) for a+2 <= j <= b.
 
-    When beta' = 1 (forcing beta = 1) three more rules fire:
-    (xm, x1(ell)), (x2(p(ell')+1), ym), and (x2(j), x1(j-1)) for
-    p(ell')+2 <= j <= ell.  All labels pass through the resolution of
-    _resolve, read from each object's table; a label that does not
-    resolve raises its LabelRangeError or UnresolvableLabelError.
+    All labels pass through the resolution of _resolve, read from each
+    object's table, in pair order; a label that does not resolve raises
+    its LabelRangeError or UnresolvableLabelError.
 
     The degenerate case ell' = -1 yields no pairs: the formula for the
     pair count is undefined there and emptiness is the convention under
@@ -248,31 +249,27 @@ def _rule_pairs(
     pairs: list[tuple[int, int]] = []
     add = pairs.append
     low = p[0]
-    for i in range(1, ell_prime + 1):
-        high = p[i]
-        if low == high:
+    for i in range(1, ell_prime + beta_prime + 1):
+        if i > ell_prime:
+            # The closing window: b = ell, and xm and ym stand for y1(i) and y2(i).
+            high, first, two, at = ell, xm[None], ym, None
+        elif (high := p[i]) == low:
             add((shift + y1[i], shift + y2[i]))
             if notes is not None:
                 notes.append((_FLAT_NOTE, i, high, low, i - 1))
+            continue
         else:
-            add((shift + y1[i], x1[high]))
-            add((x2[low + 1], shift + y2[i]))
-            if notes is not None:
-                notes += [(_UP_NOTE, i, high), (_DOWN_NOTE, low + 1, low, i - 1, i)]
-            for j in range(low + 2, high + 1):
-                add((x2[j], x1[j - 1]))
-                if notes is not None:
-                    notes.append((_INNER_NOTE, j, j - 1))
-        low = high
-    if beta_prime == 1:
-        add((xm[None], x1[ell]))
-        add((x2[low + 1], shift + ym[None]))
+            first, two, at = shift + y1[i], y2, i
+        add((first, x1[high]))
+        add((x2[low + 1], shift + two[at]))
         if notes is not None:
-            notes += [(_MID_NOTE, ell), (_MID_DOWN_NOTE, low + 1, low, ell_prime)]
-        for j in range(low + 2, ell + 1):
+            up, down = (_UP_NOTE, _DOWN_NOTE) if at else (_MID_NOTE, _MID_DOWN_NOTE)
+            notes += [(up, i, high), (down, low + 1, low, i - 1, i)]
+        for j in range(low + 2, high + 1):
             add((x2[j], x1[j - 1]))
             if notes is not None:
                 notes.append((_INNER_NOTE, j, j - 1))
+        low = high
     return pairs
 
 

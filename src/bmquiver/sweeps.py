@@ -463,38 +463,32 @@ def _decomposition(phi: BmObject) -> tuple[Record, ...]:
 
 #: The errors that fail one instance with the error as its witness: pairing
 #: rules that build an invalid label, an ill-defined gamma, or fiber maps
-#: that G rejects.
+#: that G rejects.  _checked catches them for every suite that _sweep runs;
+#: _xi catches them itself, to list the failure at every target size.
 _INSTANCE_ERRORS = (PairingConstructionError, IllDefinedComponentError, ValidationError)
 
 
-def _on_edge(check: Callable[[BmEdge], tuple[Record, ...]]) -> Callable:
-    """The check, failing an edge on which it raises one of _INSTANCE_ERRORS."""
-
-    def checked(edge: BmEdge) -> tuple[Record, ...]:
-        try:
-            return check(edge)
-        except _INSTANCE_ERRORS as exc:
-            return _failed([str(exc)])
-
-    return checked
+def _checked(check: Callable, instance: object) -> tuple[Record, ...]:
+    """The records of check on instance, or its failure with the error as its
+    witness where the check raises one of _INSTANCE_ERRORS."""
+    try:
+        return check(instance)
+    except _INSTANCE_ERRORS as exc:
+        return _failed([str(exc)])
 
 
-@_on_edge
 def _constancy(edge: BmEdge) -> tuple[Record, ...]:
     return _failed(verify_constancy(edge).failures)
 
 
-@_on_edge
 def _naturality(edge: BmEdge) -> tuple[Record, ...]:
     return _failed(verify_naturality(edge).failures)
 
 
-@_on_edge
 def _identification(edge: BmEdge) -> tuple[Record, ...]:
     return _failed(verify_edge_identification(edge).failures)
 
 
-@_on_edge
 def _audit(edge: BmEdge) -> tuple[Record, ...]:
     audit = j_cardinality_audit(edge)
     if audit.degenerate or audit.raw_matches:
@@ -761,8 +755,9 @@ def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> S
     failing signature, and of a source with no table, lists its own
     witnesses.  Passing records are tallied and added once.  Reuse is exact
     only if the check reads nothing beyond the signature, which the
-    signature test in tests/test_sweeps.py guards.  The kept records live
-    for this call only.
+    signature test in tests/test_sweeps.py guards.  A check that raises one
+    of _INSTANCE_ERRORS fails its instance (see _checked).  The kept records
+    live for this call only.
     """
     report, passed = SuiteReport(name, config.bounds_dict()), 0
     for source in sources:
@@ -770,7 +765,7 @@ def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> S
         kept: dict = {}
         flagged: set = set()
         for signature, count, instance in table:
-            records = check(instance)
+            records = _checked(check, instance)
             if not any(records):
                 passed += count * len(records)
                 continue
@@ -782,7 +777,7 @@ def _sweep(config: SweepConfig, name: str, sources: tuple, check: Callable) -> S
         for signature, at, instance, key in walk(flagged):
             warned = kept.get(signature)
             for a in at:
-                records = warned or check(instance(a))
+                records = warned or _checked(check, instance(a))
                 passed += records.count(None)
                 for suffix, status, witnesses in filter(None, records):
                     report.add((key(a) + suffix, status, witnesses))
@@ -801,9 +796,11 @@ def reads_edges(config: SweepConfig, names: Iterable[str]) -> bool:
 def run_suite(config: SweepConfig, name: str) -> SuiteReport:
     """Run one suite of SUITE_NAMES or EXTRA_SUITE_NAMES: gluing through
     gluing_suite, every other suite through _sweep, exhaustive or sampled as
-    its docstring says.  An instance on which the pairing rules build an
-    invalid label, gamma is not well-defined, or G rejects the fiber maps
-    fails with the error as its witness instead of stopping the sweep.
+    its docstring says.  An instance that _sweep checks, which is every
+    instance but exhaustive gluing's chains of length >= 1, fails with the
+    error as its witness where the pairing rules build an invalid label,
+    gamma is not well-defined, or G rejects the fiber maps, instead of
+    stopping the sweep.
     """
     if name == "gluing":
         return gluing_suite(config)

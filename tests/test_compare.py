@@ -49,14 +49,14 @@ def edge_shape(edge: BmEdge) -> tuple:
 
 
 def count_kernel(monkeypatch) -> list:
-    """Record the key of every kernel computation from here on, with or
-    without notes; the record is returned."""
+    """Record the key of every kernel computation from here on; the record
+    is returned."""
     computed = []
     kernel = compare._kernel
 
-    def counted(values, maps, *, notes):
+    def counted(values, maps):
         computed.append((values, maps))
-        return kernel(values, maps, notes=notes)
+        return kernel(values, maps)
 
     monkeypatch.setattr(compare, "_kernel", counted)
     return computed
@@ -235,22 +235,20 @@ class TestNaturality:
 
     def test_kernel_matches_routes_it_does_not_share(self):
         """On every object with k <= 4, every edge with k, k' <= 4 and every
-        two-edge chain with k <= 2, the kernel's pairs and notes are each
-        edge's edge_pairs shifted by label_offsets, the F that _f builds
+        two-edge chain with k <= 2, the kernel's pairs are each edge's
+        edge_pairs shifted by label_offsets, the F that _f builds
         from them is the union-find of test_quotient, its sizes and G are
         chain_signature through g_classes, and the witness of each label is
         the G class of the fiber element _gamma gives it.  The two verdicts
         that follow are checked in tests/test_sweeps.py."""
         count = 0
         for instance in enumerate_objects(4) + enumerate_all_edges(4, 4) + two_edge_chains(2):
-            sides = objects, edges, pairs, notes, sizes, g, witness, _, _ = compare._sides(instance)
+            sides = objects, edges, pairs, sizes, g, witness, _, _ = compare._sides(instance)
             offsets = label_offsets(objects)
-            expected_pairs, expected_notes = [], []
+            expected_pairs = []
             for off, edge in zip(offsets, edges):
-                edge_p, edge_n = edge_pairs(edge)
-                expected_pairs += [(a + off, b + off) for a, b in edge_p]
-                expected_notes += edge_n
-            assert (list(pairs), list(notes)) == (expected_pairs, expected_notes), instance
+                expected_pairs += [(a + off, b + off) for a, b in edge_pairs(edge)[0]]
+            assert list(pairs) == expected_pairs, instance
             blocks = union_find_blocks(range(offsets[-1]), expected_pairs)
             least = {code: block[0] for block in blocks for code in block}
             f = compare._f(sides)
@@ -343,9 +341,9 @@ class TestNaturality:
 
     def test_kernel_on_canonical_objects_is_the_kernel_on_the_edge(self):
         """The kernel reads an object only through (ell, beta): on every edge
-        with k, k' <= 4 it gives the same pairs, notes, fiber sizes, G,
-        witnesses and verdicts on the edge's objects as on the canonical
-        objects with their invariants, which the verdict memo runs it on."""
+        with k, k' <= 4 it gives the same pairs, fiber sizes, G, witnesses
+        and verdicts on the edge's objects as on the canonical objects with
+        their invariants, which the verdict memo runs it on."""
         edges = enumerate_all_edges(4, 4)
         for edge in edges:
             phi, phi_prime, maps = edge.phi, edge.phi_prime, (edge.fiber_map(),)
@@ -355,9 +353,8 @@ class TestNaturality:
             )
             assert [BmObject(values).ell for values in canonical] == [phi.ell, phi_prime.ell]
             assert [BmObject(values).beta for values in canonical] == [phi.beta, phi_prime.beta]
-            for notes in (False, True):
-                concrete = compare._kernel((phi.values, phi_prime.values), maps, notes=notes)
-                assert compare._kernel(canonical, maps, notes=notes) == concrete, edge.encode()
+            concrete = compare._kernel((phi.values, phi_prime.values), maps)
+            assert compare._kernel(canonical, maps) == concrete, edge.encode()
         assert len(edges) == 2421
 
     @given(bm_edges(max_top=5), st.data())
@@ -535,6 +532,53 @@ def test_decomposition_rebuild_and_position_checks_can_fail(monkeypatch):
         "label sets differ: segments give ['v0:x1(1)', 'v0:x2(1)'], "
         "direct gives ['v0:x1(1)', 'v0:x2(1)', 'v0:xm']",
     )
+
+
+def test_decomposition_comparison_check_can_fail(monkeypatch):
+    """With the two labels of each "00" segment swapped, the rebuilt label
+    set and the glued fiber stay right, but segment-wise gamma no longer
+    agrees with the global one: 6 of the 12 objects with 1 <= k <= 3 fail,
+    each with that witness alone.  The gamma mutant cannot reach this check,
+    as both of its sides read the mutated _gamma."""
+    labels = quiverf.segment_labels
+
+    def swapping(phi):
+        return [
+            (segment, codes[::-1] if segment.values == (0, 0) else codes)
+            for segment, codes in labels(phi)
+        ]
+
+    monkeypatch.setattr(compare, "segment_labels", swapping)
+    objects = [phi for phi in enumerate_objects(3) if phi.top]
+    failing = {phi.encode(): verify_decomposition(phi).failures for phi in objects}
+    failing = {key: failures for key, failures in failing.items() if failures}
+    assert (len(objects), len(failing)) == (12, 6)
+    for failures in failing.values():
+        assert all(failure.startswith("segment ") for failure in failures)
+    assert failing["00"] == (
+        "segment 1: v0:x1(1) maps to position 1, global v0:x2(1) maps to 0",
+        "segment 1: v0:x2(1) maps to position 0, global v0:x1(1) maps to 1",
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sweeps.run_suites(SweepConfig(), ["nope"]), "unknown suites ['nope']"),
+        (lambda: xi_component(BmChain.parse("0"), -1), "target size must be >= 0"),
+        (lambda: DeltaMap(-1, 0, ()), "ordinal tops must be >= 0"),
+        (
+            lambda: BmEdge(OBJ("00"), OBJ("0"), DeltaMap(0, 2, (0,))),
+            "map target [2] does not match source object on [1]",
+        ),
+    ],
+    ids=["run_suites", "xi_component", "DeltaMap", "BmEdge"],
+)
+def test_library_only_validation(build, message):
+    """Validation that the CLI cannot reach raises ValidationError with its message."""
+    with pytest.raises(ValidationError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestEdgeIdentification:

@@ -920,6 +920,28 @@ def test_invalid_label_fails_xi_instead_of_raising(monkeypatch):
         assert witness.startswith("pairing rules produced an invalid label on edge ")
 
 
+@pytest.mark.parametrize("sampling", [[], ["--samples", "20", "--seed", "1"]])
+def test_an_error_in_an_object_check_fails_the_object(monkeypatch, capsys, sampling):
+    """Where G raises a ValidationError, cardinality lists every object it
+    checks, exhaustive and sampled, as failing with the error as its only
+    witness, and verify exits 1: the sweep catches the error for the object
+    suites as it does for the edge suites."""
+
+    def refusing(sizes, maps):
+        raise ValidationError(f"no G for fiber sizes {sizes}")
+
+    monkeypatch.setattr(wfib, "g_classes", refusing)
+    argv = ["verify", "--max-k", "2", "--suites", "cardinality", "--format", "json"]
+    assert main(argv + sampling) == EXIT_FAIL
+    (report,) = json.loads(capsys.readouterr().out)
+    summary, instances = report["summary"], report["instances"]
+    assert summary["total"] == summary["failed"] == len(instances) == (20 if sampling else 9)
+    for instance in instances:
+        phi = BmObject.parse(instance["key"])
+        assert instance["status"] == "fail"
+        assert instance["witnesses"] == [f"no G for fiber sizes ({phi.ell + 1},)"]
+
+
 #: The suites that check each edge signature once.
 SIGNED_SUITES = ("constancy", "identification", "audit", "xi")
 
@@ -1365,7 +1387,7 @@ def test_kernel_verdicts_are_their_per_label_definitions(monkeypatch, mutant):
     raised = disagreeing = moving = 0
     for instance in enumerate_objects(2) + enumerate_all_edges(2, 2) + two_edge_chains(2):
         try:
-            _, _, pairs, _, _, g, witness, agrees, fixed = compare._sides(instance)
+            _, _, pairs, _, g, witness, agrees, fixed = compare._sides(instance)
         except sweeps._INSTANCE_ERRORS:
             raised += 1
             continue
@@ -1630,8 +1652,7 @@ def outcome(function, *args, **kwargs):
 def test_pairs_without_notes_are_the_pairs_with_notes(monkeypatch, mutant):
     """On every edge with k, k' <= 4, plain and under each edge mutant, the
     pairing rules asked for no notes give the pairs that edge_pairs gives
-    with one note per pair, or raise its error; so does the kernel, whose
-    sizes, G, witnesses and verdicts are the same either way."""
+    with one note per pair, or raise its error."""
     EDGE_MUTANTS[mutant](monkeypatch)
     raised = 0
     for edge in enumerate_all_edges(4, 4):
@@ -1644,14 +1665,6 @@ def test_pairs_without_notes_are_the_pairs_with_notes(monkeypatch, mutant):
         else:
             pairs, notes = with_notes
             assert len(notes) == len(pairs), edge.encode()
-        values = edge.phi.values, edge.phi_prime.values
-        kernel = outcome(compare._kernel, values, (edge.fiber_map(),), notes=True)
-        bare = outcome(compare._kernel, values, (edge.fiber_map(),), notes=False)
-        if isinstance(kernel[0], str):
-            assert bare == kernel, edge.encode()
-            continue
-        assert bare[1] is None and len(kernel[1]) == len(kernel[0]), edge.encode()
-        assert bare[:1] + bare[2:] == kernel[:1] + kernel[2:], edge.encode()
     assert (raised > 0) == (mutant == "_resolve"), raised
 
 
